@@ -22,14 +22,13 @@ from .integrals import (GridField, Integrand, IntegrandError,
                         window_sq_integral)
 from .kernels import (GreenKernel, H2Report, KernelError, check_h2,
                       heat_kernel, wave_kernel)
-from .malliavin import (DerivativePoint, MalliavinError, NonAffineError,
-                        PathFunctional, chain_rule_residual,
-                        derivative_bound_estimate,
+from .malliavin import (DerivativePoint, MalliavinError, PathFunctional,
+                        chain_rule_residual, derivative_bound_estimate,
                         derivative_equation_residual, difference_derivative,
                         duality_test, exp_derivative_residual,
                         exp_integral_functional, hnorm_sq_grid,
-                        integral_functional, nonlinear_probe,
-                        picard_derivative_report, solution_functional)
+                        integral_functional, picard_derivative_report,
+                        solution_functional)
 from .noise import (LevyMeasure, NoiseError, PointConfiguration,
                     SpaceTimeWindow, add_atom, atomic_decomposition,
                     derive_rng, discrete_measure, gaussian_measure,

@@ -218,15 +218,6 @@ def ito_value_task(measure, window, h, seed) -> float:
     return ito_integral(sample_prm(measure, window, seed), h, measure)
 
 
-def ito_square_task(measure, window, h, seed) -> float:
-    return ito_value_task(measure, window, h, seed) ** 2
-
-
-def ito_product_task(measure, window, h, g, seed) -> float:
-    cfg = sample_prm(measure, window, seed)
-    return ito_integral(cfg, h, measure) * ito_integral(cfg, g, measure)
-
-
 def solution_square_task(problem, measure, eval_points, seed):
     """u(t,x)^2 at each evaluation point for one exact forward solve."""
     cfg = sample_prm(measure, problem.window, seed)

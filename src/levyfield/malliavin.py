@@ -24,17 +24,13 @@ from .noise import (LevyMeasure, PointConfiguration, SpaceTimeWindow,
                     add_atom, atomic_decomposition, sample_prm)
 from .reporting import CheckRow, EstimatorSummary, studentize, write_check_rows
 from .solver import (ProblemSpec, SLACK_SIGMAS, deterministic_part,
-                     evaluate_solution, influence_rows,
-                     pairwise_interaction_matrix, picard_iterates_at_atoms,
-                     solve_forward)
+                     evaluate_solution, pairwise_interaction_matrix,
+                     picard_grid_iterates, picard_iterates_at_atoms,
+                     second_moment_sup, solve_forward)
 
 
 class MalliavinError(ValueError):
     pass
-
-
-class NonAffineError(MalliavinError):
-    """Raised when an affine-only check receives a non-affine nonlinearity."""
 
 
 @dataclass(frozen=True)
@@ -163,24 +159,6 @@ def duality_test(h: Integrand, g: Integrand, measure: LevyMeasure,
                             studentized=studentize(est, target, se))
 
 
-def _cross_matrix(kernel, target_t, target_x, source_t, source_x):
-    """Out[i, j] = G(target_t_i - source_t_j, target_x_i - source_x_j) when
-    the source time is strictly earlier, else 0."""
-    target_t = np.atleast_1d(np.asarray(target_t, dtype=float))
-    target_x = np.atleast_1d(np.asarray(target_x, dtype=float))
-    source_t = np.atleast_1d(np.asarray(source_t, dtype=float))
-    source_x = np.atleast_1d(np.asarray(source_x, dtype=float))
-    out = np.zeros((target_t.size, source_t.size))
-    if source_t.size == 0 or target_t.size == 0:
-        return out
-    dt = target_t[:, None] - source_t[None, :]
-    dx = target_x[:, None] - source_x[None, :]
-    mask = dt > 0.0
-    if mask.any():
-        out[mask] = kernel.evaluate(dt[mask], dx[mask])
-    return out
-
-
 @dataclass
 class EquationCheck:
     lhs: float
@@ -206,19 +184,18 @@ def derivative_equation_residual(problem: ProblemSpec,
     """Pathwise residual of the derivative fixed-point equation at (t, x):
 
         Du(t,x) = G(t-r, x-xi) sigma(u(r,xi)) z
-                  + sum_{r < t_i < t} G(t-t_i, x-x_i) a Du(t_i,x_i) z_i
+                  + sum_{r < t_i < t} G(t-t_i, x-x_i)
+                        [sigma(u + Du) - sigma(u)](t_i,x_i) z_i
 
-    for affine sigma(x) = a x + b.  The left side differences two exact
-    forward solves; the right side re-assembles the equation from the base
-    solve and the differenced atom values.  For r >= t the derivative of an
+    for any Lipschitz sigma: the add-one-atom difference obeys the exact
+    chain rule, so the bracket is the exact increment (a Du for affine
+    sigma(x) = a x + b).  The left side differences two exact forward
+    solves; the right side re-assembles the equation from the base solve
+    and the differenced atom values.  For r >= t the derivative of an
     adapted functional vanishes and the routine asserts exact zero.
     """
-    if problem.sigma.affine is None:
-        raise NonAffineError(
-            "derivative_equation_residual needs affine sigma; "
-            "use nonlinear_probe for general Lipschitz nonlinearities")
     _validate_point(config, point)
-    a, _ = problem.sigma.affine
+    sigma = problem.sigma
     base = solve_forward(config, problem, with_grid=False)
     plus_cfg = add_atom(config, point.time, point.x, point.jump)
     plus = solve_forward(plus_cfg, problem, with_grid=False)
@@ -232,115 +209,55 @@ def derivative_equation_residual(problem: ProblemSpec,
     insert = int(np.searchsorted(config.times, point.time))
     du_at = _aligned_atom_difference(plus, base, insert)
     u_r = evaluate_solution(base, point.time, point.x)
-    g_main = _cross_matrix(problem.kernel, t, x, point.time, point.x)[0, 0]
-    rhs = g_main * problem.sigma(u_r) * point.jump
+    g_main = pairwise_interaction_matrix(problem.kernel, t, x, point.time,
+                                         point.x)[0, 0]
+    rhs = g_main * sigma(u_r) * point.jump
     sel = (config.times > point.time) & (config.times < t)
     if sel.any():
-        g_row = _cross_matrix(problem.kernel, t, x, config.times[sel],
-                              config.positions[sel])[0]
-        rhs += float(np.dot(g_row, a * du_at[sel] * config.jumps[sel]))
+        g_row = pairwise_interaction_matrix(problem.kernel, t, x,
+                                            config.times[sel],
+                                            config.positions[sel])[0]
+        u_sel = base.atom_values[sel]
+        bracket = sigma(u_sel + du_at[sel]) - sigma(u_sel)
+        rhs += float(np.dot(g_row, bracket * config.jumps[sel]))
     return EquationCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
 
 
-@dataclass
-class ProbeResult:
-    """Report-only evaluation of the derivative equation for general
-    Lipschitz sigma: residual carries no pass/fail semantics."""
+def _added_point_iterates(problem: ProblemSpec, config: PointConfiguration,
+                          pts_t, pts_x, n_iter: int):
+    """Picard iterates of one path, shared by a batch of B added points
+    (r_b, xi_b), with the path's kernel blocks built once.
 
-    sigma_kind: str
-    lhs: float
-    rhs: float
-    residual: float
-    scale: float
-
-    def row(self) -> CheckRow:
-        return CheckRow(check="nonlinear-probe", params=self.sigma_kind,
-                        lhs=self.lhs, rhs=self.rhs,
-                        residual_or_z=self.residual, passed=None)
-
-
-def nonlinear_probe(problem: ProblemSpec, config: PointConfiguration,
-                    point: DerivativePoint, t: float, x: float) -> ProbeResult:
-    """Evaluate both sides of the derivative equation with the exact
-    nonlinear increment sigma(u + Du) - sigma(u) in place of a*Du.
-
-    With the difference operator this identity closes pathwise for any
-    sigma; the probe reports how far the two independently assembled sides
-    drift apart, as data for the open nonlinear case.
-    """
-    _validate_point(config, point)
-    base = solve_forward(config, problem, with_grid=False)
-    plus_cfg = add_atom(config, point.time, point.x, point.jump)
-    plus = solve_forward(plus_cfg, problem, with_grid=False)
-    lhs = evaluate_solution(plus, t, x) - evaluate_solution(base, t, x)
-    if point.time >= t:
-        return ProbeResult(problem.sigma.label(), lhs, 0.0, abs(lhs), 1.0)
-    insert = int(np.searchsorted(config.times, point.time))
-    du_at = _aligned_atom_difference(plus, base, insert)
-    u_r = evaluate_solution(base, point.time, point.x)
-    g_main = _cross_matrix(problem.kernel, t, x, point.time, point.x)[0, 0]
-    rhs = g_main * problem.sigma(u_r) * point.jump
-    sel = config.times < t
-    if sel.any():
-        g_row = _cross_matrix(problem.kernel, t, x, config.times[sel],
-                              config.positions[sel])[0]
-        bracket = problem.sigma(base.atom_values[sel] + du_at[sel]) \
-            - problem.sigma(base.atom_values[sel])
-        rhs += float(np.dot(g_row, bracket * config.jumps[sel]))
-    scale = 1.0 + abs(lhs) + float(np.max(np.abs(base.atom_values),
-                                          initial=0.0))
-    return ProbeResult(problem.sigma.label(), lhs, rhs, abs(lhs - rhs), scale)
-
-
-def _batched_plus_iterates(problem: ProblemSpec, config: PointConfiguration,
-                           pts_t, pts_x, jump: float, n_iter: int,
-                           base_iterates):
-    """Picard iterates of config + atom(r_b, xi_b, jump) for a batch of
-    derivative points, sharing the base iterates.
-
-    Returns (plus, at_point): plus[m] has shape (B, k) with the iterate at
-    the original atoms; at_point[m] has shape (B,) with the base iterate
-    evaluated at the added points (the added atom's own value, which only
-    sees strictly earlier atoms and is therefore unchanged by the addition).
+    Returns (base, at_point, M, A): base[m] is the (k,) iterate at the
+    atoms; at_point[m] the (B,) base iterate at the added points, which is
+    the added atom's own value (it only sees strictly earlier atoms, so the
+    addition leaves it unchanged); M is the (k, k) atom interaction matrix
+    and A the (B, k) block of each point's influence on the atoms.
     """
     kernel, sigma = problem.kernel, problem.sigma
     t, x, z = config.times, config.positions, config.jumps
-    pts_t = np.atleast_1d(np.asarray(pts_t, dtype=float))
-    pts_x = np.atleast_1d(np.asarray(pts_x, dtype=float))
-    B, k = pts_t.size, t.size
-    M = pairwise_interaction_matrix(kernel, t, x)
-    P = _cross_matrix(kernel, pts_t, pts_x, t, x)        # point <- atoms
-    A = _cross_matrix(kernel, t, x, pts_t, pts_x).T      # atoms <- point
-    w_at = np.atleast_1d(np.asarray(deterministic_part(problem, t, x),
-                                    dtype=float))
+    M = pairwise_interaction_matrix(kernel, t, x, t, x)
+    P = pairwise_interaction_matrix(kernel, pts_t, pts_x, t, x)
+    A = pairwise_interaction_matrix(kernel, t, x, pts_t, pts_x).T
+    base = picard_iterates_at_atoms(config, problem, n_iter, M=M)
     w_pt = np.atleast_1d(np.asarray(deterministic_part(problem, pts_t, pts_x),
                                     dtype=float))
-    plus = [np.broadcast_to(w_at, (B, k)).copy()]
-    at_point = [w_pt.copy()]
-    for m in range(1, n_iter + 1):
-        at_point.append(w_pt + P @ (sigma(base_iterates[m - 1]) * z))
+    at_point = [w_pt] + [w_pt + P @ (sigma(b) * z) for b in base[:-1]]
+    return base, at_point, M, A
+
+
+def _plus_iterates(problem: ProblemSpec, config: PointConfiguration, base,
+                   at_point, M, A, jump: float):
+    """Picard iterates, at the original atoms, of the path plus the atom
+    (r_b, xi_b, jump) for each added point: plus[m] has shape (B, k)."""
+    sigma, z = problem.sigma, config.jumps
+    w_at = base[0]
+    plus = [np.broadcast_to(w_at, A.shape).copy()]
+    for m in range(1, len(base)):
         plus.append(w_at[None, :]
                     + (sigma(plus[m - 1]) * z[None, :]) @ M.T
                     + A * (sigma(at_point[m - 1]) * jump)[:, None])
-    return plus, at_point
-
-
-def _batched_eval(problem, config, pts_t, pts_x, jump, base_iterates, plus,
-                  at_point, t_eval: float, x_eval: float, n: int):
-    """(base value, batch of plus values) of iterate n at (t_eval, x_eval)."""
-    kernel, sigma = problem.kernel, problem.sigma
-    z = config.jumps
-    w = float(np.asarray(deterministic_part(problem, t_eval, x_eval)))
-    g_row = _cross_matrix(kernel, t_eval, x_eval, config.times,
-                          config.positions)[0]
-    g_pt = _cross_matrix(kernel, t_eval, x_eval, pts_t, pts_x)[0]
-    if n == 0:
-        B = np.atleast_1d(pts_t).size
-        return w, np.full(B, w)
-    base_val = w + float(np.dot(g_row, sigma(base_iterates[n - 1]) * z))
-    plus_val = w + (sigma(plus[n - 1]) * z[None, :]) @ g_row \
-        + g_pt * sigma(at_point[n - 1]) * jump
-    return base_val, plus_val
+    return plus
 
 
 @dataclass
@@ -417,32 +334,26 @@ def picard_derivative_report(problem: ProblemSpec,
                              ) -> PicardDerivativeReport:
     """Difference the Picard iterates with and without the added atom and
     verify the derivative recursion pathwise at each order."""
-    if problem.sigma.affine is None:
-        raise NonAffineError("picard derivative recursion needs affine sigma")
     _validate_point(config, point)
     if config.measure.first_moment != 0.0:
         raise MalliavinError("picard derivative recursion assumes m1 = 0")
     sigma = problem.sigma
-    base = picard_iterates_at_atoms(config, problem, n_iter)
-    plus, at_point = _batched_plus_iterates(
-        problem, config, point.time, point.x, point.jump, n_iter, base)
+    base, at_point, M, A = _added_point_iterates(
+        problem, config, point.time, point.x, n_iter)
+    plus = _plus_iterates(problem, config, base, at_point, M, A, point.jump)
     k = config.n_atoms
     z = config.jumps
-    A = _cross_matrix(problem.kernel, config.times, config.positions,
-                      point.time, point.x)[:, 0]
-    M = pairwise_interaction_matrix(problem.kernel, config.times,
-                                    config.positions)
+    a_row = A[0]
     du = [plus[m][0] - base[m] for m in range(n_iter + 1)]
     start_zero = bool(np.all(du[0] == 0.0)) if k else True
     scale = 1.0 + max((float(np.max(np.abs(b))) for b in base if b.size),
                       default=0.0)
-    w_pt = float(np.asarray(deterministic_part(problem, point.time, point.x)))
-    hand = A * (sigma(w_pt) * point.jump)
+    hand = a_row * (sigma(at_point[0][0]) * point.jump)
     hand_res = float(np.max(np.abs(du[1] - hand), initial=0.0))
     residuals = np.zeros(n_iter)
     for n in range(n_iter):
         bracket = sigma(base[n] + du[n]) - sigma(base[n])
-        rhs = A * (sigma(at_point[n][0]) * point.jump) + M @ (bracket * z)
+        rhs = a_row * (sigma(at_point[n][0]) * point.jump) + M @ (bracket * z)
         residuals[n] = float(np.max(np.abs(du[n + 1] - rhs), initial=0.0))
     cauchy = np.array([float(np.max(np.abs(du[m + 1] - du[m]), initial=0.0))
                        for m in range(n_iter)])
@@ -498,6 +409,7 @@ def derivative_bound_estimate(problem: ProblemSpec, measure: LevyMeasure,
     window = problem.window
     if eval_points is None:
         eval_points = [(window.T, 0.0)]
+    kernel, sigma = problem.kernel, problem.sigma
     zq, wq = atomic_decomposition(measure)
     grid_t, grid_x = problem.grid()
     n_pts = len(eval_points)
@@ -507,58 +419,51 @@ def derivative_bound_estimate(problem: ProblemSpec, measure: LevyMeasure,
     volume = window.volume
 
     for i in range(n_realizations):
-        rng_cfg = (master_seed, i)
-        config = sample_prm(measure, window, rng_cfg)
+        config = sample_prm(measure, window, (master_seed, i))
         rng = np.random.default_rng(
             np.random.SeedSequence(master_seed, spawn_key=(i, 1)))
         pts_t = rng.uniform(0.0, window.T, n_points)
         pts_x = rng.uniform(-window.R, window.R, n_points)
-        base = picard_iterates_at_atoms(config, problem, n_iter)
-        rows = influence_rows(problem.kernel, config, grid_t, grid_x)
-        w_gr = np.asarray(deterministic_part(
-            problem, grid_t[:, None], grid_x[None, :]), dtype=float)
-        coefs = [problem.sigma(it) * config.jumps for it in base[:-1]]
-        k1[0] += w_gr ** 2
-        k2[0] += w_gr ** 4
-        for n in range(1, n_iter + 1):
-            gval = w_gr.copy()
-            for j in range(grid_t.size):
-                kj = rows[j].shape[1]
-                if kj:
-                    gval[j] += rows[j] @ coefs[n - 1][:kj]
-            k1[n] += gval ** 2
-            k2[n] += gval ** 4
+        t, x, z = config.times, config.positions, config.jumps
+        base, at_point, M, A = _added_point_iterates(
+            problem, config, pts_t, pts_x, n_iter)
+        grids = picard_grid_iterates(problem, config, base)
+        k1 += grids ** 2
+        k2 += grids ** 4
+        # iterate n at an evaluation point from sigma of iterate n-1; the
+        # base values and kernel rows do not depend on the jump mark
+        sig_pt = [sigma(a) for a in at_point[:-1]]
+        evals = []
+        for te, xe in eval_points:
+            w = float(np.asarray(deterministic_part(problem, te, xe)))
+            g_row = pairwise_interaction_matrix(kernel, te, xe, t, x)[0]
+            g_pt = pairwise_interaction_matrix(kernel, te, xe, pts_t, pts_x)[0]
+            base_vals = [w + float(np.dot(g_row, sigma(b) * z))
+                         for b in base[:-1]]
+            evals.append((w, g_row, g_pt, base_vals))
         dens = np.zeros((n_iter, n_pts, n_points))
         for z_val, z_w in zip(zq, wq):
-            plus, at_point = _batched_plus_iterates(
-                problem, config, pts_t, pts_x, z_val, n_iter, base)
-            for p, (te, xe) in enumerate(eval_points):
+            plus = _plus_iterates(problem, config, base, at_point, M, A, z_val)
+            sig_plus = [sigma(p) * z[None, :] for p in plus[:-1]]
+            for p, (w, g_row, g_pt, base_vals) in enumerate(evals):
                 for n in range(1, n_iter + 1):
-                    bval, pval = _batched_eval(
-                        problem, config, pts_t, pts_x, z_val, base, plus,
-                        at_point, te, xe, n)
-                    dens[n - 1, p] += z_w * (pval - bval) ** 2
+                    pval = w + sig_plus[n - 1] @ g_row \
+                        + g_pt * sig_pt[n - 1] * z_val
+                    dens[n - 1, p] += z_w * (pval - base_vals[n - 1]) ** 2
         per_real[i] = volume * dens.mean(axis=2)
 
     est = per_real.mean(axis=0)
     se = per_real.std(axis=0, ddof=1) / math.sqrt(n_realizations) \
         if n_realizations > 1 else np.zeros_like(est)
-
-    nr = n_realizations
-    k_mean_grid = k1 / nr
-    k_hat = np.max(k_mean_grid, axis=(1, 2))
-    k_arg = np.argmax(k_mean_grid.reshape(n_iter + 1, -1), axis=1)
-    k_var = np.maximum(k2 / nr - k_mean_grid ** 2, 0.0) * (nr / max(nr - 1, 1))
-    k_se = np.array([math.sqrt(k_var.reshape(n_iter + 1, -1)[n, k_arg[n]] / nr)
-                     for n in range(n_iter + 1)])
+    k_hat, k_se = second_moment_sup(k1, k2, n_realizations)
 
     v = measure.second_moment
-    growth2 = problem.sigma.growth ** 2
-    lip2 = problem.sigma.lipschitz ** 2
+    growth2 = sigma.growth ** 2
+    lip2 = sigma.lipschitz ** 2
     rows_out = []
     recursion_ok = True
     for p, (te, xe) in enumerate(eval_points):
-        nu_t = problem.kernel.cumulative_square_integral(te)
+        nu_t = kernel.cumulative_square_integral(te)
         for n in range(1, n_iter):
             bound = 4.0 * v * growth2 * (1.0 + k_hat[n]) * nu_t \
                 + 2.0 * v * lip2 * est[n - 1, p] * nu_t

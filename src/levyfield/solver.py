@@ -47,8 +47,10 @@ class ScalarMap:
     """The multiplicative nonlinearity sigma with its declared constants.
 
     lipschitz bounds |sigma(x)-sigma(y)| <= lipschitz*|x-y| and growth bounds
-    |sigma(x)| <= growth*(1+|x|).  `affine` returns (a, b) when sigma is
-    exactly a*x + b, which is what the derivative fixed-point checker needs.
+    |sigma(x)| <= growth*(1+|x|).  `kind` names the map: "affine"
+    (a*u + b), "abs" and "sin" are built in; any other kind calls `fn`.
+    Every check in the package holds for any Lipschitz sigma, so no kind
+    is special beyond how it is evaluated.
     """
 
     kind: str
@@ -67,10 +69,6 @@ class ScalarMap:
             return _sin_map(u)
         return self.fn(u)
 
-    @property
-    def affine(self):
-        return (self.a, self.b) if self.kind == "affine" else None
-
     def label(self) -> str:
         if self.kind == "affine":
             return f"affine({self.a:g},{self.b:g})"
@@ -86,7 +84,15 @@ def constant_map(b: float) -> ScalarMap:
     return affine_map(0.0, b)
 
 
+_NAMED_MAPS = ("affine", "constant", "abs", "sin")
+
+
 def custom_map(fn, lipschitz: float, name: str = "custom") -> ScalarMap:
+    # ScalarMap dispatches on its kind, so a built-in name would silently
+    # replace fn by the built-in map
+    if name in _NAMED_MAPS:
+        raise SolverError(f"custom map name {name!r} is reserved for "
+                          "named_map")
     return ScalarMap(name, fn=fn, lipschitz=lipschitz,
                      growth=max(lipschitz, abs(float(fn(0.0)))))
 
@@ -140,10 +146,6 @@ class ProblemSpec:
             raise SolverError("sigma violates its declared Lipschitz constant")
         if np.any(np.abs(fx) > self.sigma.growth * (1.0 + np.abs(xs[:, 0])) + tol):
             raise SolverError("sigma violates its declared growth constant")
-        if self.sigma.affine is not None:
-            a, b = self.sigma.affine
-            if np.any(np.abs(fx - (a * xs[:, 0] + b)) > tol):
-                raise SolverError("sigma affine tag inconsistent with values")
 
     def grid(self):
         t = np.linspace(0.0, self.window.T, self.n_t)
@@ -187,38 +189,34 @@ def initial_condition_bound(problem: ProblemSpec) -> float:
     return math.sqrt(2.0)
 
 
-def pairwise_interaction_matrix(kernel: GreenKernel, times, positions):
-    """Strictly lower-triangular matrix M[k, j] = G(t_k - t_j, x_k - x_j)
-    for t_j < t_k, zero elsewhere."""
-    times = np.asarray(times, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    n = times.size
-    M = np.zeros((n, n))
-    if n == 0:
-        return M
-    dt = times[:, None] - times[None, :]
-    dx = positions[:, None] - positions[None, :]
-    mask = dt > 0.0
+def _column(v):
+    return np.asarray(v, dtype=float).reshape(-1, 1)
+
+
+def _row(v):
+    return np.asarray(v, dtype=float).reshape(1, -1)
+
+
+def pairwise_interaction_matrix(kernel: GreenKernel, target_t, target_x,
+                                source_t, source_x):
+    """Out[i, j] = G(target_t_i - source_t_j, target_x_i - source_x_j) where
+    the source time is strictly earlier, else 0.
+
+    Target times and positions broadcast against each other (one grid time
+    with a vector of positions gives one grid row).  G is evaluated only at
+    the causal pairs, and without a mask when every pair is causal.
+    """
+    dt = _column(target_t) - _row(source_t)
+    dx = _column(target_x) - _row(source_x)
+    if dt.size and dt.min() > 0.0:
+        return kernel.evaluate(dt, dx)
+    shape = np.broadcast_shapes(dt.shape, dx.shape)
+    out = np.zeros(shape)
+    mask = np.broadcast_to(dt > 0.0, shape)
     if mask.any():
-        M[mask] = kernel.evaluate(dt[mask], dx[mask])
-    return M
-
-
-def influence_rows(kernel: GreenKernel, config: PointConfiguration,
-                   grid_t, grid_x):
-    """Per grid-time kernel blocks: rows[j] is the (n_x, k_j) matrix
-    G(t_j - t_i, x_l - x_i) over atoms with t_i < t_j (a prefix, since atoms
-    are time sorted)."""
-    rows = []
-    for tj in grid_t:
-        kj = int(np.searchsorted(config.times, tj))
-        if kj == 0:
-            rows.append(np.zeros((grid_x.size, 0)))
-        else:
-            rows.append(kernel.evaluate(
-                tj - config.times[:kj][None, :],
-                grid_x[:, None] - config.positions[:kj][None, :]))
-    return rows
+        out[mask] = kernel.evaluate(np.broadcast_to(dt, shape)[mask],
+                                    np.broadcast_to(dx, shape)[mask])
+    return out
 
 
 @dataclass
@@ -263,19 +261,50 @@ def evaluate_solution(path: SolutionPath, t: float, x: float) -> float:
                                       grid_field=grid_field)
 
 
-def _project_grid(problem: ProblemSpec, config: PointConfiguration, coef,
-                  rows=None):
-    """Grid values w + sum_{t_i < t_j} G(t_j - t_i, x_l - x_i) coef_i."""
+def _project_grid(problem: ProblemSpec, config: PointConfiguration, coefs):
+    """Grid values w + sum_{t_i < t_j} G(t_j - t_i, x_l - x_i) coefs_i.
+
+    coefs is (k,) for one field or (m, k) for m fields over the same atoms
+    (out: (n_t, n_x) or (m, n_t, n_x)).  Atoms are time sorted, so the
+    atoms before grid time t_j are a prefix; each grid time's kernel block
+    is built once and applied to every field.
+    """
     grid_t, grid_x = problem.grid()
-    out = np.asarray(deterministic_part(problem, grid_t[:, None],
-                                        grid_x[None, :]), dtype=float).copy()
-    if rows is None:
-        rows = influence_rows(problem.kernel, config, grid_t, grid_x)
-    for j in range(grid_t.size):
-        kj = rows[j].shape[1]
+    coefs = np.asarray(coefs, dtype=float)
+    w = np.asarray(deterministic_part(problem, grid_t[:, None],
+                                      grid_x[None, :]), dtype=float)
+    out = np.broadcast_to(w, coefs.shape[:-1] + w.shape).copy()
+    prefix = np.searchsorted(config.times, grid_t)
+    for j, (tj, kj) in enumerate(zip(grid_t, prefix)):
         if kj:
-            out[j] += rows[j] @ coef[:kj]
+            block = pairwise_interaction_matrix(
+                problem.kernel, tj, grid_x, config.times[:kj],
+                config.positions[:kj])
+            out[..., j, :] += coefs[..., :kj] @ block.T
     return grid_t, grid_x, out
+
+
+def picard_grid_iterates(problem: ProblemSpec, config: PointConfiguration,
+                         iterates):
+    """Grid values (n + 1, n_t, n_x) of the Picard iterates u_0..u_n from
+    their atom values: u_0 = w, and u_m projects sigma(u_{m-1}) z."""
+    coefs = np.zeros((len(iterates), config.n_atoms))
+    for m, prev in enumerate(iterates[:-1], start=1):
+        coefs[m] = problem.sigma(prev) * config.jumps
+    return _project_grid(problem, config, coefs)[2]
+
+
+def second_moment_sup(sum_sq, sum_4th, n: int):
+    """K-hat per iterate from ensemble sums of u^2 and u^4 on the grid
+    (shape (m, n_t, n_x)): the grid max of the mean of u^2, and the
+    standard error of that mean at the maximizing grid point."""
+    m = sum_sq.shape[0]
+    mean = (sum_sq / n).reshape(m, -1)
+    arg = np.argmax(mean, axis=1)
+    var = np.maximum(sum_4th.reshape(m, -1) / n - mean ** 2, 0.0) \
+        * (n / max(n - 1, 1))
+    rows = np.arange(m)
+    return mean[rows, arg], np.sqrt(var[rows, arg] / n)
 
 
 def solve_forward(config: PointConfiguration, problem: ProblemSpec,
@@ -313,9 +342,9 @@ def mild_residual(path: SolutionPath) -> float:
     config, problem = path.config, path.problem
     if config.n_atoms == 0:
         return 0.0
-    M = pairwise_interaction_matrix(problem.kernel, config.times,
-                                    config.positions)
-    w = deterministic_part(problem, config.times, config.positions)
+    t, x = config.times, config.positions
+    M = pairwise_interaction_matrix(problem.kernel, t, x, t, x)
+    w = deterministic_part(problem, t, x)
     rhs = w + M @ (problem.sigma(path.atom_values) * config.jumps)
     return float(np.max(np.abs(path.atom_values - rhs)))
 
@@ -330,14 +359,16 @@ class PicardDiagnostics:
 
 
 def picard_iterates_at_atoms(config: PointConfiguration, problem: ProblemSpec,
-                             n_iter: int):
-    """Atom-value Picard iterates [u_0, ..., u_n]; m1 = 0 fast path."""
+                             n_iter: int, M=None):
+    """Atom-value Picard iterates [u_0, ..., u_n]; m1 = 0 fast path.  M is
+    the atoms' interaction matrix, when the caller already holds it."""
     if config.measure.first_moment != 0.0:
         raise SolverError("atom-only iteration requires m1 = 0")
-    M = pairwise_interaction_matrix(problem.kernel, config.times,
-                                    config.positions)
-    w = np.atleast_1d(np.asarray(deterministic_part(
-        problem, config.times, config.positions), dtype=float))
+    t, x = config.times, config.positions
+    if M is None:
+        M = pairwise_interaction_matrix(problem.kernel, t, x, t, x)
+    w = np.atleast_1d(np.asarray(deterministic_part(problem, t, x),
+                                 dtype=float))
     iterates = [w.copy()]
     for _ in range(n_iter):
         prev = iterates[-1]
@@ -358,7 +389,6 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
         raise SolverError("n_iter must be >= 0")
     kernel, sigma = problem.kernel, problem.sigma
     measure = config.measure
-    grid_t, grid_x = problem.grid()
     if measure.first_moment == 0.0:
         iterates = picard_iterates_at_atoms(config, problem, n_iter)
         u = iterates[-1]
@@ -366,40 +396,34 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
                           for a, b in zip(iterates[:-1], iterates[1:])])
         path = SolutionPath(config, problem, u, solver=f"picard({n_iter})")
         if with_grid:
-            prev = iterates[-2] if n_iter else None
-            coef = (sigma(prev) * config.jumps) if n_iter else \
+            # iterate n projects sigma of iterate n-1 (nothing for n = 0)
+            coef = sigma(iterates[-2]) * config.jumps if n_iter else \
                 np.zeros(config.n_atoms)
             path.grid_times, path.grid_positions, path.grid_values = \
                 _project_grid(problem, config, coef)
-            if n_iter == 0:
-                path.grid_values = np.asarray(deterministic_part(
-                    problem, grid_t[:, None], grid_x[None, :]), dtype=float)
         return path, PicardDiagnostics(diffs)
 
     # m1 != 0: carry the iterate on the grid for the compensator quadrature
-    w_at = np.atleast_1d(np.asarray(deterministic_part(
-        problem, config.times, config.positions), dtype=float))
-    w_gr = np.asarray(deterministic_part(problem, grid_t[:, None],
+    t, x = config.times, config.positions
+    w_at = np.atleast_1d(np.asarray(deterministic_part(problem, t, x),
+                                    dtype=float))
+    grid_t, grid_x = problem.grid()
+    u_gr = np.asarray(deterministic_part(problem, grid_t[:, None],
                                          grid_x[None, :]), dtype=float)
-    M = pairwise_interaction_matrix(kernel, config.times, config.positions)
-    rows = influence_rows(kernel, config, grid_t, grid_x)
-    u_at, u_gr = w_at.copy(), w_gr.copy()
+    M = pairwise_interaction_matrix(kernel, t, x, t, x)
+    u_at = w_at.copy()
     diffs = []
     m1 = measure.first_moment
     for _ in range(n_iter):
         gf = GridField(grid_t, grid_x, u_gr)
         comp_at = np.array([_compensator(kernel, sigma, gf, tk, xk)
-                            for tk, xk in zip(config.times, config.positions)])
+                            for tk, xk in zip(t, x)])
         coef = sigma(u_at) * config.jumps
         new_at = w_at + M @ coef - m1 * comp_at
-        new_gr = w_gr.copy()
-        for j in range(grid_t.size):
-            kj = rows[j].shape[1]
-            if kj:
-                new_gr[j] += rows[j] @ coef[:kj]
+        _, _, new_gr = _project_grid(problem, config, coef)
+        for j, tj in enumerate(grid_t):
             new_gr[j] -= m1 * np.array([
-                _compensator(kernel, sigma, gf, grid_t[j], xl)
-                for xl in grid_x])
+                _compensator(kernel, sigma, gf, tj, xl) for xl in grid_x])
         diffs.append(float(np.max(np.abs(new_at - u_at))) if u_at.size else
                      float(np.max(np.abs(new_gr - u_gr))))
         u_at, u_gr = new_at, new_gr
@@ -484,8 +508,6 @@ def existence_diagnostics(problem: ProblemSpec, measure: LevyMeasure,
     grid_t, grid_x = problem.grid()
     n_t, n_x = grid_t.size, grid_x.size
     kernel, sigma = problem.kernel, problem.sigma
-    w_gr = np.asarray(deterministic_part(problem, grid_t[:, None],
-                                         grid_x[None, :]), dtype=float)
 
     s1 = np.zeros((n_iter, n_t, n_x))   # sum of squared differences
     s2 = np.zeros((n_iter, n_t, n_x))   # sum of fourth powers
@@ -494,26 +516,13 @@ def existence_diagnostics(problem: ProblemSpec, measure: LevyMeasure,
 
     for i in range(n_realizations):
         config = sample_prm(measure, problem.window, (master_seed, i))
-        iterates = picard_iterates_at_atoms(config, problem, n_iter)
-        rows = influence_rows(kernel, config, grid_t, grid_x)
-        z = config.jumps
-        # grid projection of iterate n uses sigma of iterate n-1 at the atoms
-        coefs = [sigma(it) * z for it in iterates[:-1]]
-        prev_grid = w_gr
-        u1[0] += prev_grid ** 2
-        u2[0] += prev_grid ** 4
-        for n in range(1, n_iter + 1):
-            grid_n = w_gr.copy()
-            for j in range(n_t):
-                kj = rows[j].shape[1]
-                if kj:
-                    grid_n[j] += rows[j] @ coefs[n - 1][:kj]
-            delta = grid_n - prev_grid
-            s1[n - 1] += delta ** 2
-            s2[n - 1] += delta ** 4
-            u1[n] += grid_n ** 2
-            u2[n] += grid_n ** 4
-            prev_grid = grid_n
+        grids = picard_grid_iterates(
+            problem, config, picard_iterates_at_atoms(config, problem, n_iter))
+        delta = np.diff(grids, axis=0)
+        s1 += delta ** 2
+        s2 += delta ** 4
+        u1 += grids ** 2
+        u2 += grids ** 4
 
     nr = n_realizations
     mean_sq = s1 / nr
@@ -544,11 +553,7 @@ def existence_diagnostics(problem: ProblemSpec, measure: LevyMeasure,
     tail = ratios[max(0, ratios.size - 3):]
     decay_ok = bool(tail.size == 0 or np.all(tail <= 0.9))
 
-    k_mean = np.max(u1 / nr, axis=(1, 2))
-    k_arg_flat = np.argmax((u1 / nr).reshape(n_iter + 1, -1), axis=1)
-    k_var = np.maximum(u2 / nr - (u1 / nr) ** 2, 0.0) * (nr / max(nr - 1, 1))
-    k_se = np.array([np.sqrt(k_var.reshape(n_iter + 1, -1)[n, k_arg_flat[n]]
-                             / nr) for n in range(n_iter + 1)])
+    k_mean, k_se = second_moment_sup(u1, u2, nr)
     bounded_ok = True
     for n in range(max(1, n_iter - 2), n_iter):
         step = abs(k_mean[n + 1] - k_mean[n])

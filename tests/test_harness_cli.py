@@ -1,5 +1,7 @@
 """Run configuration, ensemble execution, and the command-line interface."""
 
+import argparse
+import dataclasses
 import importlib
 import json
 import math
@@ -217,11 +219,43 @@ def test_cli_cross_solver_check(tmp_path, capsys):
     assert header.split(",")[0] == "realization"
 
 
-def test_cli_derivative_eq_rejects_nonaffine(tmp_path, capsys):
-    code = cli.main(["verify", "derivative-eq", "--sigma", "sin",
-                     "--n-diagnostic", "5", "--outdir", str(tmp_path)])
-    assert code == 1
-    assert "nonlinear" in capsys.readouterr().err.lower()
+def test_cli_derivative_eq_lipschitz_sigma(tmp_path, capsys):
+    # the derivative equation is gated for non-affine sigma too
+    for sigma in ("sin", "abs"):
+        for kernel in ("wave", "heat"):
+            code = cli.main(["verify", "derivative-eq", "--sigma", sigma,
+                             "--kernel", kernel, "--n-diagnostic", "5",
+                             "--outdir", str(tmp_path / sigma / kernel)])
+            out = capsys.readouterr().out
+            assert code == 0, out
+            assert out.startswith("derivative-eq: PASS")
+
+
+def _verify_options(parser):
+    """dest -> option action of the `verify` subcommand."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices["verify"]._actions
+            if a.option_strings}
+
+
+def test_every_run_config_field_has_a_cli_flag(monkeypatch):
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    parser = cli._build_parser()
+    options = _verify_options(parser)
+    default = lf.RunConfig()
+    for f in dataclasses.fields(lf.RunConfig):
+        assert f.name in options, f"RunConfig.{f.name} has no CLI flag"
+        action, value = options[f.name], getattr(default, f.name)
+        if action.choices:
+            new = next(c for c in action.choices if c != value)
+        elif isinstance(value, str):
+            new = value + "/elsewhere"
+        else:
+            new = value + 1
+        args = parser.parse_args(["verify", "h2", action.option_strings[0],
+                                  str(new)])
+        assert getattr(cli._load_config(args), f.name) == new, f.name
 
 
 _CLI_ARGS = ["verify", "exp-derivative", "--n-diagnostic", "20"]

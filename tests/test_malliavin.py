@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import levyfield as lf
-from levyfield import MalliavinError, NonAffineError
+from levyfield import MalliavinError
 
 from conftest import assert_close, make_empty_config
 
@@ -172,47 +172,63 @@ def test_derivative_equation_trivial_region(window, busy_noise, wave_problem):
     assert chk.trivial and chk.lhs == 0.0 and chk.residual == 0.0
 
 
-def test_derivative_equation_rejects_nonaffine(window, busy_noise):
-    prob = lf.ProblemSpec(kernel=lf.wave_kernel(), sigma=lf.named_map("sin"),
-                          ic_kind="cosine", window=window)
-    cfg = _config(busy_noise, window, 2)
-    with pytest.raises(NonAffineError, match="nonlinear_probe"):
-        lf.derivative_equation_residual(
-            prob, cfg, lf.DerivativePoint(0.3, 0.0, 1.0), 0.9, 0.0)
+# ------------------------------------------ any Lipschitz nonlinearity
+# The add-one-atom difference obeys the exact chain rule, so the derivative
+# equation closes to rounding error for every sigma, not only affine ones.
+
+def _problem(kernel, sigma, window, ic_kind="cosine", ic_value=1.0):
+    k = lf.wave_kernel() if kernel == "wave" else lf.heat_kernel()
+    return lf.ProblemSpec(kernel=k, sigma=sigma, ic_kind=ic_kind,
+                          window=window, ic_value=ic_value)
 
 
-# ---------------------------------------------------------- nonlinear probe
+def _assert_equation_closes(prob, cfg, pt, t, x):
+    chk = lf.derivative_equation_residual(prob, cfg, pt, t, x)
+    assert not chk.trivial
+    assert chk.residual <= 1e-10 * (1.0 + abs(chk.lhs)), \
+        f"{prob.kernel.kind}/{prob.sigma.label()}: {chk}"
+    return chk
 
-def test_probe_matches_equation_for_affine(window, busy_noise, wave_problem):
-    cfg = _config(busy_noise, window, 4)
-    pt = lf.DerivativePoint(0.3, 0.1, 1.0)
-    probe = lf.nonlinear_probe(wave_problem, cfg, pt, 0.9, 0.0)
-    assert probe.residual <= 1e-10 * probe.scale
+
+def test_probe_matches_equation_for_affine(window, busy_noise):
+    for kernel in ("wave", "heat"):
+        prob = _problem(kernel, lf.named_map("affine"), window)
+        cfg = _config(busy_noise, window, 4)
+        _assert_equation_closes(prob, cfg, lf.DerivativePoint(0.3, 0.1, 1.0),
+                                0.9, 0.0)
 
 
-def test_probe_absolute_value_positive_path(window):
-    # |u| stays positive from a large constant start, so the bracketed
-    # nonlinearity acts affinely along the realized path
-    absmap = lf.custom_map(abs, 1.0, name="abs")
-    prob = lf.ProblemSpec(kernel=lf.wave_kernel(), sigma=absmap,
-                          ic_kind="constant", window=window, ic_value=5.0)
+def test_probe_absolute_value_positive_path(window, busy_noise):
+    # |u| stays positive from a large constant start, so the increment acts
+    # affinely along the path; with cosine data under busy noise u changes
+    # sign and the increment crosses the kink
     gentle = lf.two_point_measure(0.1, 5.0)
-    for seed in range(5):
-        cfg = lf.sample_prm(gentle, window, seed)
-        probe = lf.nonlinear_probe(prob, cfg,
-                                   lf.DerivativePoint(0.3, 0.1, 0.1),
-                                   0.9, 0.0)
-        assert probe.residual <= 1e-10 * probe.scale
+    for kernel in ("wave", "heat"):
+        positive = _problem(kernel, lf.named_map("abs"), window,
+                            ic_kind="constant", ic_value=5.0)
+        for seed in range(5):
+            cfg = lf.sample_prm(gentle, window, seed)
+            _assert_equation_closes(positive, cfg,
+                                    lf.DerivativePoint(0.3, 0.1, 0.1), 0.9, 0.0)
+        kinked = _problem(kernel, lf.named_map("abs"), window)
+        for seed in range(5):
+            _assert_equation_closes(kinked, _config(busy_noise, window, seed),
+                                    lf.DerivativePoint(0.3, 0.1, 1.0), 0.9, 0.0)
 
 
 def test_probe_reports_sine_sigma(window, busy_noise):
-    prob = lf.ProblemSpec(kernel=lf.wave_kernel(), sigma=lf.named_map("sin"),
-                          ic_kind="cosine", window=window)
-    cfg = _config(busy_noise, window, 4)
-    probe = lf.nonlinear_probe(prob, cfg, lf.DerivativePoint(0.3, 0.1, 1.0),
-                               0.9, 0.0)
-    assert probe.sigma_kind == "sin"
-    assert math.isfinite(probe.residual)
+    for kernel in ("wave", "heat"):
+        prob = _problem(kernel, lf.named_map("sin"), window)
+        lhs = []
+        for seed in range(5):
+            cfg = _config(busy_noise, window, seed)
+            rng = lf.derive_rng(seed, 9000)
+            pt = lf.DerivativePoint(rng.uniform(0.05, 0.6),
+                                    rng.uniform(-1.0, 1.0), 1.0)
+            lhs.append(_assert_equation_closes(
+                prob, cfg, pt, rng.uniform(pt.time + 0.05, 1.0),
+                rng.uniform(-1.0, 1.0)).lhs)
+        assert any(lhs)   # (t, x) left outside every wave cone proves little
 
 
 # ----------------------------------------------------- picard derivatives
@@ -228,13 +244,17 @@ def test_picard_derivative_report(window, busy_noise, wave_problem):
         assert rep.passed
 
 
-def test_picard_derivative_requires_affine(window, busy_noise):
-    prob = lf.ProblemSpec(kernel=lf.wave_kernel(), sigma=lf.named_map("sin"),
-                          ic_kind="cosine", window=window)
-    cfg = _config(busy_noise, window, 1)
-    with pytest.raises(NonAffineError):
-        lf.picard_derivative_report(prob, cfg,
-                                    lf.DerivativePoint(0.3, 0.0, 1.0))
+def test_picard_derivative_sine_sigma(window, busy_noise):
+    # the recursion and the n = 1 hand formula hold for non-affine sigma;
+    # the decay gate is not asserted here
+    for kernel in ("wave", "heat"):
+        prob = _problem(kernel, lf.named_map("sin"), window)
+        for seed in range(10):
+            rep = lf.picard_derivative_report(
+                prob, _config(busy_noise, window, seed),
+                lf.DerivativePoint(0.25, 0.3, 1.0), n_iter=8)
+            assert rep.start_zero and rep.recursion_ok
+            assert rep.hand_formula_residual <= 1e-12 * rep.scale
 
 
 def test_picard_derivative_csv(tmp_path, window, busy_noise, wave_problem):

@@ -19,13 +19,22 @@ AFFINE = lf.named_map("affine", 0.5, 1.0)
 
 def test_scalar_map_examples():
     assert AFFINE(2.0) == 2.0
-    assert AFFINE.lipschitz == 0.5 and AFFINE.affine == (0.5, 1.0)
+    assert AFFINE.lipschitz == 0.5 and AFFINE.label() == "affine(0.5,1)"
     const = lf.constant_map(3.0)
     assert const(7.0) == 3.0 and const.lipschitz == 0.0
     sin = lf.named_map("sin")
-    assert sin(0.5) == math.sin(0.5) and sin.affine is None
+    assert sin(0.5) == math.sin(0.5) and sin.label() == "sin"
     with pytest.raises(SolverError):
         lf.named_map("bogus")
+
+
+@pytest.mark.parametrize("name", ["affine", "constant", "abs", "sin"])
+def test_custom_map_rejects_builtin_names(name):
+    # a built-in kind would be evaluated by its built-in map, not by fn
+    with pytest.raises(SolverError, match="reserved"):
+        lf.custom_map(np.tanh, 1.0, name=name)
+    tanh = lf.custom_map(np.tanh, 1.0, name="tanh")
+    assert tanh(0.5) == np.tanh(0.5)
 
 
 def test_spot_check_rejects_lying_constants(window):
@@ -190,6 +199,29 @@ def test_forward_two_atom_chained_hand_formula(window, wave_problem):
     want = deterministic_part(wave_problem, 1.0, 0.0) \
         + 0.5 * sig(w1) * 1.0 + 0.5 * sig(u2) * (-1.0)
     assert_close(lf.evaluate_solution(path, 1.0, 0.0), want, rel=1e-14)
+
+
+@pytest.mark.parametrize("kernel", ["wave", "heat"])
+def test_forward_grid_matches_evaluate_solution(window, busy_noise, kernel):
+    # an atom placed exactly at a grid time feeds only later grid rows
+    k = lf.wave_kernel() if kernel == "wave" else lf.heat_kernel()
+    prob = lf.ProblemSpec(kernel=k, sigma=AFFINE, ic_kind="cosine",
+                          window=window)
+    grid_t, grid_x = prob.grid()
+    j = 20
+    base = lf.sample_prm(busy_noise, window, 3)
+    cfg = lf.add_atom(base, grid_t[j], 0.3, 1.0)
+    path = lf.solve_forward(cfg, prob)
+    for jj, tj in enumerate(grid_t):
+        for l, xl in enumerate(grid_x):
+            want = lf.evaluate_solution(path, tj, xl)
+            assert abs(path.grid_values[jj, l] - want) <= \
+                1e-12 * (1.0 + abs(want))
+    before = lf.solve_forward(base, prob)
+    assert np.array_equal(path.grid_values[:j + 1],
+                          before.grid_values[:j + 1])
+    assert not np.array_equal(path.grid_values[j + 1:],
+                              before.grid_values[j + 1:])
 
 
 def test_forward_refuses_uncompensated_mean(window):
