@@ -13,29 +13,27 @@ from .gronwall import (ConvolutionKernel, GronwallError, equality_sequence,
                        summability_check, verify_bound)
 from .harness import (ConfigError, EnsembleError, RunConfig, build_config,
                       build_measure, build_problem, build_window,
-                      parse_config_file, run_ensemble, summarize)
+                      parse_config_file, run_ensemble)
 from .integrals import (GridField, Integrand, IntegrandError,
                         MissingFieldError, box_indicator,
                         check_square_integrable, inner_product, integrand,
                         isometry_test, ito_integral, stochastic_convolution,
-                        truncation_error_bound, window_integral,
-                        window_sq_integral)
+                        window_integral, window_sq_integral)
 from .kernels import (GreenKernel, H2Report, KernelError, check_h2,
                       heat_kernel, wave_kernel)
 from .malliavin import (DerivativePoint, MalliavinError, PathFunctional,
                         chain_rule_residual, derivative_bound_estimate,
                         derivative_equation_residual, difference_derivative,
                         duality_test, exp_derivative_residual,
-                        exp_integral_functional, hnorm_sq_grid,
-                        integral_functional, picard_derivative_report,
-                        solution_functional)
+                        exp_integral_functional, integral_functional,
+                        picard_derivative_report, solution_functional)
 from .noise import (LevyMeasure, NoiseError, PointConfiguration,
                     SpaceTimeWindow, add_atom, atomic_decomposition,
                     derive_rng, discrete_measure, gaussian_measure,
                     load_configuration, moments, rademacher, remove_atom,
                     sample_prm, save_configuration,
                     truncated_power_law_measure, two_point_measure)
-from .reporting import CheckRow, EstimatorSummary, studentize
+from .reporting import CheckRow, EstimatorSummary, studentize, summarize
 from .solver import (ExistenceReport, ProblemSpec, ScalarMap, SolutionPath,
                      SolverError, affine_map, constant_map, custom_map,
                      deterministic_part, evaluate_solution,

@@ -1,7 +1,8 @@
-"""Run configuration, seeded ensemble execution, estimator reduction.
+"""Run configuration and seeded ensemble execution.
 
 One RunConfig holds everything a verification run needs: the problem, the
-jump measure, ensemble sizes, the master seed, tolerances.  Config files are
+jump measure, ensemble sizes and the master seed.  Gate thresholds are
+constants of the checks, not configuration.  Config files are
 flat key=value text ('#' starts a comment); unknown keys are rejected so
 typos fail loudly.  Ensembles derive a per-index seed (master, index) and
 collect results in index order, which makes the reduction independent of the
@@ -10,7 +11,6 @@ worker count byte for byte.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -21,7 +21,6 @@ from .integrals import ito_integral
 from .kernels import heat_kernel, wave_kernel
 from .noise import (LevyMeasure, SpaceTimeWindow, gaussian_measure,
                     sample_prm, two_point_measure)
-from .reporting import EstimatorSummary, studentize
 from .solver import ProblemSpec, evaluate_solution, named_map, solve_forward
 
 
@@ -70,11 +69,6 @@ class RunConfig:
     seed: int = 0
     workers: int = 1
     outdir: str = "."
-    slack_sigmas: float = 4.0
-    tol_identity: float = 1e-10
-    tol_exact: float = 1e-12
-    tol_cross: float = 1e-8
-    tol_gronwall: float = 1e-4
 
     def __post_init__(self):
         if self.kernel not in _KERNEL_KINDS:
@@ -89,10 +83,6 @@ class RunConfig:
             raise ConfigError("n_iter must be non-negative")
         if not (self.T > 0.0 and self.R > 0.0):
             raise ConfigError("window must have positive extent")
-        for name in ("slack_sigmas", "tol_identity", "tol_exact",
-                     "tol_cross", "tol_gronwall"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive")
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
@@ -191,25 +181,6 @@ def run_ensemble(config: RunConfig, task, n: int | None = None) -> np.ndarray:
                 except Exception as exc:
                     raise EnsembleError(i, seeds[i], exc) from exc
     return np.asarray(rows, dtype=float)
-
-
-def summarize(name: str, values, target: float | None = None,
-              slack_sigmas: float | None = None) -> EstimatorSummary:
-    """Mean / standard-error reduction of per-realization values.
-
-    With a target, the studentized discrepancy is attached; with
-    slack_sigmas as well, the pass flag requires |studentized| within it.
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    n = values.size
-    est = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    stud = None if target is None else studentize(est, target, se)
-    passed = None
-    if target is not None and slack_sigmas is not None:
-        passed = bool(abs(stud) <= slack_sigmas)
-    return EstimatorSummary(name=name, n=n, estimate=est, target=target,
-                            stderr=se, studentized=stud, passed=passed)
 
 
 # Module-level per-realization tasks (picklable for multi-worker runs).

@@ -22,11 +22,11 @@ import numpy as np
 from .integrals import Integrand, inner_product, ito_integral
 from .noise import (LevyMeasure, PointConfiguration, SpaceTimeWindow,
                     add_atom, atomic_decomposition, sample_prm)
-from .reporting import CheckRow, EstimatorSummary, studentize, write_check_rows
-from .solver import (ProblemSpec, SLACK_SIGMAS, deterministic_part,
-                     evaluate_solution, pairwise_interaction_matrix,
-                     picard_grid_iterates, picard_iterates_at_atoms,
-                     second_moment_sup, solve_forward)
+from .reporting import (SLACK_SIGMAS, CheckRow, EstimatorSummary, summarize,
+                        write_check_rows)
+from .solver import (ProblemSpec, deterministic_part, evaluate_solution,
+                     pairwise_interaction_matrix, picard_grid_iterates,
+                     picard_iterates_at_atoms, solve_forward, sup_estimate)
 
 
 class MalliavinError(ValueError):
@@ -144,19 +144,15 @@ def duality_test(h: Integrand, g: Integrand, measure: LevyMeasure,
 
     The left side couples the functional F = L(h) with the divergence of the
     deterministic field X(t,x,z) = g(t,x) z, whose compensated integral is
-    L(g) pathwise; the right side is exact quadrature.
+    L(g) pathwise; the right side is exact quadrature.  The summary passes
+    within SLACK_SIGMAS standard errors.
     """
     target = measure.second_moment * inner_product(h, g, window)
     prods = np.empty(n_samples)
     for i in range(n_samples):
         cfg = sample_prm(measure, window, (seed, i))
         prods[i] = ito_integral(cfg, h, measure) * ito_integral(cfg, g, measure)
-    est = float(np.mean(prods))
-    se = float(np.std(prods, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 \
-        else 0.0
-    return EstimatorSummary(name=f"duality:{h.name},{g.name}", n=n_samples,
-                            estimate=est, target=target, stderr=se,
-                            studentized=studentize(est, target, se))
+    return summarize(f"duality:{h.name},{g.name}", prods, target)
 
 
 @dataclass
@@ -278,7 +274,8 @@ class PicardDerivativeReport:
     start_zero: bool               # Du_0 == 0 exactly
     cauchy: np.ndarray             # max-atom |Du_{n+1} - Du_n|
     scale: float
-    residual_tol: float
+    # the recursion is exact for the difference operator: rounding only
+    residual_tol: float = 1e-12
     decay_ratio: float = 0.9
 
     @property
@@ -329,12 +326,13 @@ class PicardDerivativeReport:
 
 def picard_derivative_report(problem: ProblemSpec,
                              config: PointConfiguration,
-                             point: DerivativePoint, n_iter: int = 8,
-                             residual_tol: float = 1e-12
+                             point: DerivativePoint, n_iter: int = 8
                              ) -> PicardDerivativeReport:
     """Difference the Picard iterates with and without the added atom and
-    verify the derivative recursion pathwise at each order."""
+    verify the derivative recursion pathwise at each order (n_iter >= 1)."""
     _validate_point(config, point)
+    if n_iter < 1:
+        raise MalliavinError("picard derivative recursion needs n_iter >= 1")
     if config.measure.first_moment != 0.0:
         raise MalliavinError("picard derivative recursion assumes m1 = 0")
     sigma = problem.sigma
@@ -358,7 +356,7 @@ def picard_derivative_report(problem: ProblemSpec,
     cauchy = np.array([float(np.max(np.abs(du[m + 1] - du[m]), initial=0.0))
                        for m in range(n_iter)])
     return PicardDerivativeReport(point, residuals, hand_res, start_zero,
-                                  cauchy, scale, residual_tol)
+                                  cauchy, scale)
 
 
 @dataclass
@@ -455,7 +453,8 @@ def derivative_bound_estimate(problem: ProblemSpec, measure: LevyMeasure,
     est = per_real.mean(axis=0)
     se = per_real.std(axis=0, ddof=1) / math.sqrt(n_realizations) \
         if n_realizations > 1 else np.zeros_like(est)
-    k_hat, k_se = second_moment_sup(k1, k2, n_realizations)
+    k_hat, k_se = sup_estimate(k1.reshape(n_iter + 1, -1),
+                               k2.reshape(n_iter + 1, -1), n_realizations)
 
     v = measure.second_moment
     growth2 = sigma.growth ** 2
@@ -489,30 +488,3 @@ def derivative_bound_estimate(problem: ProblemSpec, measure: LevyMeasure,
 
     return DerivativeBoundReport(list(eval_points), est, se, k_hat, rows_out,
                                  recursion_ok, bool(stable_ok))
-
-
-def hnorm_sq_grid(F: PathFunctional, config: PointConfiguration,
-                  n_r: int = 32, n_xi: int = 32) -> float:
-    """Midpoint-rule H-norm of DF for one realization:
-
-        int_0^T int_{-R}^{R} int |D_{r,xi,z} F|^2 nu(dz) dxi dr,
-
-    the jump integral reduced to the measure's atomic/quadrature form.
-    Midpoints avoid the (excluded) window boundary and atom-time collisions
-    are nudged.
-    """
-    window = config.window
-    r_grid = (np.arange(n_r) + 0.5) * window.T / n_r
-    xi_grid = -window.R + (np.arange(n_xi) + 0.5) * 2.0 * window.R / n_xi
-    zq, wq = atomic_decomposition(config.measure)
-    cell = (window.T / n_r) * (2.0 * window.R / n_xi)
-    total = 0.0
-    for r in r_grid:
-        while np.any(config.times == r):
-            r = math.nextafter(r, window.T)
-        for xi in xi_grid:
-            for z_val, z_w in zip(zq, wq):
-                d = difference_derivative(F, config,
-                                          DerivativePoint(r, xi, z_val))
-                total += z_w * d * d * cell
-    return total

@@ -1,10 +1,18 @@
-"""CSV emission helpers and the common Monte Carlo summary record."""
+"""CSV emission helpers, the common Monte Carlo summary record and its
+mean / standard-error reduction."""
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
+
+# multiplier on propagated standard errors in statistical-slack bounds; the
+# one threshold of every Monte Carlo gate
+SLACK_SIGMAS = 4.0
 
 
 def fmt(value) -> str:
@@ -55,6 +63,25 @@ def studentize(estimate: float, target: float, stderr: float) -> float:
     if stderr > 0.0:
         return (estimate - target) / stderr
     return 0.0 if estimate == target else float("inf")
+
+
+def summarize(name: str, values,
+              target: float | None = None) -> EstimatorSummary:
+    """Mean / standard-error reduction of per-realization values.
+
+    With a target, the studentized discrepancy is attached and the pass flag
+    requires |studentized| <= SLACK_SIGMAS.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    n = values.size
+    est = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if target is None:
+        return EstimatorSummary(name=name, n=n, estimate=est, stderr=se)
+    stud = studentize(est, target, se)
+    return EstimatorSummary(name=name, n=n, estimate=est, target=target,
+                            stderr=se, studentized=stud,
+                            passed=bool(abs(stud) <= SLACK_SIGMAS))
 
 
 def write_summaries(path, summaries) -> None:

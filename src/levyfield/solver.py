@@ -24,10 +24,7 @@ from .kernels import GreenKernel
 from .integrals import GridField, MissingFieldError, stochastic_convolution
 from .noise import (LevyMeasure, PointConfiguration, SpaceTimeWindow,
                     sample_prm)
-from .reporting import write_csv
-
-# multiplier on propagated standard errors in statistical-slack bounds
-SLACK_SIGMAS = 4.0
+from .reporting import SLACK_SIGMAS, write_csv
 
 
 class SolverError(ValueError):
@@ -294,17 +291,15 @@ def picard_grid_iterates(problem: ProblemSpec, config: PointConfiguration,
     return _project_grid(problem, config, coefs)[2]
 
 
-def second_moment_sup(sum_sq, sum_4th, n: int):
-    """K-hat per iterate from ensemble sums of u^2 and u^4 on the grid
-    (shape (m, n_t, n_x)): the grid max of the mean of u^2, and the
+def sup_estimate(sums, sums_sq, n: int):
+    """Grid sup of an ensemble mean, from the ensemble sums of a quantity
+    and of its square: the max over the last axis of sums / n, and the
     standard error of that mean at the maximizing grid point."""
-    m = sum_sq.shape[0]
-    mean = (sum_sq / n).reshape(m, -1)
-    arg = np.argmax(mean, axis=1)
-    var = np.maximum(sum_4th.reshape(m, -1) / n - mean ** 2, 0.0) \
-        * (n / max(n - 1, 1))
-    rows = np.arange(m)
-    return mean[rows, arg], np.sqrt(var[rows, arg] / n)
+    mean = sums / n
+    var = np.maximum(sums_sq / n - mean ** 2, 0.0) * (n / max(n - 1, 1))
+    arg = np.argmax(mean, axis=-1)[..., None]
+    return (np.take_along_axis(mean, arg, axis=-1)[..., 0],
+            np.sqrt(np.take_along_axis(var, arg, axis=-1)[..., 0] / n))
 
 
 def solve_forward(config: PointConfiguration, problem: ProblemSpec,
@@ -525,13 +520,7 @@ def existence_diagnostics(problem: ProblemSpec, measure: LevyMeasure,
         u2 += grids ** 4
 
     nr = n_realizations
-    mean_sq = s1 / nr
-    var_sq = np.maximum(s2 / nr - mean_sq ** 2, 0.0) * (nr / max(nr - 1, 1))
-    se_sq = np.sqrt(var_sq / nr)
-
-    h = np.max(mean_sq, axis=2)                       # (n_iter, n_t)
-    arg = np.argmax(mean_sq, axis=2)
-    se_h = np.take_along_axis(se_sq, arg[:, :, None], axis=2)[:, :, 0]
+    h, se_h = sup_estimate(s1, s2, nr)                # (n_iter, n_t)
 
     v = measure.second_moment
     lip2 = sigma.lipschitz ** 2
@@ -553,7 +542,8 @@ def existence_diagnostics(problem: ProblemSpec, measure: LevyMeasure,
     tail = ratios[max(0, ratios.size - 3):]
     decay_ok = bool(tail.size == 0 or np.all(tail <= 0.9))
 
-    k_mean, k_se = second_moment_sup(u1, u2, nr)
+    k_mean, k_se = sup_estimate(u1.reshape(n_iter + 1, -1),
+                                u2.reshape(n_iter + 1, -1), nr)
     bounded_ok = True
     for n in range(max(1, n_iter - 2), n_iter):
         step = abs(k_mean[n + 1] - k_mean[n])

@@ -63,8 +63,6 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         lf.RunConfig(n_samples=0)
     with pytest.raises(ConfigError):
-        lf.RunConfig(tol_identity=0.0)
-    with pytest.raises(ConfigError):
         lf.RunConfig(T=-1.0)
 
 
@@ -119,15 +117,15 @@ def test_run_ensemble_wraps_failures():
 def test_run_ensemble_zero_mean(window, unit_noise):
     task = partial(ito_value_task, unit_noise, window, cli.H_SMOOTH)
     vals = lf.run_ensemble(lf.RunConfig(seed=31), task, n=2000)
-    s = lf.summarize("zero-mean", vals, target=0.0, slack_sigmas=4.0)
+    s = lf.summarize("zero-mean", vals, target=0.0)
     assert s.passed
 
 
 def test_summarize_reduction():
-    s = lf.summarize("demo", [1.0, 3.0], target=2.0, slack_sigmas=4.0)
+    s = lf.summarize("demo", [1.0, 3.0], target=2.0)
     assert s.estimate == 2.0 and s.n == 2
     assert s.stderr == 1.0 and s.studentized == 0.0 and s.passed
-    t = lf.summarize("off", [1.0, 1.0], target=2.0, slack_sigmas=4.0)
+    t = lf.summarize("off", [1.0, 1.0], target=2.0)
     assert t.studentized == math.inf and not t.passed
     u = lf.summarize("plain", [1.0, 2.0])
     assert u.target is None and u.studentized is None and u.passed is None
@@ -142,6 +140,31 @@ def test_cli_no_arguments_is_usage_error(capsys):
 
 def test_cli_unknown_check_is_usage_error(capsys):
     assert cli.main(["verify", "bogus"]) == 1
+
+
+def test_gate_thresholds_are_not_configurable(tmp_path, capsys):
+    # the thresholds are constants of the checks: no flag, no config key
+    assert cli.main(["verify", "chain-rule", "--tol-exact", "1",
+                     "--outdir", str(tmp_path)]) == 1
+    assert "--tol-exact" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("slack_sigmas = 3\n")
+    with pytest.raises(ConfigError, match="slack_sigmas"):
+        lf.parse_config_file(cfg)
+
+
+def test_cli_failed_realization_is_error(tmp_path, capsys):
+    # m1 != 0 makes every forward solve of `moments` raise
+    assert cli.main(["moments", "--noise", "gaussian", "--noise-mean", "0.5",
+                     "--n", "5", "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: realization 0 (seed (0, 0)) failed: ")
+
+
+def test_cli_picard_derivative_needs_an_iteration(tmp_path, capsys):
+    assert cli.main(["verify", "picard-derivative", "--n-iter", "0",
+                     "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_gronwall_check(tmp_path, capsys):

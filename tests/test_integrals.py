@@ -149,24 +149,3 @@ def test_convolution_compensator_needs_grid(window):
         lf.stochastic_convolution(cfg, lf.wave_kernel(),
                                   lf.named_map("affine"), np.array([2.0]),
                                   1.0, 0.0, measure=skew)
-
-
-# --------------------------------------------------------- truncation bound
-
-def test_truncation_bound_wave(window):
-    kernel = lf.wave_kernel()
-    assert lf.truncation_error_bound(kernel, window, 0.0) == 0.0
-    assert lf.truncation_error_bound(kernel, window, 1.0) == 0.0
-    assert lf.truncation_error_bound(kernel, window, 1.5) == 1.0
-
-
-def test_truncation_bound_heat(window):
-    kernel = lf.heat_kernel()
-    assert_close(lf.truncation_error_bound(kernel, window, 0.0),
-                 math.exp(-2.0), rel=1e-14)
-    assert lf.truncation_error_bound(kernel, window, 2.0) == 1.0
-    assert lf.truncation_error_bound(kernel, window, 3.0) == 1.0
-    # monotone in |x|: mass escapes faster near the boundary
-    vals = [lf.truncation_error_bound(kernel, window, x)
-            for x in np.linspace(0.0, 2.0, 9)]
-    assert np.all(np.diff(vals) >= 0.0)

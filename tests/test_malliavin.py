@@ -244,6 +244,14 @@ def test_picard_derivative_report(window, busy_noise, wave_problem):
         assert rep.passed
 
 
+def test_picard_derivative_needs_an_iteration(window, busy_noise,
+                                              wave_problem):
+    cfg = _config(busy_noise, window)
+    pt = lf.DerivativePoint(0.25, 0.3, 1.0)
+    with pytest.raises(MalliavinError, match="n_iter"):
+        lf.picard_derivative_report(wave_problem, cfg, pt, n_iter=0)
+
+
 def test_picard_derivative_sine_sigma(window, busy_noise):
     # the recursion and the n = 1 hand formula hold for non-affine sigma;
     # the decay gate is not asserted here
@@ -307,13 +315,3 @@ def test_derivative_bound_needs_ensemble(window, busy_noise, wave_problem):
     with pytest.raises(MalliavinError):
         lf.derivative_bound_estimate(wave_problem, busy_noise,
                                      n_realizations=50)
-
-
-# ------------------------------------------------------------ H-norm grid
-
-def test_hnorm_grid_matches_closed_form(window, busy_noise):
-    cfg = _config(busy_noise, window, 3)
-    F = lf.integral_functional(H_POS)
-    got = lf.hnorm_sq_grid(F, cfg)
-    want = busy_noise.second_moment * lf.window_sq_integral(H_POS, window)
-    assert_close(got, want, rel=1e-2, label="hnorm")
