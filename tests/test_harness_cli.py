@@ -216,6 +216,25 @@ def test_cli_solve_and_picard(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_picard_compensated(tmp_path, capsys):
+    # m1 != 0: Picard iteration with the compensator on the grid
+    assert cli.main(["picard", "--noise", "gaussian", "--noise-mean", "0.5",
+                     "--n-iter", "3", "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    config = lf.RunConfig(noise="gaussian", noise_mean=0.5, n_iter=3)
+    cfg = lf.sample_prm(lf.build_measure(config), lf.build_window(config),
+                        config.seed)
+    path, _ = lf.picard_solve(cfg, lf.build_problem(config), 3)
+    grid = np.loadtxt(tmp_path / "picard_grid.csv", delimiter=",",
+                      skiprows=1, ndmin=2)
+    assert grid.shape == (config.n_t * config.n_x, 3)
+    assert np.all(np.isfinite(grid))
+    assert np.array_equal(grid[:, 2], path.grid_values.ravel())
+    diag = np.loadtxt(tmp_path / "picard_diagnostics.csv", delimiter=",",
+                      skiprows=1, ndmin=2)
+    assert diag.shape == (3, 2)
+
+
 def test_cli_moments_worker_invariance(tmp_path, capsys):
     a, b = tmp_path / "w1", tmp_path / "w2"
     assert cli.main(["moments", "--n", "40", "--workers", "1",

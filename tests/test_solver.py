@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import levyfield as lf
 from levyfield import SolverError
-from levyfield.solver import (convolve_square_mass, deterministic_part,
-                              initial_condition_bound)
+from levyfield.integrals import GridField, _grid_compensator
+from levyfield.solver import (_compensator_operator, convolve_square_mass,
+                              deterministic_part, initial_condition_bound)
 
 from conftest import assert_close, make_empty_config
 
@@ -310,6 +312,92 @@ def test_picard_compensated_drift_hand_value(window):
         - b * skew.first_moment * 0.5
     got = lf.evaluate_solution(path, 1.0, 0.0)
     assert abs(got - want) <= 5e-2  # grid compensator, first-order accurate
+
+
+COMPENSATED = lf.gaussian_measure(5.0, 0.5, 1.0)   # m1 = 2.5
+
+
+@pytest.mark.parametrize("n_t,n_x", [(64, 64), (40, 64)])
+@pytest.mark.parametrize("kernel", ["wave", "heat"])
+def test_compensator_operator_matches_quadrature(window, kernel, n_t, n_x):
+    # on the default 64^2 grid dx = 4 dt, so the wave light-cone edge
+    # |x_l - x_m| = t_j - t_i falls on grid points: only the exact
+    # floating-point time differences reproduce its ties
+    k = lf.wave_kernel() if kernel == "wave" else lf.heat_kernel()
+    prob = lf.ProblemSpec(kernel=k, sigma=AFFINE, ic_kind="cosine",
+                          window=window, n_t=n_t, n_x=n_x)
+    grid_t, grid_x = prob.grid()
+    cfg = lf.sample_prm(COMPENSATED, window, 2)
+    # atoms at a grid time, at a grid position and on the window edges
+    for t_a, x_a in ((grid_t[5], 0.3), (0.5, grid_x[10]),
+                     (grid_t[7], grid_x[-1]), (0.9, -window.R)):
+        cfg = lf.add_atom(cfg, t_a, x_a, 1.0)
+    u = deterministic_part(prob, grid_t[:, None], grid_x[None, :]) \
+        + np.random.default_rng(0).normal(size=(n_t, n_x))
+    field = GridField(grid_t, grid_x, u)
+    apply = _compensator_operator(prob, cfg)
+    for sigma in (AFFINE, lf.named_map("sin")):
+        got_at, got_gr = apply(sigma(u))
+        want_gr = np.array([[_grid_compensator(k, sigma, field, tj, xl)
+                             for xl in grid_x] for tj in grid_t])
+        want_at = np.array([_grid_compensator(k, sigma, field, tk, xk)
+                            for tk, xk in zip(cfg.times, cfg.positions)])
+        assert np.all(np.abs(got_gr - want_gr)
+                      <= 1e-13 * (1.0 + np.abs(want_gr)))
+        assert np.all(np.abs(got_at - want_at)
+                      <= 1e-13 * (1.0 + np.abs(want_at)))
+
+
+def _window_green_mass(kind, t, x, R):
+    """int_0^t int_{-R}^{R} G(t - s, x - y) dy ds at one point, |x| <= R."""
+    if kind == "wave":
+        # G = 1/2 on the light cone |x - y| <= t - s, clipped by the window
+        def ramp(c):   # int_0^t min(c, tau) dtau
+            return t * t / 2.0 if t <= c else c * t - c * c / 2.0
+        return 0.5 * (ramp(R - x) + ramp(R + x))
+
+    def phi(z):
+        return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+    def mass(tau):   # G(tau, .) is the N(0, tau) density
+        return phi((R - x) / math.sqrt(tau)) - phi((-R - x) / math.sqrt(tau))
+
+    if t == 0.0:
+        return 0.0
+    return integrate.quad(mass, 0.0, t, epsabs=1e-13, epsrel=1e-12,
+                          limit=200)[0]
+
+
+@pytest.mark.parametrize("kernel", ["wave", "heat"])
+def test_compensated_grid_converges_under_refinement(window, kernel):
+    # constant sigma = b: the solution is u = w + b (sum G z - m1 int int G),
+    # and Picard iterate 1 differs from it only by the compensator quadrature
+    b = 1.5
+    k = lf.wave_kernel() if kernel == "wave" else lf.heat_kernel()
+    cfg = lf.sample_prm(COMPENSATED, window, 5)
+    m1 = COMPENSATED.first_moment
+    errors = []
+    for n in (32, 64, 128):
+        prob = lf.ProblemSpec(kernel=k, sigma=lf.constant_map(b),
+                              ic_kind="constant", window=window, n_t=n, n_x=n)
+        path, _ = lf.picard_solve(cfg, prob, 1)
+        tt, xx = np.meshgrid(path.grid_times, path.grid_positions,
+                             indexing="ij")
+        jumps = np.zeros_like(tt)
+        for tk, xk, zk in cfg.atoms:
+            after = tt > tk
+            jumps[after] += k.evaluate(tt[after] - tk, xx[after] - xk) * zk
+        # the window mass is even in x and the grid is symmetric (n even)
+        half = np.array([[_window_green_mass(kernel, tj, xl, window.R)
+                          for xl in path.grid_positions[n // 2:]]
+                         for tj in path.grid_times])
+        mass = np.concatenate([half[:, ::-1], half], axis=1)
+        exact = 1.0 + b * (jumps - m1 * mass)
+        err = float(np.max(np.abs(path.grid_values - exact)))
+        dt, dx = window.T / (n - 1), 2.0 * window.R / (n - 1)
+        assert err <= abs(m1 * b) * window.T * (dt + dx), (n, err)
+        errors.append(err)
+    assert errors[0] > errors[1] > errors[2], errors
 
 
 # -------------------------------------------------------------- existence
