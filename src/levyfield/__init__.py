@@ -13,12 +13,13 @@ from .gronwall import (ConvolutionKernel, GronwallError, equality_sequence,
                        summability_check, verify_bound)
 from .harness import (ConfigError, EnsembleError, RunConfig, build_config,
                       build_measure, build_problem, build_window,
-                      parse_config_file, run_ensemble)
+                      parse_config_file, solution_squares)
 from .integrals import (GridField, Integrand, IntegrandError,
                         MissingFieldError, box_indicator,
                         check_square_integrable, inner_product, integrand,
-                        isometry_test, ito_integral, stochastic_convolution,
-                        window_integral, window_sq_integral)
+                        isometry_test, ito_integral, ito_integrals,
+                        stochastic_convolution, window_integral,
+                        window_sq_integral)
 from .kernels import (GreenKernel, H2Report, KernelError, check_h2,
                       heat_kernel, wave_kernel)
 from .malliavin import (DerivativePoint, MalliavinError, PathFunctional,
@@ -27,18 +28,19 @@ from .malliavin import (DerivativePoint, MalliavinError, PathFunctional,
                         duality_test, exp_derivative_residual,
                         exp_integral_functional, integral_functional,
                         picard_derivative_report, solution_functional)
-from .noise import (LevyMeasure, NoiseError, PointConfiguration,
+from .noise import (LevyMeasure, NoiseError, PointBatch, PointConfiguration,
                     SpaceTimeWindow, add_atom, atomic_decomposition,
                     derive_rng, discrete_measure, gaussian_measure,
                     load_configuration, moments, rademacher, remove_atom,
-                    sample_prm, save_configuration,
-                    truncated_power_law_measure, two_point_measure)
+                    sample_batch, sample_batches, sample_prm,
+                    save_configuration, truncated_power_law_measure,
+                    two_point_measure)
 from .reporting import CheckRow, EstimatorSummary, studentize, summarize
 from .solver import (ExistenceReport, ProblemSpec, ScalarMap, SolutionPath,
                      SolverError, affine_map, constant_map, custom_map,
-                     deterministic_part, evaluate_solution,
+                     deterministic_part, evaluate_batch, evaluate_solution,
                      existence_diagnostics, mild_residual, named_map,
-                     picard_solve, solve_forward)
+                     picard_solve, solve_batch, solve_forward)
 
 __version__ = "0.1.0"
 

@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from dataclasses import fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ from .gronwall import (ConvolutionKernel, equality_sequence,
                        renewal_probabilities, summability_check, verify_bound)
 from .harness import (ConfigError, EnsembleError, RunConfig, build_config,
                       build_measure, build_problem, build_window,
-                      parse_config_file, run_ensemble, solution_square_task)
+                      parse_config_file, solution_squares)
 from .integrals import Integrand, box_indicator, isometry_test
 from .kernels import check_h2, heat_kernel, wave_kernel
 from .malliavin import (DerivativePoint, MalliavinError, chain_rule_residual,
@@ -107,7 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     flag("--n-diagnostic", type=int, dest="n_diagnostic")
     flag("--n-iter", type=int, dest="n_iter")
     flag("--seed", type=int, dest="seed")
-    flag("--workers", type=int, dest="workers")
     flag("--outdir", dest="outdir")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -183,13 +181,18 @@ def _cmd_picard(config: RunConfig) -> int:
 
 
 def _cmd_moments(config: RunConfig) -> int:
-    problem = build_problem(config)
     measure = build_measure(config)
+    if measure.first_moment != 0.0:
+        # the forward solve is exact for m1 = 0 only
+        raise ConfigError(
+            f"moments needs a centred jump measure, but m1 = "
+            f"{measure.first_moment:g}; use `levyfield picard` for m1 != 0")
+    problem = build_problem(config)
     T, R = config.T, config.R
     points = [(T, 0.0), (T / 2, 0.0), (T, R / 2), (T / 2, -R / 2),
               (3 * T / 4, R / 4)]
-    values = run_ensemble(
-        config, partial(solution_square_task, problem, measure, points))
+    values = solution_squares(problem, measure, points, config.n_samples,
+                              config.seed)
     summaries = [summarize(f"E|u({t:g},{x:g})|^2", values[:, j])
                  for j, (t, x) in enumerate(points)]
     out = _outpath(config, "second_moments.csv")

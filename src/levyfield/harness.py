@@ -5,23 +5,22 @@ jump measure, ensemble sizes and the master seed.  Gate thresholds are
 constants of the checks, not configuration.  Config files are
 flat key=value text ('#' starts a comment); unknown keys are rejected so
 typos fail loudly.  Ensembles derive a per-index seed (master, index) and
-collect results in index order, which makes the reduction independent of the
-worker count byte for byte.
+run on batches of realizations (noise.sample_batch), so realization i is the
+same whatever the batch size.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .integrals import ito_integral
 from .kernels import heat_kernel, wave_kernel
 from .noise import (LevyMeasure, SpaceTimeWindow, gaussian_measure,
-                    sample_prm, two_point_measure)
-from .solver import ProblemSpec, evaluate_solution, named_map, solve_forward
+                    sample_batches, two_point_measure)
+from .solver import (ProblemSpec, SolverError, evaluate_batch, named_map,
+                     solve_batch)
 
 
 class ConfigError(ValueError):
@@ -67,8 +66,15 @@ class RunConfig:
     n_diagnostic: int = 100
     n_iter: int = 8
     seed: int = 0
-    workers: int = 1
     outdir: str = "."
+
+    def __new__(cls, *args, **kwargs):
+        # a removed or misspelt field is a configuration error, as an
+        # unknown key of a config file is
+        unknown = sorted(set(kwargs) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown config keys: {unknown}")
+        return super().__new__(cls)
 
     def __post_init__(self):
         if self.kernel not in _KERNEL_KINDS:
@@ -77,8 +83,6 @@ class RunConfig:
             raise ConfigError(f"unknown noise kind {self.noise!r}")
         if self.n_samples < 1 or self.n_diagnostic < 1:
             raise ConfigError("ensemble sizes must be at least 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
         if self.n_iter < 0:
             raise ConfigError("n_iter must be non-negative")
         if not (self.T > 0.0 and self.R > 0.0):
@@ -153,44 +157,26 @@ def build_problem(config: RunConfig) -> ProblemSpec:
                        n_t=config.n_t, n_x=config.n_x)
 
 
-def run_ensemble(config: RunConfig, task, n: int | None = None) -> np.ndarray:
-    """Evaluate task((config.seed, i)) for i = 0..n-1 and stack the results.
+def solution_squares(problem: ProblemSpec, measure: LevyMeasure, points,
+                     n: int, seed: int) -> np.ndarray:
+    """u(t, x)^2 at each of the points for the realizations (seed, i),
+    i < n, by exact forward solves: an (n, len(points)) array.
 
-    Results are gathered in index order, so any associative reduction of the
-    returned array is identical for every worker count.  With workers > 1
-    the task must be picklable (module-level function or partial of one).
-    A failing realization aborts the run with its index and seed attached.
+    Runs on batches of noise.BATCH_PATHS realizations.  A realization with
+    a non-finite value aborts the run with its index and seed attached.
     """
-    n = config.n_samples if n is None else n
     if n < 1:
         raise ConfigError("ensemble size must be at least 1")
-    seeds = [(config.seed, i) for i in range(n)]
-    rows = []
-    if config.workers <= 1 or n == 1:
-        for i, s in enumerate(seeds):
-            try:
-                rows.append(task(s))
-            except Exception as exc:
-                raise EnsembleError(i, s, exc) from exc
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(task, s) for s in seeds]
-            for i, fut in enumerate(futures):
-                try:
-                    rows.append(fut.result())
-                except Exception as exc:
-                    raise EnsembleError(i, seeds[i], exc) from exc
-    return np.asarray(rows, dtype=float)
-
-
-# Module-level per-realization tasks (picklable for multi-worker runs).
-
-def ito_value_task(measure, window, h, seed) -> float:
-    return ito_integral(sample_prm(measure, window, seed), h, measure)
-
-
-def solution_square_task(problem, measure, eval_points, seed):
-    """u(t,x)^2 at each evaluation point for one exact forward solve."""
-    cfg = sample_prm(measure, problem.window, seed)
-    path = solve_forward(cfg, problem, with_grid=False)
-    return [evaluate_solution(path, t, x) ** 2 for t, x in eval_points]
+    out = np.empty((n, len(points)))
+    for batch in sample_batches(measure, problem.window, seed, n):
+        u = solve_batch(batch, problem)
+        vals = np.stack([evaluate_batch(batch, problem, u, t, x)
+                         for t, x in points], axis=1)
+        bad = ~np.isfinite(vals).all(axis=1)
+        if bad.any():
+            j = int(np.argmax(bad))
+            t, x = points[int(np.argmax(~np.isfinite(vals[j])))]
+            raise EnsembleError(batch.start + j, batch.seed(j), SolverError(
+                f"u({t:g},{x:g}) is not finite"))
+        out[batch.start:batch.start + batch.n_paths] = vals ** 2
+    return out

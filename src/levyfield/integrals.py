@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .noise import LevyMeasure, PointConfiguration, SpaceTimeWindow, sample_prm
+from .noise import (LevyMeasure, PointBatch, PointConfiguration,
+                    SpaceTimeWindow, sample_batches)
 from .reporting import EstimatorSummary, summarize
 
 _QUAD_RTOL = 1e-9
@@ -121,6 +122,19 @@ def ito_integral(config: PointConfiguration, h: Integrand,
     return total
 
 
+def ito_integrals(batch: PointBatch, h: Integrand,
+                  measure: LevyMeasure | None = None) -> np.ndarray:
+    """ito_integral of every path of the batch, (n_paths,)."""
+    measure = measure or batch.measure
+    vals = np.asarray(h(batch.times, batch.positions), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise IntegrandError(f"integrand {h.name!r} not finite at an atom")
+    total = batch.path_sums(vals * batch.jumps)
+    if measure.first_moment != 0.0:
+        total -= measure.first_moment * window_integral(h, batch.window)
+    return total
+
+
 @dataclass(frozen=True)
 class GridField:
     """Field values on a rectangular (time, position) grid, used only for
@@ -192,9 +206,7 @@ def isometry_test(measure: LevyMeasure, h: Integrand, window: SpaceTimeWindow,
     within SLACK_SIGMAS standard errors.
     """
     target = measure.second_moment * window_sq_integral(h, window)
-    sq = np.empty(n_samples)
-    for i in range(n_samples):
-        cfg = sample_prm(measure, window, (seed, i))
-        val = ito_integral(cfg, h, measure)
-        sq[i] = val * val
-    return summarize(f"isometry:{h.name}", sq, target)
+    vals = np.concatenate([ito_integrals(batch, h, measure) for batch
+                           in sample_batches(measure, window, seed,
+                                             n_samples)])
+    return summarize(f"isometry:{h.name}", vals * vals, target)

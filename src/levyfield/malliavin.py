@@ -19,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrals import Integrand, inner_product, ito_integral
+from .integrals import (Integrand, inner_product, ito_integral,
+                        ito_integrals)
 from .noise import (LevyMeasure, PointConfiguration, SpaceTimeWindow,
-                    add_atom, atomic_decomposition, sample_prm)
+                    add_atom, atomic_decomposition, sample_batches,
+                    sample_prm)
 from .reporting import (SLACK_SIGMAS, CheckRow, EstimatorSummary, summarize,
                         write_check_rows)
 from .solver import (ProblemSpec, deterministic_part, evaluate_solution,
@@ -148,10 +150,9 @@ def duality_test(h: Integrand, g: Integrand, measure: LevyMeasure,
     within SLACK_SIGMAS standard errors.
     """
     target = measure.second_moment * inner_product(h, g, window)
-    prods = np.empty(n_samples)
-    for i in range(n_samples):
-        cfg = sample_prm(measure, window, (seed, i))
-        prods[i] = ito_integral(cfg, h, measure) * ito_integral(cfg, g, measure)
+    prods = np.concatenate([
+        ito_integrals(batch, h, measure) * ito_integrals(batch, g, measure)
+        for batch in sample_batches(measure, window, seed, n_samples)])
     return summarize(f"duality:{h.name},{g.name}", prods, target)
 
 

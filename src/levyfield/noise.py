@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -264,10 +265,28 @@ class PointConfiguration:
         return list(zip(self.times, self.positions, self.jumps))
 
 
-def _draw_jumps(measure: LevyMeasure, rng: np.random.Generator, n: int):
+# uniforms per jump of the kinds whose jumps are a function of uniforms; a
+# batch draws them with the atoms' times and positions in one call per path
+_UNIFORMS_PER_JUMP = {"two_point": 1, "power_law": 2}
+
+
+def _jumps_from_uniforms(measure: LevyMeasure, u):
+    """Jumps of a two_point or power_law measure from u, one row per uniform
+    a jump uses (row q holds uniform q of every jump)."""
     if measure.kind == "two_point":
         jump, _ = measure.params
-        return jump * (2.0 * (rng.random(n) < 0.5) - 1.0)
+        return jump * (2.0 * (u[0] < 0.5) - 1.0)
+    exponent, cutoff, z_max, _ = measure.params
+    a = exponent
+    mag = (cutoff ** -a - u[0] * (cutoff ** -a - z_max ** -a)) ** (-1.0 / a)
+    sign = 2.0 * (u[1] < 0.5) - 1.0
+    return sign * mag
+
+
+def _draw_jumps(measure: LevyMeasure, rng: np.random.Generator, n: int):
+    if measure.kind in _UNIFORMS_PER_JUMP:
+        return _jumps_from_uniforms(
+            measure, rng.random((_UNIFORMS_PER_JUMP[measure.kind], n)))
     if measure.kind == "discrete":
         jumps, weights = measure.params
         p = np.asarray(weights) / measure.total_mass
@@ -279,13 +298,6 @@ def _draw_jumps(measure: LevyMeasure, rng: np.random.Generator, n: int):
             bad = z == 0.0
             z[bad] = mean + std * rng.standard_normal(int(bad.sum()))
         return z
-    if measure.kind == "power_law":
-        exponent, cutoff, z_max, _ = measure.params
-        u = rng.random(n)
-        a = exponent
-        mag = (cutoff ** -a - u * (cutoff ** -a - z_max ** -a)) ** (-1.0 / a)
-        sign = 2.0 * (rng.random(n) < 0.5) - 1.0
-        return sign * mag
     raise NoiseError(f"unknown measure kind {measure.kind!r}")
 
 
@@ -316,6 +328,136 @@ def sample_prm(measure: LevyMeasure, window: SpaceTimeWindow,
     label = seed if isinstance(seed, (int, tuple)) else None
     return PointConfiguration(times[order], positions[order], jumps[order],
                               window, measure, label)
+
+
+# Paths per batch in the ensembles: a batch of 1024 paths of about 20 atoms
+# holds a few MB of per-atom arrays, and no result depends on this size.
+BATCH_PATHS = 1024
+
+
+@dataclass(frozen=True)
+class PointBatch:
+    """Realizations start .. start + n - 1 of the streams (master_seed, i),
+    in CSR form: path j owns atoms offsets[j]:offsets[j + 1] of the
+    concatenated times, positions and jumps, in time order.  Path j is
+    sample_prm(measure, window, (master_seed, start + j)) atom for atom.
+    Arrays are read-only.
+    """
+
+    offsets: np.ndarray
+    times: np.ndarray
+    positions: np.ndarray
+    jumps: np.ndarray
+    window: SpaceTimeWindow
+    measure: LevyMeasure
+    master_seed: int
+    start: int
+
+    def __post_init__(self):
+        counts = np.diff(self.offsets)
+        if self.offsets[0] != 0 or np.any(counts < 0) \
+                or not (self.times.size == self.positions.size
+                        == self.jumps.size == self.offsets[-1]):
+            raise NoiseError("batch offsets do not match its atom arrays")
+        for name in ("offsets", "times", "positions", "jumps"):
+            getattr(self, name).flags.writeable = False
+
+    @property
+    def n_paths(self) -> int:
+        return int(self.offsets.size - 1)
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @cached_property
+    def path_index(self) -> np.ndarray:
+        """The path of each atom."""
+        return np.repeat(np.arange(self.n_paths), self.counts)
+
+    def path_sums(self, values) -> np.ndarray:
+        """Per-path sums of per-atom values, 0 for a path without atoms."""
+        return np.bincount(self.path_index, weights=values,
+                           minlength=self.n_paths)
+
+    def seed(self, j: int):
+        return (self.master_seed, self.start + j)
+
+    def path(self, j: int) -> PointConfiguration:
+        a, b = self.offsets[j], self.offsets[j + 1]
+        return PointConfiguration(self.times[a:b], self.positions[a:b],
+                                  self.jumps[a:b], self.window, self.measure,
+                                  self.seed(j))
+
+
+def sample_batch(measure: LevyMeasure, window: SpaceTimeWindow,
+                 master_seed: int, start: int, n: int) -> PointBatch:
+    """The realizations (master_seed, start + j), j < n, as one PointBatch.
+
+    Each path draws from its own stream in sample_prm's order: the atom
+    count, the times, the positions, the jumps.  The checks of sample_prm
+    and PointConfiguration run once over the whole batch; a path that
+    fails them (a tie or a boundary time, probability zero) is drawn again
+    by sample_prm itself, whose re-draws consume its stream before the
+    positions.
+    """
+    lam = measure.total_mass * window.volume
+    per_jump = _UNIFORMS_PER_JUMP.get(measure.kind, 0)
+    counts = np.empty(n, dtype=np.int64)
+    uniforms, drawn_jumps = [np.empty(0)], [np.empty(0)]
+    for j in range(n):
+        rng = derive_rng(master_seed, start + j)
+        c = counts[j] = int(rng.poisson(lam))
+        uniforms.append(rng.random((2 + per_jump) * c))
+        if not per_jump:
+            drawn_jumps.append(_draw_jumps(measure, rng, c))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    u = np.concatenate(uniforms)
+    # atom r of path j: time uniform at (2 + per_jump) * offsets[j] + r,
+    # position uniform counts[j] later, jump uniform q (2 + q) * counts[j]
+    # later
+    path = np.repeat(np.arange(n), counts)
+    cnt = counts[path]
+    base = (1 + per_jump) * offsets[path] + np.arange(offsets[-1])
+    # rng.uniform(low, high) is low + (high - low) * random(), bit for bit
+    times = window.T * u[base]
+    positions = -window.R + (2.0 * window.R) * u[base + cnt]
+    if per_jump:
+        jumps = _jumps_from_uniforms(measure, [
+            u[base + (2 + q) * cnt] for q in range(per_jump)])
+    else:
+        jumps = np.concatenate(drawn_jumps)
+
+    order = np.lexsort((times, path))
+    times, positions, jumps = times[order], positions[order], jumps[order]
+    bad = np.zeros(n, dtype=bool)
+    bad[path[(times <= 0.0) | (times >= window.T)
+             | (np.abs(positions) > window.R)
+             | (jumps == 0.0) | ~np.isfinite(jumps)]] = True
+    tie = (times[1:] == times[:-1]) & (path[1:] == path[:-1])
+    bad[path[1:][tie]] = True
+    if bad.any():
+        segments = [list(np.split(a, offsets[1:-1]))
+                    for a in (times, positions, jumps)]
+        for j in np.flatnonzero(bad):
+            cfg = sample_prm(measure, window, (master_seed, start + int(j)))
+            for seg, arr in zip(segments, (cfg.times, cfg.positions,
+                                           cfg.jumps)):
+                seg[j] = arr
+            counts[j] = cfg.n_atoms
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        times, positions, jumps = (np.concatenate(seg) for seg in segments)
+    return PointBatch(offsets, times, positions, jumps, window, measure,
+                      master_seed, start)
+
+
+def sample_batches(measure: LevyMeasure, window: SpaceTimeWindow,
+                   master_seed: int, n: int):
+    """sample_batch over the realizations 0 .. n - 1, BATCH_PATHS at a
+    time."""
+    for start in range(0, n, BATCH_PATHS):
+        yield sample_batch(measure, window, master_seed, start,
+                           min(BATCH_PATHS, n - start))
 
 
 def add_atom(config: PointConfiguration, time: float, x: float,

@@ -22,8 +22,8 @@ import numpy as np
 
 from .kernels import GreenKernel
 from .integrals import GridField, MissingFieldError, stochastic_convolution
-from .noise import (LevyMeasure, PointConfiguration, SpaceTimeWindow,
-                    sample_prm)
+from .noise import (LevyMeasure, PointBatch, PointConfiguration,
+                    SpaceTimeWindow, sample_prm)
 from .reporting import SLACK_SIGMAS, write_csv
 
 
@@ -258,26 +258,53 @@ def evaluate_solution(path: SolutionPath, t: float, x: float) -> float:
                                       grid_field=grid_field)
 
 
-def _project_grid(problem: ProblemSpec, config: PointConfiguration, coefs):
+def evaluate_batch(batch: PointBatch, problem: ProblemSpec, atom_values,
+                   t: float, x: float) -> np.ndarray:
+    """evaluate_solution at (t, x) for every path of a batch, (n_paths,),
+    from the atom values of solve_batch.  A path with a non-finite atom
+    value before t gets a non-finite value."""
+    if batch.measure.first_moment != 0.0:
+        raise MissingFieldError("m1 != 0 evaluation needs grid values")
+    mask = batch.times < t
+    terms = np.zeros(batch.times.size)
+    terms[mask] = problem.kernel.evaluate(
+        t - batch.times[mask], x - batch.positions[mask]) \
+        * problem.sigma(np.asarray(atom_values)[mask]) * batch.jumps[mask]
+    return deterministic_part(problem, t, x) + batch.path_sums(terms)
+
+
+def _grid_blocks(problem: ProblemSpec, config: PointConfiguration):
+    """(j, k_j, block) for each grid time t_j after the first atom: the
+    atoms before t_j are the prefix of k_j time-sorted atoms, and block is
+    their (n_x, k_j) kernel block G(t_j - t_i, x_l - x_i)."""
+    grid_t, grid_x = problem.grid()
+    prefix = np.searchsorted(config.times, grid_t)
+    for j, (tj, kj) in enumerate(zip(grid_t, prefix)):
+        if kj:
+            yield j, kj, pairwise_interaction_matrix(
+                problem.kernel, tj, grid_x, config.times[:kj],
+                config.positions[:kj])
+
+
+def _project_grid(problem: ProblemSpec, config: PointConfiguration, coefs,
+                  blocks=None):
     """Grid values w + sum_{t_i < t_j} G(t_j - t_i, x_l - x_i) coefs_i.
 
     coefs is (k,) for one field or (m, k) for m fields over the same atoms
-    (out: (n_t, n_x) or (m, n_t, n_x)).  Atoms are time sorted, so the
-    atoms before grid time t_j are a prefix; each grid time's kernel block
-    is built once and applied to every field.
+    (out: (n_t, n_x) or (m, n_t, n_x)).  Each grid time's kernel block is
+    applied to every field.  blocks is list(_grid_blocks(...)) from a
+    caller that projects the same atoms again; without it the blocks are
+    built one at a time and dropped.
     """
     grid_t, grid_x = problem.grid()
     coefs = np.asarray(coefs, dtype=float)
     w = np.asarray(deterministic_part(problem, grid_t[:, None],
                                       grid_x[None, :]), dtype=float)
     out = np.broadcast_to(w, coefs.shape[:-1] + w.shape).copy()
-    prefix = np.searchsorted(config.times, grid_t)
-    for j, (tj, kj) in enumerate(zip(grid_t, prefix)):
-        if kj:
-            block = pairwise_interaction_matrix(
-                problem.kernel, tj, grid_x, config.times[:kj],
-                config.positions[:kj])
-            out[..., j, :] += coefs[..., :kj] @ block.T
+    if blocks is None:
+        blocks = _grid_blocks(problem, config)
+    for j, kj, block in blocks:
+        out[..., j, :] += coefs[..., :kj] @ block.T
     return grid_t, grid_x, out
 
 
@@ -314,21 +341,53 @@ def solve_forward(config: PointConfiguration, problem: ProblemSpec,
     kernel, sigma = problem.kernel, problem.sigma
     t, x, z = config.times, config.positions, config.jumps
     n = config.n_atoms
+    w = np.atleast_1d(np.asarray(deterministic_part(problem, t, x),
+                                 dtype=float))
     u = np.empty(n)
     sigz = np.empty(n)
     for k in range(n):
-        w = deterministic_part(problem, t[k], x[k])
         if k == 0:
-            u[k] = w
+            u[k] = w[k]
         else:
             row = kernel.evaluate(t[k] - t[:k], x[k] - x[:k])
-            u[k] = w + float(np.dot(np.atleast_1d(row), sigz[:k]))
+            u[k] = w[k] + float(np.dot(np.atleast_1d(row), sigz[:k]))
         sigz[k] = sigma(u[k]) * z[k]
     path = SolutionPath(config, problem, u, solver="forward")
     if with_grid:
         path.grid_times, path.grid_positions, path.grid_values = \
             _project_grid(problem, config, sigz)
     return path
+
+
+def solve_batch(batch: PointBatch, problem: ProblemSpec) -> np.ndarray:
+    """solve_forward's atom values for every path of a batch, concatenated
+    like the batch's atoms; m1 = 0 only.
+
+    Forward substitution by atom rank: step k solves atom k of every path
+    with more than k atoms from that path's k earlier atoms, gathered as
+    one (paths, k) block, so a batch takes as many steps as its longest
+    path has atoms.  For many short paths; solve_forward stays the solver
+    of one long path.
+    """
+    if batch.measure.first_moment != 0.0:
+        raise SolverError("solve_batch requires m1 = 0; use picard_solve")
+    t, x, z = batch.times, batch.positions, batch.jumps
+    u = np.array(deterministic_part(problem, t, x), dtype=float, ndmin=1)
+    sigz = np.empty_like(u)
+    counts = batch.counts
+    by_count = np.argsort(-counts, kind="stable")
+    first = batch.offsets[:-1][by_count]     # paths by decreasing length
+    neg_counts = -counts[by_count]
+    for k in range(int(counts.max(initial=0))):
+        n_active = int(np.searchsorted(neg_counts, -k))  # paths with > k
+        at = first[:n_active] + k
+        if k:
+            src = first[:n_active, None] + np.arange(k)
+            G = problem.kernel.evaluate(t[at, None] - t[src],
+                                        x[at, None] - x[src])
+            u[at] += np.sum(G * sigz[src], axis=1)
+        sigz[at] = problem.sigma(u[at]) * z[at]
+    return u
 
 
 def mild_residual(path: SolutionPath) -> float:
@@ -384,8 +443,9 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
     operator (_compensator_operator) and applies it with one matrix product
     per iteration.  It holds U * n_x^2 * 8 bytes of grid blocks, U the
     number of distinct grid time differences t_j - t_i (169 on the default
-    64 x 64 grid: 5.5 MB), plus n_atoms * n_t * n_x * 8 bytes of atom rows
-    (about four times that while they are built).
+    64 x 64 grid: 5.5 MB), plus n_atoms * n_t * n_x * 8 bytes of atom rows.
+    The grid projection's kernel blocks are built once per call too, about
+    n_atoms * n_t * n_x * 4 bytes.
     """
     if n_iter < 0:
         raise SolverError("n_iter must be >= 0")
@@ -414,6 +474,7 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
                                          grid_x[None, :]), dtype=float)
     M = pairwise_interaction_matrix(kernel, t, x, t, x)
     compensator = _compensator_operator(problem, config)
+    blocks = list(_grid_blocks(problem, config))
     u_at = w_at.copy()
     diffs = []
     m1 = measure.first_moment
@@ -421,7 +482,7 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
         comp_at, comp_gr = compensator(sigma(u_gr))
         coef = sigma(u_at) * config.jumps
         new_at = w_at + M @ coef - m1 * comp_at
-        _, _, new_gr = _project_grid(problem, config, coef)
+        _, _, new_gr = _project_grid(problem, config, coef, blocks)
         new_gr -= m1 * comp_gr
         diffs.append(float(np.max(np.abs(new_at - u_at))) if u_at.size else
                      float(np.max(np.abs(new_gr - u_gr))))
@@ -471,13 +532,17 @@ def _compensator_operator(problem: ProblemSpec, config: PointConfiguration):
     row_starts = np.searchsorted(jj, np.arange(1, n_t))
     tail = kernel.cumulative_mass_integral(np.diff(grid_t))[:, None]
 
-    # atom k: sources at the grid times before t_k, tail on the last of them
+    # atom k: sources at the grid times before t_k, tail on the last of them;
+    # the atoms after grid time i are a suffix, filled one grid time at a time
     t, x = config.times, config.positions
-    rows = pairwise_interaction_matrix(
-        kernel, t, x, np.repeat(grid_t, n_x),
-        np.tile(grid_x, n_t)).reshape(t.size, n_t, n_x)
+    rows = np.zeros((t.size, n_t, n_x))
     before = np.searchsorted(grid_t, t)
-    rows *= _trapezoid_weights(grid_t, before)[:, :, None] * wx
+    tw = _trapezoid_weights(grid_t, before)
+    for i, k0 in enumerate(np.searchsorted(t, grid_t, side="right")):
+        if k0 < t.size:
+            rows[k0:, i] = kernel.evaluate(
+                (t[k0:] - grid_t[i])[:, None],
+                x[k0:, None] - grid_x[None, :]) * (tw[k0:, i, None] * wx)
     k = np.flatnonzero(before)
     last = before[k] - 1
     m = np.clip(np.searchsorted(grid_x, x[k], side="right") - 1, 0, n_x - 2)

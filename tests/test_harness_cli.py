@@ -9,7 +9,6 @@ import os
 import shutil
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,6 @@ import pytest
 import levyfield as lf
 import levyfield.cli as cli
 from levyfield import ConfigError, EnsembleError
-from levyfield.harness import ito_value_task
 
 
 # ------------------------------------------------------------- config file
@@ -59,8 +57,6 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         lf.RunConfig(kernel="laplace")
     with pytest.raises(ConfigError):
-        lf.RunConfig(workers=0)
-    with pytest.raises(ConfigError):
         lf.RunConfig(n_samples=0)
     with pytest.raises(ConfigError):
         lf.RunConfig(T=-1.0)
@@ -80,43 +76,69 @@ def test_build_measure_and_problem():
 
 # --------------------------------------------------------------- ensembles
 
-def _measure_window_task():
-    measure = lf.rademacher()
-    window = lf.SpaceTimeWindow(1.0, 2.0)
-    return partial(ito_value_task, measure, window, cli.H_SMOOTH)
+def test_run_config_has_no_workers(tmp_path):
+    # ensembles run on batches in one process; the pool and its knob are gone
+    with pytest.raises(ConfigError, match="workers"):
+        lf.RunConfig(workers=2)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = 2\n")
+    with pytest.raises(ConfigError, match="workers"):
+        lf.parse_config_file(cfg)
 
 
-def test_run_ensemble_single_matches_direct_call():
-    task = _measure_window_task()
-    cfg = lf.RunConfig(seed=5)
-    vals = lf.run_ensemble(cfg, task, n=1)
-    assert vals.shape == (1,)
-    assert vals[0] == task((5, 0))
+MOMENT_POINTS = [(1.0, 0.0), (0.5, 0.0), (1.0, 1.0)]
 
 
-def test_run_ensemble_worker_count_invariant():
-    task = _measure_window_task()
-    seq = lf.run_ensemble(lf.RunConfig(seed=2, workers=1), task, n=24)
-    par = lf.run_ensemble(lf.RunConfig(seed=2, workers=2), task, n=24)
-    assert np.array_equal(seq, par)
+def _direct_squares(problem, measure, seed, i):
+    path = lf.solve_forward(lf.sample_prm(measure, problem.window, (seed, i)),
+                            problem, with_grid=False)
+    return np.array([lf.evaluate_solution(path, t, x) ** 2
+                     for t, x in MOMENT_POINTS])
 
 
-def _explode_on_index_3(seed):
-    if seed[1] == 3:
-        raise ValueError("boom")
-    return 0.0
+def test_solution_squares_single_matches_direct_call(wave_problem,
+                                                     busy_noise):
+    vals = lf.solution_squares(wave_problem, busy_noise, MOMENT_POINTS, 1, 5)
+    assert vals.shape == (1, len(MOMENT_POINTS))
+    want = _direct_squares(wave_problem, busy_noise, 5, 0)
+    assert np.allclose(vals[0], want, rtol=1e-13, atol=1e-13)
 
 
-def test_run_ensemble_wraps_failures():
+def test_solution_squares_reproducible(heat_problem, busy_noise):
+    a = lf.solution_squares(heat_problem, busy_noise, MOMENT_POINTS, 24, 2)
+    b = lf.solution_squares(heat_problem, busy_noise, MOMENT_POINTS, 24, 2)
+    assert np.array_equal(a, b)
+    longer = lf.solution_squares(heat_problem, busy_noise, MOMENT_POINTS, 30,
+                                 2)
+    assert np.array_equal(longer[:24], a)
+
+
+def test_solution_squares_failure_names_realization(window, busy_noise):
+    # sigma turns non-finite above a threshold: the first realization whose
+    # forward solve reaches it fails, with its index and seed
+    sigma = lf.custom_map(lambda u: np.where(np.abs(u) > 1.8, np.nan, u),
+                          lipschitz=1.0, name="nan-above")
+    problem = lf.ProblemSpec(kernel=lf.wave_kernel(), sigma=sigma,
+                             ic_kind="cosine", window=window)
+
+    def fails(i):
+        try:
+            return not np.all(np.isfinite(
+                _direct_squares(problem, busy_noise, 9, i)))
+        except lf.MissingFieldError:  # non-finite atom values
+            return True
+
+    first = next(i for i in range(200) if fails(i))
+    assert first > 0
     with pytest.raises(EnsembleError) as err:
-        lf.run_ensemble(lf.RunConfig(seed=9), _explode_on_index_3, n=8)
-    assert err.value.index == 3
-    assert err.value.seed == (9, 3)
+        lf.solution_squares(problem, busy_noise, MOMENT_POINTS, 200, 9)
+    assert err.value.index == first
+    assert err.value.seed == (9, first)
 
 
-def test_run_ensemble_zero_mean(window, unit_noise):
-    task = partial(ito_value_task, unit_noise, window, cli.H_SMOOTH)
-    vals = lf.run_ensemble(lf.RunConfig(seed=31), task, n=2000)
+def test_ito_integrals_zero_mean(window, unit_noise):
+    batch = lf.sample_batch(unit_noise, window, 31, 0, 2000)
+    vals = lf.ito_integrals(batch, cli.H_SMOOTH, unit_noise)
     s = lf.summarize("zero-mean", vals, target=0.0)
     assert s.passed
 
@@ -154,11 +176,14 @@ def test_gate_thresholds_are_not_configurable(tmp_path, capsys):
 
 
 def test_cli_failed_realization_is_error(tmp_path, capsys):
-    # m1 != 0 makes every forward solve of `moments` raise
+    # the forward solve of `moments` needs m1 = 0: an m1 != 0 measure is a
+    # configuration error, reported before any realization is drawn
     assert cli.main(["moments", "--noise", "gaussian", "--noise-mean", "0.5",
                      "--n", "5", "--outdir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: realization 0 (seed (0, 0)) failed: ")
+    assert err.startswith("error: moments needs a centred jump measure, "
+                          "but m1 = 2.5; use `levyfield picard`")
+    assert not (tmp_path / "second_moments.csv").exists()
 
 
 def test_cli_picard_derivative_needs_an_iteration(tmp_path, capsys):
@@ -235,12 +260,11 @@ def test_cli_picard_compensated(tmp_path, capsys):
     assert diag.shape == (3, 2)
 
 
-def test_cli_moments_worker_invariance(tmp_path, capsys):
-    a, b = tmp_path / "w1", tmp_path / "w2"
-    assert cli.main(["moments", "--n", "40", "--workers", "1",
-                     "--outdir", str(a)]) == 0
-    assert cli.main(["moments", "--n", "40", "--workers", "2",
-                     "--outdir", str(b)]) == 0
+def test_cli_moments_batch_size_invariance(tmp_path, capsys, monkeypatch):
+    a, b = tmp_path / "b1024", tmp_path / "b7"
+    assert cli.main(["moments", "--n", "40", "--outdir", str(a)]) == 0
+    monkeypatch.setattr(lf.noise, "BATCH_PATHS", 7)
+    assert cli.main(["moments", "--n", "40", "--outdir", str(b)]) == 0
     capsys.readouterr()
     assert (a / "second_moments.csv").read_bytes() == \
         (b / "second_moments.csv").read_bytes()
