@@ -133,7 +133,10 @@ def main() -> int:
         jobs = [(seed, w, 0) for seed in args.seeds for w in workloads]
         if args.traced:
             jobs += [(args.seeds[0], w, 1) for w in workloads]
-        for n, (seed, workload, trace) in enumerate(jobs):
+        done = {}
+        for seed, workload, trace in jobs:
+            # alternate per workload, so each one has both orders
+            n = done[workload, trace] = done.get((workload, trace), -1) + 1
             order = ("parent", "change") if n % 2 == 0 else \
                 ("change", "parent")
             for side in order:
