@@ -3,9 +3,11 @@
 
     python3 scripts/bench.py --pr 6 --parent HEAD~1 --seeds 61-65,4242
 
-Exports the parent commit with `git archive` into a temporary directory,
-then, for each seed and workload of BENCHMARK.json, runs
-`perfbench/run.py` once on the parent copy and once on the working tree.
+Exports the parent commit and the working tree's tracked files (as
+`git stash create` records them, or HEAD when the tree is clean) with
+`git archive` into two sibling temporary directories, so that both sides
+import levyfield from the same kind of place.  Then, for each seed and
+workload of BENCHMARK.json, runs `perfbench/run.py` once on each copy.
 The side that goes first alternates from pair to pair, so that a drift of
 the machine's speed hits both sides alike.  With --traced, each side also
 makes one traced run (per-layer figures) per workload, at the first seed.
@@ -30,14 +32,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def seeds(text: str) -> list:
-    out = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        out.extend(range(int(lo), int(hi or lo) + 1))
-    return out
+sys.path.insert(0, str(ROOT / "perfbench"))
+from spread import seeds  # noqa: E402
 
 
 def git(*args) -> str:
@@ -116,20 +112,20 @@ def main() -> int:
                     help="commit to compare with (default HEAD)")
     ap.add_argument("--seeds", type=seeds, required=True,
                     help="one pair per seed, e.g. 61-65,4242")
-    ap.add_argument("--workload", nargs="+",
-                    help="default: every workload of BENCHMARK.json")
     ap.add_argument("--traced", action="store_true",
                     help="add one traced run per side and workload")
     args = ap.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
 
+    revs = {"parent": git("rev-parse", args.parent),
+            "change": git("stash", "create") or git("rev-parse", "HEAD")}
     runs, machine = [], {}
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent = Path(tmp)
-        export(args.parent, parent)
-        trees = {"parent": parent, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        trees = {side: Path(tmp) / side for side in revs}
+        for side, rev in revs.items():
+            export(rev, trees[side])
         jobs = [(seed, w, 0) for seed in args.seeds for w in workloads]
         if args.traced:
             jobs += [(args.seeds[0], w, 1) for w in workloads]
@@ -153,11 +149,10 @@ def main() -> int:
                                            spec["end_to_end"]}),
                       flush=True)
 
+    head = git("rev-parse", "HEAD")
     out = {"pr": args.pr,
-           "parent": git("rev-parse", args.parent),
-           "change": {"head": git("rev-parse", "HEAD"),
-                      "dirty": bool(git("status", "--porcelain",
-                                        "--untracked-files=no"))},
+           "parent": revs["parent"],
+           "change": {"head": head, "dirty": revs["change"] != head},
            "command": "python3 perfbench/run.py --workload W --seed S "
                       f"--seconds {seconds:g} --trace T",
            "machine": {"cpu": cpu_model(), "platform": platform.platform(),

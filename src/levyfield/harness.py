@@ -113,7 +113,7 @@ def parse_config_file(path) -> dict:
 def _coerce(name: str, value):
     if not isinstance(value, str):
         return value
-    kind = _FIELD_TYPES[name]
+    kind = _FIELD_TYPES.get(name)  # an unknown name fails in RunConfig
     try:
         if kind == "int":
             return int(value)
@@ -131,9 +131,6 @@ def build_config(file_values: dict | None = None,
     for source in (file_values, overrides):
         if source:
             data.update({k: v for k, v in source.items() if v is not None})
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return RunConfig(**{k: _coerce(k, v) for k, v in data.items()})
 
 
