@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .reporting import write_csv
 
@@ -65,8 +64,9 @@ class ConvolutionKernel:
     def convolve(self, u: np.ndarray) -> np.ndarray:
         """(u * g)(t_i) = int_0^{t_i} u(s) g(t_i - s) ds by trapezoid rule.
 
-        fftconvolve supplies the full lattice sum; the two endpoint terms
-        enter with weight 1 there but 1/2 in the trapezoid rule, hence the
+        A real FFT of length at least u.size + v.size - 1 (no wrap-around)
+        supplies the full lattice sum; the two endpoint terms enter with
+        weight 1 there but 1/2 in the trapezoid rule, hence the
         corrections.  Mass leaving [0, T] is irrelevant for nonnegative
         inputs, so the tail of the full convolution is discarded.
         """
@@ -74,7 +74,8 @@ class ConvolutionKernel:
         if u.shape != self.grid.shape:
             raise GronwallError("grid function has wrong shape")
         v = self.values
-        full = fftconvolve(u, v)[: u.size]
+        n = 1 << (u.size + v.size - 2).bit_length()
+        full = np.fft.irfft(np.fft.rfft(u, n) * np.fft.rfft(v, n), n)[:u.size]
         out = self.step * (full - 0.5 * u[0] * v - 0.5 * u * v[0])
         return np.maximum(out, 0.0)
 

@@ -22,13 +22,13 @@ import numpy as np
 from .integrals import (Integrand, inner_product, ito_integral,
                         ito_integrals)
 from .noise import (LevyMeasure, PointConfiguration, SpaceTimeWindow,
-                    add_atom, atomic_decomposition, sample_batches,
-                    sample_prm)
+                    add_atom, atomic_decomposition, sample_batches)
 from .reporting import (SLACK_SIGMAS, CheckRow, EstimatorSummary, summarize,
                         write_check_rows)
-from .solver import (ProblemSpec, deterministic_part, evaluate_solution,
-                     pairwise_interaction_matrix, picard_grid_iterates,
-                     picard_iterates_at_atoms, solve_forward, sup_estimate)
+from .solver import (ProblemSpec, batched_matvec, deterministic_part,
+                     evaluate_solution, iterate_moment_sums,
+                     pairwise_interaction_matrix, picard_iterates_at_atoms,
+                     solve_forward, sup_estimate)
 
 
 class MalliavinError(ValueError):
@@ -220,41 +220,45 @@ def derivative_equation_residual(problem: ProblemSpec,
     return EquationCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
 
 
-def _added_point_iterates(problem: ProblemSpec, config: PointConfiguration,
-                          pts_t, pts_x, n_iter: int):
-    """Picard iterates of one path, shared by a batch of B added points
-    (r_b, xi_b), with the path's kernel blocks built once.
+def _added_point_iterates(problem: ProblemSpec, t, x, z, pts_t, pts_x,
+                          n_iter: int):
+    """Picard iterates of one path's atoms t, x, z (k,), shared by B added
+    points (r_b, xi_b) (B,), with the path's kernel blocks built once; or
+    the same for a padded batch, atoms (P, K) and points (P, B).
 
-    Returns (base, at_point, M, A): base[m] is the (k,) iterate at the
-    atoms; at_point[m] the (B,) base iterate at the added points, which is
-    the added atom's own value (it only sees strictly earlier atoms, so the
-    addition leaves it unchanged); M is the (k, k) atom interaction matrix
-    and A the (B, k) block of each point's influence on the atoms.
+    Returns (base, at_point, M, A): base[m] is the (..., k) iterate at the
+    atoms; at_point[m] the (..., B) base iterate at the added points, which
+    is the added atom's own value (it only sees strictly earlier atoms, so
+    the addition leaves it unchanged); M is the (..., k, k) atom
+    interaction matrix and A the (..., B, k) block of each point's
+    influence on the atoms.
     """
     kernel, sigma = problem.kernel, problem.sigma
-    t, x, z = config.times, config.positions, config.jumps
     M = pairwise_interaction_matrix(kernel, t, x, t, x)
     P = pairwise_interaction_matrix(kernel, pts_t, pts_x, t, x)
-    A = pairwise_interaction_matrix(kernel, t, x, pts_t, pts_x).T
-    base = picard_iterates_at_atoms(config, problem, n_iter, M=M)
-    w_pt = np.atleast_1d(np.asarray(deterministic_part(problem, pts_t, pts_x),
-                                    dtype=float))
-    at_point = [w_pt] + [w_pt + P @ (sigma(b) * z) for b in base[:-1]]
+    A = pairwise_interaction_matrix(kernel, t, x, pts_t,
+                                    pts_x).swapaxes(-1, -2)
+    base = picard_iterates_at_atoms(problem, t, x, z, n_iter, M=M)
+    w_pt = np.array(deterministic_part(problem, pts_t, pts_x), dtype=float,
+                    ndmin=1)
+    at_point = [w_pt] + [w_pt + batched_matvec(P, sigma(b) * z)
+                         for b in base[:-1]]
     return base, at_point, M, A
 
 
-def _plus_iterates(problem: ProblemSpec, config: PointConfiguration, base,
-                   at_point, M, A, jump: float):
-    """Picard iterates, at the original atoms, of the path plus the atom
-    (r_b, xi_b, jump) for each added point: plus[m] has shape (B, k)."""
-    sigma, z = problem.sigma, config.jumps
-    w_at = base[0]
-    plus = [np.broadcast_to(w_at, A.shape).copy()]
+def _plus_iterates(problem: ProblemSpec, z, base, at_point, M, A,
+                   jump: float):
+    """Yield the Picard iterates u_0, u_1, ..., at the original atoms, of the
+    path plus the atom (r_b, xi_b, jump) for each added point: each has
+    A's shape, (B, k) for one path or (P, B, K) for a padded batch."""
+    sigma = problem.sigma
+    w_at = base[0][..., None, :]
+    plus = np.broadcast_to(w_at, A.shape).copy()
+    yield plus
     for m in range(1, len(base)):
-        plus.append(w_at[None, :]
-                    + (sigma(plus[m - 1]) * z[None, :]) @ M.T
-                    + A * (sigma(at_point[m - 1]) * jump)[:, None])
-    return plus
+        plus = (w_at + (sigma(plus) * z[..., None, :]) @ M.swapaxes(-1, -2)
+                + A * (sigma(at_point[m - 1]) * jump)[..., None])
+        yield plus
 
 
 @dataclass
@@ -337,11 +341,12 @@ def picard_derivative_report(problem: ProblemSpec,
     if config.measure.first_moment != 0.0:
         raise MalliavinError("picard derivative recursion assumes m1 = 0")
     sigma = problem.sigma
-    base, at_point, M, A = _added_point_iterates(
-        problem, config, point.time, point.x, n_iter)
-    plus = _plus_iterates(problem, config, base, at_point, M, A, point.jump)
-    k = config.n_atoms
     z = config.jumps
+    base, at_point, M, A = _added_point_iterates(
+        problem, config.times, config.positions, z, point.time, point.x,
+        n_iter)
+    plus = list(_plus_iterates(problem, z, base, at_point, M, A, point.jump))
+    k = config.n_atoms
     a_row = A[0]
     du = [plus[m][0] - base[m] for m in range(n_iter + 1)]
     start_zero = bool(np.all(du[0] == 0.0)) if k else True
@@ -408,49 +413,70 @@ def derivative_bound_estimate(problem: ProblemSpec, measure: LevyMeasure,
     window = problem.window
     if eval_points is None:
         eval_points = [(window.T, 0.0)]
+    per_real = np.zeros((n_realizations, n_iter, len(eval_points)))
+    k_sums = None
+    for batch in sample_batches(measure, window, master_seed, n_realizations):
+        rows = slice(batch.start, batch.start + batch.n_paths)
+        per_real[rows], part = _derivative_samples(
+            problem, batch, n_points, n_iter, eval_points)
+        k_sums = part if k_sums is None else \
+            [a + b for a, b in zip(k_sums, part)]
+    return _derivative_bound_report(problem, measure, list(eval_points),
+                                    per_real, *k_sums)
+
+
+def _derivative_samples(problem: ProblemSpec, batch, n_points: int,
+                        n_iter: int, eval_points):
+    """One padded batch of derivative_bound_estimate's ensemble:
+    ((paths, n_iter, eval points) per-realization estimates of
+    E||Du_n||^2, [sum u_m^2, sum u_m^4] on the grid).  Realization i draws
+    its derivative points from its own stream (master_seed, i, 1)."""
     kernel, sigma = problem.kernel, problem.sigma
-    zq, wq = atomic_decomposition(measure)
-    grid_t, grid_x = problem.grid()
-    n_pts = len(eval_points)
-    per_real = np.zeros((n_realizations, n_iter, n_pts))
-    k1 = np.zeros((n_iter + 1, grid_t.size, grid_x.size))
-    k2 = np.zeros_like(k1)
-    volume = window.volume
-
-    for i in range(n_realizations):
-        config = sample_prm(measure, window, (master_seed, i))
-        rng = np.random.default_rng(
-            np.random.SeedSequence(master_seed, spawn_key=(i, 1)))
-        pts_t = rng.uniform(0.0, window.T, n_points)
-        pts_x = rng.uniform(-window.R, window.R, n_points)
-        t, x, z = config.times, config.positions, config.jumps
-        base, at_point, M, A = _added_point_iterates(
-            problem, config, pts_t, pts_x, n_iter)
-        grids = picard_grid_iterates(problem, config, base)
-        k1 += grids ** 2
-        k2 += grids ** 4
-        # iterate n at an evaluation point from sigma of iterate n-1; the
-        # base values and kernel rows do not depend on the jump mark
-        sig_pt = [sigma(a) for a in at_point[:-1]]
-        evals = []
-        for te, xe in eval_points:
-            w = float(np.asarray(deterministic_part(problem, te, xe)))
-            g_row = pairwise_interaction_matrix(kernel, te, xe, t, x)[0]
-            g_pt = pairwise_interaction_matrix(kernel, te, xe, pts_t, pts_x)[0]
-            base_vals = [w + float(np.dot(g_row, sigma(b) * z))
-                         for b in base[:-1]]
-            evals.append((w, g_row, g_pt, base_vals))
-        dens = np.zeros((n_iter, n_pts, n_points))
-        for z_val, z_w in zip(zq, wq):
-            plus = _plus_iterates(problem, config, base, at_point, M, A, z_val)
-            sig_plus = [sigma(p) * z[None, :] for p in plus[:-1]]
+    window = problem.window
+    zq, wq = atomic_decomposition(batch.measure)
+    t, x, z = batch.padded()
+    pts_t = np.empty((batch.n_paths, n_points))
+    pts_x = np.empty_like(pts_t)
+    for j in range(batch.n_paths):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            batch.master_seed, spawn_key=(batch.start + j, 1)))
+        pts_t[j] = rng.uniform(0.0, window.T, n_points)
+        pts_x[j] = rng.uniform(-window.R, window.R, n_points)
+    base, at_point, M, A = _added_point_iterates(
+        problem, t, x, z, pts_t, pts_x, n_iter)
+    k_sums = iterate_moment_sums(problem, t, x, z, base)
+    # iterate n at an evaluation point from sigma of iterate n-1; the base
+    # values and kernel rows do not depend on the jump mark
+    sig_pt = [sigma(a) for a in at_point[:-1]]
+    evals = []
+    for te, xe in eval_points:
+        w = float(np.asarray(deterministic_part(problem, te, xe)))
+        g_row = pairwise_interaction_matrix(kernel, te, xe, t, x)[:, 0]
+        g_pt = pairwise_interaction_matrix(kernel, te, xe, pts_t, pts_x)[:, 0]
+        base_vals = [w + batched_matvec(g_row[:, None, :], sigma(b) * z)
+                     for b in base[:-1]]
+        evals.append((w, g_row, g_pt, base_vals))
+    dens = np.zeros((n_iter, len(eval_points), batch.n_paths, n_points))
+    for z_val, z_w in zip(zq, wq):
+        plus = _plus_iterates(problem, z, base, at_point, M, A, z_val)
+        for n, p_it in zip(range(1, n_iter + 1), plus):
+            sig_plus = sigma(p_it) * z[:, None, :]
             for p, (w, g_row, g_pt, base_vals) in enumerate(evals):
-                for n in range(1, n_iter + 1):
-                    pval = w + sig_plus[n - 1] @ g_row \
-                        + g_pt * sig_pt[n - 1] * z_val
-                    dens[n - 1, p] += z_w * (pval - base_vals[n - 1]) ** 2
-        per_real[i] = volume * dens.mean(axis=2)
+                pval = w + batched_matvec(sig_plus, g_row) \
+                    + g_pt * sig_pt[n - 1] * z_val
+                dens[n - 1, p] += z_w * (pval - base_vals[n - 1]) ** 2
+    per_real = window.volume * np.moveaxis(dens.mean(axis=-1), -1, 0)
+    return per_real, k_sums
 
+
+def _derivative_bound_report(problem: ProblemSpec, measure: LevyMeasure,
+                             eval_points, per_real, k1, k2
+                             ) -> DerivativeBoundReport:
+    """The estimates and gates of derivative_bound_estimate from its
+    per-realization estimates and its sums of u_m^2 and u_m^4 on the
+    grid."""
+    kernel, sigma = problem.kernel, problem.sigma
+    n_realizations, n_iter, n_pts = per_real.shape
     est = per_real.mean(axis=0)
     se = per_real.std(axis=0, ddof=1) / math.sqrt(n_realizations) \
         if n_realizations > 1 else np.zeros_like(est)
@@ -487,5 +513,5 @@ def derivative_bound_estimate(problem: ProblemSpec, measure: LevyMeasure,
             if step > allowance:
                 stable_ok = False
 
-    return DerivativeBoundReport(list(eval_points), est, se, k_hat, rows_out,
+    return DerivativeBoundReport(eval_points, est, se, k_hat, rows_out,
                                  recursion_ok, bool(stable_ok))

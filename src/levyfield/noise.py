@@ -380,6 +380,27 @@ class PointBatch:
         return np.bincount(self.path_index, weights=values,
                            minlength=self.n_paths)
 
+    @cached_property
+    def pad_mask(self) -> np.ndarray:
+        """(n_paths, K) mask, K the longest path's atom count: row j is true
+        at path j's atoms."""
+        return np.arange(self.counts.max(initial=0)) < self.counts[:, None]
+
+    def pad(self, values, fill=0.0) -> np.ndarray:
+        """Per-atom values as an (n_paths, K) array: row j holds path j's
+        values in time order, then fill."""
+        out = np.full(self.pad_mask.shape, fill, dtype=float)
+        out[self.pad_mask] = values
+        return out
+
+    def padded(self):
+        """(times, positions, jumps) in the padded (n_paths, K) layout.  A
+        padding atom sits at time T, position 0, with jump 0: no atom or
+        grid time of the window comes after it, so it is never a source,
+        and its zero jump adds nothing to any sum."""
+        return (self.pad(self.times, self.window.T), self.pad(self.positions),
+                self.pad(self.jumps))
+
     def seed(self, j: int):
         return (self.master_seed, self.start + j)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .kernels import GreenKernel
 from .integrals import GridField, MissingFieldError, stochastic_convolution
 from .noise import (LevyMeasure, PointBatch, PointConfiguration,
-                    SpaceTimeWindow, sample_prm)
+                    SpaceTimeWindow, sample_batches)
 from .reporting import SLACK_SIGMAS, write_csv
 
 
@@ -187,29 +187,46 @@ def initial_condition_bound(problem: ProblemSpec) -> float:
 
 
 def _column(v):
-    return np.asarray(v, dtype=float).reshape(-1, 1)
+    return np.asarray(v, dtype=float)[..., None]
 
 
 def _row(v):
-    return np.asarray(v, dtype=float).reshape(1, -1)
+    return np.atleast_1d(np.asarray(v, dtype=float))[..., None, :]
+
+
+def batched_matvec(M, v):
+    """M @ v over leading batch axes: (..., n, k) with (..., k) -> (..., n);
+    for one path it is M @ v bit for bit."""
+    return np.matmul(M, v[..., None])[..., 0]
 
 
 def pairwise_interaction_matrix(kernel: GreenKernel, target_t, target_x,
                                 source_t, source_x):
-    """Out[i, j] = G(target_t_i - source_t_j, target_x_i - source_x_j) where
-    the source time is strictly earlier, else 0.
+    """Out[..., i, j] = G(target_t_i - source_t_j, target_x_i - source_x_j)
+    where the source time is strictly earlier, else 0.
 
-    Target times and positions broadcast against each other (one grid time
-    with a vector of positions gives one grid row).  G is evaluated only at
-    the causal pairs, and without a mask when every pair is causal.
+    Leading axes are batch axes: (P, n) targets and (P, k) sources give
+    (P, n, k), one block per path of a padded batch.  Target times and
+    positions broadcast against each other (one grid time with a vector of
+    positions gives one grid row).  G is evaluated without a mask when
+    every pair is causal.  Otherwise G is evaluated only at the causal
+    pairs, except where the times broadcast along the targets (a batch's
+    grid rows): there gathering the causal pairs from the broadcast costs
+    more than evaluating G at dt = 1 in place of dt <= 0 and zeroing those
+    entries.
     """
     dt = _column(target_t) - _row(source_t)
     dx = _column(target_x) - _row(source_x)
     if dt.size and dt.min() > 0.0:
         return kernel.evaluate(dt, dx)
     shape = np.broadcast_shapes(dt.shape, dx.shape)
+    causal = dt > 0.0
+    if dt.size < math.prod(shape):
+        out = kernel.evaluate(np.where(causal, dt, 1.0), dx)
+        out *= causal
+        return out
     out = np.zeros(shape)
-    mask = np.broadcast_to(dt > 0.0, shape)
+    mask = np.broadcast_to(causal, shape)
     if mask.any():
         out[mask] = kernel.evaluate(np.broadcast_to(dt, shape)[mask],
                                     np.broadcast_to(dx, shape)[mask])
@@ -273,49 +290,90 @@ def evaluate_batch(batch: PointBatch, problem: ProblemSpec, atom_values,
     return deterministic_part(problem, t, x) + batch.path_sums(terms)
 
 
-def _grid_blocks(problem: ProblemSpec, config: PointConfiguration):
-    """(j, k_j, block) for each grid time t_j after the first atom: the
-    atoms before t_j are the prefix of k_j time-sorted atoms, and block is
-    their (n_x, k_j) kernel block G(t_j - t_i, x_l - x_i)."""
+def _grid_blocks(problem: ProblemSpec, times, positions):
+    """(k_j, block) for each grid time t_j.  times and positions are one
+    path's time-sorted atoms (k,) or a padded batch's (P, K)
+    (PointBatch.padded).  The atoms before t_j are a prefix of each path,
+    k_j atoms long in the longest, and block is their (..., n_x, k_j)
+    kernel block G(t_j - t_i, x_l - x_i), zero after each path's prefix;
+    block is None where no atom comes before t_j."""
     grid_t, grid_x = problem.grid()
-    prefix = np.searchsorted(config.times, grid_t)
-    for j, (tj, kj) in enumerate(zip(grid_t, prefix)):
-        if kj:
-            yield j, kj, pairwise_interaction_matrix(
-                problem.kernel, tj, grid_x, config.times[:kj],
-                config.positions[:kj])
+    before = np.sum(times[..., None, :] < grid_t[:, None], axis=-1)
+    for tj, kj in zip(grid_t, before.reshape(-1, grid_t.size).max(axis=0)):
+        kj = int(kj)
+        yield kj, pairwise_interaction_matrix(
+            problem.kernel, tj, grid_x, times[..., :kj],
+            positions[..., :kj]) if kj else None
 
 
-def _project_grid(problem: ProblemSpec, config: PointConfiguration, coefs,
-                  blocks=None):
-    """Grid values w + sum_{t_i < t_j} G(t_j - t_i, x_l - x_i) coefs_i.
+def grid_projection(problem: ProblemSpec, times, positions, coefs,
+                    blocks=None):
+    """Yield (j, values) for each grid time t_j, with values[..., l] =
+    w(t_j, x_l) + sum_{t_i < t_j} G(t_j - t_i, x_l - x_i) coefs[..., i].
 
-    coefs is (k,) for one field or (m, k) for m fields over the same atoms
-    (out: (n_t, n_x) or (m, n_t, n_x)).  Each grid time's kernel block is
-    applied to every field.  blocks is list(_grid_blocks(...)) from a
-    caller that projects the same atoms again; without it the blocks are
-    built one at a time and dropped.
+    Over one path (times (k,)), coefs is (k,) for one field or (m, k) for
+    m fields; over a padded batch (times (P, K)) it is (P, m, K).  values
+    has coefs' shape with n_x in place of the atom axis.  Each grid time's
+    kernel block is built once and applied to every field and path with
+    one (batched) matrix product.  blocks is list(_grid_blocks(...)) from
+    a caller that projects the same atoms again; without it the blocks are
+    built one at a time and dropped, so a caller that reduces each grid
+    time's values as they come never holds the whole grid.
     """
     grid_t, grid_x = problem.grid()
     coefs = np.asarray(coefs, dtype=float)
     w = np.asarray(deterministic_part(problem, grid_t[:, None],
                                       grid_x[None, :]), dtype=float)
-    out = np.broadcast_to(w, coefs.shape[:-1] + w.shape).copy()
     if blocks is None:
-        blocks = _grid_blocks(problem, config)
-    for j, kj, block in blocks:
-        out[..., j, :] += coefs[..., :kj] @ block.T
+        blocks = _grid_blocks(problem, times, positions)
+    for j, (kj, block) in enumerate(blocks):
+        if kj:
+            yield j, w[j] + coefs[..., :kj] @ block.swapaxes(-1, -2)
+        else:
+            yield j, np.broadcast_to(w[j], coefs.shape[:-1] + w[j].shape)
+
+
+def _project_grid(problem: ProblemSpec, config: PointConfiguration, coefs,
+                  blocks=None):
+    """Grid values w + sum_{t_i < t_j} G(t_j - t_i, x_l - x_i) coefs_i of
+    one path: grid_projection collected into (n_t, n_x), or (m, n_t, n_x)
+    for coefs (m, k)."""
+    grid_t, grid_x = problem.grid()
+    coefs = np.asarray(coefs, dtype=float)
+    out = np.empty(coefs.shape[:-1] + (grid_t.size, grid_x.size))
+    for j, values in grid_projection(problem, config.times,
+                                     config.positions, coefs, blocks):
+        out[..., j, :] = values
     return grid_t, grid_x, out
 
 
-def picard_grid_iterates(problem: ProblemSpec, config: PointConfiguration,
-                         iterates):
-    """Grid values (n + 1, n_t, n_x) of the Picard iterates u_0..u_n from
-    their atom values: u_0 = w, and u_m projects sigma(u_{m-1}) z."""
-    coefs = np.zeros((len(iterates), config.n_atoms))
-    for m, prev in enumerate(iterates[:-1], start=1):
-        coefs[m] = problem.sigma(prev) * config.jumps
-    return _project_grid(problem, config, coefs)[2]
+def iterate_moment_sums(problem: ProblemSpec, times, positions, jumps,
+                        iterates, increments: bool = False):
+    """Sums over the paths of a padded batch of the grid values of the
+    Picard iterates u_0..u_n (iterates at the atoms, each (P, K)).
+
+    Returns [sum u_m^2, sum u_m^4], each (n + 1, n_t, n_x), followed with
+    increments by [sum (u_m - u_{m-1})^2, sum (u_m - u_{m-1})^4], each
+    (n, n_t, n_x).  The grid values are reduced one grid time at a time,
+    so the (P, n + 1, n_t, n_x) grid values are never held whole.
+    """
+    grid_t, grid_x = problem.grid()
+    shape = (grid_t.size, grid_x.size)
+    m = len(iterates)
+    sums = [np.zeros((m,) + shape), np.zeros((m,) + shape)]
+    if increments:
+        sums += [np.zeros((m - 1,) + shape), np.zeros((m - 1,) + shape)]
+    # u_0 = w projects nothing, and u_m projects sigma(u_{m-1}) z
+    coefs = np.zeros(jumps.shape[:-1] + (m, jumps.shape[-1]))
+    for k, prev in enumerate(iterates[:-1], start=1):
+        coefs[..., k, :] = problem.sigma(prev) * jumps
+    for j, grids in grid_projection(problem, times, positions, coefs):
+        fields = (grids, np.diff(grids, axis=1)) if increments else (grids,)
+        for k, values in enumerate(fields):
+            sq = np.square(values)
+            sums[2 * k][:, j] = sq.sum(axis=0)
+            sums[2 * k + 1][:, j] = np.square(sq).sum(axis=0)
+    return sums
 
 
 def sup_estimate(sums, sums_sq, n: int):
@@ -412,21 +470,21 @@ class PicardDiagnostics:
                   [[m + 1, d] for m, d in enumerate(self.sup_differences)])
 
 
-def picard_iterates_at_atoms(config: PointConfiguration, problem: ProblemSpec,
+def picard_iterates_at_atoms(problem: ProblemSpec, times, positions, jumps,
                              n_iter: int, M=None):
-    """Atom-value Picard iterates [u_0, ..., u_n]; m1 = 0 fast path.  M is
-    the atoms' interaction matrix, when the caller already holds it."""
-    if config.measure.first_moment != 0.0:
-        raise SolverError("atom-only iteration requires m1 = 0")
-    t, x = config.times, config.positions
+    """Atom-value Picard iterates [u_0, ..., u_n] for m1 = 0, of one path's
+    atoms (k,) or of a padded batch's (P, K) (PointBatch.padded), with one
+    (batched) matrix-vector product per iterate.  M is the atoms'
+    interaction matrix, when the caller already holds it."""
     if M is None:
-        M = pairwise_interaction_matrix(problem.kernel, t, x, t, x)
-    w = np.atleast_1d(np.asarray(deterministic_part(problem, t, x),
-                                 dtype=float))
+        M = pairwise_interaction_matrix(problem.kernel, times, positions,
+                                        times, positions)
+    w = np.array(deterministic_part(problem, times, positions), dtype=float,
+                 ndmin=1)
     iterates = [w.copy()]
     for _ in range(n_iter):
-        prev = iterates[-1]
-        iterates.append(w + M @ (problem.sigma(prev) * config.jumps))
+        iterates.append(
+            w + batched_matvec(M, problem.sigma(iterates[-1]) * jumps))
     return iterates
 
 
@@ -452,7 +510,9 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
     kernel, sigma = problem.kernel, problem.sigma
     measure = config.measure
     if measure.first_moment == 0.0:
-        iterates = picard_iterates_at_atoms(config, problem, n_iter)
+        iterates = picard_iterates_at_atoms(problem, config.times,
+                                            config.positions, config.jumps,
+                                            n_iter)
         u = iterates[-1]
         diffs = np.array([float(np.max(np.abs(b - a))) if a.size else 0.0
                           for a, b in zip(iterates[:-1], iterates[1:])])
@@ -474,7 +534,7 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
                                          grid_x[None, :]), dtype=float)
     M = pairwise_interaction_matrix(kernel, t, x, t, x)
     compensator = _compensator_operator(problem, config)
-    blocks = list(_grid_blocks(problem, config))
+    blocks = list(_grid_blocks(problem, t, x))
     u_at = w_at.copy()
     diffs = []
     m1 = measure.first_moment
@@ -630,25 +690,25 @@ def existence_diagnostics(problem: ProblemSpec, measure: LevyMeasure,
         raise SolverError("diagnostics assume a compensator-free measure")
     if n_iter < 2:
         raise SolverError("need at least two iterates to difference")
-    grid_t, grid_x = problem.grid()
-    n_t, n_x = grid_t.size, grid_x.size
+    sums = None
+    for batch in sample_batches(measure, problem.window, master_seed,
+                                n_realizations):
+        t, x, z = batch.padded()
+        part = iterate_moment_sums(
+            problem, t, x, z, picard_iterates_at_atoms(problem, t, x, z,
+                                                       n_iter),
+            increments=True)
+        sums = part if sums is None else [a + b for a, b in zip(sums, part)]
+    return _existence_report(problem, measure, n_realizations, *sums)
+
+
+def _existence_report(problem: ProblemSpec, measure: LevyMeasure,
+                      n_realizations: int, u1, u2, s1, s2) -> ExistenceReport:
+    """The gates of existence_diagnostics on its ensemble sums (the order
+    of iterate_moment_sums with increments)."""
+    grid_t = problem.grid()[0]
+    n_iter, n_t = s1.shape[:2]
     kernel, sigma = problem.kernel, problem.sigma
-
-    s1 = np.zeros((n_iter, n_t, n_x))   # sum of squared differences
-    s2 = np.zeros((n_iter, n_t, n_x))   # sum of fourth powers
-    u1 = np.zeros((n_iter + 1, n_t, n_x))
-    u2 = np.zeros((n_iter + 1, n_t, n_x))
-
-    for i in range(n_realizations):
-        config = sample_prm(measure, problem.window, (master_seed, i))
-        grids = picard_grid_iterates(
-            problem, config, picard_iterates_at_atoms(config, problem, n_iter))
-        delta = np.diff(grids, axis=0)
-        s1 += delta ** 2
-        s2 += delta ** 4
-        u1 += grids ** 2
-        u2 += grids ** 4
-
     nr = n_realizations
     h, se_h = sup_estimate(s1, s2, nr)                # (n_iter, n_t)
 
