@@ -31,8 +31,8 @@ from .malliavin import (DerivativePoint, MalliavinError, chain_rule_residual,
 from .noise import (NoiseError, derive_rng, sample_batches, sample_prm,
                     save_configuration)
 from .reporting import summarize, write_check_rows, write_csv, write_summaries
-from .solver import (SolverError, grid_projection, picard_iterates_at_atoms,
-                     picard_solve, solve_batch, solve_forward)
+from .solver import (SolverError, cross_solver_gaps, picard_solve,
+                     solve_forward)
 
 CHECKS = ("isometry", "chain-rule", "exp-derivative", "duality",
           "derivative-eq", "picard-derivative", "gronwall", "h2",
@@ -354,22 +354,10 @@ def _check_cross_solver(config: RunConfig) -> int:
     rows = []
     for batch in sample_batches(measure, window, config.seed,
                                 config.n_diagnostic):
-        t, x, z = batch.padded()
-        exact = batch.pad(solve_batch(batch, problem))
-        approx = picard_iterates_at_atoms(problem, t, x, z, n_iter)
-        atom_gap = np.where(batch.pad_mask, np.abs(approx[-1] - exact), 0.0)
-        # Picard's grid projects sigma of its last but one iterate
-        coefs = np.stack([problem.sigma(approx[-2]) * z,
-                          problem.sigma(exact) * z], axis=1)
-        grid_gap = np.zeros(batch.n_paths)
-        for _, grids in grid_projection(problem, t, x, coefs):
-            grid_gap = np.maximum(grid_gap, np.max(
-                np.abs(grids[:, 0] - grids[:, 1]), axis=-1))
-        for j, n_atoms in enumerate(batch.counts):
-            gap = (float(np.max(atom_gap[j], initial=0.0)),
-                   float(grid_gap[j]))
-            rows.append([batch.start + j, int(n_atoms), *gap,
-                         bool(max(gap) <= TOL_CROSS)])
+        atom_gaps, grid_gaps = cross_solver_gaps(batch, problem, n_iter)
+        for j, gaps in enumerate(zip(atom_gaps.tolist(), grid_gaps.tolist())):
+            rows.append([batch.start + j, int(batch.counts[j]), *gaps,
+                         max(gaps) <= TOL_CROSS])
     ok = all(row[-1] for row in rows)
     out = _outpath(config, "cross_solver.csv")
     write_csv(out, ["realization", "atoms", "atom_gap", "grid_gap", "pass"],

@@ -553,6 +553,25 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
     return path, PicardDiagnostics(np.array(diffs))
 
 
+def cross_solver_gaps(batch: PointBatch, problem: ProblemSpec, n_iter: int):
+    """(atom gaps, grid gaps), each (n_paths,): per path of a batch, the
+    largest |Picard(n_iter) - forward solve| at the atoms and on the grid
+    (solve_batch, and Picard projecting sigma of its last but one
+    iterate, as picard_solve does); m1 = 0, n_iter >= 1."""
+    t, x, z = batch.padded()
+    exact = batch.pad(solve_batch(batch, problem))
+    approx = picard_iterates_at_atoms(problem, t, x, z, n_iter)
+    atom_gaps = np.max(np.where(batch.pad_mask, np.abs(approx[-1] - exact),
+                                0.0), axis=-1, initial=0.0)
+    coefs = np.stack([problem.sigma(approx[-2]) * z,
+                      problem.sigma(exact) * z], axis=1)
+    grid_gaps = np.zeros(batch.n_paths)
+    for _, grids in grid_projection(problem, t, x, coefs):
+        grid_gaps = np.maximum(grid_gaps, np.max(
+            np.abs(grids[:, 0] - grids[:, 1]), axis=-1))
+    return atom_gaps, grid_gaps
+
+
 def _trapezoid_weights(s, counts):
     """Row r: trapezoid weights over the first counts[r] points of s, zero
     after them (and everywhere when counts[r] < 2)."""

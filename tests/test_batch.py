@@ -1,12 +1,16 @@
-"""The batch engine: CSR sampling, forward solves by atom rank, and per-path
-sums, each against its one-path counterpart."""
+"""The batch engine: CSR sampling, forward solves by atom rank, per-path
+sums, and the padded Picard and grid projection of the ensemble
+diagnostics, each against its one-path counterpart."""
+
+import csv
+import functools
 
 import numpy as np
 import pytest
 
 import levyfield as lf
 import levyfield.noise as noise
-from levyfield import cli
+from levyfield import cli, malliavin, solver
 
 WINDOW = lf.SpaceTimeWindow(1.0, 2.0)
 MEASURES = {
@@ -172,3 +176,215 @@ def test_ito_integrals_reject_non_finite_integrand():
     h = lf.Integrand(lambda t, x: np.where(x > 0.0, np.inf, 1.0), "inf")
     with pytest.raises(lf.IntegrandError):
         lf.ito_integrals(batch, h)
+
+
+# The diagnostics engine: batched Picard at the atoms and batched grid
+# projection, against dense per-path references.  The references build one
+# full kernel matrix per path (atoms x atoms, and every grid point x atoms)
+# with pairwise_interaction_matrix and never pad, batch or project one grid
+# time at a time.
+
+def _dense_picard(problem, cfg, n_iter):
+    """Picard iterates of one path at its atoms, [u_0..u_n], and on the
+    grid, (n + 1, n_t, n_x), from full kernel matrices; and the grid
+    projection w + G coef of atom coefficients."""
+    kernel, sigma = problem.kernel, problem.sigma
+    t, x, z = cfg.times, cfg.positions, cfg.jumps
+    gt, gx = problem.grid()
+    tt, xx = np.repeat(gt, gx.size), np.tile(gx, gt.size)
+    M = solver.pairwise_interaction_matrix(kernel, t, x, t, x)
+    G = solver.pairwise_interaction_matrix(kernel, tt, xx, t, x)
+    w = np.array(lf.deterministic_part(problem, t, x), ndmin=1)
+    wg = lf.deterministic_part(problem, tt, xx)
+
+    def project(coef):
+        return (wg + G @ coef).reshape(gt.size, gx.size)
+
+    at, grid = [w], [project(np.zeros(t.size))]
+    for _ in range(n_iter):
+        coef = sigma(at[-1]) * z
+        at.append(w + M @ coef)
+        grid.append(project(coef))
+    return at, np.stack(grid), project
+
+
+def _close(got, want, tol=1e-13):
+    """|got - want| <= tol (1 + sup |want|): the sup norm, because a grid
+    value can be a cancelling sum of terms as large as the field."""
+    scale = 1.0 + np.max(np.abs(want), initial=0.0)
+    return np.all(np.abs(got - want) <= tol * scale)
+
+
+ENGINE_CASES = {
+    "paths": (lf.two_point_measure(1.0, 5.0), 40, 6),
+    "empty_paths": (MEASURES["low_mass"], 60, 4),
+    "one_long_path": (lf.two_point_measure(1.0, 250.0), 1, 3),  # ~1000 atoms
+}
+
+
+@pytest.mark.parametrize("kernel", [lf.wave_kernel(), lf.heat_kernel()],
+                         ids=["wave", "heat"])
+@pytest.mark.parametrize("sigma", ["affine", "sin", "abs"])
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_batched_picard_and_projection_match_dense(kernel, sigma, case):
+    problem = _problem(kernel, sigma)
+    measure, n_paths, n_iter = ENGINE_CASES[case]
+    batch = lf.sample_batch(measure, WINDOW, 11, 0, n_paths)
+    if case == "empty_paths":
+        assert np.any(batch.counts == 0)
+    if case == "one_long_path":
+        assert batch.counts[0] > 900
+    t, x, z = batch.padded()
+    iterates = solver.picard_iterates_at_atoms(problem, t, x, z, n_iter)
+    coefs = np.zeros((batch.n_paths, n_iter + 1, t.shape[1]))
+    for m in range(1, n_iter + 1):
+        coefs[:, m] = problem.sigma(iterates[m - 1]) * z
+    grids = np.empty((batch.n_paths, n_iter + 1) + (problem.n_t,
+                                                    problem.n_x))
+    for j, values in solver.grid_projection(problem, t, x, coefs):
+        grids[:, :, j] = values
+    for p in range(batch.n_paths):
+        at, grid, _ = _dense_picard(problem, batch.path(p), n_iter)
+        k = batch.counts[p]
+        for m in range(n_iter + 1):
+            assert _close(iterates[m][p, :k], at[m]), (p, m)
+        for m in range(n_iter + 1):
+            assert _close(grids[p, m], grid[m]), (p, m)
+
+
+# existence_diagnostics, derivative_bound_estimate and verify cross-solver
+# at their defaults, against one dense per-path pass over the same
+# realizations.  The per-path sums go through the same report (gate) code,
+# so the verdicts compare the batched ensemble with the per-path one.
+
+N_PATHS, N_POINTS = 100, 64
+EXIST_ITER, DERIV_ITER, CROSS_ITER = 6, 8, 10
+
+
+def _derivative_row(problem, cfg, at, seed, i):
+    """One realization of derivative_bound_estimate at (T, 0): the mean over
+    its derivative points of the squared add-one-atom difference of each
+    iterate n = 1..DERIV_ITER, integrated against the jump measure."""
+    kernel, sigma = problem.kernel, problem.sigma
+    t, x, z = cfg.times, cfg.positions, cfg.jumps
+    rng = np.random.default_rng(np.random.SeedSequence(seed,
+                                                       spawn_key=(i, 1)))
+    pts_t = rng.uniform(0.0, WINDOW.T, N_POINTS)
+    pts_x = rng.uniform(-WINDOW.R, WINDOW.R, N_POINTS)
+    M = solver.pairwise_interaction_matrix(kernel, t, x, t, x)
+    to_pt = solver.pairwise_interaction_matrix(kernel, pts_t, pts_x, t, x)
+    from_pt = solver.pairwise_interaction_matrix(kernel, t, x, pts_t,
+                                                 pts_x).T
+    g_row = solver.pairwise_interaction_matrix(kernel, WINDOW.T, 0.0, t,
+                                               x)[0]
+    g_pt = solver.pairwise_interaction_matrix(kernel, WINDOW.T, 0.0, pts_t,
+                                              pts_x)[0]
+    w_pt = lf.deterministic_part(problem, pts_t, pts_x)
+    w_end = lf.deterministic_part(problem, WINDOW.T, 0.0)
+    at_pt = [w_pt + to_pt @ (sigma(u) * z) for u in at[:DERIV_ITER - 1]]
+    at_pt.insert(0, w_pt)
+    dens = np.zeros(DERIV_ITER)
+    for z_val, z_w in zip(*lf.atomic_decomposition(cfg.measure)):
+        plus = np.tile(at[0], (N_POINTS, 1))
+        for n in range(1, DERIV_ITER + 1):
+            with_pt = w_end + (sigma(plus) * z) @ g_row \
+                + g_pt * sigma(at_pt[n - 1]) * z_val
+            base = w_end + g_row @ (sigma(at[n - 1]) * z)
+            dens[n - 1] += z_w * np.mean((with_pt - base) ** 2)
+            plus = at[0] + (sigma(plus) * z) @ M.T \
+                + from_pt * (sigma(at_pt[n - 1]) * z_val)[:, None]
+    return WINDOW.volume * dens
+
+
+@functools.lru_cache(maxsize=None)
+def _per_path_reference(kind, seed):
+    config = lf.RunConfig(kernel=kind, seed=seed)
+    problem, measure = lf.build_problem(config), lf.build_measure(config)
+    sums = [0.0] * 4                  # u^2, u^4, increment^2, increment^4
+    k_sums = [0.0, 0.0]
+    per_real = np.zeros((N_PATHS, DERIV_ITER, 1))
+    cross = []
+    for i in range(N_PATHS):
+        cfg = lf.sample_prm(measure, WINDOW, (seed, i))
+        at, grid, project = _dense_picard(problem, cfg, CROSS_ITER)
+        sq = np.square(grid)
+        inc = np.square(np.diff(grid[:EXIST_ITER + 1], axis=0))
+        for k, v in enumerate((sq[:EXIST_ITER + 1],
+                               np.square(sq[:EXIST_ITER + 1]), inc,
+                               np.square(inc))):
+            sums[k] = sums[k] + v
+        k_sums[0] = k_sums[0] + sq[:DERIV_ITER + 1]
+        k_sums[1] = k_sums[1] + np.square(sq[:DERIV_ITER + 1])
+        per_real[i, :, 0] = _derivative_row(problem, cfg, at, seed, i)
+        exact = lf.solve_forward(cfg, problem, with_grid=False).atom_values
+        exact_grid = project(problem.sigma(exact) * cfg.jumps)
+        atom_gap = float(np.max(np.abs(at[-1] - exact), initial=0.0))
+        grid_gap = float(np.max(np.abs(grid[-1] - exact_grid)))
+        scale = 1.0 + float(np.max(np.abs(exact_grid)))
+        cross.append((cfg.n_atoms, atom_gap, grid_gap, scale))
+    existence = solver._existence_report(problem, measure, N_PATHS, *sums)
+    derivative = malliavin._derivative_bound_report(
+        problem, measure, [(WINDOW.T, 0.0)], per_real, *k_sums)
+    return existence, derivative, cross
+
+
+@functools.lru_cache(maxsize=None)
+def _batched(kind, seed, tmp):
+    config = lf.RunConfig(kernel=kind, seed=seed)
+    problem, measure = lf.build_problem(config), lf.build_measure(config)
+    existence = lf.existence_diagnostics(problem, measure, N_PATHS,
+                                         EXIST_ITER, master_seed=seed)
+    derivative = lf.derivative_bound_estimate(
+        problem, measure, N_PATHS, N_POINTS, DERIV_ITER, master_seed=seed)
+    outdir = tmp / f"{kind}{seed}"
+    code = cli.main(["verify", "cross-solver", "--kernel", kind, "--seed",
+                     str(seed), "--outdir", str(outdir)])
+    with open(outdir / "cross_solver.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    return existence, derivative, code, rows
+
+
+@pytest.fixture(scope="module")
+def diagnostics_tmp(tmp_path_factory):
+    return tmp_path_factory.mktemp("diagnostics")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["wave", "heat"])
+def test_diagnostics_values_match_per_path_reference(kind, seed,
+                                                     diagnostics_tmp):
+    ref_ex, ref_db, ref_cross = _per_path_reference(kind, seed)
+    ex, db, _, rows = _batched(kind, seed, diagnostics_tmp)
+    for name in ("h_values", "h_stderr", "second_moment_sup",
+                 "sqrt_ratios"):
+        assert _close(getattr(ex, name), getattr(ref_ex, name)), name
+    defined = ~np.isnan(ref_ex.bounds)
+    assert np.array_equal(defined, ~np.isnan(ex.bounds))
+    assert _close(ex.bounds[defined], ref_ex.bounds[defined])
+    for name in ("estimates", "stderrs", "second_moment_sup"):
+        assert _close(getattr(db, name), getattr(ref_db, name)), name
+    assert len(rows) == N_PATHS
+    for i, (row, (n_atoms, atom_gap, grid_gap, scale)) in enumerate(
+            zip(rows, ref_cross)):
+        assert (int(row["realization"]), int(row["atoms"])) == (i, n_atoms)
+        assert abs(float(row["atom_gap"]) - atom_gap) <= 1e-12 * scale, i
+        assert abs(float(row["grid_gap"]) - grid_gap) <= 1e-12 * scale, i
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["wave", "heat"])
+def test_diagnostics_verdicts_match_per_path_reference(kind, seed,
+                                                       diagnostics_tmp):
+    ref_ex, ref_db, ref_cross = _per_path_reference(kind, seed)
+    ex, db, code, rows = _batched(kind, seed, diagnostics_tmp)
+    for name in ("recursion_ok", "decay_ok", "bounded_ok"):
+        assert getattr(ex, name) == getattr(ref_ex, name), name
+    assert np.array_equal(ex.bound_pass, ref_ex.bound_pass)
+    for name in ("recursion_ok", "stable_ok"):
+        assert getattr(db, name) == getattr(ref_db, name), name
+    assert [r.passed for r in db.rows] == [r.passed for r in ref_db.rows]
+    want = [max(a, g) <= cli.TOL_CROSS for _, a, g, _ in ref_cross]
+    assert [row["pass"] == "true" for row in rows] == want
+    assert code == (0 if all(want) else 2)
+    if kind == "heat":     # the heat kernel's causal chains outrun Picard(10)
+        assert code == 2

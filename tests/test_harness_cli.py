@@ -327,18 +327,41 @@ def test_every_run_config_field_has_a_cli_flag(monkeypatch):
 _CLI_ARGS = ["verify", "exp-derivative", "--n-diagnostic", "20"]
 
 
-def test_cli_entry_point_subprocess(tmp_path):
+def _child_env():
     # the child imports the same levyfield as this test, whatever the
     # working directory and whatever else is installed
     src = str(Path(lf.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_entry_point_subprocess(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "levyfield", *_CLI_ARGS,
          "--outdir", str(tmp_path)],
-        capture_output=True, text=True, timeout=120, env=env)
+        capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert "exp-derivative: PASS" in proc.stdout
+
+
+_SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script, args, csv_name", [
+    ("existence_report.py", ["--n", "100", "--masses", "5"],
+     "existence_wave_mass5.csv"),
+    ("derivative_bound_report.py", ["--n", "100", "--n-points", "16"],
+     "derivative_bound_wave_affine.csv"),
+])
+def test_report_scripts_subprocess(tmp_path, script, args, csv_name):
+    proc = subprocess.run(
+        [sys.executable, str(_SCRIPTS / script), *args,
+         "--outdir", str(tmp_path)],
+        capture_output=True, text=True, timeout=300, env=_child_env())
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    header, *rows = (tmp_path / csv_name).read_text().splitlines()
+    assert header.endswith(",pass") and rows
+    assert all(row.endswith(",true") for row in rows)
 
 
 @pytest.mark.skipif(shutil.which("levyfield") is None,
