@@ -28,11 +28,10 @@ from .malliavin import (DerivativePoint, MalliavinError, chain_rule_residual,
                         derivative_equation_residual, duality_test,
                         exp_derivative_residual, integral_functional,
                         picard_derivative_report)
-from .noise import (NoiseError, derive_rng, sample_batches, sample_prm,
-                    save_configuration)
+from .noise import NoiseError, derive_rng, sample_prm, save_configuration
 from .reporting import summarize, write_check_rows, write_csv, write_summaries
-from .solver import (SolverError, cross_solver_gaps, picard_solve,
-                     solve_forward)
+from .solver import (SolverError, cross_solver_gaps, diagnostic_batches,
+                     picard_solve, solve_forward)
 
 CHECKS = ("isometry", "chain-rule", "exp-derivative", "duality",
           "derivative-eq", "picard-derivative", "gronwall", "h2",
@@ -352,8 +351,8 @@ def _check_cross_solver(config: RunConfig) -> int:
     window = build_window(config)
     n_iter = max(config.n_iter, 10)
     rows = []
-    for batch in sample_batches(measure, window, config.seed,
-                                config.n_diagnostic):
+    for batch in diagnostic_batches(measure, window, config.seed,
+                                    config.n_diagnostic):
         atom_gaps, grid_gaps = cross_solver_gaps(batch, problem, n_iter)
         for j, gaps in enumerate(zip(atom_gaps.tolist(), grid_gaps.tolist())):
             rows.append([batch.start + j, int(batch.counts[j]), *gaps,

@@ -26,7 +26,7 @@ from .noise import (LevyMeasure, PointConfiguration, SpaceTimeWindow,
 from .reporting import (SLACK_SIGMAS, CheckRow, EstimatorSummary, summarize,
                         write_check_rows)
 from .solver import (ProblemSpec, batched_matvec, deterministic_part,
-                     evaluate_solution, iterate_moment_sums,
+                     diagnostic_batches, evaluate_solution, iterate_moment_sums,
                      pairwise_interaction_matrix, picard_iterates_at_atoms,
                      solve_forward, sup_estimate)
 
@@ -415,7 +415,8 @@ def derivative_bound_estimate(problem: ProblemSpec, measure: LevyMeasure,
         eval_points = [(window.T, 0.0)]
     per_real = np.zeros((n_realizations, n_iter, len(eval_points)))
     k_sums = None
-    for batch in sample_batches(measure, window, master_seed, n_realizations):
+    for batch in diagnostic_batches(measure, window, master_seed,
+                                    n_realizations):
         rows = slice(batch.start, batch.start + batch.n_paths)
         per_real[rows], part = _derivative_samples(
             problem, batch, n_points, n_iter, eval_points)

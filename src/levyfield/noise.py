@@ -473,12 +473,13 @@ def sample_batch(measure: LevyMeasure, window: SpaceTimeWindow,
 
 
 def sample_batches(measure: LevyMeasure, window: SpaceTimeWindow,
-                   master_seed: int, n: int):
-    """sample_batch over the realizations 0 .. n - 1, BATCH_PATHS at a
-    time."""
-    for start in range(0, n, BATCH_PATHS):
+                   master_seed: int, n: int, size: int | None = None):
+    """sample_batch over the realizations 0 .. n - 1, size (default
+    BATCH_PATHS) at a time."""
+    size = BATCH_PATHS if size is None else size
+    for start in range(0, n, size):
         yield sample_batch(measure, window, master_seed, start,
-                           min(BATCH_PATHS, n - start))
+                           min(size, n - start))
 
 
 def add_atom(config: PointConfiguration, time: float, x: float,

@@ -210,10 +210,11 @@ def pairwise_interaction_matrix(kernel: GreenKernel, target_t, target_x,
     positions broadcast against each other (one grid time with a vector of
     positions gives one grid row).  G is evaluated without a mask when
     every pair is causal.  Otherwise G is evaluated only at the causal
-    pairs, except where the times broadcast along the targets (a batch's
-    grid rows): there gathering the causal pairs from the broadcast costs
+    pairs (an atoms x atoms matrix is about half causal), except where the
+    times broadcast along the targets (a batch's grid rows, nearly all
+    causal): there gathering the causal pairs from the broadcast costs
     more than evaluating G at dt = 1 in place of dt <= 0 and zeroing those
-    entries.
+    entries.  Either way gives the same matrix bit for bit.
     """
     dt = _column(target_t) - _row(source_t)
     dx = _column(target_x) - _row(source_x)
@@ -553,6 +554,22 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
     return path, PicardDiagnostics(np.array(diffs))
 
 
+# Paths per batch in the pathwise diagnostics (existence_diagnostics,
+# derivative_bound_estimate, verify cross-solver).  Their batches are padded
+# to the longest path and hold (paths, K, K) interaction and (paths, 64, K)
+# added-point arrays, so they take a quarter of noise.BATCH_PATHS; no result
+# depends on this size beyond the rounding of the ensemble sums.
+DIAGNOSTIC_BATCH_PATHS = 256
+
+
+def diagnostic_batches(measure: LevyMeasure, window: SpaceTimeWindow,
+                       master_seed: int, n: int):
+    """sample_batches over the realizations 0 .. n - 1,
+    DIAGNOSTIC_BATCH_PATHS at a time."""
+    return sample_batches(measure, window, master_seed, n,
+                          size=DIAGNOSTIC_BATCH_PATHS)
+
+
 def cross_solver_gaps(batch: PointBatch, problem: ProblemSpec, n_iter: int):
     """(atom gaps, grid gaps), each (n_paths,): per path of a batch, the
     largest |Picard(n_iter) - forward solve| at the atoms and on the grid
@@ -710,8 +727,8 @@ def existence_diagnostics(problem: ProblemSpec, measure: LevyMeasure,
     if n_iter < 2:
         raise SolverError("need at least two iterates to difference")
     sums = None
-    for batch in sample_batches(measure, problem.window, master_seed,
-                                n_realizations):
+    for batch in diagnostic_batches(measure, problem.window, master_seed,
+                                    n_realizations):
         t, x, z = batch.padded()
         part = iterate_moment_sums(
             problem, t, x, z, picard_iterates_at_atoms(problem, t, x, z,

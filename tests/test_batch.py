@@ -252,6 +252,24 @@ def test_batched_picard_and_projection_match_dense(kernel, sigma, case):
             assert _close(grids[p, m], grid[m]), (p, m)
 
 
+@pytest.mark.parametrize("kernel", [lf.wave_kernel(), lf.heat_kernel()],
+                         ids=["wave", "heat"])
+def test_interaction_matrix_branches_agree(kernel):
+    # grid rows of a padded batch broadcast one time over the positions and
+    # take the zeroed-dummy branch; the same targets spelt out in full take
+    # the gather branch
+    batch = lf.sample_batch(lf.two_point_measure(1.0, 5.0), WINDOW, 5, 0, 30)
+    t, x, _ = batch.padded()
+    grid_x = np.linspace(-WINDOW.R, WINDOW.R, 64)
+    for tj in (0.0, 0.3, 0.7, WINDOW.T):
+        row = solver.pairwise_interaction_matrix(kernel, tj, grid_x, t, x)
+        full = solver.pairwise_interaction_matrix(
+            kernel, np.full((batch.n_paths, grid_x.size), tj),
+            np.broadcast_to(grid_x, (batch.n_paths, grid_x.size)), t, x)
+        assert row.shape == full.shape == (batch.n_paths, 64, t.shape[1])
+        assert np.array_equal(row, full), tj
+
+
 # existence_diagnostics, derivative_bound_estimate and verify cross-solver
 # at their defaults, against one dense per-path pass over the same
 # realizations.  The per-path sums go through the same report (gate) code,
@@ -388,3 +406,33 @@ def test_diagnostics_verdicts_match_per_path_reference(kind, seed,
     assert code == (0 if all(want) else 2)
     if kind == "heat":     # the heat kernel's causal chains outrun Picard(10)
         assert code == 2
+
+
+@pytest.mark.parametrize("kind", ["wave", "heat"])
+def test_diagnostics_do_not_depend_on_batch_size(kind, diagnostics_tmp,
+                                                 monkeypatch):
+    # N_PATHS in batches of 30, 30, 30 and 10 against one batch of 100
+    ex, db, code, rows = _batched(kind, 0, diagnostics_tmp)
+    monkeypatch.setattr(solver, "DIAGNOSTIC_BATCH_PATHS", 30)
+    config = lf.RunConfig(kernel=kind, seed=0)
+    problem, measure = lf.build_problem(config), lf.build_measure(config)
+    ex30 = lf.existence_diagnostics(problem, measure, N_PATHS, EXIST_ITER,
+                                    master_seed=0)
+    db30 = lf.derivative_bound_estimate(problem, measure, N_PATHS, N_POINTS,
+                                        DERIV_ITER, master_seed=0)
+    outdir = diagnostics_tmp / f"{kind}0-batch30"
+    code30 = cli.main(["verify", "cross-solver", "--kernel", kind, "--seed",
+                       "0", "--outdir", str(outdir)])
+    with open(outdir / "cross_solver.csv") as fh:
+        rows30 = list(csv.DictReader(fh))
+    for name in ("h_values", "h_stderr", "second_moment_sup"):
+        assert _close(getattr(ex30, name), getattr(ex, name)), name
+    for name in ("estimates", "stderrs", "second_moment_sup"):
+        assert _close(getattr(db30, name), getattr(db, name)), name
+    assert code30 == code and len(rows30) == len(rows)
+    for row30, row in zip(rows30, rows):   # padding changes the rounding
+        for key in ("realization", "atoms", "pass"):
+            assert row30[key] == row[key], (row["realization"], key)
+        for key in ("atom_gap", "grid_gap"):
+            assert abs(float(row30[key]) - float(row[key])) <= 1e-12, \
+                (row["realization"], key)
