@@ -42,12 +42,16 @@ def main():
     measure = lf.two_point_measure(1.0, 5.0)
     points = [(0.5, 0.0), (1.0, 0.0), (1.0, 1.0)]
 
-    rep = lf.derivative_bound_estimate(problem, measure,
-                                       n_realizations=args.n,
-                                       n_points=args.n_points,
-                                       n_iter=args.n_iter,
-                                       eval_points=points,
-                                       master_seed=args.seed)
+    try:
+        rep = lf.derivative_bound_estimate(problem, measure,
+                                           n_realizations=args.n,
+                                           n_points=args.n_points,
+                                           n_iter=args.n_iter,
+                                           eval_points=points,
+                                           master_seed=args.seed)
+    except lf.MalliavinError as exc:     # e.g. --n below 100
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     path = outdir / f"derivative_bound_{args.kernel}_{args.sigma}.csv"
     rep.to_csv(path)
 

@@ -1,6 +1,7 @@
 """Command-line verification surface.
 
-Subcommands: sample, solve, picard, moments, verify <check>.  Exit codes:
+Subcommands: sample, solve, picard, moments, verify <check>, where
+`verify all` runs every check in turn.  Exit codes:
 0 = success / check passed, 2 = check ran and failed, 1 = usage or
 configuration error.  All outputs are CSV files under the output directory
 (flag --outdir, else env LEVYFIELD_OUTDIR, else config file, else cwd).
@@ -28,10 +29,11 @@ from .malliavin import (DerivativePoint, MalliavinError, chain_rule_residual,
                         derivative_equation_residual, duality_test,
                         exp_derivative_residual, integral_functional,
                         picard_derivative_report)
-from .noise import NoiseError, derive_rng, sample_prm, save_configuration
+from .noise import (NoiseError, derive_rng, sample_batches, sample_prm,
+                    save_configuration)
 from .reporting import summarize, write_check_rows, write_csv, write_summaries
-from .solver import (SolverError, cross_solver_gaps, diagnostic_batches,
-                     picard_solve, solve_forward)
+from .solver import (SolverError, cross_solver_gaps, picard_solve,
+                     solve_forward)
 
 CHECKS = ("isometry", "chain-rule", "exp-derivative", "duality",
           "derivative-eq", "picard-derivative", "gronwall", "h2",
@@ -119,8 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("moments", parents=[common],
                    help="ensemble second moments of the solution")
     ver = sub.add_parser("verify", parents=[common],
-                         help="run one verification check")
-    ver.add_argument("check", choices=CHECKS)
+                         help="run one verification check, or all")
+    ver.add_argument("check", choices=CHECKS + ("all",))
     return parser
 
 
@@ -233,19 +235,22 @@ def _check_duality(config: RunConfig) -> int:
 def _check_pathwise(config: RunConfig, check: str, rows_of,
                     n: int | None = None) -> int:
     """The loop of the pathwise checks.  Realization i (of n, default
-    n_diagnostic) is the noise stream (seed, i) with the derivative point
-    _draw_point(config, i); rows_of(cfg, point, i) returns its CheckRows
-    and its verdict.  The worst residual is taken over gated rows."""
+    n_diagnostic) is the noise stream (seed, i), drawn by sample_batches,
+    with the derivative point _draw_point(config, i); rows_of(cfg, point,
+    i) returns its CheckRows and its verdict.  The worst residual is taken
+    over gated rows."""
     measure = build_measure(config)
     window = build_window(config)
     n = config.n_diagnostic if n is None else n
     rows = []
     ok = True
-    for i in range(n):
-        cfg = sample_prm(measure, window, (config.seed, i))
-        new_rows, passed = rows_of(cfg, _draw_point(config, i), i)
-        rows.extend(new_rows)
-        ok = ok and passed
+    for batch in sample_batches(measure, window, config.seed, n):
+        for j in range(batch.n_paths):
+            i = batch.start + j
+            new_rows, passed = rows_of(batch.path(j), _draw_point(config, i),
+                                       i)
+            rows.extend(new_rows)
+            ok = ok and passed
     out = _outpath(config, check.replace("-", "_") + ".csv")
     write_check_rows(out, rows)
     worst = max(r.residual_or_z for r in rows if r.passed is not None)
@@ -345,14 +350,14 @@ def _check_cross_solver(config: RunConfig) -> int:
     problem = build_problem(config)
     measure = build_measure(config)
     if measure.first_moment != 0.0:
-        print("cross-solver check needs a centered measure (m1 = 0)",
-              file=sys.stderr)
-        return 1
-    window = build_window(config)
+        # the forward solve is exact for m1 = 0 only
+        raise ConfigError(
+            f"cross-solver needs a centred jump measure, but m1 = "
+            f"{measure.first_moment:g}")
     n_iter = max(config.n_iter, 10)
     rows = []
-    for batch in diagnostic_batches(measure, window, config.seed,
-                                    config.n_diagnostic):
+    for batch in sample_batches(measure, build_window(config), config.seed,
+                                config.n_diagnostic):
         atom_gaps, grid_gaps = cross_solver_gaps(batch, problem, n_iter)
         for j, gaps in enumerate(zip(atom_gaps.tolist(), grid_gaps.tolist())):
             rows.append([batch.start + j, int(batch.counts[j]), *gaps,
@@ -367,6 +372,14 @@ def _check_cross_solver(config: RunConfig) -> int:
                    f"worst gap {worst:.3g}", out)
 
 
+def _check_all(config: RunConfig) -> int:
+    """Every check of CHECKS in turn; 0 when all pass, else 2."""
+    failed = [check for check in CHECKS if _CHECK_DISPATCH[check](config)]
+    print(f"all: {len(CHECKS) - len(failed)} of {len(CHECKS)} checks passed"
+          + (f"; failed: {', '.join(failed)}" if failed else ""))
+    return 2 if failed else 0
+
+
 _CHECK_DISPATCH = {
     "isometry": _check_isometry,
     "chain-rule": _check_chain_rule,
@@ -377,6 +390,7 @@ _CHECK_DISPATCH = {
     "gronwall": _check_gronwall,
     "h2": _check_h2,
     "cross-solver": _check_cross_solver,
+    "all": _check_all,
 }
 
 _COMMAND_DISPATCH = {

@@ -124,12 +124,17 @@ def ito_integral(config: PointConfiguration, h: Integrand,
 
 def ito_integrals(batch: PointBatch, h: Integrand,
                   measure: LevyMeasure | None = None) -> np.ndarray:
-    """ito_integral of every path of the batch, (n_paths,)."""
+    """ito_integral of every path of the batch, (n_paths,); h is evaluated
+    at the atoms only, never at the padding."""
     measure = measure or batch.measure
-    vals = np.asarray(h(batch.times, batch.positions), dtype=float)
+    vals = np.asarray(h(batch.times[batch.mask], batch.positions[batch.mask]),
+                      dtype=float)
     if not np.all(np.isfinite(vals)):
         raise IntegrandError(f"integrand {h.name!r} not finite at an atom")
-    total = batch.path_sums(vals * batch.jumps)
+    terms = np.zeros(batch.times.shape)
+    terms[batch.mask] = vals * batch.jumps[batch.mask]
+    # a running total per path over its atoms in time order
+    total = np.ascontiguousarray(terms.T).sum(axis=0)
     if measure.first_moment != 0.0:
         total -= measure.first_moment * window_integral(h, batch.window)
     return total

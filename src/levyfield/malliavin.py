@@ -26,7 +26,7 @@ from .noise import (LevyMeasure, PointConfiguration, SpaceTimeWindow,
 from .reporting import (SLACK_SIGMAS, CheckRow, EstimatorSummary, summarize,
                         write_check_rows)
 from .solver import (ProblemSpec, batched_matvec, deterministic_part,
-                     diagnostic_batches, evaluate_solution, iterate_moment_sums,
+                     evaluate_solution, iterate_moment_sums,
                      pairwise_interaction_matrix, picard_iterates_at_atoms,
                      solve_forward, sup_estimate)
 
@@ -261,6 +261,13 @@ def _plus_iterates(problem: ProblemSpec, z, base, at_point, M, A,
         yield plus
 
 
+# the Picard derivative recursion is exact for the difference operator, so
+# its residuals are rounding only; successive derivative iterates must
+# contract by this ratio after their peak
+RESIDUAL_TOL = 1e-12
+DECAY_RATIO = 0.9
+
+
 @dataclass
 class PicardDerivativeReport:
     """Pathwise audit of the Picard derivative recursion
@@ -279,13 +286,10 @@ class PicardDerivativeReport:
     start_zero: bool               # Du_0 == 0 exactly
     cauchy: np.ndarray             # max-atom |Du_{n+1} - Du_n|
     scale: float
-    # the recursion is exact for the difference operator: rounding only
-    residual_tol: float = 1e-12
-    decay_ratio: float = 0.9
 
     @property
     def recursion_ok(self) -> bool:
-        return bool(np.all(self.residuals <= self.residual_tol * self.scale))
+        return bool(np.all(self.residuals <= RESIDUAL_TOL * self.scale))
 
     @property
     def decay_ok(self) -> bool:
@@ -293,7 +297,7 @@ class PicardDerivativeReport:
 
         Early orders may grow while new interaction chains open up; the
         peak must arrive within the first few orders and the sequence must
-        contract (ratio <= decay_ratio, with an exact-zero floor) after it.
+        contract (ratio <= DECAY_RATIO, with an exact-zero floor) after it.
         """
         if self.cauchy.size < 2:
             return True
@@ -303,23 +307,23 @@ class PicardDerivativeReport:
             return False
         tail = self.cauchy[peak:]
         for prev, cur in zip(tail[:-1], tail[1:]):
-            if cur > max(self.decay_ratio * prev, floor):
+            if cur > max(DECAY_RATIO * prev, floor):
                 return False
         return True
 
     @property
     def passed(self) -> bool:
         return (self.start_zero and self.recursion_ok and self.decay_ok
-                and self.hand_formula_residual <= self.residual_tol * self.scale)
+                and self.hand_formula_residual <= RESIDUAL_TOL * self.scale)
 
     def rows(self):
         out = [CheckRow("picard-derivative", "n=1 hand formula", 0.0, 0.0,
                         self.hand_formula_residual, self.hand_formula_residual
-                        <= self.residual_tol * self.scale)]
+                        <= RESIDUAL_TOL * self.scale)]
         for i, r in enumerate(self.residuals):
             out.append(CheckRow("picard-derivative", f"recursion n={i + 1}",
                                 0.0, 0.0, r,
-                                bool(r <= self.residual_tol * self.scale)))
+                                bool(r <= RESIDUAL_TOL * self.scale)))
         for i, c in enumerate(self.cauchy):
             out.append(CheckRow("picard-derivative", f"cauchy n={i}",
                                 c, 0.0, c, None))
@@ -415,8 +419,8 @@ def derivative_bound_estimate(problem: ProblemSpec, measure: LevyMeasure,
         eval_points = [(window.T, 0.0)]
     per_real = np.zeros((n_realizations, n_iter, len(eval_points)))
     k_sums = None
-    for batch in diagnostic_batches(measure, window, master_seed,
-                                    n_realizations):
+    for batch in sample_batches(measure, window, master_seed,
+                                n_realizations):
         rows = slice(batch.start, batch.start + batch.n_paths)
         per_real[rows], part = _derivative_samples(
             problem, batch, n_points, n_iter, eval_points)
@@ -428,14 +432,14 @@ def derivative_bound_estimate(problem: ProblemSpec, measure: LevyMeasure,
 
 def _derivative_samples(problem: ProblemSpec, batch, n_points: int,
                         n_iter: int, eval_points):
-    """One padded batch of derivative_bound_estimate's ensemble:
+    """One batch of derivative_bound_estimate's ensemble:
     ((paths, n_iter, eval points) per-realization estimates of
     E||Du_n||^2, [sum u_m^2, sum u_m^4] on the grid).  Realization i draws
     its derivative points from its own stream (master_seed, i, 1)."""
     kernel, sigma = problem.kernel, problem.sigma
     window = problem.window
     zq, wq = atomic_decomposition(batch.measure)
-    t, x, z = batch.padded()
+    t, x, z = batch.times, batch.positions, batch.jumps
     pts_t = np.empty((batch.n_paths, n_points))
     pts_x = np.empty_like(pts_t)
     for j in range(batch.n_paths):

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -330,85 +329,65 @@ def sample_prm(measure: LevyMeasure, window: SpaceTimeWindow,
                               window, measure, label)
 
 
-# Paths per batch in the ensembles: a batch of 1024 paths of about 20 atoms
-# holds a few MB of per-atom arrays, and no result depends on this size.
-BATCH_PATHS = 1024
+# Paths per batch in every ensemble.  Rows are padded to the longest path,
+# K atoms, and the diagnostics hold (paths, K, K) interaction and
+# (paths, 64, K) added-point arrays: at 256 paths of about 20 atoms (K about
+# 35) derivative_bound_estimate peaks at about 31 MB of arrays.  No result
+# depends on this size beyond the rounding of the ensemble sums.
+BATCH_PATHS = 256
 
 
 @dataclass(frozen=True)
 class PointBatch:
-    """Realizations start .. start + n - 1 of the streams (master_seed, i),
-    in CSR form: path j owns atoms offsets[j]:offsets[j + 1] of the
-    concatenated times, positions and jumps, in time order.  Path j is
-    sample_prm(measure, window, (master_seed, start + j)) atom for atom.
-    Arrays are read-only.
+    """Realizations start .. start + n_paths - 1 of the streams
+    (master_seed, i), one row per path: row j of times, positions and jumps
+    (n_paths, K) holds path j's counts[j] atoms in time order, then padding
+    atoms at time T, position 0, with jump 0, K the longest path's count.
+    No atom or grid time of the window comes after a padding atom, so it is
+    never a source, and its zero jump adds nothing to any sum.  mask is
+    true at the atoms.  Path j is sample_prm(measure, window,
+    (master_seed, start + j)) atom for atom.  Arrays are read-only.
     """
 
-    offsets: np.ndarray
     times: np.ndarray
     positions: np.ndarray
     jumps: np.ndarray
+    counts: np.ndarray
     window: SpaceTimeWindow
     measure: LevyMeasure
     master_seed: int
     start: int
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        counts = np.diff(self.offsets)
-        if self.offsets[0] != 0 or np.any(counts < 0) \
-                or not (self.times.size == self.positions.size
-                        == self.jumps.size == self.offsets[-1]):
-            raise NoiseError("batch offsets do not match its atom arrays")
-        for name in ("offsets", "times", "positions", "jumps"):
+        shape = self.times.shape
+        if len(shape) != 2 or self.counts.shape != shape[:1] \
+                or self.positions.shape != shape \
+                or self.jumps.shape != shape or np.any(self.counts < 0) \
+                or shape[1] != self.counts.max(initial=0):
+            raise NoiseError("batch counts do not match its atom arrays")
+        mask = np.arange(shape[1]) < self.counts[:, None]
+        if np.any((self.jumps == 0.0) == mask) \
+                or np.any(self.times[~mask] != self.window.T) \
+                or np.any(self.positions[~mask] != 0.0):
+            raise NoiseError("batch row j must hold counts[j] atoms with "
+                             "nonzero jumps, then padding atoms (T, 0, 0)")
+        object.__setattr__(self, "mask", mask)
+        for name in ("times", "positions", "jumps", "counts", "mask"):
             getattr(self, name).flags.writeable = False
 
     @property
     def n_paths(self) -> int:
-        return int(self.offsets.size - 1)
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-    @cached_property
-    def path_index(self) -> np.ndarray:
-        """The path of each atom."""
-        return np.repeat(np.arange(self.n_paths), self.counts)
-
-    def path_sums(self, values) -> np.ndarray:
-        """Per-path sums of per-atom values, 0 for a path without atoms."""
-        return np.bincount(self.path_index, weights=values,
-                           minlength=self.n_paths)
-
-    @cached_property
-    def pad_mask(self) -> np.ndarray:
-        """(n_paths, K) mask, K the longest path's atom count: row j is true
-        at path j's atoms."""
-        return np.arange(self.counts.max(initial=0)) < self.counts[:, None]
-
-    def pad(self, values, fill=0.0) -> np.ndarray:
-        """Per-atom values as an (n_paths, K) array: row j holds path j's
-        values in time order, then fill."""
-        out = np.full(self.pad_mask.shape, fill, dtype=float)
-        out[self.pad_mask] = values
-        return out
-
-    def padded(self):
-        """(times, positions, jumps) in the padded (n_paths, K) layout.  A
-        padding atom sits at time T, position 0, with jump 0: no atom or
-        grid time of the window comes after it, so it is never a source,
-        and its zero jump adds nothing to any sum."""
-        return (self.pad(self.times, self.window.T), self.pad(self.positions),
-                self.pad(self.jumps))
+        return int(self.counts.size)
 
     def seed(self, j: int):
         return (self.master_seed, self.start + j)
 
     def path(self, j: int) -> PointConfiguration:
-        a, b = self.offsets[j], self.offsets[j + 1]
-        return PointConfiguration(self.times[a:b], self.positions[a:b],
-                                  self.jumps[a:b], self.window, self.measure,
-                                  self.seed(j))
+        k = self.counts[j]
+        return PointConfiguration(self.times[j, :k], self.positions[j, :k],
+                                  self.jumps[j, :k], self.window,
+                                  self.measure, self.seed(j))
 
 
 def sample_batch(measure: LevyMeasure, window: SpaceTimeWindow,
@@ -416,11 +395,12 @@ def sample_batch(measure: LevyMeasure, window: SpaceTimeWindow,
     """The realizations (master_seed, start + j), j < n, as one PointBatch.
 
     Each path draws from its own stream in sample_prm's order: the atom
-    count, the times, the positions, the jumps.  The checks of sample_prm
-    and PointConfiguration run once over the whole batch; a path that
-    fails them (a tie or a boundary time, probability zero) is drawn again
-    by sample_prm itself, whose re-draws consume its stream before the
-    positions.
+    count, the times, the positions, the jumps.  The atoms are drawn
+    concatenated, path after path, and the checks of sample_prm and
+    PointConfiguration run once over all of them; a path that fails them
+    (a tie or a boundary time, probability zero) is drawn again by
+    sample_prm itself, whose re-draws consume its stream before the
+    positions.  Then the paths are padded into rows.
     """
     lam = measure.total_mass * window.volume
     per_jump = _UNIFORMS_PER_JUMP.get(measure.kind, 0)
@@ -466,20 +446,24 @@ def sample_batch(measure: LevyMeasure, window: SpaceTimeWindow,
                                            cfg.jumps)):
                 seg[j] = arr
             counts[j] = cfg.n_atoms
-        offsets = np.concatenate([[0], np.cumsum(counts)])
         times, positions, jumps = (np.concatenate(seg) for seg in segments)
-    return PointBatch(offsets, times, positions, jumps, window, measure,
-                      master_seed, start)
+
+    mask = np.arange(counts.max(initial=0)) < counts[:, None]
+    rows = []
+    for values, fill in ((times, window.T), (positions, 0.0), (jumps, 0.0)):
+        row = np.full(mask.shape, fill)
+        row[mask] = values
+        rows.append(row)
+    return PointBatch(*rows, counts, window, measure, master_seed, start)
 
 
 def sample_batches(measure: LevyMeasure, window: SpaceTimeWindow,
-                   master_seed: int, n: int, size: int | None = None):
-    """sample_batch over the realizations 0 .. n - 1, size (default
-    BATCH_PATHS) at a time."""
-    size = BATCH_PATHS if size is None else size
-    for start in range(0, n, size):
+                   master_seed: int, n: int):
+    """sample_batch over the realizations 0 .. n - 1, BATCH_PATHS at a
+    time."""
+    for start in range(0, n, BATCH_PATHS):
         yield sample_batch(measure, window, master_seed, start,
-                           min(size, n - start))
+                           min(BATCH_PATHS, n - start))
 
 
 def add_atom(config: PointConfiguration, time: float, x: float,

@@ -279,22 +279,23 @@ def evaluate_solution(path: SolutionPath, t: float, x: float) -> float:
 def evaluate_batch(batch: PointBatch, problem: ProblemSpec, atom_values,
                    t: float, x: float) -> np.ndarray:
     """evaluate_solution at (t, x) for every path of a batch, (n_paths,),
-    from the atom values of solve_batch.  A path with a non-finite atom
-    value before t gets a non-finite value."""
+    from the (n_paths, K) atom values of solve_batch.  A path with a
+    non-finite atom value before t gets a non-finite value."""
     if batch.measure.first_moment != 0.0:
         raise MissingFieldError("m1 != 0 evaluation needs grid values")
-    mask = batch.times < t
-    terms = np.zeros(batch.times.size)
+    mask = batch.mask & (batch.times < t)
+    terms = np.zeros(batch.times.shape)
     terms[mask] = problem.kernel.evaluate(
         t - batch.times[mask], x - batch.positions[mask]) \
         * problem.sigma(np.asarray(atom_values)[mask]) * batch.jumps[mask]
-    return deterministic_part(problem, t, x) + batch.path_sums(terms)
+    # a running total per path over its atoms in time order
+    return deterministic_part(problem, t, x) \
+        + np.ascontiguousarray(terms.T).sum(axis=0)
 
 
 def _grid_blocks(problem: ProblemSpec, times, positions):
     """(k_j, block) for each grid time t_j.  times and positions are one
-    path's time-sorted atoms (k,) or a padded batch's (P, K)
-    (PointBatch.padded).  The atoms before t_j are a prefix of each path,
+    path's time-sorted atoms (k,) or a PointBatch's rows (P, K).  The atoms before t_j are a prefix of each path,
     k_j atoms long in the longest, and block is their (..., n_x, k_j)
     kernel block G(t_j - t_i, x_l - x_i), zero after each path's prefix;
     block is None where no atom comes before t_j."""
@@ -419,34 +420,33 @@ def solve_forward(config: PointConfiguration, problem: ProblemSpec,
 
 
 def solve_batch(batch: PointBatch, problem: ProblemSpec) -> np.ndarray:
-    """solve_forward's atom values for every path of a batch, concatenated
-    like the batch's atoms; m1 = 0 only.
+    """solve_forward's atom values for every path of a batch, (n_paths, K)
+    like the batch's rows, 0 at the padding atoms; m1 = 0 only.
 
-    Forward substitution by atom rank: step k solves atom k of every path
-    with more than k atoms from that path's k earlier atoms, gathered as
-    one (paths, k) block, so a batch takes as many steps as its longest
-    path has atoms.  For many short paths; solve_forward stays the solver
-    of one long path.
+    Forward substitution by atom rank over the rows sorted by decreasing
+    atom count: step k solves atom k of the a paths with more than k atoms
+    from their k earlier atoms, the (a, k) prefix of the sorted rows, so a
+    batch takes as many steps as its longest path has atoms.  For many
+    short paths; solve_forward stays the solver of one long path.
     """
     if batch.measure.first_moment != 0.0:
         raise SolverError("solve_batch requires m1 = 0; use picard_solve")
-    t, x, z = batch.times, batch.positions, batch.jumps
-    u = np.array(deterministic_part(problem, t, x), dtype=float, ndmin=1)
-    sigz = np.empty_like(u)
-    counts = batch.counts
-    by_count = np.argsort(-counts, kind="stable")
-    first = batch.offsets[:-1][by_count]     # paths by decreasing length
-    neg_counts = -counts[by_count]
-    for k in range(int(counts.max(initial=0))):
-        n_active = int(np.searchsorted(neg_counts, -k))  # paths with > k
-        at = first[:n_active] + k
+    by_count = np.argsort(-batch.counts, kind="stable")
+    t, x, z = (a[by_count] for a in (batch.times, batch.positions,
+                                     batch.jumps))
+    # active[k]: the number of paths with more than k atoms
+    active = np.searchsorted(-batch.counts[by_count], -np.arange(t.shape[1]))
+    u = np.array(deterministic_part(problem, t, x), dtype=float, ndmin=2)
+    sigz = np.zeros_like(u)
+    for k, a in enumerate(active.tolist()):
         if k:
-            src = first[:n_active, None] + np.arange(k)
-            G = problem.kernel.evaluate(t[at, None] - t[src],
-                                        x[at, None] - x[src])
-            u[at] += np.sum(G * sigz[src], axis=1)
-        sigz[at] = problem.sigma(u[at]) * z[at]
-    return u
+            G = problem.kernel.evaluate(t[:a, k, None] - t[:a, :k],
+                                        x[:a, k, None] - x[:a, :k])
+            u[:a, k] += np.sum(G * sigz[:a, :k], axis=1)
+        sigz[:a, k] = problem.sigma(u[:a, k]) * z[:a, k]
+    out = np.empty_like(u)
+    out[by_count] = u
+    return np.where(batch.mask, out, 0.0)
 
 
 def mild_residual(path: SolutionPath) -> float:
@@ -474,7 +474,7 @@ class PicardDiagnostics:
 def picard_iterates_at_atoms(problem: ProblemSpec, times, positions, jumps,
                              n_iter: int, M=None):
     """Atom-value Picard iterates [u_0, ..., u_n] for m1 = 0, of one path's
-    atoms (k,) or of a padded batch's (P, K) (PointBatch.padded), with one
+    atoms (k,) or of a PointBatch's rows (P, K), with one
     (batched) matrix-vector product per iterate.  M is the atoms'
     interaction matrix, when the caller already holds it."""
     if M is None:
@@ -554,31 +554,15 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
     return path, PicardDiagnostics(np.array(diffs))
 
 
-# Paths per batch in the pathwise diagnostics (existence_diagnostics,
-# derivative_bound_estimate, verify cross-solver).  Their batches are padded
-# to the longest path and hold (paths, K, K) interaction and (paths, 64, K)
-# added-point arrays, so they take a quarter of noise.BATCH_PATHS; no result
-# depends on this size beyond the rounding of the ensemble sums.
-DIAGNOSTIC_BATCH_PATHS = 256
-
-
-def diagnostic_batches(measure: LevyMeasure, window: SpaceTimeWindow,
-                       master_seed: int, n: int):
-    """sample_batches over the realizations 0 .. n - 1,
-    DIAGNOSTIC_BATCH_PATHS at a time."""
-    return sample_batches(measure, window, master_seed, n,
-                          size=DIAGNOSTIC_BATCH_PATHS)
-
-
 def cross_solver_gaps(batch: PointBatch, problem: ProblemSpec, n_iter: int):
     """(atom gaps, grid gaps), each (n_paths,): per path of a batch, the
     largest |Picard(n_iter) - forward solve| at the atoms and on the grid
     (solve_batch, and Picard projecting sigma of its last but one
     iterate, as picard_solve does); m1 = 0, n_iter >= 1."""
-    t, x, z = batch.padded()
-    exact = batch.pad(solve_batch(batch, problem))
+    t, x, z = batch.times, batch.positions, batch.jumps
+    exact = solve_batch(batch, problem)
     approx = picard_iterates_at_atoms(problem, t, x, z, n_iter)
-    atom_gaps = np.max(np.where(batch.pad_mask, np.abs(approx[-1] - exact),
+    atom_gaps = np.max(np.where(batch.mask, np.abs(approx[-1] - exact),
                                 0.0), axis=-1, initial=0.0)
     coefs = np.stack([problem.sigma(approx[-2]) * z,
                       problem.sigma(exact) * z], axis=1)
@@ -727,9 +711,9 @@ def existence_diagnostics(problem: ProblemSpec, measure: LevyMeasure,
     if n_iter < 2:
         raise SolverError("need at least two iterates to difference")
     sums = None
-    for batch in diagnostic_batches(measure, problem.window, master_seed,
-                                    n_realizations):
-        t, x, z = batch.padded()
+    for batch in sample_batches(measure, problem.window, master_seed,
+                                n_realizations):
+        t, x, z = batch.times, batch.positions, batch.jumps
         part = iterate_moment_sums(
             problem, t, x, z, picard_iterates_at_atoms(problem, t, x, z,
                                                        n_iter),

@@ -1,5 +1,5 @@
-"""The batch engine: CSR sampling, forward solves by atom rank, per-path
-sums, and the padded Picard and grid projection of the ensemble
+"""The batch engine: padded-row sampling, forward solves by atom rank,
+per-path sums, and the batched Picard and grid projection of the ensemble
 diagnostics, each against its one-path counterpart."""
 
 import csv
@@ -95,8 +95,8 @@ def test_tied_path_is_drawn_again_by_sample_prm(monkeypatch):
 
 def _concat(batches):
     batches = list(batches)
-    return (np.concatenate([b.times for b in batches]),
-            np.concatenate([b.jumps for b in batches]),
+    return (np.concatenate([b.times[b.mask] for b in batches]),
+            np.concatenate([b.jumps[b.mask] for b in batches]),
             np.concatenate([b.counts for b in batches]))
 
 
@@ -109,7 +109,7 @@ def test_paths_do_not_depend_on_batch_size(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), size
     longer = lf.sample_batch(measure, WINDOW, 8, 0, 200)
     n = int(want[2].sum())
-    assert np.array_equal(longer.times[:n], want[0])
+    assert np.array_equal(longer.times[longer.mask][:n], want[0])
     tail = lf.sample_batch(measure, WINDOW, 8, 100, 50)
     for j in range(50):
         assert _same_atoms(tail.path(j), longer.path(100 + j))
@@ -129,9 +129,10 @@ def test_solve_batch_matches_solve_forward(kernel, sigma):
     batch = lf.sample_batch(measure, WINDOW, 3, 0, 120)
     u = lf.solve_batch(batch, problem)
     assert u.shape == batch.times.shape
+    assert np.all(u[~batch.mask] == 0.0)
     for j in range(batch.n_paths):
         path = lf.solve_forward(batch.path(j), problem, with_grid=False)
-        got = u[batch.offsets[j]:batch.offsets[j + 1]]
+        got = u[j, :batch.counts[j]]
         want = path.atom_values
         assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want))), j
         mine = lf.SolutionPath(batch.path(j), problem, got, solver="batch")
@@ -150,6 +151,119 @@ def test_solve_batch_empty_paths(wave_problem):
     assert empty.any()
     w = lf.deterministic_part(wave_problem, 1.0, 0.5)
     assert np.all(vals[empty] == w)
+
+
+@pytest.mark.parametrize("name", ["two_point", "low_mass"])
+def test_point_batch_padding_convention(name):
+    batch = lf.sample_batch(MEASURES[name], WINDOW, 9, 0, 300)
+    K = int(batch.counts.max())
+    assert batch.times.shape == batch.positions.shape == batch.jumps.shape \
+        == batch.mask.shape == (300, K)
+    assert np.array_equal(batch.mask, np.arange(K) < batch.counts[:, None])
+    pad = ~batch.mask
+    assert pad.any()
+    assert np.all(batch.times[pad] == WINDOW.T)
+    assert np.all(batch.positions[pad] == 0.0)
+    assert np.all(batch.jumps[pad] == 0.0)
+    assert np.all(batch.times[batch.mask] < WINDOW.T)
+    assert np.all(batch.jumps[batch.mask] != 0.0)
+    for field in ("times", "positions", "jumps", "counts", "mask"):
+        arr = getattr(batch, field)
+        assert not arr.flags.writeable, field
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+def _rebuilt(batch, **arrays):
+    """batch's PointBatch from copies of its arrays, some replaced."""
+    fields = {name: np.array(getattr(batch, name))
+              for name in ("times", "positions", "jumps", "counts")}
+    fields.update(arrays)
+    return noise.PointBatch(fields["times"], fields["positions"],
+                            fields["jumps"], fields["counts"], batch.window,
+                            batch.measure, batch.master_seed, batch.start)
+
+
+def test_point_batch_rejects_bad_padding_and_counts():
+    batch = lf.sample_batch(MEASURES["two_point"], WINDOW, 9, 0, 20)
+    assert _rebuilt(batch).path(3).n_atoms == batch.counts[3]
+    short, long = int(np.argmin(batch.counts)), int(np.argmax(batch.counts))
+    k = int(batch.counts[short])
+    assert k < batch.counts[long]
+    for name, value in (("times", 0.5), ("positions", 0.1), ("jumps", 1.0)):
+        arr = np.array(getattr(batch, name))
+        arr[short, k] = value
+        with pytest.raises(lf.NoiseError, match="padding"):
+            _rebuilt(batch, **{name: arr})
+    for j, step in ((short, 1), (short, -1), (long, -1)):
+        counts = np.array(batch.counts)
+        counts[j] += step
+        with pytest.raises(lf.NoiseError):
+            _rebuilt(batch, counts=counts)
+    with pytest.raises(lf.NoiseError, match="counts"):
+        _rebuilt(batch, counts=batch.counts[:-1])
+    wider = {name: np.pad(getattr(batch, name), ((0, 0), (0, 1)),
+                          constant_values=fill)
+             for name, fill in (("times", WINDOW.T), ("positions", 0.0),
+                                ("jumps", 0.0))}
+    with pytest.raises(lf.NoiseError, match="counts"):
+        _rebuilt(batch, **wider)
+
+
+EMPTY_CASES = {"empty_paths": (MEASURES["low_mass"], 60),
+               "all_empty": (lf.two_point_measure(1.0, 0.0), 5)}
+
+
+@pytest.mark.parametrize("kernel", [lf.wave_kernel(), lf.heat_kernel()],
+                         ids=["wave", "heat"])
+@pytest.mark.parametrize("case", sorted(EMPTY_CASES))
+def test_batch_operations_match_per_path_with_empty_paths(kernel, case):
+    measure, n = EMPTY_CASES[case]
+    batch = lf.sample_batch(measure, WINDOW, 4, 0, n)
+    assert np.any(batch.counts == 0)
+    if case == "all_empty":
+        assert batch.times.shape == (n, 0)
+    problem = _problem(kernel, "sin")
+    u = lf.solve_batch(batch, problem)
+    assert u.shape == batch.times.shape
+    vals = lf.ito_integrals(batch, cli.H_SMOOTH)
+    evals = {(t, x): lf.evaluate_batch(batch, problem, u, t, x)
+             for t, x in ((1.0, 0.0), (0.5, -1.0))}
+    for j in range(n):
+        cfg = batch.path(j)
+        path = lf.solve_forward(cfg, problem, with_grid=False)
+        want = path.atom_values
+        assert np.all(np.abs(u[j, :cfg.n_atoms] - want)
+                      <= 1e-13 * (1.0 + np.abs(want))), j
+        for (t, x), got in evals.items():
+            ref = lf.evaluate_solution(path, t, x)
+            assert abs(got[j] - ref) <= 1e-13 * (1.0 + abs(ref)), (j, t)
+        ref = lf.ito_integral(cfg, cli.H_SMOOTH)
+        assert abs(vals[j] - ref) <= 1e-13 * (1.0 + abs(ref)), j
+
+
+def test_padding_atoms_never_reach_h_or_sigma():
+    batch = lf.sample_batch(MEASURES["low_mass"], WINDOW, 2, 0, 50)
+    n_atoms = int(batch.counts.sum())
+    seen = []
+
+    def logged(u):
+        seen.append(np.array(u, ndmin=1))
+        return np.sin(u)
+
+    problem = lf.ProblemSpec(kernel=lf.heat_kernel(),
+                             sigma=lf.custom_map(logged, 1.0, "logged"),
+                             ic_kind="cosine", window=WINDOW)
+    seen.clear()
+    u = lf.solve_batch(batch, problem)
+    assert sum(a.size for a in seen) == n_atoms
+    seen.clear()
+    lf.evaluate_batch(batch, problem, u, WINDOW.T, 0.0)
+    assert sum(a.size for a in seen) == n_atoms     # every atom is before T
+    seen.clear()
+    lf.ito_integrals(batch, lf.Integrand(
+        lambda t, x: logged(t) + np.where(t < WINDOW.T, 0.0, np.nan), "t"))
+    assert np.array_equal(np.concatenate(seen), batch.times[batch.mask])
 
 
 def test_solve_batch_refuses_compensated_measure(wave_problem):
@@ -234,7 +348,7 @@ def test_batched_picard_and_projection_match_dense(kernel, sigma, case):
         assert np.any(batch.counts == 0)
     if case == "one_long_path":
         assert batch.counts[0] > 900
-    t, x, z = batch.padded()
+    t, x, z = batch.times, batch.positions, batch.jumps
     iterates = solver.picard_iterates_at_atoms(problem, t, x, z, n_iter)
     coefs = np.zeros((batch.n_paths, n_iter + 1, t.shape[1]))
     for m in range(1, n_iter + 1):
@@ -255,11 +369,11 @@ def test_batched_picard_and_projection_match_dense(kernel, sigma, case):
 @pytest.mark.parametrize("kernel", [lf.wave_kernel(), lf.heat_kernel()],
                          ids=["wave", "heat"])
 def test_interaction_matrix_branches_agree(kernel):
-    # grid rows of a padded batch broadcast one time over the positions and
+    # grid rows of a batch broadcast one time over the positions and
     # take the zeroed-dummy branch; the same targets spelt out in full take
     # the gather branch
     batch = lf.sample_batch(lf.two_point_measure(1.0, 5.0), WINDOW, 5, 0, 30)
-    t, x, _ = batch.padded()
+    t, x = batch.times, batch.positions
     grid_x = np.linspace(-WINDOW.R, WINDOW.R, 64)
     for tj in (0.0, 0.3, 0.7, WINDOW.T):
         row = solver.pairwise_interaction_matrix(kernel, tj, grid_x, t, x)
@@ -413,7 +527,7 @@ def test_diagnostics_do_not_depend_on_batch_size(kind, diagnostics_tmp,
                                                  monkeypatch):
     # N_PATHS in batches of 30, 30, 30 and 10 against one batch of 100
     ex, db, code, rows = _batched(kind, 0, diagnostics_tmp)
-    monkeypatch.setattr(solver, "DIAGNOSTIC_BATCH_PATHS", 30)
+    monkeypatch.setattr(noise, "BATCH_PATHS", 30)
     config = lf.RunConfig(kernel=kind, seed=0)
     problem, measure = lf.build_problem(config), lf.build_measure(config)
     ex30 = lf.existence_diagnostics(problem, measure, N_PATHS, EXIST_ITER,

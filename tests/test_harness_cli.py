@@ -186,6 +186,22 @@ def test_cli_failed_realization_is_error(tmp_path, capsys):
     assert not (tmp_path / "second_moments.csv").exists()
 
 
+def test_cli_cross_solver_refuses_compensated_measure(tmp_path, capsys,
+                                                     monkeypatch):
+    # a configuration error like `moments`, raised before any path is drawn
+    def no_draws(*args):
+        raise AssertionError("cross-solver drew realizations")
+
+    monkeypatch.setattr(cli, "sample_batches", no_draws)
+    assert cli.main(["verify", "cross-solver", "--noise", "gaussian",
+                     "--noise-mean", "0.5", "--outdir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: cross-solver needs a centred jump "
+                            "measure, but m1 = 2.5\n")
+    assert captured.out == ""
+    assert not (tmp_path / "cross_solver.csv").exists()
+
+
 def test_cli_picard_derivative_needs_an_iteration(tmp_path, capsys):
     assert cli.main(["verify", "picard-derivative", "--n-iter", "0",
                      "--outdir", str(tmp_path)]) == 1
@@ -261,7 +277,7 @@ def test_cli_picard_compensated(tmp_path, capsys):
 
 
 def test_cli_moments_batch_size_invariance(tmp_path, capsys, monkeypatch):
-    a, b = tmp_path / "b1024", tmp_path / "b7"
+    a, b = tmp_path / "default", tmp_path / "b7"
     assert cli.main(["moments", "--n", "40", "--outdir", str(a)]) == 0
     monkeypatch.setattr(lf.noise, "BATCH_PATHS", 7)
     assert cli.main(["moments", "--n", "40", "--outdir", str(b)]) == 0
@@ -283,6 +299,24 @@ def test_cli_cross_solver_check(tmp_path, capsys):
     capsys.readouterr()
     header = (tmp_path / "cross_solver.csv").read_text().splitlines()[0]
     assert header.split(",")[0] == "realization"
+
+
+@pytest.mark.parametrize("kernel, code, failed", [
+    ("wave", 0, ""),
+    ("heat", 2, "; failed: picard-derivative, cross-solver")])
+def test_cli_verify_all(tmp_path, capsys, kernel, code, failed):
+    assert "all" not in cli.CHECKS
+    assert cli.main(["verify", "all", "--kernel", kernel, "--n", "500",
+                     "--n-diagnostic", "10", "--outdir", str(tmp_path)]) \
+        == code
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [*cli.CHECKS, "all"]
+    n_passed = len(cli.CHECKS) - failed.count(",") - bool(failed)
+    assert lines[-1] == f"all: {n_passed} of {len(cli.CHECKS)} checks " \
+        f"passed{failed}"
+    for name in ("isometry.csv", "chain_rule.csv", "h2_heat.csv",
+                 "gronwall_bound.csv", "cross_solver.csv"):
+        assert (tmp_path / name).exists(), name
 
 
 def test_cli_derivative_eq_lipschitz_sigma(tmp_path, capsys):
@@ -352,12 +386,19 @@ _SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
      "existence_wave_mass5.csv"),
     ("derivative_bound_report.py", ["--n", "100", "--n-points", "16"],
      "derivative_bound_wave_affine.csv"),
+    # too few realizations: a one-line usage error, no traceback
+    ("derivative_bound_report.py", ["--n", "50"], None),
 ])
 def test_report_scripts_subprocess(tmp_path, script, args, csv_name):
     proc = subprocess.run(
         [sys.executable, str(_SCRIPTS / script), *args,
          "--outdir", str(tmp_path)],
         capture_output=True, text=True, timeout=300, env=_child_env())
+    if csv_name is None:
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stderr == ("error: derivative bound needs at least 100 "
+                               "realizations\n")
+        return
     assert proc.returncode == 0, proc.stdout + proc.stderr
     header, *rows = (tmp_path / csv_name).read_text().splitlines()
     assert header.endswith(",pass") and rows

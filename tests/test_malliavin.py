@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import levyfield as lf
-from levyfield import MalliavinError
+from levyfield import MalliavinError, malliavin
 
 from conftest import assert_close, make_empty_config
 
@@ -240,7 +240,7 @@ def test_picard_derivative_report(window, busy_noise, wave_problem):
         rep = lf.picard_derivative_report(wave_problem, cfg, pt, n_iter=8)
         assert rep.start_zero
         assert rep.hand_formula_residual <= 1e-12 * rep.scale
-        assert max(rep.residuals) <= rep.residual_tol * rep.scale
+        assert max(rep.residuals) <= malliavin.RESIDUAL_TOL * rep.scale
         assert rep.passed
 
 
