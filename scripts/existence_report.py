@@ -39,10 +39,14 @@ def main():
     all_ok = True
     for mass in args.masses:
         measure = lf.two_point_measure(1.0, mass)
-        rep = lf.existence_diagnostics(problem, measure,
-                                       n_realizations=args.n,
-                                       n_iter=args.n_iter,
-                                       master_seed=args.seed)
+        try:
+            rep = lf.existence_diagnostics(problem, measure,
+                                           n_realizations=args.n,
+                                           n_iter=args.n_iter,
+                                           master_seed=args.seed)
+        except lf.SolverError as exc:    # e.g. --n-iter below 2
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         path = outdir / f"existence_{args.kernel}_mass{mass:g}.csv"
         rep.to_csv(path)
         contraction = measure.second_moment * problem.sigma.lipschitz ** 2 \

@@ -209,12 +209,17 @@ def pairwise_interaction_matrix(kernel: GreenKernel, target_t, target_x,
     (P, n, k), one block per path of a padded batch.  Target times and
     positions broadcast against each other (one grid time with a vector of
     positions gives one grid row).  G is evaluated without a mask when
-    every pair is causal.  Otherwise G is evaluated only at the causal
-    pairs (an atoms x atoms matrix is about half causal), except where the
-    times broadcast along the targets (a batch's grid rows, nearly all
-    causal): there gathering the causal pairs from the broadcast costs
-    more than evaluating G at dt = 1 in place of dt <= 0 and zeroing those
-    entries.  Either way gives the same matrix bit for bit.
+    every pair is causal.  Otherwise it is either evaluated at dt = 1 in
+    place of dt <= 0 and those entries zeroed, or evaluated only at the
+    gathered causal pairs; both give the same matrix bit for bit.  Zeroing
+    is taken where at least 3/4 of the pairs are causal (a causal row
+    block of atoms, b rows over the r >> b atoms before it) or where the
+    times broadcast along the targets (a batch's grid rows, where gathering
+    from the broadcast costs more).  An atoms x atoms matrix is about half
+    causal, and there gathering is faster.  Measured on one 4094-atom path
+    (2 cores, ms per 4094 target rows, zero / gather): half causal, wave
+    367 / 335 and heat 631 / 391; 3/4 causal, wave 379 / 405 and heat
+    492 / 523; 64-row blocks, wave 155 / 190 and heat 210 / 291.
     """
     dt = _column(target_t) - _row(source_t)
     dx = _column(target_x) - _row(source_x)
@@ -222,7 +227,8 @@ def pairwise_interaction_matrix(kernel: GreenKernel, target_t, target_x,
         return kernel.evaluate(dt, dx)
     shape = np.broadcast_shapes(dt.shape, dx.shape)
     causal = dt > 0.0
-    if dt.size < math.prod(shape):
+    if dt.size < math.prod(shape) \
+            or 4 * np.count_nonzero(causal) >= 3 * dt.size:
         out = kernel.evaluate(np.where(causal, dt, 1.0), dx)
         out *= causal
         return out
@@ -306,6 +312,28 @@ def _grid_blocks(problem: ProblemSpec, times, positions):
         yield kj, pairwise_interaction_matrix(
             problem.kernel, tj, grid_x, times[..., :kj],
             positions[..., :kj]) if kj else None
+
+
+# target atoms per causal row block of _atom_blocks.  On one path of 1000
+# and of 4000 atoms, 32 to 64 rows ran Picard-8 and the forward solve
+# fastest; at 64 a padded batch of the default noise (K about 20 to 40)
+# is one block.
+ATOM_BLOCK_ROWS = 64
+
+
+def _atom_blocks(kernel: GreenKernel, times, positions):
+    """(r0, r1, G) over causal row blocks of time-sorted atoms, one path's
+    (n,) or a PointBatch's rows (P, K): G is the (..., r1 - r0, r1) block
+    G(t_i - t_j, x_i - x_j) of targets r0 <= i < r1 over the sources
+    j < r1, zero where t_j >= t_i.  Atom i only sees atoms before it, so
+    these blocks hold every nonzero entry of the atoms' interaction
+    matrix, ATOM_BLOCK_ROWS target rows at a time."""
+    n = times.shape[-1]
+    for r0 in range(0, n, ATOM_BLOCK_ROWS):
+        r1 = min(r0 + ATOM_BLOCK_ROWS, n)
+        yield r0, r1, pairwise_interaction_matrix(
+            kernel, times[..., r0:r1], positions[..., r0:r1],
+            times[..., :r1], positions[..., :r1])
 
 
 def grid_projection(problem: ProblemSpec, times, positions, coefs,
@@ -395,23 +423,25 @@ def solve_forward(config: PointConfiguration, problem: ProblemSpec,
 
     Only valid when the jump measure is compensator-free (m1 = 0); otherwise
     the solution is not a finite jump sum and picard_solve must be used.
+
+    Blocked over _atom_blocks: a block's rows first take the atoms before
+    it with one matrix-vector product, then are solved one atom at a time
+    from the earlier atoms of the block.  Each block is built once and
+    dropped, so memory is ATOM_BLOCK_ROWS x n_atoms, never n_atoms^2.
     """
     if config.measure.first_moment != 0.0:
         raise SolverError("solve_forward requires m1 = 0; use picard_solve")
-    kernel, sigma = problem.kernel, problem.sigma
+    sigma = problem.sigma
     t, x, z = config.times, config.positions, config.jumps
-    n = config.n_atoms
-    w = np.atleast_1d(np.asarray(deterministic_part(problem, t, x),
-                                 dtype=float))
-    u = np.empty(n)
-    sigz = np.empty(n)
-    for k in range(n):
-        if k == 0:
-            u[k] = w[k]
-        else:
-            row = kernel.evaluate(t[k] - t[:k], x[k] - x[:k])
-            u[k] = w[k] + float(np.dot(np.atleast_1d(row), sigz[:k]))
-        sigz[k] = sigma(u[k]) * z[k]
+    u = np.array(deterministic_part(problem, t, x), dtype=float, ndmin=1)
+    sigz = np.empty(config.n_atoms)
+    for r0, r1, G in _atom_blocks(problem.kernel, t, x):
+        if r0:
+            u[r0:r1] += G[:, :r0] @ sigz[:r0]
+        for i, k in enumerate(range(r0, r1)):
+            if i:
+                u[k] += np.dot(G[i, r0:k], sigz[r0:k])
+            sigz[k] = sigma(u[k]) * z[k]
     path = SolutionPath(config, problem, u, solver="forward")
     if with_grid:
         path.grid_times, path.grid_positions, path.grid_values = \
@@ -474,18 +504,31 @@ class PicardDiagnostics:
 def picard_iterates_at_atoms(problem: ProblemSpec, times, positions, jumps,
                              n_iter: int, M=None):
     """Atom-value Picard iterates [u_0, ..., u_n] for m1 = 0, of one path's
-    atoms (k,) or of a PointBatch's rows (P, K), with one
-    (batched) matrix-vector product per iterate.  M is the atoms'
-    interaction matrix, when the caller already holds it."""
-    if M is None:
-        M = pairwise_interaction_matrix(problem.kernel, times, positions,
-                                        times, positions)
+    atoms (k,) or of a PointBatch's rows (P, K).
+
+    One sweep over the causal row blocks of _atom_blocks: u_{m+1} at rows
+    [r0, r1) needs u_m only before r1, so each block computes all n
+    iterates of its rows, one (batched) matrix-vector product each, and is
+    dropped.  No k x k array is held: at 4094 atoms a block is 2 MB where
+    the whole matrix is 134 MB.  A padded batch of up to ATOM_BLOCK_ROWS
+    atoms per path is one block, the whole (P, K, K) matrix.  M is the
+    atoms' interaction matrix, when the caller already holds it; it is
+    then the one block."""
+    sigma = problem.sigma
     w = np.array(deterministic_part(problem, times, positions), dtype=float,
                  ndmin=1)
-    iterates = [w.copy()]
-    for _ in range(n_iter):
-        iterates.append(
-            w + batched_matvec(M, problem.sigma(iterates[-1]) * jumps))
+    if M is None:
+        blocks = _atom_blocks(problem.kernel, times, positions)
+    else:
+        blocks = [(0, w.shape[-1], M)]
+    iterates = [w] + [np.empty_like(w) for _ in range(n_iter)]
+    sigz = np.empty((n_iter,) + w.shape)     # sigma(u_m) z, m < n
+    for r0, r1, G in blocks:
+        for m in range(n_iter):
+            sigz[m, ..., r0:r1] = sigma(iterates[m][..., r0:r1]) \
+                * jumps[..., r0:r1]
+            iterates[m + 1][..., r0:r1] = w[..., r0:r1] + batched_matvec(
+                G, sigz[m, ..., :r1])
     return iterates
 
 
@@ -498,7 +541,14 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
     the problem grid, so accuracy is grid-limited; with m1 = 0 the iteration
     is exact arithmetic on the atoms.
 
-    The m1 != 0 branch builds the compensator once per call as a linear
+    With m1 = 0 the iterates come from one sweep over causal row blocks
+    (picard_iterates_at_atoms), so memory is ATOM_BLOCK_ROWS x n_atoms
+    kernel entries at a time plus the n + 1 iterates, never the
+    n_atoms^2 matrix: at 4094 atoms a block is 2 MB, the matrix 134 MB.
+    The grid projection builds one grid time's kernel block at a time.
+
+    The m1 != 0 branch holds the dense atoms x atoms matrix (its paths are
+    short) and builds the compensator once per call as a linear
     operator (_compensator_operator) and applies it with one matrix product
     per iteration.  It holds U * n_x^2 * 8 bytes of grid blocks, U the
     number of distinct grid time differences t_j - t_i (169 on the default

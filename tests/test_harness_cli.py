@@ -379,6 +379,11 @@ def test_cli_entry_point_subprocess(tmp_path):
 
 
 _SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+_USAGE_ERRORS = {
+    "derivative_bound_report.py":
+        "error: derivative bound needs at least 100 realizations\n",
+    "existence_report.py": "error: need at least two iterates to difference\n",
+}
 
 
 @pytest.mark.parametrize("script, args, csv_name", [
@@ -386,8 +391,9 @@ _SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
      "existence_wave_mass5.csv"),
     ("derivative_bound_report.py", ["--n", "100", "--n-points", "16"],
      "derivative_bound_wave_affine.csv"),
-    # too few realizations: a one-line usage error, no traceback
+    # bad sizes (csv_name None): a one-line usage error, no traceback
     ("derivative_bound_report.py", ["--n", "50"], None),
+    ("existence_report.py", ["--n-iter", "1"], None),
 ])
 def test_report_scripts_subprocess(tmp_path, script, args, csv_name):
     proc = subprocess.run(
@@ -396,8 +402,8 @@ def test_report_scripts_subprocess(tmp_path, script, args, csv_name):
         capture_output=True, text=True, timeout=300, env=_child_env())
     if csv_name is None:
         assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert proc.stderr == ("error: derivative bound needs at least 100 "
-                               "realizations\n")
+        assert proc.stderr == _USAGE_ERRORS[script]
+        assert not any(tmp_path.iterdir())
         return
     assert proc.returncode == 0, proc.stdout + proc.stderr
     header, *rows = (tmp_path / csv_name).read_text().splitlines()
