@@ -438,9 +438,9 @@ def solve_forward(config: PointConfiguration, problem: ProblemSpec,
     for r0, r1, G in _atom_blocks(problem.kernel, t, x):
         if r0:
             u[r0:r1] += G[:, :r0] @ sigz[:r0]
-        for i, k in enumerate(range(r0, r1)):
-            if i:
-                u[k] += np.dot(G[i, r0:k], sigz[r0:k])
+        for k in range(r0, r1):
+            if k > r0:
+                u[k] += np.dot(G[k - r0, r0:k], sigz[r0:k])
             sigz[k] = sigma(u[k]) * z[k]
     path = SolutionPath(config, problem, u, solver="forward")
     if with_grid:

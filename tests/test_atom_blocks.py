@@ -111,6 +111,17 @@ def test_blocked_solvers_match_dense(kernel, sigma, n):
     assert lf.mild_residual(path) <= 1e-13 * _scale([ref])
 
 
+def test_mild_residual_keeps_its_own_dense_matrix(monkeypatch):
+    # the two sides of the residual stay on independent code paths
+    path = lf.solve_forward(_path(B + 1), _problem("heat"), with_grid=False)
+
+    def refuse(*args):
+        raise AssertionError("mild_residual built causal row blocks")
+
+    monkeypatch.setattr(solver, "_atom_blocks", refuse)
+    assert lf.mild_residual(path) <= 1e-13 * _scale([path.atom_values])
+
+
 @pytest.mark.parametrize("kernel", ["wave", "heat"])
 def test_batched_blocks_match_dense_per_path(kernel):
     # a padded batch longer than one block: (P, b, r1) blocks
