@@ -13,9 +13,10 @@ the machine's speed hits both sides alike.  With --traced, each side also
 makes one traced run (per-layer figures) per workload, at the first seed.
 
 Writes BENCH_<pr>.json at the root of the working tree: the machine block
-that run.py prints, every run's final JSON record, and per end-to-end
-metric the medians of both sides and the number of pairs in which the
-change is lower.
+that run.py prints, every run's final JSON record, per end-to-end metric
+the medians of both sides and the number of pairs in which the change is
+lower, and `src_lines`, the total line count of src/levyfield/*.py in each
+side's exported tree.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ def export(rev: str, dest: Path) -> None:
                           capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of src/levyfield/*.py under tree, counted as `wc -l` does."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (tree / "src" / "levyfield").glob("*.py"))
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float,
@@ -126,6 +133,7 @@ def main() -> int:
         trees = {side: Path(tmp) / side for side in revs}
         for side, rev in revs.items():
             export(rev, trees[side])
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         jobs = [(seed, w, 0) for seed in args.seeds for w in workloads]
         if args.traced:
             jobs += [(args.seeds[0], w, 1) for w in workloads]
@@ -157,6 +165,7 @@ def main() -> int:
                       f"--seconds {seconds:g} --trace T",
            "machine": {"cpu": cpu_model(), "platform": platform.platform(),
                        **machine},
+           "src_lines": lines,
            "summary": summarize(runs, spec),
            "runs": runs}
     path = ROOT / f"BENCH_{args.pr}.json"

@@ -223,8 +223,8 @@ def derivative_equation_residual(problem: ProblemSpec,
 def _added_point_iterates(problem: ProblemSpec, t, x, z, pts_t, pts_x,
                           n_iter: int):
     """Picard iterates of one path's atoms t, x, z (k,), shared by B added
-    points (r_b, xi_b) (B,), with the path's kernel blocks built once; or
-    the same for a padded batch, atoms (P, K) and points (P, B).
+    points (r_b, xi_b) (B,), with the kernel blocks of _plus_iterates built
+    once; or the same for a padded batch, atoms (P, K) and points (P, B).
 
     Returns (base, at_point, M, A): base[m] is the (..., k) iterate at the
     atoms; at_point[m] the (..., B) base iterate at the added points, which
@@ -238,7 +238,7 @@ def _added_point_iterates(problem: ProblemSpec, t, x, z, pts_t, pts_x,
     P = pairwise_interaction_matrix(kernel, pts_t, pts_x, t, x)
     A = pairwise_interaction_matrix(kernel, t, x, pts_t,
                                     pts_x).swapaxes(-1, -2)
-    base = picard_iterates_at_atoms(problem, t, x, z, n_iter, M=M)
+    base = picard_iterates_at_atoms(problem, t, x, z, n_iter)
     w_pt = np.array(deterministic_part(problem, pts_t, pts_x), dtype=float,
                     ndmin=1)
     at_point = [w_pt] + [w_pt + batched_matvec(P, sigma(b) * z)

@@ -31,14 +31,6 @@ class SolverError(ValueError):
     pass
 
 
-def _abs_map(u):
-    return np.abs(u)
-
-
-def _sin_map(u):
-    return np.sin(u)
-
-
 @dataclass(frozen=True)
 class ScalarMap:
     """The multiplicative nonlinearity sigma with its declared constants.
@@ -61,9 +53,9 @@ class ScalarMap:
         if self.kind == "affine":
             return self.a * u + self.b
         if self.kind == "abs":
-            return _abs_map(u)
+            return np.abs(u)
         if self.kind == "sin":
-            return _sin_map(u)
+            return np.sin(u)
         return self.fn(u)
 
     def label(self) -> str:
@@ -208,35 +200,18 @@ def pairwise_interaction_matrix(kernel: GreenKernel, target_t, target_x,
     Leading axes are batch axes: (P, n) targets and (P, k) sources give
     (P, n, k), one block per path of a padded batch.  Target times and
     positions broadcast against each other (one grid time with a vector of
-    positions gives one grid row).  G is evaluated without a mask when
-    every pair is causal.  Otherwise it is either evaluated at dt = 1 in
-    place of dt <= 0 and those entries zeroed, or evaluated only at the
-    gathered causal pairs; both give the same matrix bit for bit.  Zeroing
-    is taken where at least 3/4 of the pairs are causal (a causal row
-    block of atoms, b rows over the r >> b atoms before it) or where the
-    times broadcast along the targets (a batch's grid rows, where gathering
-    from the broadcast costs more).  An atoms x atoms matrix is about half
-    causal, and there gathering is faster.  Measured on one 4094-atom path
-    (2 cores, ms per 4094 target rows, zero / gather): half causal, wave
-    367 / 335 and heat 631 / 391; 3/4 causal, wave 379 / 405 and heat
-    492 / 523; 64-row blocks, wave 155 / 190 and heat 210 / 291.
+    positions gives one grid row).  One rule for every block: where a
+    source is not strictly earlier, G is evaluated at dt = 1 in its place
+    and the entry zeroed; when every pair is causal G is evaluated as it
+    stands.
     """
     dt = _column(target_t) - _row(source_t)
     dx = _column(target_x) - _row(source_x)
-    if dt.size and dt.min() > 0.0:
-        return kernel.evaluate(dt, dx)
-    shape = np.broadcast_shapes(dt.shape, dx.shape)
     causal = dt > 0.0
-    if dt.size < math.prod(shape) \
-            or 4 * np.count_nonzero(causal) >= 3 * dt.size:
-        out = kernel.evaluate(np.where(causal, dt, 1.0), dx)
-        out *= causal
-        return out
-    out = np.zeros(shape)
-    mask = np.broadcast_to(causal, shape)
-    if mask.any():
-        out[mask] = kernel.evaluate(np.broadcast_to(dt, shape)[mask],
-                                    np.broadcast_to(dx, shape)[mask])
+    if causal.all():
+        return kernel.evaluate(dt, dx)
+    out = kernel.evaluate(np.where(causal, dt, 1.0), dx)
+    out *= causal
     return out
 
 
@@ -300,18 +275,17 @@ def evaluate_batch(batch: PointBatch, problem: ProblemSpec, atom_values,
 
 
 def _grid_blocks(problem: ProblemSpec, times, positions):
-    """(k_j, block) for each grid time t_j.  times and positions are one
-    path's time-sorted atoms (k,) or a PointBatch's rows (P, K).  The atoms before t_j are a prefix of each path,
-    k_j atoms long in the longest, and block is their (..., n_x, k_j)
-    kernel block G(t_j - t_i, x_l - x_i), zero after each path's prefix;
-    block is None where no atom comes before t_j."""
+    """The kernel block of each grid time t_j.  times and positions are one
+    path's time-sorted atoms (k,) or a PointBatch's rows (P, K).  The atoms
+    before t_j are a prefix of each path, k_j atoms long in the longest, and
+    the block is their (..., n_x, k_j) kernel block G(t_j - t_i, x_l - x_i)
+    by pairwise_interaction_matrix's rule, zero after each path's prefix;
+    it is (..., n_x, 0) where no atom comes before t_j."""
     grid_t, grid_x = problem.grid()
     before = np.sum(times[..., None, :] < grid_t[:, None], axis=-1)
     for tj, kj in zip(grid_t, before.reshape(-1, grid_t.size).max(axis=0)):
-        kj = int(kj)
-        yield kj, pairwise_interaction_matrix(
-            problem.kernel, tj, grid_x, times[..., :kj],
-            positions[..., :kj]) if kj else None
+        yield pairwise_interaction_matrix(problem.kernel, tj, grid_x,
+                                          times[..., :kj], positions[..., :kj])
 
 
 # target atoms per causal row block of _atom_blocks.  On one path of 1000
@@ -345,10 +319,12 @@ def grid_projection(problem: ProblemSpec, times, positions, coefs,
     m fields; over a padded batch (times (P, K)) it is (P, m, K).  values
     has coefs' shape with n_x in place of the atom axis.  Each grid time's
     kernel block is built once and applied to every field and path with
-    one (batched) matrix product.  blocks is list(_grid_blocks(...)) from
-    a caller that projects the same atoms again; without it the blocks are
-    built one at a time and dropped, so a caller that reduces each grid
-    time's values as they come never holds the whole grid.
+    one (batched) matrix product; a grid time with no atom before it has
+    an empty block, and its values are w.  blocks is
+    list(_grid_blocks(...)) from a caller that projects the same atoms
+    again; without it the blocks are built one at a time and dropped, so a
+    caller that reduces each grid time's values as they come never holds
+    the whole grid.
     """
     grid_t, grid_x = problem.grid()
     coefs = np.asarray(coefs, dtype=float)
@@ -356,11 +332,8 @@ def grid_projection(problem: ProblemSpec, times, positions, coefs,
                                       grid_x[None, :]), dtype=float)
     if blocks is None:
         blocks = _grid_blocks(problem, times, positions)
-    for j, (kj, block) in enumerate(blocks):
-        if kj:
-            yield j, w[j] + coefs[..., :kj] @ block.swapaxes(-1, -2)
-        else:
-            yield j, np.broadcast_to(w[j], coefs.shape[:-1] + w[j].shape)
+    for j, block in enumerate(blocks):
+        yield j, w[j] + coefs[..., :block.shape[-1]] @ block.swapaxes(-1, -2)
 
 
 def _project_grid(problem: ProblemSpec, config: PointConfiguration, coefs,
@@ -502,28 +475,23 @@ class PicardDiagnostics:
 
 
 def picard_iterates_at_atoms(problem: ProblemSpec, times, positions, jumps,
-                             n_iter: int, M=None):
+                             n_iter: int):
     """Atom-value Picard iterates [u_0, ..., u_n] for m1 = 0, of one path's
     atoms (k,) or of a PointBatch's rows (P, K).
 
-    One sweep over the causal row blocks of _atom_blocks: u_{m+1} at rows
+    One sweep over the causal row blocks of _atom_blocks (G at the pairs
+    whose source is strictly earlier, 0 elsewhere): u_{m+1} at rows
     [r0, r1) needs u_m only before r1, so each block computes all n
     iterates of its rows, one (batched) matrix-vector product each, and is
     dropped.  No k x k array is held: at 4094 atoms a block is 2 MB where
     the whole matrix is 134 MB.  A padded batch of up to ATOM_BLOCK_ROWS
-    atoms per path is one block, the whole (P, K, K) matrix.  M is the
-    atoms' interaction matrix, when the caller already holds it; it is
-    then the one block."""
+    atoms per path is one block, the whole (P, K, K) matrix."""
     sigma = problem.sigma
     w = np.array(deterministic_part(problem, times, positions), dtype=float,
                  ndmin=1)
-    if M is None:
-        blocks = _atom_blocks(problem.kernel, times, positions)
-    else:
-        blocks = [(0, w.shape[-1], M)]
     iterates = [w] + [np.empty_like(w) for _ in range(n_iter)]
     sigz = np.empty((n_iter,) + w.shape)     # sigma(u_m) z, m < n
-    for r0, r1, G in blocks:
+    for r0, r1, G in _atom_blocks(problem.kernel, times, positions):
         for m in range(n_iter):
             sigz[m, ..., r0:r1] = sigma(iterates[m][..., r0:r1]) \
                 * jumps[..., r0:r1]

@@ -1,5 +1,7 @@
 """The causal row-block engine of solve_forward and the m1 = 0 Picard
-iterates against the dense atoms x atoms matrix and the per-atom solve."""
+iterates against the dense atoms x atoms matrix and the per-atom solve,
+and the one causal rule of pairwise_interaction_matrix against G gathered
+at the causal pairs."""
 
 import math
 import tracemalloc
@@ -66,6 +68,81 @@ def _forward_by_atom(cfg, problem):
 def _scale(arrays):
     return 1.0 + max((float(np.max(np.abs(a))) for a in arrays if a.size),
                      default=0.0)
+
+
+def _gathered(kernel, target_t, target_x, source_t, source_x):
+    # G evaluated at the gathered causal pairs only, zeros elsewhere: the
+    # reference for the evaluate-at-dt = 1-and-zero rule
+    dt = np.asarray(target_t, dtype=float)[..., None] \
+        - np.atleast_1d(np.asarray(source_t, dtype=float))[..., None, :]
+    dx = np.asarray(target_x, dtype=float)[..., None] \
+        - np.atleast_1d(np.asarray(source_x, dtype=float))[..., None, :]
+    shape = np.broadcast_shapes(dt.shape, dx.shape)
+    dt, dx = np.broadcast_to(dt, shape), np.broadcast_to(dx, shape)
+    out = np.zeros(shape)
+    mask = dt > 0.0
+    if mask.any():
+        out[mask] = kernel.evaluate(dt[mask], dx[mask])
+    return out
+
+
+def _interaction_cases():
+    """(name, target_t, target_x, source_t, source_x) for every shape a
+    caller passes."""
+    cfg = _path(300)
+    t, x = cfg.times, cfg.positions
+    batch = lf.sample_batch(lf.two_point_measure(1.0, 0.1), WINDOW, 2, 0, 40)
+    assert np.any(batch.counts == 0)
+    bt, bx = batch.times, batch.positions
+    none = lf.sample_batch(lf.two_point_measure(1.0, 0.0), WINDOW, 2, 0, 5)
+    assert none.times.shape == (5, 0)
+    grid_x = np.linspace(-WINDOW.R, WINDOW.R, 64)
+    rng = np.random.default_rng(3)
+    pts_t = rng.uniform(0.0, WINDOW.T, 16)
+    pts_x = rng.uniform(-WINDOW.R, WINDOW.R, 16)
+    bpts_t = rng.uniform(0.0, WINDOW.T, (batch.n_paths, 8))
+    bpts_x = rng.uniform(-WINDOW.R, WINDOW.R, (batch.n_paths, 8))
+    cases = [("atoms_x_atoms", t, x, t, x),
+             ("row_block", t[B:2 * B], x[B:2 * B], t[:2 * B], x[:2 * B]),
+             ("batch", bt, bx, bt, bx),
+             ("empty_batch", none.times, none.positions, none.times,
+              none.positions),
+             ("points_x_atoms", pts_t, pts_x, t, x),
+             ("atoms_x_points", t, x, pts_t, pts_x),
+             ("batch_points_x_atoms", bpts_t, bpts_x, bt, bx),
+             ("batch_atoms_x_points", bt, bx, bpts_t, bpts_x),
+             ("scalar_target", WINDOW.T, 0.0, t, x),
+             ("scalar_target_batch", WINDOW.T, 0.0, bt, bx),
+             ("zero_sources", t, x, t[:0], x[:0]),
+             ("scalar_zero_sources", 0.5, 0.0, t[:0], x[:0])]
+    for tj in (0.0, float(t[150]), WINDOW.T):
+        k = int(np.searchsorted(t, tj))
+        cases.append((f"grid_row_path_{tj:.3g}", tj, grid_x, t[:k], x[:k]))
+        cases.append((f"grid_row_batch_{tj:.3g}", tj, grid_x, bt, bx))
+        cases.append((f"grid_row_empty_batch_{tj:.3g}", tj, grid_x,
+                      none.times, none.positions))
+    return cases
+
+
+@pytest.mark.parametrize("kernel", ["wave", "heat"])
+def test_interaction_matrix_equals_gathered_causal_pairs(kernel):
+    # evaluating G at dt = 1 where the source is not strictly earlier and
+    # zeroing those entries gives the matrix of G gathered at the causal
+    # pairs, bit for bit, on every shape the solvers pass
+    k = lf.GreenKernel(kernel)
+    for name, tt, tx, st, sx in _interaction_cases():
+        got = solver.pairwise_interaction_matrix(k, tt, tx, st, sx)
+        want = _gathered(k, tt, tx, st, sx)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    # a padded batch of at most B atoms per path is one row block, the
+    # whole atoms x atoms matrix of the batch
+    batch = lf.sample_batch(lf.two_point_measure(1.0, 5.0), WINDOW, 4, 0, 30)
+    t, x = batch.times, batch.positions
+    assert t.shape[1] <= B
+    [(r0, r1, G)] = solver._atom_blocks(k, t, x)
+    assert (r0, r1) == (0, t.shape[1])
+    assert G.tobytes() == _gathered(k, t, x, t, x).tobytes()
 
 
 @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 1500])

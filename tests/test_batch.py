@@ -240,6 +240,25 @@ def test_batch_operations_match_per_path_with_empty_paths(kernel, case):
             assert abs(got[j] - ref) <= 1e-13 * (1.0 + abs(ref)), (j, t)
         ref = lf.ito_integral(cfg, cli.H_SMOOTH)
         assert abs(vals[j] - ref) <= 1e-13 * (1.0 + abs(ref)), j
+    # the grid projection where no atom precedes a grid time: every grid
+    # time of an empty path, and grid time 0 of every path, is exactly w
+    grid_t, grid_x = problem.grid()
+    w = lf.deterministic_part(problem, grid_t[:, None], grid_x[None, :])
+    empty = batch.counts == 0
+    coefs = (problem.sigma(u) * batch.jumps)[:, None, :]
+    for j, values in solver.grid_projection(problem, batch.times,
+                                            batch.positions, coefs):
+        assert values.shape == (n, 1, grid_x.size)
+        assert np.array_equal(values[empty, 0], np.broadcast_to(
+            w[j], (int(empty.sum()), grid_x.size))), j
+        if j == 0:
+            assert np.array_equal(values[:, 0],
+                                  np.broadcast_to(w[0], (n, grid_x.size)))
+    for j in np.flatnonzero(empty)[:3]:
+        path = lf.solve_forward(batch.path(j), problem)
+        assert np.array_equal(path.grid_values, w), j
+        path, _ = lf.picard_solve(batch.path(j), problem, 2)
+        assert np.array_equal(path.grid_values, w), j
 
 
 def test_padding_atoms_never_reach_h_or_sigma():
@@ -369,9 +388,8 @@ def test_batched_picard_and_projection_match_dense(kernel, sigma, case):
 @pytest.mark.parametrize("kernel", [lf.wave_kernel(), lf.heat_kernel()],
                          ids=["wave", "heat"])
 def test_interaction_matrix_branches_agree(kernel):
-    # grid rows of a batch broadcast one time over the positions and
-    # take the zeroed-dummy branch; the same targets spelt out in full take
-    # the gather branch
+    # grid rows of a batch broadcast one time over the positions; the same
+    # targets spelt out in full, one time per target, give the same block
     batch = lf.sample_batch(lf.two_point_measure(1.0, 5.0), WINDOW, 5, 0, 30)
     t, x = batch.times, batch.positions
     grid_x = np.linspace(-WINDOW.R, WINDOW.R, 64)
