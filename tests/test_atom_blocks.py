@@ -72,7 +72,8 @@ def _scale(arrays):
 
 def _gathered(kernel, target_t, target_x, source_t, source_x):
     # G evaluated at the gathered causal pairs only, zeros elsewhere: the
-    # reference for the evaluate-at-dt = 1-and-zero rule
+    # reference for evaluating G at dt = 1 in place of the non-causal pairs
+    # and zeroing them
     dt = np.asarray(target_t, dtype=float)[..., None] \
         - np.atleast_1d(np.asarray(source_t, dtype=float))[..., None, :]
     dx = np.asarray(target_x, dtype=float)[..., None] \
