@@ -291,7 +291,9 @@ def _grid_blocks(problem: ProblemSpec, times, positions):
 # target atoms per causal row block of _atom_blocks.  On one path of 1000
 # and of 4000 atoms, 32 to 64 rows ran Picard-8 and the forward solve
 # fastest; at 64 a padded batch of the default noise (K about 20 to 40)
-# is one block.
+# is one block.  Wave paths sum in null coordinates instead (_null_plan):
+# the forward solve and the grid always, Picard on paths longer than one
+# block.  Heat stays on blocks: its G is never exactly 0.
 ATOM_BLOCK_ROWS = 64
 
 
@@ -308,6 +310,100 @@ def _atom_blocks(kernel: GreenKernel, times, positions):
         yield r0, r1, pairwise_interaction_matrix(
             kernel, times[..., r0:r1], positions[..., r0:r1],
             times[..., :r1], positions[..., :r1])
+
+
+def _null_buckets(window: SpaceTimeWindow, expected: float, t, x):
+    """(bucket of b = t - x for each point, bucket count): equal buckets
+    over [-R, T + R], 8 expected atoms each.  Monotone in b and fixed by the
+    window and the expected count: adding an atom moves no other bucket."""
+    n_buckets = max(1, int(expected / 8.0))
+    scale = n_buckets / (window.T + 2.0 * window.R)
+    k = np.floor((t - x + window.R) * scale).astype(np.intp)
+    return np.clip(k, 0, n_buckets - 1), n_buckets
+
+
+def _null_plan(window: SpaceTimeWindow, expected: float, t, x, tq, xq):
+    """apply(v) -> s (q,): s_q sums the values v (n,) of the atoms (t, x),
+    in time order, strictly before target q in its closed light cone, that
+    is a_j <= a_q and b_j <= b_q for a = t + x, b = t - x.  The sweep order
+    is (a, t), targets first on ties.  s_q adds what _wave_forward's Fenwick
+    tree adds, in its order: the running sum of each dyadic range of
+    buckets below q's, then the earlier atoms of q's bucket with b_j <= b_q.
+    """
+    n, nq = t.size, tq.size
+    order = np.argsort(t + x, kind="stable")    # the atoms in sweep order
+    # atoms swept before each target: complex numbers sort by (real, imag)
+    before = np.searchsorted((t + x + 1j * t)[order], tq + xq + 1j * tq)
+    k, n_buckets = _null_buckets(window, expected, t[order], x[order])
+    kq = _null_buckets(window, expected, tq, xq)[0]
+    b = np.append((t - x)[order], 0.0)
+    levels = (n_buckets - 1).bit_length()
+    pads, rows, offset = [], [], 1
+    for level in [*range(levels), 0]:           # then q's own bucket
+        # pad[g]: the sweep ranks of the atoms of group g = k >> level,
+        # then n; seen: how many of them each target sweeps after
+        group = k >> level
+        perm = np.argsort(group.astype(np.min_scalar_type(n_buckets)),
+                          kind="stable")        # a radix sort
+        first = np.searchsorted(group[perm],
+                                np.arange(((n_buckets - 1) >> level) + 2))
+        pad = np.full((first.size - 1, int(np.diff(first).max())), n)
+        pad[group[perm], np.arange(n) - first[group[perm]]] = perm
+        own = len(pads) == levels
+        g = (kq >> level) - (not own)
+        seen = np.searchsorted(group[perm] * (n + 1) + perm,
+                               g * (n + 1) + before) - first[np.maximum(g, 0)]
+        at = offset + g * pad.shape[1]
+        if not own:     # the Fenwick node of this level: bit `level` of kq
+            rows.append(np.where((g & 1 == 0) & (seen > 0), at + seen - 1, 0))
+        for slot in range(int(seen.max(initial=0)) if own else 0):
+            rows.append(np.where((slot < seen) & (b[pad[kq, slot]] <= tq - xq),
+                                 at + slot, 0))
+        pads.append(pad)
+        offset += pad.size
+    index = np.array(rows, dtype=np.intp).reshape(-1, nq)
+
+    def apply(v):
+        v = np.append(np.asarray(v, dtype=float)[order], 0.0)
+        terms = [[0.0], *(np.cumsum(v[pad], axis=1).ravel()
+                          for pad in pads[:-1]), v[pads[-1]].ravel()]
+        s = np.zeros(nq)
+        for row in np.concatenate(terms)[index]:    # in the sweep's order
+            s += row
+        return s
+
+    return apply
+
+
+def _wave_forward(config: PointConfiguration, problem: ProblemSpec):
+    """(u, sigma(u) z) at the atoms of one wave path, swept in (a, t) order:
+    u_i = w_i + 1/2 sum sigma(u_j) z_j over the swept atoms with b_j <= b_i,
+    by a Fenwick tree over the buckets below i's and a scan of i's own."""
+    t, x, z = config.times, config.positions, config.jumps
+    order = np.argsort(t + x, kind="stable")    # (a, t): t is sorted
+    expected = config.measure.total_mass * config.window.volume
+    k, n_buckets = _null_buckets(config.window, expected, t, x)
+    w = np.array(deterministic_part(problem, t, x), dtype=float, ndmin=1)
+    tree, own = [0.0] * (n_buckets + 1), [[] for _ in range(n_buckets)]
+    u, sigz = np.empty(t.size), np.empty(t.size)
+    for i, ki, bi, wi, zi in zip(order.tolist(), k[order].tolist(),
+                                 (t - x)[order].tolist(), w[order].tolist(),
+                                 z[order].tolist()):
+        s, j = 0.0, ki
+        while j:                    # buckets [0, ki), lowest level first
+            s += tree[j]
+            j &= j - 1
+        for bj, vj in own[ki]:
+            if bj <= bi:
+                s += vj
+        u[i] = ui = wi + 0.5 * s
+        sigz[i] = vi = float(problem.sigma(ui)) * zi
+        own[ki].append((bi, vi))
+        j = ki + 1
+        while j <= n_buckets:
+            tree[j] += vi
+            j += j & -j
+    return u, sigz
 
 
 def grid_projection(problem: ProblemSpec, times, positions, coefs,
@@ -340,9 +436,17 @@ def _project_grid(problem: ProblemSpec, config: PointConfiguration, coefs,
                   blocks=None):
     """Grid values w + sum_{t_i < t_j} G(t_j - t_i, x_l - x_i) coefs_i of
     one path: grid_projection collected into (n_t, n_x), or (m, n_t, n_x)
-    for coefs (m, k)."""
+    for coefs (m, k).  A wave path with m1 = 0 and coefs (k,) takes the
+    grid points as the targets of _null_plan in place of kernel blocks."""
     grid_t, grid_x = problem.grid()
     coefs = np.asarray(coefs, dtype=float)
+    if problem.kernel.kind == "wave" and config.measure.first_moment == 0.0:
+        tq, xq = np.repeat(grid_t, grid_x.size), np.tile(grid_x, grid_t.size)
+        s = _null_plan(config.window, config.measure.total_mass
+                       * config.window.volume, config.times,
+                       config.positions, tq, xq)(coefs)
+        return grid_t, grid_x, (deterministic_part(problem, tq, xq)
+                                + 0.5 * s).reshape(grid_t.size, grid_x.size)
     out = np.empty(coefs.shape[:-1] + (grid_t.size, grid_x.size))
     for j, values in grid_projection(problem, config.times,
                                      config.positions, coefs, blocks):
@@ -397,24 +501,29 @@ def solve_forward(config: PointConfiguration, problem: ProblemSpec,
     Only valid when the jump measure is compensator-free (m1 = 0); otherwise
     the solution is not a finite jump sum and picard_solve must be used.
 
-    Blocked over _atom_blocks: a block's rows first take the atoms before
-    it with one matrix-vector product, then are solved one atom at a time
-    from the earlier atoms of the block.  Each block is built once and
-    dropped, so memory is ATOM_BLOCK_ROWS x n_atoms, never n_atoms^2.
+    A wave path sweeps its atoms in null coordinates (_wave_forward) and
+    projects on the grid by _null_plan, with no kernel evaluation.  A heat
+    path, whose G is never exactly 0, is blocked over _atom_blocks: a
+    block's rows take the atoms before it with one matrix-vector product,
+    then are solved one atom at a time from the earlier atoms of the block,
+    so memory is ATOM_BLOCK_ROWS x n_atoms, never n_atoms^2.
     """
     if config.measure.first_moment != 0.0:
         raise SolverError("solve_forward requires m1 = 0; use picard_solve")
     sigma = problem.sigma
     t, x, z = config.times, config.positions, config.jumps
-    u = np.array(deterministic_part(problem, t, x), dtype=float, ndmin=1)
-    sigz = np.empty(config.n_atoms)
-    for r0, r1, G in _atom_blocks(problem.kernel, t, x):
-        if r0:
-            u[r0:r1] += G[:, :r0] @ sigz[:r0]
-        for k in range(r0, r1):
-            if k > r0:
-                u[k] += np.dot(G[k - r0, r0:k], sigz[r0:k])
-            sigz[k] = sigma(u[k]) * z[k]
+    if problem.kernel.kind == "wave":
+        u, sigz = _wave_forward(config, problem)
+    else:
+        u = np.array(deterministic_part(problem, t, x), dtype=float, ndmin=1)
+        sigz = np.empty(config.n_atoms)
+        for r0, r1, G in _atom_blocks(problem.kernel, t, x):
+            if r0:
+                u[r0:r1] += G[:, :r0] @ sigz[:r0]
+            for k in range(r0, r1):
+                if k > r0:
+                    u[k] += np.dot(G[k - r0, r0:k], sigz[r0:k])
+                sigz[k] = sigma(u[k]) * z[k]
     path = SolutionPath(config, problem, u, solver="forward")
     if with_grid:
         path.grid_times, path.grid_positions, path.grid_values = \
@@ -479,16 +588,26 @@ def picard_iterates_at_atoms(problem: ProblemSpec, times, positions, jumps,
     """Atom-value Picard iterates [u_0, ..., u_n] for m1 = 0, of one path's
     atoms (k,) or of a PointBatch's rows (P, K).
 
-    One sweep over the causal row blocks of _atom_blocks (G at the pairs
-    whose source is strictly earlier, 0 elsewhere): u_{m+1} at rows
-    [r0, r1) needs u_m only before r1, so each block computes all n
-    iterates of its rows, one (batched) matrix-vector product each, and is
-    dropped.  No k x k array is held: at 4094 atoms a block is 2 MB where
-    the whole matrix is 134 MB.  A padded batch of up to ATOM_BLOCK_ROWS
-    atoms per path is one block, the whole (P, K, K) matrix."""
+    One wave path of more than ATOM_BLOCK_ROWS atoms applies one _null_plan
+    to each iterate; no measure is at hand, so its buckets are sized by the
+    path's own atom count.  Otherwise one sweep over the causal row blocks
+    of _atom_blocks: u_{m+1} at rows [r0, r1) needs u_m only before r1, so
+    each block computes all n iterates of its rows, one (batched)
+    matrix-vector product each, and is dropped: at 4094 atoms a block is
+    2 MB where the whole matrix is 134 MB.  A padded batch of up to
+    ATOM_BLOCK_ROWS atoms per path is one block, the whole (P, K, K)
+    matrix."""
     sigma = problem.sigma
     w = np.array(deterministic_part(problem, times, positions), dtype=float,
                  ndmin=1)
+    if problem.kernel.kind == "wave" and times.ndim == 1 \
+            and times.size > ATOM_BLOCK_ROWS:
+        dominance = _null_plan(problem.window, times.size, times, positions,
+                               times, positions)
+        iterates = [w]
+        for _ in range(n_iter):
+            iterates.append(w + 0.5 * dominance(sigma(iterates[-1]) * jumps))
+        return iterates
     iterates = [w] + [np.empty_like(w) for _ in range(n_iter)]
     sigz = np.empty((n_iter,) + w.shape)     # sigma(u_m) z, m < n
     for r0, r1, G in _atom_blocks(problem.kernel, times, positions):
@@ -509,11 +628,9 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
     the problem grid, so accuracy is grid-limited; with m1 = 0 the iteration
     is exact arithmetic on the atoms.
 
-    With m1 = 0 the iterates come from one sweep over causal row blocks
-    (picard_iterates_at_atoms), so memory is ATOM_BLOCK_ROWS x n_atoms
-    kernel entries at a time plus the n + 1 iterates, never the
-    n_atoms^2 matrix: at 4094 atoms a block is 2 MB, the matrix 134 MB.
-    The grid projection builds one grid time's kernel block at a time.
+    With m1 = 0 the iterates come from picard_iterates_at_atoms, never the
+    n_atoms^2 matrix.  A wave path projects on the grid by _null_plan, a
+    heat path builds one grid time's kernel block at a time.
 
     The m1 != 0 branch holds the dense atoms x atoms matrix (its paths are
     short) and builds the compensator once per call as a linear

@@ -181,8 +181,10 @@ def test_blocked_solvers_match_dense(kernel, sigma, n):
 
     path = lf.solve_forward(cfg, problem, with_grid=False)
     ref = _forward_by_atom(cfg, problem)
-    if n <= B:
-        # one block: the per-atom solve's arithmetic, bit for bit
+    if n <= B and kernel == "heat":
+        # one block: the per-atom solve's arithmetic, bit for bit (a wave
+        # path sums in null coordinates, bit for bit where every sum is
+        # exact: tests/test_null_coordinates.py)
         assert np.array_equal(path.atom_values, ref)
     assert np.max(np.abs(path.atom_values - ref), initial=0.0) \
         <= 1e-14 * _scale([ref])
