@@ -35,15 +35,25 @@ class GreenKernel:
             raise KernelError(f"unknown kernel kind {self.kind!r}")
 
     def evaluate(self, t, x):
-        """G(t, x); requires t > 0 (pointwise or elementwise)."""
+        """G(t, x) at t and x broadcast together; every t must be > 0 (a NaN
+        time raises too).  Heat computes exp(-x x / (2 t)) / sqrt(2 pi t)
+        operation by operation in one output buffer, so the only other
+        temporaries have t's shape; the inputs are never written."""
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        if np.any(t <= 0.0):
+        if t.size and not t.min() > 0.0:
             raise KernelError("kernel evaluation needs strictly positive time")
         if self.kind == WAVE:
             out = np.where(np.abs(x) <= t, 0.5, 0.0)
         else:
-            out = np.exp(-x * x / (2.0 * t)) / np.sqrt(2.0 * math.pi * t)
+            out = np.negative(x, out=np.empty(np.broadcast_shapes(t.shape,
+                                                                  x.shape)))
+            out *= x
+            scale = np.multiply(t, 2.0, out=np.empty(t.shape))
+            out /= scale
+            np.exp(out, out=out)
+            np.multiply(t, 2.0 * math.pi, out=scale)
+            out /= np.sqrt(scale, out=scale)
         return out if out.ndim else float(out)
 
     def fourier(self, t, xi):

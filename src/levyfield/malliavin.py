@@ -28,7 +28,7 @@ from .reporting import (SLACK_SIGMAS, CheckRow, EstimatorSummary, summarize,
 from .solver import (ProblemSpec, batched_matvec, deterministic_part,
                      evaluate_solution, iterate_moment_sums,
                      pairwise_interaction_matrix, picard_iterates_at_atoms,
-                     solve_forward, sup_estimate)
+                     solve_forward, solve_forward_pair, sup_estimate)
 
 
 class MalliavinError(ValueError):
@@ -57,6 +57,13 @@ class PathFunctional:
     def __call__(self, config: PointConfiguration) -> float:
         return float(self.fn(config))
 
+    def pair(self, config: PointConfiguration,
+             point: DerivativePoint) -> tuple:
+        """(F(config), F(config plus the atom at point)) by evaluating F
+        twice; a functional whose two values share work overrides it."""
+        plus = add_atom(config, point.time, point.x, point.jump)
+        return self(config), self(plus)
+
 
 def integral_functional(h: Integrand,
                         measure: LevyMeasure | None = None) -> PathFunctional:
@@ -70,14 +77,30 @@ def exp_integral_functional(h: Integrand,
                           lambda cfg: math.exp(ito_integral(cfg, h, measure)))
 
 
+@dataclass(frozen=True)
+class _SolutionFunctional(PathFunctional):
+    problem: ProblemSpec
+    t: float
+    x: float
+
+    def pair(self, config: PointConfiguration,
+             point: DerivativePoint) -> tuple:
+        paths = solve_forward_pair(config, self.problem, point.time, point.x,
+                                   point.jump)
+        return tuple(float(evaluate_solution(p, self.t, self.x))
+                     for p in paths)
+
+
 def solution_functional(problem: ProblemSpec, t: float, x: float) -> PathFunctional:
-    """Solution of the mild equation evaluated at (t, x); m1 = 0 only."""
+    """Solution of the mild equation evaluated at (t, x); m1 = 0 only.  Its
+    pair solves the path with and without the added atom in one sweep
+    (solve_forward_pair)."""
 
     def fn(cfg):
         path = solve_forward(cfg, problem, with_grid=False)
         return evaluate_solution(path, t, x)
 
-    return PathFunctional(f"u({t:g},{x:g})", fn)
+    return _SolutionFunctional(f"u({t:g},{x:g})", fn, problem, t, x)
 
 
 def compose_functional(g, F: PathFunctional, gname: str = "g") -> PathFunctional:
@@ -95,10 +118,11 @@ def _validate_point(config: PointConfiguration, point: DerivativePoint):
 
 def difference_derivative(F: PathFunctional, config: PointConfiguration,
                           point: DerivativePoint) -> float:
-    """D_{r,xi,z} F as the literal add-one-point difference."""
+    """D_{r,xi,z} F as the literal add-one-point difference
+    F(config + atom) - F(config), both values from F.pair."""
     _validate_point(config, point)
-    plus = add_atom(config, point.time, point.x, point.jump)
-    return F(plus) - F(config)
+    base, plus = F.pair(config, point)
+    return plus - base
 
 
 def chain_rule_residual(g, F: PathFunctional, config: PointConfiguration,

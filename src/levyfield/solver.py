@@ -23,7 +23,7 @@ import numpy as np
 from .kernels import GreenKernel
 from .integrals import GridField, MissingFieldError, stochastic_convolution
 from .noise import (LevyMeasure, PointBatch, PointConfiguration,
-                    SpaceTimeWindow, sample_batches)
+                    SpaceTimeWindow, add_atom, sample_batches)
 from .reporting import SLACK_SIGMAS, write_csv
 
 
@@ -203,14 +203,16 @@ def pairwise_interaction_matrix(kernel: GreenKernel, target_t, target_x,
     positions gives one grid row).  One rule for every block: where a
     source is not strictly earlier, G is evaluated at dt = 1 in its place
     and the entry zeroed; when every pair is causal G is evaluated as it
-    stands.
+    stands.  dt keeps the times' broadcast shape, (..., 1, k) for a grid
+    time, and takes the 1s in place; no caller's array is written.
     """
     dt = _column(target_t) - _row(source_t)
     dx = _column(target_x) - _row(source_x)
     causal = dt > 0.0
     if causal.all():
         return kernel.evaluate(dt, dx)
-    out = kernel.evaluate(np.where(causal, dt, 1.0), dx)
+    np.copyto(dt, 1.0, where=~causal)
+    out = kernel.evaluate(dt, dx)
     out *= causal
     return out
 
@@ -503,32 +505,72 @@ def solve_forward(config: PointConfiguration, problem: ProblemSpec,
 
     A wave path sweeps its atoms in null coordinates (_wave_forward) and
     projects on the grid by _null_plan, with no kernel evaluation.  A heat
-    path, whose G is never exactly 0, is blocked over _atom_blocks: a
-    block's rows take the atoms before it with one matrix-vector product,
-    then are solved one atom at a time from the earlier atoms of the block,
-    so memory is ATOM_BLOCK_ROWS x n_atoms, never n_atoms^2.
+    path, whose G is never exactly 0, is blocked over _atom_blocks
+    (_heat_forward), so memory is ATOM_BLOCK_ROWS x n_atoms, never
+    n_atoms^2.
     """
     if config.measure.first_moment != 0.0:
         raise SolverError("solve_forward requires m1 = 0; use picard_solve")
-    sigma = problem.sigma
-    t, x, z = config.times, config.positions, config.jumps
     if problem.kernel.kind == "wave":
         u, sigz = _wave_forward(config, problem)
     else:
-        u = np.array(deterministic_part(problem, t, x), dtype=float, ndmin=1)
-        sigz = np.empty(config.n_atoms)
-        for r0, r1, G in _atom_blocks(problem.kernel, t, x):
-            if r0:
-                u[r0:r1] += G[:, :r0] @ sigz[:r0]
-            for k in range(r0, r1):
-                if k > r0:
-                    u[k] += np.dot(G[k - r0, r0:k], sigz[r0:k])
-                sigz[k] = sigma(u[k]) * z[k]
+        u = np.array(deterministic_part(problem, config.times,
+                                        config.positions), dtype=float,
+                     ndmin=1)
+        sigz = _heat_forward(problem, config, u, config.jumps)
     path = SolutionPath(config, problem, u, solver="forward")
     if with_grid:
         path.grid_times, path.grid_positions, path.grid_values = \
             _project_grid(problem, config, sigz)
     return path
+
+
+def _heat_forward(problem: ProblemSpec, config: PointConfiguration, u, z,
+                  shared: int = 0):
+    """Forward substitution over _atom_blocks in place: u holds w at the
+    atoms on entry, the solution on return; returns sigma(u) z.  A block's
+    rows take the atoms before it with one matrix product, then are solved
+    one at a time.  u and z are (n,), or (n, m) for m jump fields sharing
+    each block; at rows k < shared every field copies field 0."""
+    sigma = problem.sigma
+    sigz = np.empty_like(u)
+    for r0, r1, G in _atom_blocks(problem.kernel, config.times,
+                                  config.positions):
+        if r0:
+            u[r0:r1] += G[:, :r0] @ sigz[:r0]
+        for k in range(r0, r1):
+            if k > r0:
+                u[k] += np.dot(G[k - r0, r0:k], sigz[r0:k])
+            if k < shared:
+                u[k] = u[k, 0]
+            sigz[k] = sigma(u[k]) * z[k]
+    return sigz
+
+
+def solve_forward_pair(config: PointConfiguration, problem: ProblemSpec,
+                       time: float, x: float, jump: float):
+    """(base, plus): solve_forward's paths, without the grid, of config and
+    of config with the atom (time, x, jump) added; m1 = 0 only.
+
+    Wave sweeps twice (_wave_forward evaluates no kernel).  Heat runs one
+    _heat_forward over the plus atoms with two jump fields, the added jump
+    0 in the base one, so each kernel block is built once; atoms before
+    the added one copy base into plus, so adaptedness holds bit for bit.
+    The base values round apart from solve_forward(config)'s."""
+    if config.measure.first_moment != 0.0:
+        raise SolverError("solve_forward_pair requires m1 = 0")
+    plus = add_atom(config, time, x, jump)
+    if problem.kernel.kind == "wave":
+        return (solve_forward(config, problem, with_grid=False),
+                solve_forward(plus, problem, with_grid=False))
+    k = int(np.searchsorted(config.times, time))
+    z = np.stack([plus.jumps, plus.jumps], axis=1)
+    z[k, 0] = 0.0
+    u = np.repeat(_column(deterministic_part(problem, plus.times,
+                                             plus.positions)), 2, axis=1)
+    _heat_forward(problem, plus, u, z, shared=k)
+    return (SolutionPath(config, problem, np.delete(u[:, 0], k), "forward"),
+            SolutionPath(plus, problem, u[:, 1].copy(), "forward"))
 
 
 def solve_batch(batch: PointBatch, problem: ProblemSpec) -> np.ndarray:

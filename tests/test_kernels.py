@@ -35,6 +35,29 @@ def test_evaluate_needs_positive_time(kernel):
         kernel.evaluate(0.0, 0.0)
     with pytest.raises(KernelError):
         kernel.evaluate(-1.0, 0.0)
+    # NaN is not a positive time either
+    with pytest.raises(KernelError):
+        kernel.evaluate(math.nan, 0.0)
+    with pytest.raises(KernelError):
+        kernel.evaluate(np.array([0.5, math.nan]), np.zeros(2))
+    assert kernel.evaluate(np.empty((0, 3)), np.zeros(3)).shape == (0, 3)
+
+
+@pytest.mark.parametrize("t_shape,x_shape", [
+    ((), ()), ((7,), (7,)), ((5, 7), (5, 7)), ((1, 7), (5, 7)),
+    ((3, 1, 7), (3, 5, 7))])
+def test_heat_evaluate_is_the_closed_form_bit_for_bit(t_shape, x_shape):
+    rng = np.random.default_rng(len(t_shape) + len(x_shape))
+    t = np.asarray(rng.uniform(1e-4, 1.0, t_shape))
+    x = np.asarray(rng.uniform(-3.0, 3.0, x_shape))
+    want = np.exp(-x * x / (2.0 * t)) / np.sqrt(2.0 * math.pi * t)
+    t0, x0 = t.copy(), x.copy()
+    # read-only, like a PointBatch's arrays: writing into an input raises
+    t.flags.writeable = x.flags.writeable = False
+    got = HEAT.evaluate(t, x)
+    assert np.shape(got) == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(t, t0) and np.array_equal(x, x0)
 
 
 def test_fourier_examples():

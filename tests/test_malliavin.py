@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import levyfield as lf
-from levyfield import MalliavinError, malliavin
+from levyfield import MalliavinError, malliavin, solver
 
 from conftest import assert_close, make_empty_config
 
@@ -126,15 +126,66 @@ def test_duality_target_scales(window, busy_noise):
 # ------------------------------------------------------------- adaptedness
 
 def test_solution_derivative_vanishes_for_late_points(window, busy_noise,
-                                                      wave_problem):
+                                                      wave_problem,
+                                                      heat_problem):
     t, x = 0.6, 0.3
-    F = lf.solution_functional(wave_problem, t, x)
+    rows = solver.ATOM_BLOCK_ROWS
+    # about 5 blocks of atoms: the added atom lands inside a later block
+    long = lf.sample_prm(lf.two_point_measure(1.0, 150.0), window, 0)
+    assert long.n_atoms > 4 * rows
+    cfgs = [_config(busy_noise, window, seed) for seed in range(10)] + [long]
+    for problem in (wave_problem, heat_problem):
+        F = lf.solution_functional(problem, t, x)
+        for cfg in cfgs:
+            for r in (t, t + 0.1, 0.99):
+                d = lf.difference_derivative(
+                    F, cfg, lf.DerivativePoint(r, 0.0, 1.0))
+                assert d == 0.0  # bitwise: the atom never enters the past
+    inserts = np.searchsorted(long.times, [t, t + 0.1, 0.99])
+    assert np.all(inserts > rows) and np.any(inserts % rows)
+
+
+# ------------------------------------------------------- shared base/plus
+
+def test_shared_sweep_matches_two_solves(window, busy_noise, wave_problem,
+                                         heat_problem):
+    # difference_derivative shares one sweep; derivative_equation_residual
+    # differences two separate solve_forward calls
+    mass = 4000 / window.volume
+    long = lf.sample_prm(lf.two_point_measure(math.sqrt(5.0 / mass), mass),
+                         window, (61, 0))
+    assert long.n_atoms > 3500
+    cases = [(problem, seed, _config(busy_noise, window, seed))
+             for problem in (wave_problem, heat_problem)
+             for seed in range(10)] + [(heat_problem, 10, long)]
+    for problem, seed, cfg in cases:
+        rng = lf.derive_rng(seed, 9100)
+        pt = lf.DerivativePoint(rng.uniform(0.05, 0.9),
+                                rng.uniform(-1.5, 1.5), rng.choice([-1, 1]))
+        x = rng.uniform(-1.0, 1.0)
+        d = lf.difference_derivative(lf.solution_functional(problem, 1.0, x),
+                                     cfg, pt)
+        check = lf.derivative_equation_residual(problem, cfg, pt, 1.0, x)
+        if problem.kernel.kind == "wave":
+            assert d == check.lhs
+        else:
+            u = lf.solve_forward(cfg, problem, with_grid=False).atom_values
+            scale = 1.0 + float(np.max(np.abs(u), initial=0.0))
+            assert abs(d - check.lhs) <= 1e-14 * scale, (seed, d, check.lhs)
+
+
+def test_default_pair_evaluates_twice(window, busy_noise):
+    F = lf.integral_functional(H_POS)
+    E = lf.exp_integral_functional(G_SMOOTH)
     for seed in range(10):
         cfg = _config(busy_noise, window, seed)
-        for r in (t, t + 0.1, 0.99):
-            d = lf.difference_derivative(
-                F, cfg, lf.DerivativePoint(r, 0.0, 1.0))
-            assert d == 0.0  # bitwise: the atom never enters the past
+        rng = lf.derive_rng(seed, 9200)
+        pt = lf.DerivativePoint(rng.uniform(0.05, 0.95),
+                                rng.uniform(-2.0, 2.0), rng.normal())
+        plus = lf.add_atom(cfg, pt.time, pt.x, pt.jump)
+        for G in (F, E):
+            assert G.pair(cfg, pt) == (G(cfg), G(plus))
+            assert lf.difference_derivative(G, cfg, pt) == G(plus) - G(cfg)
 
 
 # --------------------------------------------------- fixed-point equation

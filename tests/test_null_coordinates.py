@@ -167,3 +167,10 @@ def test_wave_paths_build_no_kernel_blocks(monkeypatch):
     lf.picard_solve(short, _problem("heat"), 2)
     assert built.count("_atom_blocks") == 2
     assert built.count("_grid_blocks") == 2
+    # one heat derivative builds each block once for both solves
+    mid = 0.5 * (short.times[B // 2] + short.times[B // 2 + 1])
+    lf.difference_derivative(lf.solution_functional(_problem("heat"), 1.0,
+                                                    0.0), short,
+                             lf.DerivativePoint(mid, 0.0, 1.0))
+    assert built.count("_atom_blocks") == 3
+    assert built.count("_grid_blocks") == 2
