@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from .parallel import map_rows
 from .reporting import write_csv
 
 WAVE = "wave"
@@ -26,6 +27,12 @@ class KernelError(ValueError):
     pass
 
 
+def _require(t, positive: bool, message: str):
+    # every time > 0 (positive) or >= 0; NaN fails both, as min() keeps it
+    if t.size and not (t.min() > 0.0 if positive else t.min() >= 0.0):
+        raise KernelError(message)
+
+
 @dataclass(frozen=True)
 class GreenKernel:
     kind: str
@@ -34,27 +41,50 @@ class GreenKernel:
         if self.kind not in (WAVE, HEAT):
             raise KernelError(f"unknown kernel kind {self.kind!r}")
 
-    def evaluate(self, t, x):
+    def evaluate(self, t, x, out=None, where=None):
         """G(t, x) at t and x broadcast together; every t must be > 0 (a NaN
         time raises too).  Heat computes exp(-x x / (2 t)) / sqrt(2 pi t)
         operation by operation in one output buffer, so the only other
-        temporaries have t's shape; the inputs are never written."""
+        temporaries have t's shape; the inputs are never written.  With
+        where (bool, broadcast with t and x), G is then multiplied by it:
+        0 where it is False.
+
+        out, a float array of the broadcast shape with two axes, takes the
+        result in place of a new array and is returned.  Its rows are then
+        filled on every CPU (parallel.map_rows), each range by the same
+        operations; t, x and where must have two axes, with out's rows or
+        one row."""
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        if t.size and not t.min() > 0.0:
-            raise KernelError("kernel evaluation needs strictly positive time")
+        if out is None:
+            out = np.empty(np.broadcast_shapes(t.shape, x.shape))
+            self._fill(t, x, where, out)
+            return out if out.ndim else float(out)
+        n = out.shape[0]
+
+        def rows(a, r0, r1):
+            return a if a is None or a.shape[0] != n else a[r0:r1]
+
+        map_rows(lambda r0, r1: self._fill(rows(t, r0, r1), rows(x, r0, r1),
+                                           rows(where, r0, r1), out[r0:r1]),
+                 n)
+        return out
+
+    def _fill(self, t, x, where, out):
+        # the one copy of each formula
+        _require(t, True, "kernel evaluation needs strictly positive time")
         if self.kind == WAVE:
-            out = np.where(np.abs(x) <= t, 0.5, 0.0)
+            np.multiply(np.abs(x) <= t, 0.5, out=out)
         else:
-            out = np.negative(x, out=np.empty(np.broadcast_shapes(t.shape,
-                                                                  x.shape)))
+            np.negative(x, out=out)
             out *= x
             scale = np.multiply(t, 2.0, out=np.empty(t.shape))
             out /= scale
             np.exp(out, out=out)
             np.multiply(t, 2.0 * math.pi, out=scale)
             out /= np.sqrt(scale, out=scale)
-        return out if out.ndim else float(out)
+        if where is not None:
+            out *= where
 
     def fourier(self, t, xi):
         """Spatial Fourier transform F G(t,.)(xi); t >= 0.
@@ -63,8 +93,7 @@ class GreenKernel:
         """
         t = np.asarray(t, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        if np.any(t < 0.0):
-            raise KernelError("fourier transform needs t >= 0")
+        _require(t, False, "fourier transform needs t >= 0")
         if self.kind == WAVE:
             # sin(t xi)/xi == t * sinc(t xi / pi), continuous through xi = 0
             out = t * np.sinc(t * xi / math.pi)
@@ -75,32 +104,28 @@ class GreenKernel:
     def square_integral(self, t):
         """int G(t,x)^2 dx; wave t/2, heat (4 pi t)^(-1/2); t > 0."""
         t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0):
-            raise KernelError("square integral needs strictly positive time")
+        _require(t, True, "square integral needs strictly positive time")
         out = t / 2.0 if self.kind == WAVE else 1.0 / np.sqrt(4.0 * math.pi * t)
         return out if out.ndim else float(out)
 
     def cumulative_square_integral(self, t):
         """int_0^t int G(s,x)^2 dx ds; wave t^2/4, heat sqrt(t/pi); t >= 0."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise KernelError("cumulative square integral needs t >= 0")
+        _require(t, False, "cumulative square integral needs t >= 0")
         out = t * t / 4.0 if self.kind == WAVE else np.sqrt(t / math.pi)
         return out if out.ndim else float(out)
 
     def mass_integral(self, t):
         """int G(t,x) dx; wave t, heat 1; t > 0."""
         t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0):
-            raise KernelError("mass integral needs strictly positive time")
+        _require(t, True, "mass integral needs strictly positive time")
         out = t if self.kind == WAVE else np.ones_like(t)
         return out if out.ndim else float(out)
 
     def cumulative_mass_integral(self, t):
         """int_0^t int G(s,x) dx ds; wave t^2/2, heat t; t >= 0."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise KernelError("cumulative mass integral needs t >= 0")
+        _require(t, False, "cumulative mass integral needs t >= 0")
         out = t * t / 2.0 if self.kind == WAVE else t.copy()
         return out if out.ndim else float(out)
 

@@ -24,6 +24,7 @@ from .kernels import GreenKernel
 from .integrals import GridField, MissingFieldError, stochastic_convolution
 from .noise import (LevyMeasure, PointBatch, PointConfiguration,
                     SpaceTimeWindow, add_atom, sample_batches)
+from .parallel import map_rows
 from .reporting import SLACK_SIGMAS, write_csv
 
 
@@ -193,7 +194,7 @@ def batched_matvec(M, v):
 
 
 def pairwise_interaction_matrix(kernel: GreenKernel, target_t, target_x,
-                                source_t, source_x):
+                                source_t, source_x, work=None):
     """Out[..., i, j] = G(target_t_i - source_t_j, target_x_i - source_x_j)
     where the source time is strictly earlier, else 0.
 
@@ -205,16 +206,66 @@ def pairwise_interaction_matrix(kernel: GreenKernel, target_t, target_x,
     and the entry zeroed; when every pair is causal G is evaluated as it
     stands.  dt keeps the times' broadcast shape, (..., 1, k) for a grid
     time, and takes the 1s in place; no caller's array is written.
+
+    With work (a _BlockWork), the sources are one path's (k,) and the block
+    is built in work's buffers, its rows split across the CPUs
+    (parallel.map_rows), each range by the same operations in the same
+    order, so every entry has the same bits.  The block is then a view of
+    work, valid only until the next block built in it.
     """
-    dt = _column(target_t) - _row(source_t)
-    dx = _column(target_x) - _row(source_x)
-    causal = dt > 0.0
-    if causal.all():
-        return kernel.evaluate(dt, dx)
-    np.copyto(dt, 1.0, where=~causal)
-    out = kernel.evaluate(dt, dx)
-    out *= causal
-    return out
+    tt, tx = _column(target_t), _column(target_x)
+    st, sx = _row(source_t), _row(source_x)
+    if work is None:
+        dt = tt - st
+        dx = tx - sx
+        causal = dt > 0.0
+        if causal.all():
+            return kernel.evaluate(dt, dx)
+        np.copyto(dt, 1.0, where=~causal)
+        return kernel.evaluate(dt, dx, where=causal)
+    t_shape = np.broadcast_shapes(tt.shape, st.shape)
+    shape = np.broadcast_shapes(t_shape, tx.shape, sx.shape)
+    dt, causal, dx, out = work.views(t_shape, shape)
+    t_rows = t_shape[0] == shape[0]     # else one grid time: (1, k)
+
+    def times(r0, r1):
+        np.subtract(tt[r0:r1], st, out=dt[r0:r1])
+        np.greater(dt[r0:r1], 0.0, out=causal[r0:r1])
+        if causal[r0:r1].all():
+            return True
+        np.copyto(dt[r0:r1], 1.0, where=~causal[r0:r1])
+        return False
+
+    def differences(r0, r1):
+        np.subtract(tx[r0:r1], sx, out=dx[r0:r1])
+        return times(r0, r1) if t_rows else True
+
+    all_causal = all(map_rows(differences, shape[0]))
+    if not t_rows:
+        all_causal = times(0, 1)
+    return kernel.evaluate(dt, dx, out=out,
+                           where=None if all_causal else causal)
+
+
+class _BlockWork:
+    """The dt, causal, dx and out buffers of one pass over the kernel
+    blocks of one path, allocated once per pass: flat, each as long as the
+    pass's largest block needs.  Consecutive blocks reuse the same memory,
+    so a block is valid only until the next one is built."""
+
+    def __init__(self, t_size: int, size: int):
+        self.dt = np.empty(t_size)
+        self.causal = np.empty(t_size, dtype=bool)
+        self.dx = np.empty(size)
+        self.out = np.empty(size)
+
+    def views(self, t_shape, shape):
+        """(dt, causal, dx, out) of one block: the first entries of each
+        buffer, dt and causal in the times' shape, dx and out in the
+        block's."""
+        m, k = math.prod(t_shape), math.prod(shape)
+        return (self.dt[:m].reshape(t_shape), self.causal[:m].reshape(t_shape),
+                self.dx[:k].reshape(shape), self.out[:k].reshape(shape))
 
 
 @dataclass
@@ -276,18 +327,33 @@ def evaluate_batch(batch: PointBatch, problem: ProblemSpec, atom_values,
         + np.ascontiguousarray(terms.T).sum(axis=0)
 
 
-def _grid_blocks(problem: ProblemSpec, times, positions):
+def _grid_blocks(problem: ProblemSpec, times, positions, fresh=False):
     """The kernel block of each grid time t_j.  times and positions are one
     path's time-sorted atoms (k,) or a PointBatch's rows (P, K).  The atoms
     before t_j are a prefix of each path, k_j atoms long in the longest, and
     the block is their (..., n_x, k_j) kernel block G(t_j - t_i, x_l - x_i)
     by pairwise_interaction_matrix's rule, zero after each path's prefix;
-    it is (..., n_x, 0) where no atom comes before t_j."""
+    it is (..., n_x, 0) where no atom comes before t_j.
+
+    One path of more than ATOM_BLOCK_ROWS atoms builds its blocks in one
+    _BlockWork, dt and the scale of G kept (1, k_j) as for any grid time,
+    the n_x rows split across the CPUs: each block is valid only until the
+    next one is yielded, unless fresh, which gives every block its own
+    buffers (for a caller that holds them all).  A padded batch or a
+    shorter path builds each block as new arrays on the calling thread."""
     grid_t, grid_x = problem.grid()
     before = np.sum(times[..., None, :] < grid_t[:, None], axis=-1)
-    for tj, kj in zip(grid_t, before.reshape(-1, grid_t.size).max(axis=0)):
-        yield pairwise_interaction_matrix(problem.kernel, tj, grid_x,
-                                          times[..., :kj], positions[..., :kj])
+    prefix = before.reshape(-1, grid_t.size).max(axis=0)
+    blocked = times.ndim == 1 and times.size > ATOM_BLOCK_ROWS
+
+    def workspace(k):
+        return _BlockWork(k, grid_x.size * k) if blocked else None
+
+    shared = None if fresh else workspace(int(prefix.max(initial=0)))
+    for tj, kj in zip(grid_t, prefix):
+        yield pairwise_interaction_matrix(
+            problem.kernel, tj, grid_x, times[..., :kj], positions[..., :kj],
+            workspace(kj) if fresh else shared)
 
 
 # target atoms per causal row block of _atom_blocks.  On one path of 1000
@@ -305,13 +371,22 @@ def _atom_blocks(kernel: GreenKernel, times, positions):
     G(t_i - t_j, x_i - x_j) of targets r0 <= i < r1 over the sources
     j < r1, zero where t_j >= t_i.  Atom i only sees atoms before it, so
     these blocks hold every nonzero entry of the atoms' interaction
-    matrix, ATOM_BLOCK_ROWS target rows at a time."""
+    matrix, ATOM_BLOCK_ROWS target rows at a time.
+
+    One path of more than ATOM_BLOCK_ROWS atoms builds its blocks in one
+    _BlockWork of ATOM_BLOCK_ROWS x n entries per buffer, allocated once
+    for the pass, each block's target rows split across the CPUs: a
+    yielded G is valid only until the next one.  A padded batch or a path
+    of one block builds G as new arrays on the calling thread."""
     n = times.shape[-1]
+    work = None
+    if times.ndim == 1 and n > ATOM_BLOCK_ROWS:
+        work = _BlockWork(ATOM_BLOCK_ROWS * n, ATOM_BLOCK_ROWS * n)
     for r0 in range(0, n, ATOM_BLOCK_ROWS):
         r1 = min(r0 + ATOM_BLOCK_ROWS, n)
         yield r0, r1, pairwise_interaction_matrix(
             kernel, times[..., r0:r1], positions[..., r0:r1],
-            times[..., :r1], positions[..., :r1])
+            times[..., :r1], positions[..., :r1], work)
 
 
 def _null_buckets(window: SpaceTimeWindow, expected: float, t, x):
@@ -419,10 +494,11 @@ def grid_projection(problem: ProblemSpec, times, positions, coefs,
     kernel block is built once and applied to every field and path with
     one (batched) matrix product; a grid time with no atom before it has
     an empty block, and its values are w.  blocks is
-    list(_grid_blocks(...)) from a caller that projects the same atoms
-    again; without it the blocks are built one at a time and dropped, so a
-    caller that reduces each grid time's values as they come never holds
-    the whole grid.
+    list(_grid_blocks(..., fresh=True)) from a caller that projects the
+    same atoms again; without it the blocks are built one at a time (on
+    one long path, in one reused workspace) and dropped, so a caller that
+    reduces each grid time's values as they come never holds the whole
+    grid.
     """
     grid_t, grid_x = problem.grid()
     coefs = np.asarray(coefs, dtype=float)
@@ -507,7 +583,10 @@ def solve_forward(config: PointConfiguration, problem: ProblemSpec,
     projects on the grid by _null_plan, with no kernel evaluation.  A heat
     path, whose G is never exactly 0, is blocked over _atom_blocks
     (_heat_forward), so memory is ATOM_BLOCK_ROWS x n_atoms, never
-    n_atoms^2.
+    n_atoms^2.  On a heat path of more than ATOM_BLOCK_ROWS atoms the
+    atom blocks and then the grid blocks are each built in one workspace
+    per pass, their rows split across the CPUs (parallel.map_rows), with
+    the serial bits; each block is used before the next is built.
     """
     if config.measure.first_moment != 0.0:
         raise SolverError("solve_forward requires m1 = 0; use picard_solve")
@@ -636,9 +715,12 @@ def picard_iterates_at_atoms(problem: ProblemSpec, times, positions, jumps,
     of _atom_blocks: u_{m+1} at rows [r0, r1) needs u_m only before r1, so
     each block computes all n iterates of its rows, one (batched)
     matrix-vector product each, and is dropped: at 4094 atoms a block is
-    2 MB where the whole matrix is 134 MB.  A padded batch of up to
+    2 MB where the whole matrix is 134 MB.  On one path of more than
+    ATOM_BLOCK_ROWS atoms the blocks are built in one workspace allocated
+    for the sweep, each block's rows split across the CPUs; a block is
+    used before the next overwrites it.  A padded batch of up to
     ATOM_BLOCK_ROWS atoms per path is one block, the whole (P, K, K)
-    matrix."""
+    matrix, and any padded batch is built serially."""
     sigma = problem.sigma
     w = np.array(deterministic_part(problem, times, positions), dtype=float,
                  ndmin=1)
@@ -681,7 +763,8 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
     number of distinct grid time differences t_j - t_i (169 on the default
     64 x 64 grid: 5.5 MB), plus n_atoms * n_t * n_x * 8 bytes of atom rows.
     The grid projection's kernel blocks are built once per call too, about
-    n_atoms * n_t * n_x * 4 bytes.
+    n_atoms * n_t * n_x * 4 bytes, each in buffers of its own
+    (_grid_blocks(..., fresh=True)), since all of them are held at once.
     """
     if n_iter < 0:
         raise SolverError("n_iter must be >= 0")
@@ -712,7 +795,7 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
                                          grid_x[None, :]), dtype=float)
     M = pairwise_interaction_matrix(kernel, t, x, t, x)
     compensator = _compensator_operator(problem, config)
-    blocks = list(_grid_blocks(problem, t, x))
+    blocks = list(_grid_blocks(problem, t, x, fresh=True))
     u_at = w_at.copy()
     diffs = []
     m1 = measure.first_moment

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -54,3 +57,12 @@ def assert_close(got, want, rel=0.0, abs_=0.0, label=""):
     tol = abs_ + rel * abs(want)
     assert abs(got - want) <= tol, \
         f"{label}: got {got!r}, want {want!r} (tol {tol:g})"
+
+
+def child_env():
+    """The environment for a child process that imports the same levyfield
+    as the tests, whatever the working directory and whatever else is
+    installed."""
+    src = str(Path(lf.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}

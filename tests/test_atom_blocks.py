@@ -1,16 +1,22 @@
 """The causal row-block engine of solve_forward and the m1 = 0 Picard
 iterates against the dense atoms x atoms matrix and the per-atom solve,
-and the one causal rule of pairwise_interaction_matrix against G gathered
-at the causal pairs."""
+the one causal rule of pairwise_interaction_matrix against G gathered at
+the causal pairs, and the blocks of one long path, filled on every CPU
+into one reused workspace, against the serial matrix."""
 
 import math
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import levyfield as lf
-from levyfield import solver
+from levyfield import parallel, solver
+
+from conftest import child_env
 
 B = solver.ATOM_BLOCK_ROWS
 WINDOW = lf.SpaceTimeWindow(1.0, 2.0)
@@ -234,3 +240,151 @@ def test_picard_at_atoms_holds_no_atoms_by_atoms_matrix(kernel):
         tracemalloc.stop()
     assert peak < 8 * n * n / 4, (peak, n)
     assert path.atom_values.shape == (n,) and diag.sup_differences.size == 8
+
+
+# -- the blocks of one long path, filled on every CPU into one workspace ------
+
+
+def _grid_reference(problem, t, x):
+    # one serial pairwise_interaction_matrix call per grid time
+    grid_t, grid_x = problem.grid()
+    for tj in grid_t:
+        k = int(np.sum(t < tj))
+        yield solver.pairwise_interaction_matrix(problem.kernel, tj, grid_x,
+                                                 t[:k], x[:k])
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 9])
+@pytest.mark.parametrize("n", [B + 1, 200, 1000])
+def test_parallel_blocks_equal_serial_blocks(monkeypatch, n, parts):
+    # each block, built in the pass's workspace with its rows split, has
+    # the bits of the serial matrix; it is compared before the next block
+    # overwrites it.  9 parts queue on the pool, and a short switch
+    # interval interleaves the threads often: a range written by the wrong
+    # thread or left unwritten would show
+    monkeypatch.setattr(parallel, "PARTS", parts)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _check_blocks(n)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _check_blocks(n):
+    problem = _problem("heat")
+    cfg = _path(n)
+    t, x = cfg.times, cfg.positions
+    M = solver.pairwise_interaction_matrix(problem.kernel, t, x, t, x)
+    rows = 0
+    for r0, r1, G in solver._atom_blocks(problem.kernel, t, x):
+        want = solver.pairwise_interaction_matrix(
+            problem.kernel, t[r0:r1], x[r0:r1], t[:r1], x[:r1])
+        assert G.shape == want.shape and G.tobytes() == want.tobytes(), r0
+        assert np.array_equal(G, M[r0:r1, :r1])
+        rows = r1
+    assert rows == n
+    blocks = solver._grid_blocks(problem, t, x)
+    for j, (G, want) in enumerate(zip(blocks, _grid_reference(problem, t,
+                                                               x))):
+        assert G.shape == want.shape and G.tobytes() == want.tobytes(), j
+    assert j == problem.n_t - 1
+
+
+def _solve_all(problem, cfg):
+    path = lf.solve_forward(cfg, problem)
+    pic, diag = lf.picard_solve(cfg, problem, 8)
+    base, plus = solver.solve_forward_pair(cfg, problem, 0.5, 0.3, 0.2)
+    return [path.atom_values, path.grid_values, pic.atom_values,
+            pic.grid_values, diag.sup_differences, base.atom_values,
+            plus.atom_values]
+
+
+@pytest.mark.parametrize("n", [B + 1, 200, 1000])
+def test_solvers_do_not_depend_on_the_part_count(monkeypatch, n):
+    problem = _problem("heat", "sin")
+    cfg = _path(n)
+    monkeypatch.setattr(parallel, "PARTS", 1)
+    want = _solve_all(problem, cfg)
+    for parts in (2, 3):
+        monkeypatch.setattr(parallel, "PARTS", parts)
+        got = _solve_all(problem, cfg)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.tobytes() == b.tobytes(), (parts, i)
+
+
+def test_ensemble_sized_inputs_start_no_thread(monkeypatch, heat_problem):
+    # a path of one block and a padded batch keep the serial code
+    def refuse():
+        raise AssertionError("a thread pool was asked for")
+
+    monkeypatch.setattr(parallel, "PARTS", 2)
+    monkeypatch.setattr(parallel, "_executor", refuse)
+    measure = lf.two_point_measure(1.0, 5.0)
+    cfg = lf.sample_prm(measure, WINDOW, (5, 0))
+    assert 0 < cfg.n_atoms <= B
+    _solve_all(heat_problem, cfg)
+    batch = lf.sample_batch(measure, WINDOW, 5, 0, 8)
+    t, x, z = batch.times, batch.positions, batch.jumps
+    assert t.ndim == 2
+    solver.solve_batch(batch, heat_problem)
+    its = solver.picard_iterates_at_atoms(heat_problem, t, x, z, 4)
+    solver.iterate_moment_sums(heat_problem, t, x, z, its, increments=True)
+    solver.cross_solver_gaps(batch, heat_problem, 4)
+
+
+def test_kernel_layers_are_entered_on_the_calling_thread(monkeypatch):
+    # the benchmark's tracer keeps one span stack per process: the split
+    # fill must enter pairwise_interaction_matrix and GreenKernel.evaluate
+    # once per block, on the calling thread, with the block's full size
+    monkeypatch.setattr(parallel, "PARTS", 2)
+    problem = _problem("heat")
+    cfg = _path(300)
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls.append((name, threading.get_ident(), np.size(result)))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(lf.GreenKernel, "evaluate",
+                        recording("evaluate", lf.GreenKernel.evaluate))
+    monkeypatch.setattr(solver, "pairwise_interaction_matrix",
+                        recording("matrix",
+                                  solver.pairwise_interaction_matrix))
+    sizes = [G.size for _, _, G in solver._atom_blocks(problem.kernel,
+                                                       cfg.times,
+                                                       cfg.positions)]
+    sizes += [G.size for G in solver._grid_blocks(problem, cfg.times,
+                                                  cfg.positions)]
+    assert {ident for _, ident, _ in calls} == {threading.get_ident()}
+    for name in ("evaluate", "matrix"):
+        assert [size for n, _, size in calls if n == name] == sizes
+
+
+def test_compensated_picard_holds_blocks_of_their_own():
+    # the m1 != 0 branch holds every grid block at once: on a heat path of
+    # more than one block they must not be views of one workspace
+    problem = _problem("heat")
+    measure = lf.gaussian_measure(60.0, 0.5, 1.0)
+    cfg = lf.sample_prm(measure, WINDOW, (7, 0))
+    assert cfg.n_atoms > B and measure.first_moment != 0.0
+    got, got_diag = lf.picard_solve(cfg, problem, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_grid_blocks",
+                   lambda problem, t, x, fresh=False:
+                   _grid_reference(problem, t, x))
+        want, want_diag = lf.picard_solve(cfg, problem, 3)
+    assert got.atom_values.tobytes() == want.atom_values.tobytes()
+    assert got.grid_values.tobytes() == want.grid_values.tobytes()
+    assert np.array_equal(got_diag.sup_differences, want_diag.sup_differences)
+
+
+def test_import_starts_no_thread():
+    code = ("import threading, levyfield; "
+            "print(threading.active_count())")
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=child_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "1"

@@ -5,7 +5,6 @@ import dataclasses
 import importlib
 import json
 import math
-import os
 import shutil
 import subprocess
 import sys
@@ -17,6 +16,8 @@ import pytest
 import levyfield as lf
 import levyfield.cli as cli
 from levyfield import ConfigError, EnsembleError
+
+from conftest import child_env
 
 
 # ------------------------------------------------------------- config file
@@ -361,19 +362,11 @@ def test_every_run_config_field_has_a_cli_flag(monkeypatch):
 _CLI_ARGS = ["verify", "exp-derivative", "--n-diagnostic", "20"]
 
 
-def _child_env():
-    # the child imports the same levyfield as this test, whatever the
-    # working directory and whatever else is installed
-    src = str(Path(lf.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 def test_cli_entry_point_subprocess(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "levyfield", *_CLI_ARGS,
          "--outdir", str(tmp_path)],
-        capture_output=True, text=True, timeout=120, env=_child_env())
+        capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert "exp-derivative: PASS" in proc.stdout
 
@@ -399,7 +392,7 @@ def test_report_scripts_subprocess(tmp_path, script, args, csv_name):
     proc = subprocess.run(
         [sys.executable, str(_SCRIPTS / script), *args,
          "--outdir", str(tmp_path)],
-        capture_output=True, text=True, timeout=300, env=_child_env())
+        capture_output=True, text=True, timeout=300, env=child_env())
     if csv_name is None:
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert proc.stderr == _USAGE_ERRORS[script]

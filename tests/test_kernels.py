@@ -43,6 +43,23 @@ def test_evaluate_needs_positive_time(kernel):
     assert kernel.evaluate(np.empty((0, 3)), np.zeros(3)).shape == (0, 3)
 
 
+@pytest.mark.parametrize("kernel", [WAVE, HEAT])
+@pytest.mark.parametrize("method", [
+    lambda k, t: k.fourier(t, 1.0), lambda k, t: k.square_integral(t),
+    lambda k, t: k.cumulative_square_integral(t),
+    lambda k, t: k.mass_integral(t),
+    lambda k, t: k.cumulative_mass_integral(t)],
+    ids=["fourier", "square_integral", "cumulative_square_integral",
+         "mass_integral", "cumulative_mass_integral"])
+@pytest.mark.parametrize("t", [math.nan, np.array([0.5, math.nan])],
+                         ids=["scalar", "array"])
+def test_time_functions_refuse_nan_time(kernel, method, t):
+    # heat mass_integral(nan) used to return 1.0
+    with pytest.raises(KernelError):
+        method(kernel, t)
+    assert np.shape(method(kernel, np.empty(0))) == (0,)
+
+
 @pytest.mark.parametrize("t_shape,x_shape", [
     ((), ()), ((7,), (7,)), ((5, 7), (5, 7)), ((1, 7), (5, 7)),
     ((3, 1, 7), (3, 5, 7))])
