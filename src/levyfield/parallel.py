@@ -66,5 +66,6 @@ def map_rows(fill, n_rows: int) -> list:
     futures = [_executor().submit(fill, a, b) for a, b in ranges[1:]]
     try:
         return [fill(*ranges[0])] + [f.result() for f in futures]
-    finally:
-        wait(futures)
+    except BaseException:
+        wait(futures)   # no range is still being written
+        raise

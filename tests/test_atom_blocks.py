@@ -388,3 +388,19 @@ def test_import_starts_no_thread():
     out = subprocess.run([sys.executable, "-c", code], check=True, env=child_env(),
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("row", [0, 5])
+def test_split_evaluate_raises_from_any_range(monkeypatch, row):
+    # a time that is not > 0 in the calling thread's range or in the
+    # pool's raises, and every range has ended by then
+    monkeypatch.setattr(parallel, "PARTS", 2)
+    dt = np.full((6, 50), 0.5)
+    dt[row, 7] = 0.0
+    out = np.zeros((6, 50))
+    with pytest.raises(lf.KernelError):
+        lf.heat_kernel().evaluate(dt, np.zeros((6, 50)), out=out)
+    dt[row, 7] = 0.5
+    got = lf.heat_kernel().evaluate(dt, np.zeros((6, 50)), out=out)
+    assert got is out and np.array_equal(out, lf.heat_kernel().evaluate(
+        dt, np.zeros((6, 50))))
