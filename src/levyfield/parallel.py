@@ -55,7 +55,9 @@ if hasattr(os, "register_at_fork"):
 def map_rows(fill, n_rows: int) -> list:
     """[fill(r0, r1), ...] over PARTS contiguous ranges that tile
     [0, n_rows), in row order.  The first range runs on the calling thread,
-    the others on the pool; all have ended when this returns or raises.
+    the others on the pool, except that the calling thread fills any range
+    the pool has not started by the time it is done with its own; all have
+    ended when this returns or raises.
     fill must write only its own rows, and must call no function that
     perfbench/tracing.py wraps: the tracer keeps one span stack for the
     whole process."""
@@ -65,7 +67,12 @@ def map_rows(fill, n_rows: int) -> list:
         return [fill(*ranges[0])]
     futures = [_executor().submit(fill, a, b) for a, b in ranges[1:]]
     try:
-        return [fill(*ranges[0])] + [f.result() for f in futures]
+        results = [fill(*ranges[0])]
+        # a range that no pool thread has started (the pool is busy, or
+        # another process holds the other CPUs) is filled here instead
+        results += [fill(a, b) if f.cancel() else f.result()
+                    for f, (a, b) in zip(futures, ranges[1:])]
+        return results
     except BaseException:
         wait(futures)   # no range is still being written
         raise

@@ -404,3 +404,24 @@ def test_split_evaluate_raises_from_any_range(monkeypatch, row):
     got = lf.heat_kernel().evaluate(dt, np.zeros((6, 50)), out=out)
     assert got is out and np.array_equal(out, lf.heat_kernel().evaluate(
         dt, np.zeros((6, 50))))
+
+
+def test_map_rows_fills_the_ranges_no_thread_has_started(monkeypatch):
+    # with every pool thread busy (or its CPU taken), the calling thread
+    # fills the pool's ranges itself and does not wait for a thread
+    from concurrent.futures import ThreadPoolExecutor
+    pool, release = ThreadPoolExecutor(1), threading.Event()
+    try:
+        blocker = pool.submit(release.wait, 60)
+        monkeypatch.setattr(parallel, "PARTS", 3)
+        monkeypatch.setattr(parallel, "_executor", lambda: pool)
+        threads = []
+        got = parallel.map_rows(
+            lambda r0, r1: threads.append(threading.get_ident()) or (r0, r1),
+            10)
+        assert got == [(0, 3), (3, 6), (6, 10)]
+        assert threads == [threading.get_ident()] * 3
+        assert not blocker.done()
+    finally:
+        release.set()
+        pool.shutdown()
