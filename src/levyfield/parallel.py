@@ -43,9 +43,10 @@ def _executor():
 
 
 def _forget_pool():
-    # a forked child has none of the parent's threads
-    global _pool
-    _pool = None
+    # a forked child has none of the parent's threads, and its copy of the
+    # lock may have been held by one of them
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
