@@ -13,8 +13,7 @@ the machine's speed hits both sides alike.  With --traced, each side also
 makes one traced run (per-layer figures) per workload, at the first seed.
 
 Writes BENCH_<pr>.json at the root of the working tree: the machine block
-that run.py prints with `cpus`, the number of CPUs the runs may use, added
-to each side's, every run's final JSON record, per end-to-end metric
+that run.py prints, every run's final JSON record, per end-to-end metric
 the medians of both sides and the number of pairs in which the change is
 lower, and `src_lines`, the total line count of src/levyfield/*.py in each
 side's exported tree.
@@ -25,7 +24,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import platform
 import statistics
 import subprocess
@@ -148,9 +146,7 @@ def main() -> int:
             for side in order:
                 fields, record = run(trees[side], workload, seed, seconds,
                                      trace)
-                # the heat blocks are filled on every CPU of the process
-                machine.setdefault(side, {**fields, "cpus": len(
-                    os.sched_getaffinity(0))})
+                machine.setdefault(side, fields)
                 runs.append({"workload": workload, "seed": seed,
                              "trace": trace, "side": side,
                              "first": order[0], "record": record})

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .parallel import map_rows
 from .reporting import write_csv
 
 WAVE = "wave"
@@ -33,6 +32,9 @@ def _require(t, positive: bool, message: str):
         raise KernelError(message)
 
 
+_POSITIVE = "kernel evaluation needs strictly positive time"
+
+
 @dataclass(frozen=True)
 class GreenKernel:
     kind: str
@@ -41,38 +43,44 @@ class GreenKernel:
         if self.kind not in (WAVE, HEAT):
             raise KernelError(f"unknown kernel kind {self.kind!r}")
 
-    def evaluate(self, t, x, out=None, where=None):
+    def evaluate(self, t, x, out=None, rows=None):
         """G(t, x) at t and x broadcast together; every t must be > 0 (a NaN
         time raises too).  Heat computes exp(-x x / (2 t)) / sqrt(2 pi t)
         operation by operation in one output buffer, so the only other
-        temporaries have t's shape; the inputs are never written.  With
-        where (bool, broadcast with t and x), G is then multiplied by it:
-        0 where it is False.
+        temporaries have t's shape; the inputs are never written.
 
-        out, a float array of the broadcast shape with two axes, takes the
-        result in place of a new array and is returned.  Its rows are then
-        filled on every CPU (parallel.map_rows), each range by the same
-        operations; t, x and where must have two axes, with out's rows or
-        one row."""
+        out, a float array of the broadcast shape, takes the result in
+        place of a new array and is returned; t is checked before out is
+        written.  rows, given with out (two axes), is a function
+        rows(fill, n) that calls fill(r0, r1) on ranges tiling out's n rows
+        (solver's block fill gives one that writes each range's t and x
+        first and runs the ranges on several CPUs); fill checks t's rows
+        r0:r1 and writes G into out's by the same operations (a t or x of
+        one row serves every range)."""
+        return self._evaluate(t, x, out, rows)
+
+    def _evaluate(self, t, x, out=None, rows=None):
+        # evaluate's body, for a caller that times the fill untraced
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         if out is None:
             out = np.empty(np.broadcast_shapes(t.shape, x.shape))
-            self._fill(t, x, where, out)
+        if rows is None:
+            _require(t, True, _POSITIVE)
+            self._fill(t, x, out)
             return out if out.ndim else float(out)
         n = out.shape[0]
 
-        def rows(a, r0, r1):
-            return a if a is None or a.shape[0] != n else a[r0:r1]
+        def fill(r0, r1):
+            tr, xr = (a if a.shape[0] != n else a[r0:r1] for a in (t, x))
+            _require(tr, True, _POSITIVE)
+            self._fill(tr, xr, out[r0:r1])
 
-        map_rows(lambda r0, r1: self._fill(rows(t, r0, r1), rows(x, r0, r1),
-                                           rows(where, r0, r1), out[r0:r1]),
-                 n)
+        rows(fill, n)
         return out
 
-    def _fill(self, t, x, where, out):
+    def _fill(self, t, x, out):
         # the one copy of each formula
-        _require(t, True, "kernel evaluation needs strictly positive time")
         if self.kind == WAVE:
             np.multiply(np.abs(x) <= t, 0.5, out=out)
         else:
@@ -83,8 +91,6 @@ class GreenKernel:
             np.exp(out, out=out)
             np.multiply(t, 2.0 * math.pi, out=scale)
             out /= np.sqrt(scale, out=scale)
-        if where is not None:
-            out *= where
 
     def fourier(self, t, xi):
         """Spatial Fourier transform F G(t,.)(xi); t >= 0.

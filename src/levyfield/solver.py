@@ -15,6 +15,7 @@ exactly once the iteration count passes the longest interaction chain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +25,7 @@ from .kernels import GreenKernel
 from .integrals import GridField, MissingFieldError, stochastic_convolution
 from .noise import (LevyMeasure, PointBatch, PointConfiguration,
                     SpaceTimeWindow, add_atom, sample_batches)
-from .parallel import map_rows
+from . import parallel
 from .reporting import SLACK_SIGMAS, write_csv
 
 
@@ -207,65 +208,139 @@ def pairwise_interaction_matrix(kernel: GreenKernel, target_t, target_x,
     stands.  dt keeps the times' broadcast shape, (..., 1, k) for a grid
     time, and takes the 1s in place; no caller's array is written.
 
-    With work (a _BlockWork), the sources are one path's (k,) and the block
-    is built in work's buffers, its rows split across the CPUs
-    (parallel.map_rows), each range by the same operations in the same
-    order, so every entry has the same bits.  The block is then a view of
-    work, valid only until the next block built in it.
+    With work (a _BlockWork), the sources are one path's (k,) and the
+    block is built in work's buffers by the same operations (so with the
+    same bits), and is a view of them, valid only until the next block
+    built in work.
     """
     tt, tx = _column(target_t), _column(target_x)
     st, sx = _row(source_t), _row(source_x)
-    if work is None:
-        dt = tt - st
-        dx = tx - sx
-        causal = dt > 0.0
-        if causal.all():
-            return kernel.evaluate(dt, dx)
-        np.copyto(dt, 1.0, where=~causal)
-        return kernel.evaluate(dt, dx, where=causal)
-    t_shape = np.broadcast_shapes(tt.shape, st.shape)
-    shape = np.broadcast_shapes(t_shape, tx.shape, sx.shape)
-    dt, causal, dx, out = work.views(t_shape, shape)
-    t_rows = t_shape[0] == shape[0]     # else one grid time: (1, k)
+    if work is not None:
+        return work.fill(kernel.evaluate, tt, tx, st, sx)
+    dt = tt - st
+    dx = tx - sx
+    causal = dt > 0.0
+    if causal.all():
+        return kernel.evaluate(dt, dx)
+    np.copyto(dt, 1.0, where=~causal)
+    out = kernel.evaluate(dt, dx)
+    out *= causal
+    return out
 
-    def times(r0, r1):
-        np.subtract(tt[r0:r1], st, out=dt[r0:r1])
-        np.greater(dt[r0:r1], 0.0, out=causal[r0:r1])
-        if causal[r0:r1].all():
-            return True
-        np.copyto(dt[r0:r1], 1.0, where=~causal[r0:r1])
-        return False
 
-    def differences(r0, r1):
-        np.subtract(tx[r0:r1], sx, out=dx[r0:r1])
-        return times(r0, r1) if t_rows else True
-
-    all_causal = all(map_rows(differences, shape[0]))
-    if not t_rows:
-        all_causal = times(0, 1)
-    return kernel.evaluate(dt, dx, out=out,
-                           where=None if all_causal else causal)
+def _causal_times(tt, st, dt, causal) -> bool:
+    """dt = tt - st and causal = dt > 0 in place, then dt = 1 where a pair
+    is not causal; True if every pair is."""
+    np.subtract(tt, st, out=dt)
+    np.greater(dt, 0.0, out=causal)
+    if causal.all():
+        return True
+    np.copyto(dt, 1.0, where=~causal)
+    return False
 
 
 class _BlockWork:
     """The dt, causal, dx and out buffers of one pass over the kernel
     blocks of one path, allocated once per pass: flat, each as long as the
     pass's largest block needs.  Consecutive blocks reuse the same memory,
-    so a block is valid only until the next one is built."""
+    so a block is valid only until the next one is built.  least is the
+    fewest entries per row range at which a split fill pays
+    (_least_range), or None: every block is filled on the calling
+    thread."""
 
-    def __init__(self, t_size: int, size: int):
+    def __init__(self, t_size: int, size: int, least=None):
         self.dt = np.empty(t_size)
         self.causal = np.empty(t_size, dtype=bool)
         self.dx = np.empty(size)
         self.out = np.empty(size)
+        self.least = least
 
-    def views(self, t_shape, shape):
-        """(dt, causal, dx, out) of one block: the first entries of each
-        buffer, dt and causal in the times' shape, dx and out in the
-        block's."""
-        m, k = math.prod(t_shape), math.prod(shape)
-        return (self.dt[:m].reshape(t_shape), self.causal[:m].reshape(t_shape),
-                self.dx[:k].reshape(shape), self.out[:k].reshape(shape))
+    def fill(self, evaluate, tt, tx, st, sx, parts=None):
+        """The (n, k) block of targets (tt, tx), columns, over sources
+        (st, sx), rows, by pairwise_interaction_matrix's rule: views of
+        the first entries of the buffers, dt and causal in the times'
+        shape.  evaluate (the kernel's) is entered once, here; its rows go
+        in `parts` ranges, by default as many as parallel.PARTS allows
+        with no range below least entries, and each range writes its dx,
+        dt and causal rows, then G, then the mask, so one thread writes
+        all of a row.  A grid time's dt, (1, k), is written once first."""
+        n, k = tx.shape[0], sx.shape[-1]
+        m = tt.shape[0]     # n, or 1 for one grid time
+        dt = self.dt[:m * k].reshape(m, k)
+        causal = self.causal[:m * k].reshape(m, k)
+        dx = self.dx[:n * k].reshape(n, k)
+        out = self.out[:n * k].reshape(n, k)
+        by_row = m == n
+        # one grid time: its dt row, written here, serves every range
+        every = by_row or _causal_times(tt, st, dt, causal)
+        if parts is None:
+            parts = 1 if self.least is None else n * k // self.least
+
+        def block_rows(fill, r0, r1):
+            np.subtract(tx[r0:r1], sx, out=dx[r0:r1])
+            if by_row:
+                mask = causal[r0:r1]
+                all_causal = _causal_times(tt[r0:r1], st, dt[r0:r1], mask)
+            else:
+                mask, all_causal = causal, every
+            fill(r0, r1)
+            if not all_causal:
+                out[r0:r1] *= mask
+
+        if parts < 2:
+            block_rows(lambda r0, r1: evaluate(dt, dx, out=out), 0, n)
+            return out
+
+        def rows(fill, n):
+            parallel.map_rows(functools.partial(block_rows, fill), n, parts)
+
+        return evaluate(dt, dx, out=out, rows=rows)
+
+
+# (kernel kind, grid form) -> (widest sample block tried, fewest entries
+# per range at which a split first paid, or None): _least_range's record
+_SPLIT = {}
+
+
+def _samples(kernel: GreenKernel, grid: bool, widths):
+    # ATOM_BLOCK_ROWS x w blocks of made-up atoms (t in [0, 1), x in
+    # [-1, 1)) in the given form, each as run(parts) and its entry count;
+    # a generator of its own, so no caller's random stream moves
+    rng = np.random.default_rng(0)
+    rows = ATOM_BLOCK_ROWS
+    for w in widths:
+        st = np.sort(rng.uniform(0.0, 1.0, w))
+        sx = rng.uniform(-1.0, 1.0, w)
+        if grid:
+            tt, tx = _column(1.0), _column(np.linspace(-1.0, 1.0, rows))
+        else:
+            tt, tx = _column(st[-rows:]), _column(sx[-rows:])
+        work = _BlockWork(w if grid else rows * w, rows * w)
+        yield (functools.partial(work.fill, kernel._evaluate, tt, tx,
+                                 _row(st), _row(sx)), rows * w)
+
+
+def _least_range(kernel: GreenKernel, grid: bool, width: int):
+    """The fewest entries per row range at which splitting a block fill
+    pays, or None (never split): measured by parallel.least_range on
+    ATOM_BLOCK_ROWS-row sample blocks of the pass's form (grid: one time
+    per block; atoms: a time per entry and the causal mask), of widths
+    doubling from ATOM_BLOCK_ROWS up to width, the pass's widest block.
+    Once per process, kernel kind and form, on first need: a later pass
+    with wider blocks measures only the widths not yet tried.  Nothing is
+    measured on one CPU.  kernel.evaluate is not entered."""
+    if parallel.PARTS < 2 or width < 1:
+        return None
+    key = (kernel.kind, grid)
+    tried, least = _SPLIT.get(key, (0, None))
+    if least is None and tried < width:
+        widths, w = [], max(ATOM_BLOCK_ROWS, 2 * tried)
+        while not widths or widths[-1] < width:
+            widths.append(min(w, width))
+            w *= 2
+        least = parallel.least_range(_samples(kernel, grid, widths))
+        _SPLIT[key] = (widths[-1], least)
+    return least
 
 
 @dataclass
@@ -336,20 +411,24 @@ def _grid_blocks(problem: ProblemSpec, times, positions, fresh=False):
     it is (..., n_x, 0) where no atom comes before t_j.
 
     One path of more than ATOM_BLOCK_ROWS atoms builds its blocks in one
-    _BlockWork, dt and the scale of G kept (1, k_j) as for any grid time,
-    the n_x rows split across the CPUs: each block is valid only until the
-    next one is yielded, unless fresh, which gives every block its own
-    buffers (for a caller that holds them all).  A padded batch or a
-    shorter path builds each block as new arrays on the calling thread."""
+    _BlockWork, dt and the scale of G kept (1, k_j) as for any grid time:
+    each block is valid only until the next one is yielded, unless fresh,
+    which gives every block its own buffers (for a caller that holds them
+    all).  A block's n_x rows are split across the CPUs where a split of
+    its size was measured to pay (_least_range), else filled on the
+    calling thread.  A padded batch or a shorter path builds each block as
+    new arrays on the calling thread."""
     grid_t, grid_x = problem.grid()
     before = np.sum(times[..., None, :] < grid_t[:, None], axis=-1)
     prefix = before.reshape(-1, grid_t.size).max(axis=0)
+    widest = int(prefix.max(initial=0))
     blocked = times.ndim == 1 and times.size > ATOM_BLOCK_ROWS
+    least = _least_range(problem.kernel, True, widest) if blocked else None
 
     def workspace(k):
-        return _BlockWork(k, grid_x.size * k) if blocked else None
+        return _BlockWork(k, grid_x.size * k, least) if blocked else None
 
-    shared = None if fresh else workspace(int(prefix.max(initial=0)))
+    shared = None if fresh else workspace(widest)
     for tj, kj in zip(grid_t, prefix):
         yield pairwise_interaction_matrix(
             problem.kernel, tj, grid_x, times[..., :kj], positions[..., :kj],
@@ -375,13 +454,16 @@ def _atom_blocks(kernel: GreenKernel, times, positions):
 
     One path of more than ATOM_BLOCK_ROWS atoms builds its blocks in one
     _BlockWork of ATOM_BLOCK_ROWS x n entries per buffer, allocated once
-    for the pass, each block's target rows split across the CPUs: a
-    yielded G is valid only until the next one.  A padded batch or a path
-    of one block builds G as new arrays on the calling thread."""
+    for the pass: a yielded G is valid only until the next one.  A block's
+    target rows are split across the CPUs where a split of its size was
+    measured to pay (_least_range), else filled on the calling thread.  A
+    padded batch or a path of one block builds G as new arrays on the
+    calling thread."""
     n = times.shape[-1]
     work = None
     if times.ndim == 1 and n > ATOM_BLOCK_ROWS:
-        work = _BlockWork(ATOM_BLOCK_ROWS * n, ATOM_BLOCK_ROWS * n)
+        work = _BlockWork(ATOM_BLOCK_ROWS * n, ATOM_BLOCK_ROWS * n,
+                          _least_range(kernel, False, n))
     for r0 in range(0, n, ATOM_BLOCK_ROWS):
         r1 = min(r0 + ATOM_BLOCK_ROWS, n)
         yield r0, r1, pairwise_interaction_matrix(
@@ -585,8 +667,9 @@ def solve_forward(config: PointConfiguration, problem: ProblemSpec,
     (_heat_forward), so memory is ATOM_BLOCK_ROWS x n_atoms, never
     n_atoms^2.  On a heat path of more than ATOM_BLOCK_ROWS atoms the
     atom blocks and then the grid blocks are each built in one workspace
-    per pass, their rows split across the CPUs (parallel.map_rows), with
-    the serial bits; each block is used before the next is built.
+    per pass, the rows of a block large enough for a split to pay
+    (_least_range) divided across the CPUs, with the serial bits; each
+    block is used before the next is built.
     """
     if config.measure.first_moment != 0.0:
         raise SolverError("solve_forward requires m1 = 0; use picard_solve")
@@ -717,8 +800,8 @@ def picard_iterates_at_atoms(problem: ProblemSpec, times, positions, jumps,
     matrix-vector product each, and is dropped: at 4094 atoms a block is
     2 MB where the whole matrix is 134 MB.  On one path of more than
     ATOM_BLOCK_ROWS atoms the blocks are built in one workspace allocated
-    for the sweep, each block's rows split across the CPUs; a block is
-    used before the next overwrites it.  A padded batch of up to
+    for the sweep, a large block's rows split across the CPUs where that
+    was measured to pay; a block is used before the next overwrites it.  A padded batch of up to
     ATOM_BLOCK_ROWS atoms per path is one block, the whole (P, K, K)
     matrix, and any padded batch is built serially."""
     sigma = problem.sigma

@@ -254,6 +254,12 @@ def _grid_reference(problem, t, x):
                                                  t[:k], x[:k])
 
 
+def _split_every_block(monkeypatch, parts):
+    # as if a split over `parts` ranges paid at any size
+    monkeypatch.setattr(parallel, "PARTS", parts)
+    monkeypatch.setattr(solver, "_least_range", lambda *args: 1)
+
+
 @pytest.mark.parametrize("parts", [1, 2, 3, 9])
 @pytest.mark.parametrize("n", [B + 1, 200, 1000])
 def test_parallel_blocks_equal_serial_blocks(monkeypatch, n, parts):
@@ -262,7 +268,7 @@ def test_parallel_blocks_equal_serial_blocks(monkeypatch, n, parts):
     # overwrites it.  9 parts queue on the pool, and a short switch
     # interval interleaves the threads often: a range written by the wrong
     # thread or left unwritten would show
-    monkeypatch.setattr(parallel, "PARTS", parts)
+    _split_every_block(monkeypatch, parts)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -304,7 +310,7 @@ def _solve_all(problem, cfg):
 def test_solvers_do_not_depend_on_the_part_count(monkeypatch, n):
     problem = _problem("heat", "sin")
     cfg = _path(n)
-    monkeypatch.setattr(parallel, "PARTS", 1)
+    _split_every_block(monkeypatch, 1)
     want = _solve_all(problem, cfg)
     for parts in (2, 3):
         monkeypatch.setattr(parallel, "PARTS", parts)
@@ -313,13 +319,14 @@ def test_solvers_do_not_depend_on_the_part_count(monkeypatch, n):
             assert a.tobytes() == b.tobytes(), (parts, i)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a thread pool was asked for")
+
+
 def test_ensemble_sized_inputs_start_no_thread(monkeypatch, heat_problem):
     # a path of one block and a padded batch keep the serial code
-    def refuse():
-        raise AssertionError("a thread pool was asked for")
-
-    monkeypatch.setattr(parallel, "PARTS", 2)
-    monkeypatch.setattr(parallel, "_executor", refuse)
+    _split_every_block(monkeypatch, 2)
+    monkeypatch.setattr(parallel, "_executor", _refuse)
     measure = lf.two_point_measure(1.0, 5.0)
     cfg = lf.sample_prm(measure, WINDOW, (5, 0))
     assert 0 < cfg.n_atoms <= B
@@ -333,11 +340,78 @@ def test_ensemble_sized_inputs_start_no_thread(monkeypatch, heat_problem):
     solver.cross_solver_gaps(batch, heat_problem, 4)
 
 
+def test_blocks_below_the_measured_size_are_filled_serially(monkeypatch):
+    # a split where none was measured to pay, or of a block under twice
+    # the measured range, asks for no thread; the 200-atom path gets the
+    # serial blocks' bits either way
+    monkeypatch.setattr(parallel, "PARTS", 2)
+    monkeypatch.setattr(parallel, "least_range", lambda samples: None)
+    monkeypatch.setattr(solver, "_SPLIT", {})
+    monkeypatch.setattr(parallel, "_executor", _refuse)
+    _check_blocks(200)
+    largest = B * 200
+    monkeypatch.setattr(solver, "_least_range",
+                        lambda *args: largest // 2 + 1)
+    _check_blocks(200)
+
+
+def test_split_is_measured_once_per_width(monkeypatch):
+    # _least_range measures the widths up to the pass's widest block that
+    # no earlier pass tried, once per kernel kind and form, and stops once
+    # a split has paid; it enters no traced layer
+    monkeypatch.setattr(parallel, "PARTS", 2)
+    monkeypatch.setattr(solver, "_SPLIT", {})
+    monkeypatch.setattr(lf.GreenKernel, "evaluate", _refuse)
+    widths, verdict = [], [None]
+
+    def least_range(samples):
+        for run, entries in samples:
+            widths.append(entries // B)
+            run(1)
+            run(2)
+        return verdict[0]
+
+    monkeypatch.setattr(parallel, "least_range", least_range)
+    heat = lf.heat_kernel()
+    assert solver._least_range(heat, False, 200) is None
+    assert widths == [64, 128, 200]
+    assert solver._least_range(heat, False, 150) is None
+    verdict[0] = 777
+    assert solver._least_range(heat, False, 1000) == 777
+    assert widths == [64, 128, 200, 400, 800, 1000]
+    assert solver._least_range(heat, False, 5000) == 777
+    assert solver._least_range(heat, True, 100) == 777
+    assert widths[6:] == [64, 100]
+    monkeypatch.setattr(parallel, "PARTS", 1)
+    monkeypatch.setattr(solver, "_SPLIT", {})
+    assert solver._least_range(heat, False, 1000) is None
+    assert len(widths) == 8
+
+
+def test_least_range_takes_the_first_size_whose_split_is_faster(
+        monkeypatch):
+    # a split that costs half the serial time plus 100 first pays above
+    # 200 entries; no larger sample is run once one has paid
+    runs = []
+    monkeypatch.setattr(
+        parallel, "_seconds",
+        lambda run, parts: run(parts) if parts == 1 else run(parts) / 2 + 100)
+
+    def samples(sizes):
+        for e in sizes:
+            yield (lambda parts, e=e: runs.append(e) or float(e)), e
+
+    assert parallel.least_range(samples([64, 128, 256, 512])) == 128
+    assert set(runs) == {64, 128, 256}
+    assert len(runs) == 3 * 2 * parallel.TRIALS
+    assert parallel.least_range(samples([64, 128, 200])) is None
+
+
 def test_kernel_layers_are_entered_on_the_calling_thread(monkeypatch):
     # the benchmark's tracer keeps one span stack per process: the split
     # fill must enter pairwise_interaction_matrix and GreenKernel.evaluate
     # once per block, on the calling thread, with the block's full size
-    monkeypatch.setattr(parallel, "PARTS", 2)
+    _split_every_block(monkeypatch, 2)
     problem = _problem("heat")
     cfg = _path(300)
     calls = []
@@ -364,9 +438,10 @@ def test_kernel_layers_are_entered_on_the_calling_thread(monkeypatch):
         assert [size for n, _, size in calls if n == name] == sizes
 
 
-def test_compensated_picard_holds_blocks_of_their_own():
+def test_compensated_picard_holds_blocks_of_their_own(monkeypatch):
     # the m1 != 0 branch holds every grid block at once: on a heat path of
     # more than one block they must not be views of one workspace
+    _split_every_block(monkeypatch, 2)
     problem = _problem("heat")
     measure = lf.gaussian_measure(60.0, 0.5, 1.0)
     cfg = lf.sample_prm(measure, WINDOW, (7, 0))
@@ -390,20 +465,48 @@ def test_import_starts_no_thread():
     assert out.stdout.strip() == "1"
 
 
-@pytest.mark.parametrize("row", [0, 5])
-def test_split_evaluate_raises_from_any_range(monkeypatch, row):
-    # a time that is not > 0 in the calling thread's range or in the
-    # pool's raises, and every range has ended by then
-    monkeypatch.setattr(parallel, "PARTS", 2)
+def test_evaluate_into_out_checks_time_before_writing():
     dt = np.full((6, 50), 0.5)
-    dt[row, 7] = 0.0
+    dt[5, 7] = np.nan
     out = np.zeros((6, 50))
     with pytest.raises(lf.KernelError):
         lf.heat_kernel().evaluate(dt, np.zeros((6, 50)), out=out)
-    dt[row, 7] = 0.5
+    assert not out.any()
+    dt[5, 7] = 0.5
     got = lf.heat_kernel().evaluate(dt, np.zeros((6, 50)), out=out)
     assert got is out and np.array_equal(out, lf.heat_kernel().evaluate(
         dt, np.zeros((6, 50))))
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_map_rows_raises_from_any_range_after_every_range_ends(
+        monkeypatch, bad):
+    # the calling thread's range or a pool range raises; by then no range
+    # that started is still running, and a queued one never starts late
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(1)
+    running, started = [], []
+
+    def fill(r0, r1):
+        started.append(r0)
+        running.append(r0)
+        try:
+            if r0 == 10 * bad:
+                raise ValueError(r0)
+            threading.Event().wait(0.05)
+        finally:
+            running.remove(r0)
+
+    try:
+        monkeypatch.setattr(parallel, "PARTS", 3)
+        monkeypatch.setattr(parallel, "_executor", lambda: pool)
+        with pytest.raises(ValueError):
+            parallel.map_rows(fill, 30, 3)
+        assert running == []
+        pool.shutdown(wait=True)
+        assert running == [] and len(started) == len(set(started)) <= 3
+    finally:
+        pool.shutdown()
 
 
 def test_map_rows_fills_the_ranges_no_thread_has_started(monkeypatch):
@@ -418,10 +521,14 @@ def test_map_rows_fills_the_ranges_no_thread_has_started(monkeypatch):
         threads = []
         got = parallel.map_rows(
             lambda r0, r1: threads.append(threading.get_ident()) or (r0, r1),
-            10)
+            10, 3)
         assert got == [(0, 3), (3, 6), (6, 10)]
         assert threads == [threading.get_ident()] * 3
         assert not blocker.done()
+        # never more ranges than CPUs, nor fewer than one
+        assert parallel.map_rows(lambda r0, r1: (r0, r1), 10, 0) == [(0, 10)]
+        monkeypatch.setattr(parallel, "PARTS", 2)
+        assert len(parallel.map_rows(lambda r0, r1: (r0, r1), 10, 5)) == 2
     finally:
         release.set()
         pool.shutdown()
