@@ -60,7 +60,8 @@ class GreenKernel:
         return self._evaluate(t, x, out, rows)
 
     def _evaluate(self, t, x, out=None, rows=None):
-        # evaluate's body, for a caller that times the fill untraced
+        # evaluate's body; the sample fills that solver._least_range times
+        # call it, so that a tracer of evaluate counts no measurement
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         if out is None:
