@@ -13,7 +13,8 @@ the machine's speed hits both sides alike.  With --traced, each side also
 makes one traced run (per-layer figures) per workload, at the first seed.
 
 Writes BENCH_<pr>.json at the root of the working tree: the machine block
-that run.py prints, every run's final JSON record, per end-to-end metric
+that run.py prints, with `cpus`, the CPUs this process may run on (its
+affinity mask, which both sides inherit), every run's final JSON record, per end-to-end metric
 the medians of both sides and the number of pairs in which the change is
 lower, and `src_lines`, the total line count of src/levyfield/*.py in each
 side's exported tree.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -129,6 +131,7 @@ def main() -> int:
     revs = {"parent": git("rev-parse", args.parent),
             "change": git("stash", "create") or git("rev-parse", "HEAD")}
     runs, machine = [], {}
+    cpus = len(os.sched_getaffinity(0))
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         trees = {side: Path(tmp) / side for side in revs}
         for side, rev in revs.items():
@@ -146,7 +149,7 @@ def main() -> int:
             for side in order:
                 fields, record = run(trees[side], workload, seed, seconds,
                                      trace)
-                machine.setdefault(side, fields)
+                machine.setdefault(side, {**fields, "cpus": cpus})
                 runs.append({"workload": workload, "seed": seed,
                              "trace": trace, "side": side,
                              "first": order[0], "record": record})

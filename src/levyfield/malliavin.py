@@ -25,10 +25,11 @@ from .noise import (LevyMeasure, PointConfiguration, SpaceTimeWindow,
                     add_atom, atomic_decomposition, sample_batches)
 from .reporting import (SLACK_SIGMAS, CheckRow, EstimatorSummary, summarize,
                         write_check_rows)
-from .solver import (ProblemSpec, batched_matvec, deterministic_part,
-                     evaluate_solution, iterate_moment_sums,
-                     pairwise_interaction_matrix, picard_iterates_at_atoms,
-                     solve_forward, solve_forward_pair, sup_estimate)
+from .solver import (ProblemSpec, batched_matvec, causal_sums,
+                     deterministic_part, evaluate_solution,
+                     iterate_moment_sums, pairwise_interaction_matrix,
+                     picard_iterates_at_atoms, solve_forward,
+                     solve_forward_pair, sup_estimate)
 
 
 class MalliavinError(ValueError):
@@ -110,7 +111,7 @@ def compose_functional(g, F: PathFunctional, gname: str = "g") -> PathFunctional
 def _validate_point(config: PointConfiguration, point: DerivativePoint):
     if not (0.0 < point.time < config.window.T):
         raise MalliavinError("derivative point time must lie in (0, T)")
-    if abs(point.x) > config.window.R:
+    if not abs(point.x) <= config.window.R:
         raise MalliavinError("derivative point position outside [-R, R]")
     if point.jump == 0.0 or not math.isfinite(point.jump):
         raise MalliavinError("derivative point jump must be finite nonzero")
@@ -193,11 +194,6 @@ class EquationCheck:
                         passed=passed)
 
 
-def _aligned_atom_difference(plus_path, base_path, insert_index: int):
-    vals = np.delete(plus_path.atom_values, insert_index)
-    return vals - base_path.atom_values
-
-
 def derivative_equation_residual(problem: ProblemSpec,
                                  config: PointConfiguration,
                                  point: DerivativePoint, t: float,
@@ -228,7 +224,7 @@ def derivative_equation_residual(problem: ProblemSpec,
                 f"returned {lhs!r}")
         return EquationCheck(lhs=0.0, rhs=0.0, residual=0.0, trivial=True)
     insert = int(np.searchsorted(config.times, point.time))
-    du_at = _aligned_atom_difference(plus, base, insert)
+    du_at = np.delete(plus.atom_values, insert) - base.atom_values
     u_r = evaluate_solution(base, point.time, point.x)
     g_main = pairwise_interaction_matrix(problem.kernel, t, x, point.time,
                                          point.x)[0, 0]
@@ -244,37 +240,11 @@ def derivative_equation_residual(problem: ProblemSpec,
     return EquationCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
 
 
-def _added_point_iterates(problem: ProblemSpec, t, x, z, pts_t, pts_x,
-                          n_iter: int):
-    """Picard iterates of one path's atoms t, x, z (k,), shared by B added
-    points (r_b, xi_b) (B,), with the kernel blocks of _plus_iterates built
-    once; or the same for a padded batch, atoms (P, K) and points (P, B).
-
-    Returns (base, at_point, M, A): base[m] is the (..., k) iterate at the
-    atoms; at_point[m] the (..., B) base iterate at the added points, which
-    is the added atom's own value (it only sees strictly earlier atoms, so
-    the addition leaves it unchanged); M is the (..., k, k) atom
-    interaction matrix and A the (..., B, k) block of each point's
-    influence on the atoms.
-    """
-    kernel, sigma = problem.kernel, problem.sigma
-    M = pairwise_interaction_matrix(kernel, t, x, t, x)
-    P = pairwise_interaction_matrix(kernel, pts_t, pts_x, t, x)
-    A = pairwise_interaction_matrix(kernel, t, x, pts_t,
-                                    pts_x).swapaxes(-1, -2)
-    base = picard_iterates_at_atoms(problem, t, x, z, n_iter)
-    w_pt = np.array(deterministic_part(problem, pts_t, pts_x), dtype=float,
-                    ndmin=1)
-    at_point = [w_pt] + [w_pt + batched_matvec(P, sigma(b) * z)
-                         for b in base[:-1]]
-    return base, at_point, M, A
-
-
 def _plus_iterates(problem: ProblemSpec, z, base, at_point, M, A,
                    jump: float):
-    """Yield the Picard iterates u_0, u_1, ..., at the original atoms, of the
-    path plus the atom (r_b, xi_b, jump) for each added point: each has
-    A's shape, (B, k) for one path or (P, B, K) for a padded batch."""
+    """Yield the Picard iterates u_0, u_1, ..., (P, B, K) at the atoms of
+    a padded batch plus the atom (r_b, xi_b, jump) for each of its B
+    points, from _derivative_samples' base iterates, M and A."""
     sigma = problem.sigma
     w_at = base[0][..., None, :]
     plus = np.broadcast_to(w_at, A.shape).copy()
@@ -362,35 +332,47 @@ def picard_derivative_report(problem: ProblemSpec,
                              point: DerivativePoint, n_iter: int = 8
                              ) -> PicardDerivativeReport:
     """Difference the Picard iterates with and without the added atom and
-    verify the derivative recursion pathwise at each order (n_iter >= 1)."""
+    verify the derivative recursion pathwise at each order (n_iter >= 1).
+
+    Du_n is the literal difference of two picard_iterates_at_atoms runs
+    (buckets sized by the measure); the right side uses the base iterates
+    and Du only: the kick column G(t_i - r, x_i - xi), the base iterate at
+    the point from its row, and causal_sums of the brackets."""
     _validate_point(config, point)
     if n_iter < 1:
         raise MalliavinError("picard derivative recursion needs n_iter >= 1")
     if config.measure.first_moment != 0.0:
         raise MalliavinError("picard derivative recursion assumes m1 = 0")
-    sigma = problem.sigma
-    z = config.jumps
-    base, at_point, M, A = _added_point_iterates(
-        problem, config.times, config.positions, z, point.time, point.x,
-        n_iter)
-    plus = list(_plus_iterates(problem, z, base, at_point, M, A, point.jump))
-    k = config.n_atoms
-    a_row = A[0]
-    du = [plus[m][0] - base[m] for m in range(n_iter + 1)]
-    start_zero = bool(np.all(du[0] == 0.0)) if k else True
-    scale = 1.0 + max((float(np.max(np.abs(b))) for b in base if b.size),
-                      default=0.0)
-    hand = a_row * (sigma(at_point[0][0]) * point.jump)
-    hand_res = float(np.max(np.abs(du[1] - hand), initial=0.0))
-    residuals = np.zeros(n_iter)
-    for n in range(n_iter):
-        bracket = sigma(base[n] + du[n]) - sigma(base[n])
-        rhs = a_row * (sigma(at_point[n][0]) * point.jump) + M @ (bracket * z)
-        residuals[n] = float(np.max(np.abs(du[n + 1] - rhs), initial=0.0))
-    cauchy = np.array([float(np.max(np.abs(du[m + 1] - du[m]), initial=0.0))
-                       for m in range(n_iter)])
-    return PicardDerivativeReport(point, residuals, hand_res, start_zero,
-                                  cauchy, scale)
+    kernel, sigma = problem.kernel, problem.sigma
+    t, x, z = config.times, config.positions, config.jumps
+    expected = config.measure.total_mass * config.window.volume
+    base, plus = (picard_iterates_at_atoms(problem, c.times, c.positions,
+                                           c.jumps, n_iter, expected)
+                  for c in (config, add_atom(config, point.time, point.x,
+                                             point.jump)))
+    du = [np.delete(p, np.searchsorted(t, point.time)) - b
+          for p, b in zip(plus, base)]
+    kick = pairwise_interaction_matrix(kernel, t, x, point.time,
+                                      point.x)[:, 0]
+    row = pairwise_interaction_matrix(kernel, point.time, point.x, t, x)
+    w_pt = np.array(deterministic_part(problem, point.time, point.x),
+                    dtype=float, ndmin=1)
+    # the base iterate n at the point, from sigma of iterate n - 1
+    at_point = [w_pt] + [w_pt + batched_matvec(row, sigma(b) * z)
+                         for b in base[:-2]]
+    kicks = [kick * (sigma(a[0]) * point.jump) for a in at_point]
+    sums = causal_sums(kernel, t, x, np.array(
+        [(sigma(b + d) - sigma(b)) * z for b, d in zip(base, du[:-1])]))
+
+    def sup(v):
+        return float(np.max(np.abs(v), initial=0.0))
+
+    residuals = np.array([sup(d - (k + s))
+                          for d, k, s in zip(du[1:], kicks, sums)])
+    cauchy = np.array([sup(b - a) for a, b in zip(du[:-1], du[1:])])
+    return PicardDerivativeReport(point, residuals, sup(du[1] - kicks[0]),
+                                  bool(np.all(du[0] == 0.0)), cauchy,
+                                  1.0 + max(sup(b) for b in base))
 
 
 @dataclass
@@ -471,8 +453,15 @@ def _derivative_samples(problem: ProblemSpec, batch, n_points: int,
             batch.master_seed, spawn_key=(batch.start + j, 1)))
         pts_t[j] = rng.uniform(0.0, window.T, n_points)
         pts_x[j] = rng.uniform(-window.R, window.R, n_points)
-    base, at_point, M, A = _added_point_iterates(
-        problem, t, x, z, pts_t, pts_x, n_iter)
+    M = pairwise_interaction_matrix(kernel, t, x, t, x)
+    P = pairwise_interaction_matrix(kernel, pts_t, pts_x, t, x)
+    A = pairwise_interaction_matrix(kernel, t, x, pts_t,
+                                    pts_x).swapaxes(-1, -2)
+    base = picard_iterates_at_atoms(problem, t, x, z, n_iter)
+    w_pt = np.array(deterministic_part(problem, pts_t, pts_x), dtype=float,
+                    ndmin=1)
+    at_point = [w_pt] + [w_pt + batched_matvec(P, sigma(b) * z)
+                         for b in base[:-1]]
     k_sums = iterate_moment_sums(problem, t, x, z, base)
     # iterate n at an evaluation point from sigma of iterate n-1; the base
     # values and kernel rows do not depend on the jump mark

@@ -471,6 +471,16 @@ def _atom_blocks(kernel: GreenKernel, times, positions):
             times[..., :r1], positions[..., :r1], work)
 
 
+def causal_sums(kernel: GreenKernel, times, positions, coefs):
+    """s[..., i] = sum_{t_j < t_i} G(t_i - t_j, x_i - x_j) coefs[..., j] at
+    one path's atoms (k,), coefs (k,) or (m, k): one pass over _atom_blocks
+    for every field and kernel (wave too, apart from _null_plan)."""
+    out = np.empty_like(coefs)
+    for r0, r1, G in _atom_blocks(kernel, times, positions):
+        out[..., r0:r1] = coefs[..., :r1] @ G.T
+    return out
+
+
 def _null_buckets(window: SpaceTimeWindow, expected: float, t, x):
     """(bucket of b = t - x for each point, bucket count): equal buckets
     over [-R, T + R], 8 expected atoms each.  Monotone in b and fixed by the
@@ -788,29 +798,29 @@ class PicardDiagnostics:
 
 
 def picard_iterates_at_atoms(problem: ProblemSpec, times, positions, jumps,
-                             n_iter: int):
+                             n_iter: int, expected: float | None = None):
     """Atom-value Picard iterates [u_0, ..., u_n] for m1 = 0, of one path's
     atoms (k,) or of a PointBatch's rows (P, K).
 
     One wave path of more than ATOM_BLOCK_ROWS atoms applies one _null_plan
-    to each iterate; no measure is at hand, so its buckets are sized by the
-    path's own atom count.  Otherwise one sweep over the causal row blocks
-    of _atom_blocks: u_{m+1} at rows [r0, r1) needs u_m only before r1, so
+    to each iterate, its buckets sized by expected (the measure's expected
+    atom count, so an added atom moves no bucket) or else by the path's
+    own atom count.  Otherwise one sweep over the causal row blocks of
+    _atom_blocks: u_{m+1} at rows [r0, r1) needs u_m only before r1, so
     each block computes all n iterates of its rows, one (batched)
-    matrix-vector product each, and is dropped: at 4094 atoms a block is
-    2 MB where the whole matrix is 134 MB.  On one path of more than
-    ATOM_BLOCK_ROWS atoms the blocks are built in one workspace allocated
-    for the sweep, a large block's rows split across the CPUs where that
-    was measured to pay; a block is used before the next overwrites it.  A padded batch of up to
-    ATOM_BLOCK_ROWS atoms per path is one block, the whole (P, K, K)
-    matrix, and any padded batch is built serially."""
+    matrix-vector product each, and is dropped.  On one path of more than
+    ATOM_BLOCK_ROWS atoms the blocks are built in one workspace for the
+    sweep (_atom_blocks), each used before the next overwrites it.  A
+    padded batch of up to ATOM_BLOCK_ROWS atoms per path is one block, the
+    whole (P, K, K) matrix, built serially."""
     sigma = problem.sigma
     w = np.array(deterministic_part(problem, times, positions), dtype=float,
                  ndmin=1)
     if problem.kernel.kind == "wave" and times.ndim == 1 \
             and times.size > ATOM_BLOCK_ROWS:
-        dominance = _null_plan(problem.window, times.size, times, positions,
-                               times, positions)
+        dominance = _null_plan(problem.window,
+                               times.size if expected is None else expected,
+                               times, positions, times, positions)
         iterates = [w]
         for _ in range(n_iter):
             iterates.append(w + 0.5 * dominance(sigma(iterates[-1]) * jumps))
@@ -854,9 +864,9 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
     kernel, sigma = problem.kernel, problem.sigma
     measure = config.measure
     if measure.first_moment == 0.0:
-        iterates = picard_iterates_at_atoms(problem, config.times,
-                                            config.positions, config.jumps,
-                                            n_iter)
+        iterates = picard_iterates_at_atoms(
+            problem, config.times, config.positions, config.jumps, n_iter,
+            measure.total_mass * config.window.volume)
         u = iterates[-1]
         diffs = np.array([float(np.max(np.abs(b - a))) if a.size else 0.0
                           for a, b in zip(iterates[:-1], iterates[1:])])

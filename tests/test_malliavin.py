@@ -1,19 +1,21 @@
 """Add-one-point derivatives: exact identities, duality, bound estimates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import levyfield as lf
-from levyfield import MalliavinError, malliavin, solver
+from levyfield import MalliavinError, cli, harness, malliavin, solver
 
 from conftest import assert_close, make_empty_config
 
 H_POS = lf.integrand(lambda t, x: 0.5 + 0.3 * np.cos(x) * np.exp(-t),
                      name="hpos")
 G_SMOOTH = lf.integrand(lambda t, x: np.sin(x + t), name="gsmooth")
+WINDOW = lf.SpaceTimeWindow(1.0, 2.0)
 
 
 def _config(busy_noise, window, seed=3):
@@ -54,7 +56,7 @@ def test_derivative_point_validation(window, busy_noise):
     cfg = _config(busy_noise, window)
     F = lf.integral_functional(H_POS)
     for bad in [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (0.5, 2.5, 1.0),
-                (0.5, 0.0, 0.0)]:
+                (0.5, 0.0, 0.0), (0.5, math.nan, 1.0)]:
         with pytest.raises(MalliavinError):
             lf.difference_derivative(F, cfg, lf.DerivativePoint(*bad))
 
@@ -314,6 +316,124 @@ def test_picard_derivative_sine_sigma(window, busy_noise):
                 lf.DerivativePoint(0.25, 0.3, 1.0), n_iter=8)
             assert rep.start_zero and rep.recursion_ok
             assert rep.hand_formula_residual <= 1e-12 * rep.scale
+
+
+@pytest.mark.parametrize("kernel", ["wave", "heat"])
+def test_picard_derivative_exact_gates_sweep(kernel):
+    # every exact gate of `verify picard-derivative` at default settings,
+    # seeds 0-9, the CLI's paths and derivative points; the tuned decay
+    # gate is not asserted
+    for seed in range(10):
+        config = harness.RunConfig(kernel=kernel, seed=seed)
+        problem = harness.build_problem(config)
+        for batch in lf.sample_batches(harness.build_measure(config),
+                                       harness.build_window(config), seed,
+                                       min(config.n_diagnostic, 25)):
+            for j in range(batch.n_paths):
+                i = batch.start + j
+                rep = lf.picard_derivative_report(
+                    problem, batch.path(j), cli._draw_point(config, i),
+                    n_iter=config.n_iter)
+                tol = malliavin.RESIDUAL_TOL * rep.scale
+                assert rep.start_zero, (seed, i)
+                assert rep.hand_formula_residual <= tol, (seed, i)
+                assert np.all(rep.residuals <= tol), (seed, i)
+
+
+def _long_path(mass):
+    # seed (61, 0): 263 atoms at mass 60 and 1047 at mass 250, each one
+    # short of a multiple of 8, so the path's own count plus the added atom
+    # would change a count-sized null-coordinate bucket grid
+    jump = math.sqrt(5.0 / mass)
+    return (lf.sample_prm(lf.two_point_measure(jump, mass), WINDOW, (61, 0)),
+            lf.DerivativePoint(0.5, 0.0, jump))
+
+
+def _dense_cauchy(problem, config, point, n_iter):
+    """The Cauchy rows max|Du_{m+1} - Du_m| from the dense atoms x atoms
+    matrix M: the base and plus iterates each by their own recursion, the
+    plus one with the added atom's kick column and its base value at the
+    point."""
+    kernel, sigma = problem.kernel, problem.sigma
+    t, x, z = config.times, config.positions, config.jumps
+    r, xi = point.time, point.x
+    M = solver.pairwise_interaction_matrix(kernel, t, x, t, x)
+    kick = solver.pairwise_interaction_matrix(kernel, t, x, r, xi)[:, 0]
+    row = solver.pairwise_interaction_matrix(kernel, r, xi, t, x)[0]
+    w = solver.deterministic_part(problem, t, x)
+    w_pt = solver.deterministic_part(problem, r, xi)
+    base, plus, at_point = [w], [w], w_pt
+    for _ in range(n_iter):
+        plus.append(w + M @ (sigma(plus[-1]) * z)
+                    + kick * (sigma(at_point) * point.jump))
+        at_point = w_pt + row @ (sigma(base[-1]) * z)
+        base.append(w + M @ (sigma(base[-1]) * z))
+    du = np.array(plus) - np.array(base)
+    return np.max(np.abs(np.diff(du, axis=0)), axis=1)
+
+
+@pytest.mark.parametrize("kernel", ["wave", "heat"])
+def test_picard_derivative_long_path(kernel, monkeypatch):
+    problem = _problem(kernel, lf.affine_map(0.5, 1.0), WINDOW)
+    cfg, pt = _long_path(250.0)
+    n = cfg.n_atoms
+    assert 1000 < n < 1100
+    shapes = []
+
+    def spy(*args, **kwargs):
+        out = pairwise(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    pairwise = solver.pairwise_interaction_matrix
+    for module in (solver, malliavin):
+        monkeypatch.setattr(module, "pairwise_interaction_matrix", spy)
+    tracemalloc.start()
+    try:
+        rep = lf.picard_derivative_report(problem, cfg, pt, n_iter=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # no atoms x atoms matrix: kernel blocks of at most ATOM_BLOCK_ROWS rows,
+    # the kick column and the point's row
+    assert shapes
+    assert all(s[-2] <= solver.ATOM_BLOCK_ROWS or s[-1] == 1
+               for s in shapes), shapes
+    assert peak < 8 * n * n, (peak, n)
+    assert rep.passed and rep.start_zero
+    tol = 1e-14 * rep.scale
+    assert np.max(np.abs(rep.cauchy - _dense_cauchy(problem, cfg, pt, 8))) \
+        <= tol
+
+
+@pytest.mark.parametrize("mass", [60.0, 250.0])
+@pytest.mark.parametrize("kernel", ["wave", "heat"])
+def test_picard_derivative_is_adapted_bit_for_bit(kernel, mass, monkeypatch):
+    # Du_n is exactly 0 at every atom before the added one, for every n:
+    # a wave path sizes its null-coordinate buckets by the measure, not by
+    # its own atom count, in the report and in picard_solve
+    problem = _problem(kernel, lf.affine_map(0.5, 1.0), WINDOW)
+    cfg, pt = _long_path(mass)
+    plus_cfg = lf.add_atom(cfg, pt.time, pt.x, pt.jump)
+    early = int(np.searchsorted(cfg.times, pt.time))
+    assert cfg.n_atoms % 8 == 7 and early > solver.ATOM_BLOCK_ROWS
+    runs = []
+
+    def record(*args):
+        runs.append(iterates(*args))
+        return runs[-1]
+
+    iterates = solver.picard_iterates_at_atoms
+    monkeypatch.setattr(malliavin, "picard_iterates_at_atoms", record)
+    rep = lf.picard_derivative_report(problem, cfg, pt, n_iter=8)
+    assert rep.start_zero and len(runs) == 2
+    base, plus = runs
+    for b, p in zip(base, plus):
+        assert np.array_equal(p[:early], b[:early])
+    for n_iter in (1, 8):
+        b = lf.picard_solve(cfg, problem, n_iter, with_grid=False)[0]
+        p = lf.picard_solve(plus_cfg, problem, n_iter, with_grid=False)[0]
+        assert np.array_equal(p.atom_values[:early], b.atom_values[:early])
 
 
 def test_picard_derivative_csv(tmp_path, window, busy_noise, wave_problem):
