@@ -14,10 +14,10 @@ makes one traced run (per-layer figures) per workload, at the first seed.
 
 Writes BENCH_<pr>.json at the root of the working tree: the machine block
 that run.py prints, with `cpus`, the CPUs this process may run on (its
-affinity mask, which both sides inherit), every run's final JSON record, per end-to-end metric
-the medians of both sides and the number of pairs in which the change is
-lower, and `src_lines`, the total line count of src/levyfield/*.py in each
-side's exported tree.
+affinity mask, which both sides inherit), every run's final JSON record,
+per end-to-end metric the medians of both sides and the number of pairs
+in which the change is lower, and `src_lines`, the total line count of
+src/levyfield/*.py in each side's exported tree.
 """
 
 from __future__ import annotations

@@ -336,8 +336,9 @@ def picard_derivative_report(problem: ProblemSpec,
 
     Du_n is the literal difference of two picard_iterates_at_atoms runs
     (buckets sized by the measure); the right side uses the base iterates
-    and Du only: the kick column G(t_i - r, x_i - xi), the base iterate at
-    the point from its row, and causal_sums of the brackets."""
+    and Du only: the kick column G(t_i - r, x_i - xi), the added atom's
+    value (the base iterate at the point: it sees only earlier atoms), and
+    causal_sums of the brackets."""
     _validate_point(config, point)
     if n_iter < 1:
         raise MalliavinError("picard derivative recursion needs n_iter >= 1")
@@ -354,13 +355,11 @@ def picard_derivative_report(problem: ProblemSpec,
           for p, b in zip(plus, base)]
     kick = pairwise_interaction_matrix(kernel, t, x, point.time,
                                       point.x)[:, 0]
-    row = pairwise_interaction_matrix(kernel, point.time, point.x, t, x)
-    w_pt = np.array(deterministic_part(problem, point.time, point.x),
-                    dtype=float, ndmin=1)
+    row = pairwise_interaction_matrix(kernel, point.time, point.x, t, x)[0]
+    w_pt = deterministic_part(problem, point.time, point.x)
     # the base iterate n at the point, from sigma of iterate n - 1
-    at_point = [w_pt] + [w_pt + batched_matvec(row, sigma(b) * z)
-                         for b in base[:-2]]
-    kicks = [kick * (sigma(a[0]) * point.jump) for a in at_point]
+    at_point = [w_pt] + [w_pt + row @ (sigma(b) * z) for b in base[:-2]]
+    kicks = [kick * (sigma(a) * point.jump) for a in at_point]
     sums = causal_sums(kernel, t, x, np.array(
         [(sigma(b + d) - sigma(b)) * z for b, d in zip(base, du[:-1])]))
 

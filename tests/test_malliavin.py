@@ -15,7 +15,6 @@ from conftest import assert_close, make_empty_config
 H_POS = lf.integrand(lambda t, x: 0.5 + 0.3 * np.cos(x) * np.exp(-t),
                      name="hpos")
 G_SMOOTH = lf.integrand(lambda t, x: np.sin(x + t), name="gsmooth")
-WINDOW = lf.SpaceTimeWindow(1.0, 2.0)
 
 
 def _config(busy_noise, window, seed=3):
@@ -340,12 +339,12 @@ def test_picard_derivative_exact_gates_sweep(kernel):
                 assert np.all(rep.residuals <= tol), (seed, i)
 
 
-def _long_path(mass):
+def _long_path(window, mass):
     # seed (61, 0): 263 atoms at mass 60 and 1047 at mass 250, each one
     # short of a multiple of 8, so the path's own count plus the added atom
     # would change a count-sized null-coordinate bucket grid
     jump = math.sqrt(5.0 / mass)
-    return (lf.sample_prm(lf.two_point_measure(jump, mass), WINDOW, (61, 0)),
+    return (lf.sample_prm(lf.two_point_measure(jump, mass), window, (61, 0)),
             lf.DerivativePoint(0.5, 0.0, jump))
 
 
@@ -373,9 +372,9 @@ def _dense_cauchy(problem, config, point, n_iter):
 
 
 @pytest.mark.parametrize("kernel", ["wave", "heat"])
-def test_picard_derivative_long_path(kernel, monkeypatch):
-    problem = _problem(kernel, lf.affine_map(0.5, 1.0), WINDOW)
-    cfg, pt = _long_path(250.0)
+def test_picard_derivative_long_path(window, kernel, monkeypatch):
+    problem = _problem(kernel, lf.affine_map(0.5, 1.0), window)
+    cfg, pt = _long_path(window, 250.0)
     n = cfg.n_atoms
     assert 1000 < n < 1100
     shapes = []
@@ -400,7 +399,7 @@ def test_picard_derivative_long_path(kernel, monkeypatch):
     assert all(s[-2] <= solver.ATOM_BLOCK_ROWS or s[-1] == 1
                for s in shapes), shapes
     assert peak < 8 * n * n, (peak, n)
-    assert rep.passed and rep.start_zero
+    assert rep.start_zero and rep.recursion_ok
     tol = 1e-14 * rep.scale
     assert np.max(np.abs(rep.cauchy - _dense_cauchy(problem, cfg, pt, 8))) \
         <= tol
@@ -408,12 +407,13 @@ def test_picard_derivative_long_path(kernel, monkeypatch):
 
 @pytest.mark.parametrize("mass", [60.0, 250.0])
 @pytest.mark.parametrize("kernel", ["wave", "heat"])
-def test_picard_derivative_is_adapted_bit_for_bit(kernel, mass, monkeypatch):
+def test_picard_derivative_is_adapted_bit_for_bit(window, kernel, mass,
+                                                  monkeypatch):
     # Du_n is exactly 0 at every atom before the added one, for every n:
     # a wave path sizes its null-coordinate buckets by the measure, not by
     # its own atom count, in the report and in picard_solve
-    problem = _problem(kernel, lf.affine_map(0.5, 1.0), WINDOW)
-    cfg, pt = _long_path(mass)
+    problem = _problem(kernel, lf.affine_map(0.5, 1.0), window)
+    cfg, pt = _long_path(window, mass)
     plus_cfg = lf.add_atom(cfg, pt.time, pt.x, pt.jump)
     early = int(np.searchsorted(cfg.times, pt.time))
     assert cfg.n_atoms % 8 == 7 and early > solver.ATOM_BLOCK_ROWS
