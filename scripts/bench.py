@@ -13,11 +13,11 @@ the machine's speed hits both sides alike.  With --traced, each side also
 makes one traced run (per-layer figures) per workload, at the first seed.
 
 Writes BENCH_<pr>.json at the root of the working tree: the machine block
-that run.py prints, with `cpus`, the CPUs this process may run on (its
-affinity mask, which both sides inherit), every run's final JSON record,
-per end-to-end metric the medians of both sides and the number of pairs
-in which the change is lower, and `src_lines`, the total line count of
-src/levyfield/*.py in each side's exported tree.
+that run.py prints for each side, with `cpus` once, the CPUs this process
+may run on (its affinity mask, which both sides inherit), every run's
+final JSON record, per end-to-end metric the medians of both sides and
+the number of pairs in which the change is lower, and `src_lines`, the
+total line count of src/levyfield/*.py in each side's exported tree.
 """
 
 from __future__ import annotations
@@ -131,7 +131,6 @@ def main() -> int:
     revs = {"parent": git("rev-parse", args.parent),
             "change": git("stash", "create") or git("rev-parse", "HEAD")}
     runs, machine = [], {}
-    cpus = len(os.sched_getaffinity(0))
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         trees = {side: Path(tmp) / side for side in revs}
         for side, rev in revs.items():
@@ -149,7 +148,7 @@ def main() -> int:
             for side in order:
                 fields, record = run(trees[side], workload, seed, seconds,
                                      trace)
-                machine.setdefault(side, {**fields, "cpus": cpus})
+                machine.setdefault(side, fields)
                 runs.append({"workload": workload, "seed": seed,
                              "trace": trace, "side": side,
                              "first": order[0], "record": record})
@@ -167,7 +166,7 @@ def main() -> int:
            "command": "python3 perfbench/run.py --workload W --seed S "
                       f"--seconds {seconds:g} --trace T",
            "machine": {"cpu": cpu_model(), "platform": platform.platform(),
-                       **machine},
+                       "cpus": len(os.sched_getaffinity(0)), **machine},
            "src_lines": lines,
            "summary": summarize(runs, spec),
            "runs": runs}

@@ -290,13 +290,13 @@ class PicardDerivativeReport:
         """Geometric decay of the increments from their peak onward.
 
         Early orders may grow while new interaction chains open up; the
-        peak must arrive within the first few orders and the sequence must
-        contract (ratio <= DECAY_RATIO, with an exact-zero floor) after it.
+        peak (rows <= 1e-14 * scale are rounding: 0) must arrive within the
+        first few orders, and the rows contract by DECAY_RATIO after it.
         """
         if self.cauchy.size < 2:
             return True
         floor = 1e-14 * self.scale
-        peak = int(np.argmax(self.cauchy))
+        peak = int(np.argmax(np.where(self.cauchy > floor, self.cauchy, 0.0)))
         if peak > 3:
             return False
         tail = self.cauchy[peak:]
@@ -456,7 +456,8 @@ def _derivative_samples(problem: ProblemSpec, batch, n_points: int,
     P = pairwise_interaction_matrix(kernel, pts_t, pts_x, t, x)
     A = pairwise_interaction_matrix(kernel, t, x, pts_t,
                                     pts_x).swapaxes(-1, -2)
-    base = picard_iterates_at_atoms(problem, t, x, z, n_iter)
+    base = picard_iterates_at_atoms(problem, t, x, z, n_iter,
+                                    batch.measure.total_mass * window.volume)
     w_pt = np.array(deterministic_part(problem, pts_t, pts_x), dtype=float,
                     ndmin=1)
     at_point = [w_pt] + [w_pt + batched_matvec(P, sigma(b) * z)

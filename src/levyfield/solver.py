@@ -798,29 +798,27 @@ class PicardDiagnostics:
 
 
 def picard_iterates_at_atoms(problem: ProblemSpec, times, positions, jumps,
-                             n_iter: int, expected: float | None = None):
+                             n_iter: int, expected: float):
     """Atom-value Picard iterates [u_0, ..., u_n] for m1 = 0, of one path's
     atoms (k,) or of a PointBatch's rows (P, K).
 
     One wave path of more than ATOM_BLOCK_ROWS atoms applies one _null_plan
-    to each iterate, its buckets sized by expected (the measure's expected
-    atom count, so an added atom moves no bucket) or else by the path's
-    own atom count.  Otherwise one sweep over the causal row blocks of
-    _atom_blocks: u_{m+1} at rows [r0, r1) needs u_m only before r1, so
-    each block computes all n iterates of its rows, one (batched)
-    matrix-vector product each, and is dropped.  On one path of more than
-    ATOM_BLOCK_ROWS atoms the blocks are built in one workspace for the
-    sweep (_atom_blocks), each used before the next overwrites it.  A
-    padded batch of up to ATOM_BLOCK_ROWS atoms per path is one block, the
-    whole (P, K, K) matrix, built serially."""
+    to each iterate, its buckets sized by expected, the measure's expected
+    atom count in the window, so an added atom moves no bucket.  Otherwise
+    one sweep over the causal row blocks of _atom_blocks: u_{m+1} at rows
+    [r0, r1) needs u_m only before r1, so each block computes all n
+    iterates of its rows, one (batched) matrix-vector product each, and is
+    dropped.  On one path of more than ATOM_BLOCK_ROWS atoms the blocks are
+    built in one workspace for the sweep (_atom_blocks), each used before
+    the next overwrites it.  A padded batch of up to ATOM_BLOCK_ROWS atoms
+    per path is one block, the whole (P, K, K) matrix, built serially."""
     sigma = problem.sigma
     w = np.array(deterministic_part(problem, times, positions), dtype=float,
                  ndmin=1)
     if problem.kernel.kind == "wave" and times.ndim == 1 \
             and times.size > ATOM_BLOCK_ROWS:
-        dominance = _null_plan(problem.window,
-                               times.size if expected is None else expected,
-                               times, positions, times, positions)
+        dominance = _null_plan(problem.window, expected, times, positions,
+                               times, positions)
         iterates = [w]
         for _ in range(n_iter):
             iterates.append(w + 0.5 * dominance(sigma(iterates[-1]) * jumps))
@@ -914,7 +912,9 @@ def cross_solver_gaps(batch: PointBatch, problem: ProblemSpec, n_iter: int):
     iterate, as picard_solve does); m1 = 0, n_iter >= 1."""
     t, x, z = batch.times, batch.positions, batch.jumps
     exact = solve_batch(batch, problem)
-    approx = picard_iterates_at_atoms(problem, t, x, z, n_iter)
+    approx = picard_iterates_at_atoms(
+        problem, t, x, z, n_iter,
+        batch.measure.total_mass * problem.window.volume)
     atom_gaps = np.max(np.where(batch.mask, np.abs(approx[-1] - exact),
                                 0.0), axis=-1, initial=0.0)
     coefs = np.stack([problem.sigma(approx[-2]) * z,
@@ -1063,13 +1063,13 @@ def existence_diagnostics(problem: ProblemSpec, measure: LevyMeasure,
         raise SolverError("diagnostics assume a compensator-free measure")
     if n_iter < 2:
         raise SolverError("need at least two iterates to difference")
-    sums = None
+    sums, expected = None, measure.total_mass * problem.window.volume
     for batch in sample_batches(measure, problem.window, master_seed,
                                 n_realizations):
         t, x, z = batch.times, batch.positions, batch.jumps
         part = iterate_moment_sums(
             problem, t, x, z, picard_iterates_at_atoms(problem, t, x, z,
-                                                       n_iter),
+                                                       n_iter, expected),
             increments=True)
         sums = part if sums is None else [a + b for a, b in zip(sums, part)]
     return _existence_report(problem, measure, n_realizations, *sums)

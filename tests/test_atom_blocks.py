@@ -178,7 +178,7 @@ def test_blocked_solvers_match_dense(kernel, sigma, n):
     t, x, z = cfg.times, cfg.positions, cfg.jumps
 
     want = _dense_iterates(problem, t, x, z, 8)
-    got = solver.picard_iterates_at_atoms(problem, t, x, z, 8)
+    got = solver.picard_iterates_at_atoms(problem, t, x, z, 8, t.size)
     assert len(got) == 9
     tol = 1e-14 * _scale(want)
     for m, (a, b) in enumerate(zip(got, want)):
@@ -215,7 +215,8 @@ def test_batched_blocks_match_dense_per_path(kernel):
     batch = lf.sample_batch(_noise(2.5 * B), WINDOW, 5, 0, 6)
     assert batch.times.shape[1] > 2 * B
     t, x, z = batch.times, batch.positions, batch.jumps
-    got = solver.picard_iterates_at_atoms(problem, t, x, z, 6)
+    got = solver.picard_iterates_at_atoms(
+        problem, t, x, z, 6, batch.measure.total_mass * WINDOW.volume)
     for j in range(batch.n_paths):
         k = batch.counts[j]
         want = _dense_iterates(problem, t[j, :k], x[j, :k], z[j, :k], 6)
@@ -335,7 +336,8 @@ def test_ensemble_sized_inputs_start_no_thread(monkeypatch, heat_problem):
     t, x, z = batch.times, batch.positions, batch.jumps
     assert t.ndim == 2
     solver.solve_batch(batch, heat_problem)
-    its = solver.picard_iterates_at_atoms(heat_problem, t, x, z, 4)
+    its = solver.picard_iterates_at_atoms(heat_problem, t, x, z, 4,
+                                          measure.total_mass * WINDOW.volume)
     solver.iterate_moment_sums(heat_problem, t, x, z, its, increments=True)
     solver.cross_solver_gaps(batch, heat_problem, 4)
 

@@ -368,7 +368,8 @@ def test_batched_picard_and_projection_match_dense(kernel, sigma, case):
     if case == "one_long_path":
         assert batch.counts[0] > 900
     t, x, z = batch.times, batch.positions, batch.jumps
-    iterates = solver.picard_iterates_at_atoms(problem, t, x, z, n_iter)
+    iterates = solver.picard_iterates_at_atoms(
+        problem, t, x, z, n_iter, measure.total_mass * WINDOW.volume)
     coefs = np.zeros((batch.n_paths, n_iter + 1, t.shape[1]))
     for m in range(1, n_iter + 1):
         coefs[:, m] = problem.sigma(iterates[m - 1]) * z

@@ -339,6 +339,24 @@ def test_picard_derivative_exact_gates_sweep(kernel):
                 assert np.all(rep.residuals <= tol), (seed, i)
 
 
+def test_picard_derivative_after_every_atom_passes():
+    # a point after every atom of a one-block heat path: Du is 0 up to
+    # the rounding of two block sizes, which the decay gate's floor absorbs
+    # wherever the peak of the rounding rows lands
+    config = harness.RunConfig(kernel="heat", seed=0)
+    problem = harness.build_problem(config)
+    for cfg in lf.sample_batches(harness.build_measure(config),
+                                 harness.build_window(config), 0, 25):
+        for j in range(cfg.n_paths):
+            path = cfg.path(j)
+            assert 0 < path.n_atoms <= solver.ATOM_BLOCK_ROWS
+            r = 0.5 * (path.times[-1] + config.T)
+            rep = lf.picard_derivative_report(
+                problem, path, lf.DerivativePoint(r, 0.0, 1.0), n_iter=8)
+            assert np.all(rep.cauchy <= 1e-14 * rep.scale), j
+            assert rep.decay_ok and rep.passed, j
+
+
 def _long_path(window, mass):
     # seed (61, 0): 263 atoms at mass 60 and 1047 at mass 250, each one
     # short of a multiple of 8, so the path's own count plus the added atom
