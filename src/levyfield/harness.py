@@ -85,6 +85,8 @@ class RunConfig:
             raise ConfigError("ensemble sizes must be at least 1")
         if self.n_iter < 0:
             raise ConfigError("n_iter must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not (self.T > 0.0 and self.R > 0.0):
             raise ConfigError("window must have positive extent")
 

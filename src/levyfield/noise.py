@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy import integrate
 
 
@@ -31,6 +33,107 @@ def derive_rng(master_seed: int, index: int) -> np.random.Generator:
     """
     return np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=(index,)))
+
+
+# SeedSequence's hash (NumPy's bit_generator, after O'Neill's seed_seq), which
+# NEP 19 keeps fixed: a pool of 4 uint32 words mixed from the entropy words
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The uint32 words of a non-negative int, least significant first, as
+    SeedSequence splits it ([0] for 0)."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _mixed_pool(entropy: list) -> list:
+    """SeedSequence's pool of 4 words from its entropy words, each word a
+    uint32 array; the arrays broadcast, so one pass mixes many entropies."""
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * _MULT_A & _MASK32
+        value = value * h
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = x * _MIX_L - y * _MIX_R
+        return r ^ r >> 16
+
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    return pool
+
+
+def stream_states(master_seed: int, start: int, n: int) -> np.ndarray:
+    """(n, 4) uint64 rows, row j equal to SeedSequence(master_seed,
+    spawn_key=(start + j,)).generate_state(4, np.uint64): the PCG64 seed of
+    derive_rng(master_seed, start + j), for the n streams in one pass.
+
+    The entropy of stream i is master_seed's uint32 words, zero-padded to
+    4, then i's words (one below 2**32, two from 2**32 up), so the indices
+    are mixed in groups of one word count.
+    """
+    master_seed, start, n = (operator.index(v) for v in (master_seed, start, n))
+    if master_seed < 0 or start < 0 or n < 0:
+        raise NoiseError(f"streams need a non-negative master seed, start "
+                         f"and count, got {master_seed}, {start}, {n}")
+    master = [np.array([w], dtype=np.uint32) for w in _uint32_words(master_seed)]
+    master += [np.zeros(1, dtype=np.uint32)] * (4 - len(master))
+    rows = [np.empty((0, 4), dtype=np.uint64)]
+    lo, stop = start, start + n
+    while lo < stop:
+        k = len(_uint32_words(lo))
+        hi = min(stop, 1 << 32 * k)
+        index = np.arange(lo, hi, dtype=object)
+        pool = _mixed_pool(master + [(index >> 32 * q & _MASK32).astype(np.uint32)
+                                     for q in range(k)])
+        h, state = _INIT_B, []
+        for i in range(8):
+            value = pool[i % 4] ^ h
+            h = h * _MULT_B & _MASK32
+            value = value * h
+            state.append((value ^ value >> 16).astype(np.uint64))
+        # word pairs little-endian, as generate_state views them as uint64
+        rows.append(np.stack([state[2 * q] | state[2 * q + 1] << 32
+                              for q in range(4)], axis=1))
+        lo = hi
+    return np.concatenate(rows)
+
+
+class _StreamSeed(ISeedSequence):
+    """One row of stream_states, handed to PCG64 as its seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise NoiseError("a derived stream holds only the 4 uint64 words "
+                             "of a PCG64 seed")
+        return self.words
+
+
+def _batch_streams(master_seed: int, start: int, n: int):
+    """The generators of the streams (master_seed, start + j), j < n, each
+    derive_rng(master_seed, start + j) bit for bit."""
+    for words in stream_states(master_seed, start, n):
+        yield np.random.Generator(np.random.PCG64(_StreamSeed(words)))
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -243,11 +346,12 @@ class PointConfiguration:
         if not (t.shape == x.shape == z.shape) or t.ndim != 1:
             raise NoiseError("atom arrays must be matching 1d arrays")
         if t.size:
-            if np.any(np.diff(t) <= 0.0):
+            # written so that a NaN fails each comparison
+            if not np.all(np.diff(t) > 0.0):
                 raise NoiseError("atom times must be strictly increasing")
-            if t[0] <= 0.0 or t[-1] >= self.window.T:
+            if not (0.0 < t[0] and t[-1] < self.window.T):
                 raise NoiseError("atom times must lie strictly inside (0, T)")
-            if np.any(np.abs(x) > self.window.R):
+            if not np.all(np.abs(x) <= self.window.R):
                 raise NoiseError("atom positions must lie in [-R, R]")
             if np.any(z == 0.0) or not np.all(np.isfinite(z)):
                 raise NoiseError("jump marks must be finite and nonzero")
@@ -395,7 +499,8 @@ def sample_batch(measure: LevyMeasure, window: SpaceTimeWindow,
     """The realizations (master_seed, start + j), j < n, as one PointBatch.
 
     Each path draws from its own stream in sample_prm's order: the atom
-    count, the times, the positions, the jumps.  The atoms are drawn
+    count, the times, the positions, the jumps.  The streams are derive_rng's,
+    seeded from one stream_states pass over the batch.  The atoms are drawn
     concatenated, path after path, and the checks of sample_prm and
     PointConfiguration run once over all of them; a path that fails them
     (a tie or a boundary time, probability zero) is drawn again by
@@ -406,8 +511,7 @@ def sample_batch(measure: LevyMeasure, window: SpaceTimeWindow,
     per_jump = _UNIFORMS_PER_JUMP.get(measure.kind, 0)
     counts = np.empty(n, dtype=np.int64)
     uniforms, drawn_jumps = [np.empty(0)], [np.empty(0)]
-    for j in range(n):
-        rng = derive_rng(master_seed, start + j)
+    for j, rng in enumerate(_batch_streams(master_seed, start, n)):
         c = counts[j] = int(rng.poisson(lam))
         uniforms.append(rng.random((2 + per_jump) * c))
         if not per_jump:
@@ -475,7 +579,7 @@ def add_atom(config: PointConfiguration, time: float, x: float,
     """
     if not (0.0 < time < config.window.T):
         raise NoiseError(f"atom time {time} outside (0, {config.window.T})")
-    if abs(x) > config.window.R:
+    if not abs(x) <= config.window.R:
         raise NoiseError(f"atom position {x} outside [-R, R]")
     if jump == 0.0 or not math.isfinite(jump):
         raise NoiseError("jump mark must be finite and nonzero")

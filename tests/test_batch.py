@@ -18,6 +18,7 @@ MEASURES = {
     "two_point": lf.two_point_measure(0.7, 5.0),
     "gaussian": lf.gaussian_measure(5.0, 0.0, 1.0),
     "power_law": lf.truncated_power_law_measure(1.2, 0.2, 3.0),
+    "discrete": lf.discrete_measure([-1.0, 0.5, 2.0], [1.0, 3.0, 0.5]),
     "low_mass": lf.two_point_measure(1.0, 0.1),   # most paths are empty
 }
 
@@ -39,6 +40,53 @@ def test_batch_atoms_equal_sample_prm(name):
         assert _same_atoms(path, lf.sample_prm(measure, WINDOW, (17, i))), i
     if name == "low_mass":
         assert np.count_nonzero(batch.counts == 0) > 1000
+
+
+MASTER_SEEDS = (0, 61, 4242, 2**32 - 1, 2**32, 2**70 + 3)
+
+
+def _seed_sequence_states(master, start, n):
+    return np.array([np.random.SeedSequence(master, spawn_key=(start + j,))
+                     .generate_state(4, np.uint64) for j in range(n)],
+                    dtype=np.uint64).reshape(n, 4)
+
+
+@pytest.mark.parametrize("master", MASTER_SEEDS)
+@pytest.mark.parametrize("start, n", [
+    (0, 5), (2**32 - 1, 1), (2**32, 1), (2**33 + 5, 1),
+    (2**32 - 3, 7),        # straddles 2**32: one-word then two-word indices
+    (2**64 - 2, 4),        # straddles 2**64: two-word then three-word
+    (7, 0),
+])
+def test_stream_states_equal_seed_sequence(master, start, n):
+    got = noise.stream_states(master, start, n)
+    assert got.dtype == np.uint64 and got.shape == (n, 4)
+    assert np.array_equal(got, _seed_sequence_states(master, start, n))
+
+
+def test_batch_streams_are_derive_rng():
+    for master in MASTER_SEEDS:
+        for j, rng in enumerate(noise._batch_streams(master, 2**32 - 2, 4)):
+            want = lf.derive_rng(master, 2**32 - 2 + j)
+            assert np.array_equal(rng.random(8), want.random(8))
+            assert rng.poisson(3.0, 8).tolist() == want.poisson(3.0, 8).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_batch_straddling_two_to_the_32_equals_sample_prm(name):
+    measure, start = MEASURES[name], 2**32 - 20
+    batch = lf.sample_batch(measure, WINDOW, 2**32 + 1, start, 40)
+    for j in range(40):
+        want = lf.sample_prm(measure, WINDOW, (2**32 + 1, start + j))
+        assert _same_atoms(batch.path(j), want), j
+
+
+@pytest.mark.parametrize("master, start", [(-1, 0), (0, -1), (-2**64, 3)])
+def test_streams_refuse_negative_seeds(master, start):
+    with pytest.raises(lf.NoiseError, match="non-negative"):
+        noise.stream_states(master, start, 3)
+    with pytest.raises(lf.NoiseError, match="non-negative"):
+        lf.sample_batch(MEASURES["rademacher"], WINDOW, master, start, 3)
 
 
 class _TiedTimes:
@@ -68,8 +116,15 @@ def test_tied_path_is_drawn_again_by_sample_prm(monkeypatch):
     measure = MEASURES["rademacher"]
     honest = lf.sample_batch(measure, WINDOW, 4, 0, 30)
     tied = int(np.argmax(honest.counts >= 2))
-    real_rng, real_prm = noise.derive_rng, noise.sample_prm
+    real_streams, real_rng = noise._batch_streams, noise.derive_rng
+    real_prm = noise.sample_prm
     calls = []
+
+    # stream (4, tied) repeats a time wherever it is built: in the batch's
+    # one pass over its streams and in sample_prm's derive_rng
+    def streams(master, start, n):
+        for j, rng in enumerate(real_streams(master, start, n)):
+            yield _TiedTimes(rng) if start + j == tied else rng
 
     def derive(master, index):
         rng = real_rng(master, index)
@@ -79,6 +134,7 @@ def test_tied_path_is_drawn_again_by_sample_prm(monkeypatch):
         calls.append(args[2])
         return real_prm(*args)
 
+    monkeypatch.setattr(noise, "_batch_streams", streams)
     monkeypatch.setattr(noise, "derive_rng", derive)
     monkeypatch.setattr(noise, "sample_prm", spy)
     batch = lf.sample_batch(measure, WINDOW, 4, 0, 30)

@@ -63,6 +63,16 @@ def test_run_config_validation():
         lf.RunConfig(T=-1.0)
 
 
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="seed"):
+        lf.RunConfig(seed=-1)
+    assert cli.main(["verify", "isometry", "--seed", "-1",
+                     "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: seed must be non-negative, got -1\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_build_measure_and_problem():
     cfg = lf.RunConfig(noise="two_point", jump=0.5, mass=2.0, kernel="heat",
                        T=0.5, R=1.5)

@@ -149,6 +149,16 @@ def test_add_atom_rejects_bad_points(window, busy_noise):
         lf.add_atom(cfg, 0.5, 0.0, 0.0)
 
 
+def test_add_atom_rejects_nan(window, busy_noise):
+    cfg = lf.sample_prm(busy_noise, window, 3)
+    with pytest.raises(NoiseError, match="position"):
+        lf.add_atom(cfg, 0.5, np.nan, 1.0)
+    with pytest.raises(NoiseError, match="time"):
+        lf.add_atom(cfg, np.nan, 0.0, 1.0)
+    with pytest.raises(NoiseError, match="jump"):
+        lf.add_atom(cfg, 0.5, 0.0, np.nan)
+
+
 def test_remove_atom_roundtrip(window, busy_noise):
     cfg = lf.sample_prm(busy_noise, window, 3)
     mid = 0.5 * (cfg.times[2] + cfg.times[3])
@@ -186,6 +196,20 @@ def test_configuration_validation(window, unit_noise):
     with pytest.raises(NoiseError):
         lf.PointConfiguration(np.array([0.5]), np.zeros(1),
                               np.zeros(1), **bad)
+
+
+@pytest.mark.parametrize("times, positions", [
+    ([np.nan], [0.0]),
+    ([0.2, np.nan, 0.7], [0.0, 0.0, 0.0]),
+    ([0.2, 0.7, np.nan], [0.0, 0.0, 0.0]),
+    ([0.5], [np.nan]),
+    ([0.2, 0.7], [0.0, np.nan]),
+])
+def test_configuration_refuses_nan_atoms(window, unit_noise, times,
+                                         positions):
+    with pytest.raises(NoiseError):
+        lf.PointConfiguration(np.array(times), np.array(positions),
+                              np.ones(len(times)), window, unit_noise)
 
 
 def test_window_validation():
