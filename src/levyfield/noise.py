@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy import integrate
 
 
 class NoiseError(ValueError):
@@ -163,9 +162,6 @@ class SpaceTimeWindow:
         return 2.0 * self.R * self.T
 
 
-_QUAD_RTOL = 1e-10
-
-
 @dataclass(frozen=True)
 class LevyMeasure:
     """A jump-size measure nu with finite total mass and cached moments.
@@ -174,10 +170,9 @@ class LevyMeasure:
     second_moment int z^2 nu(dz)  (written v below)
     first_moment  int z  nu(dz)   (the compensator density; 0 for symmetric kinds)
 
-    Moments are exact sums for atomic kinds and adaptive quadrature
-    (rel. tol 1e-10) for density kinds; symmetric density parameterizations
-    set first_moment to exactly 0.0 so that downstream code can branch on
-    `first_moment == 0` without quadrature noise.
+    Moments are exact sums for atomic kinds and closed forms for density
+    kinds; symmetric density parameterizations set first_moment to exactly
+    0.0 so that downstream code can branch on `first_moment == 0`.
     """
 
     kind: str
@@ -250,25 +245,15 @@ def discrete_measure(jumps, weights) -> LevyMeasure:
 
 def gaussian_measure(intensity: float, mean: float = 0.0,
                      std: float = 1.0) -> LevyMeasure:
-    """Density intensity * N(mean, std^2); moments by adaptive quadrature."""
+    """Density intensity * N(mean, std^2); moments in closed form:
+    mass = intensity, v = intensity (std^2 + mean^2), m1 = intensity mean."""
     if intensity < 0 or not math.isfinite(intensity):
         raise NoiseError(f"intensity must be finite nonnegative, got {intensity}")
     if std <= 0 or not math.isfinite(std):
         raise NoiseError(f"std must be finite positive, got {std}")
-
-    def dens(z):
-        return intensity * math.exp(-0.5 * ((z - mean) / std) ** 2) \
-            / (std * math.sqrt(2.0 * math.pi))
-
-    mass = integrate.quad(dens, -np.inf, np.inf, epsrel=_QUAD_RTOL)[0]
-    v = integrate.quad(lambda z: z * z * dens(z), -np.inf, np.inf,
-                       epsrel=_QUAD_RTOL)[0]
-    if mean == 0.0:
-        m1 = 0.0  # odd integrand, exactly zero by symmetry
-    else:
-        m1 = integrate.quad(lambda z: z * dens(z), -np.inf, np.inf,
-                            epsrel=_QUAD_RTOL)[0]
-    return LevyMeasure("gaussian", (intensity, mean, std), mass, v, m1)
+    return LevyMeasure("gaussian", (intensity, mean, std), intensity,
+                       intensity * (std * std + mean * mean),
+                       intensity * mean)
 
 
 def truncated_power_law_measure(exponent: float, cutoff: float, z_max: float,
@@ -276,7 +261,10 @@ def truncated_power_law_measure(exponent: float, cutoff: float, z_max: float,
     """Symmetric density scale * |z|^(-1-exponent) on cutoff <= |z| <= z_max.
 
     The small-jump truncation at `cutoff` is what keeps the activity finite;
-    exponent > 0 and 0 < cutoff < z_max < inf are required.
+    exponent > 0 and 0 < cutoff < z_max < inf are required.  The moments
+    are the power integrals int_c^M z^(p-1) dz = c^p expm1(p log(M/c)) / p
+    (log(M/c) at p = 0, which v meets at exponent 2), written with expm1
+    so that they stay accurate as p -> 0.
     """
     if exponent <= 0 or not math.isfinite(exponent):
         raise NoiseError(f"exponent must be positive, got {exponent}")
@@ -284,10 +272,15 @@ def truncated_power_law_measure(exponent: float, cutoff: float, z_max: float,
         raise NoiseError("need 0 < cutoff < z_max < inf for a finite measure")
     if scale <= 0 or not math.isfinite(scale):
         raise NoiseError(f"scale must be finite positive, got {scale}")
-    mass = 2.0 * scale * integrate.quad(
-        lambda z: z ** (-1.0 - exponent), cutoff, z_max, epsrel=_QUAD_RTOL)[0]
-    v = 2.0 * scale * integrate.quad(
-        lambda z: z ** (1.0 - exponent), cutoff, z_max, epsrel=_QUAD_RTOL)[0]
+    log_ratio = math.log(z_max / cutoff)
+
+    def power_integral(p):
+        if p == 0.0:
+            return log_ratio
+        return cutoff ** p * math.expm1(p * log_ratio) / p
+
+    mass = 2.0 * scale * power_integral(-exponent)
+    v = 2.0 * scale * power_integral(2.0 - exponent)
     return LevyMeasure("power_law", (exponent, cutoff, z_max, scale),
                        mass, v, 0.0)
 

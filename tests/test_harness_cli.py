@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -424,11 +425,63 @@ def test_cli_console_script_subprocess(tmp_path):
     assert "exp-derivative: PASS" in proc.stdout
 
 
-def test_console_script_entry_point_wiring():
+def _pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
-        scripts = tomllib.load(fh)["project"]["scripts"]
+        return tomllib.load(fh)["project"]
+
+
+def test_console_script_entry_point_wiring():
+    scripts = _pyproject()["scripts"]
     assert scripts["levyfield"] == "levyfield.cli:main"
     module, _, attr = scripts["levyfield"].partition(":")
     assert getattr(importlib.import_module(module), attr) is cli.main
+
+
+def test_runtime_dependencies_are_numpy_only():
+    # scipy only checks, as the tests' independent side
+    project = _pyproject()
+    names = [re.split(r"[<>=!~ ;\[]", dep, maxsplit=1)[0]
+             for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in
+               project["optional-dependencies"]["test"])
+
+
+# the setup calls of perfbench/run.py's two workloads, then the checks whose
+# targets were once adaptive quadrature
+_NO_SCIPY_CHILD = """
+import math, sys
+import levyfield as lf
+from levyfield import cli
+from levyfield.harness import (RunConfig, build_measure, build_problem,
+                               build_window)
+from levyfield.integrals import box_indicator, inner_product, window_sq_integral
+for kind in ("wave", "heat"):
+    build_problem(RunConfig(kernel=kind))
+build_measure(RunConfig())
+window = build_window(RunConfig())
+window_sq_integral(box_indicator(-1.0, 1.0), window)
+inner_product(cli.H_SMOOTH, cli.G_SMOOTH, window)
+window = lf.SpaceTimeWindow(1.0, 2.0)
+lf.two_point_measure(math.sqrt(5.0 / 1000.0), 1000.0)
+lf.gaussian_measure(5.0, 0.5, 1.0)
+for kernel in (lf.wave_kernel(), lf.heat_kernel()):
+    lf.ProblemSpec(kernel, lf.affine_map(0.5, 1.0), "cosine", window)
+    assert lf.check_h2(kernel, 1.0, 0.1).passed
+for check in ("isometry", "duality", "h2"):
+    assert cli.main(["verify", check, "--n", "500",
+                     "--outdir", sys.argv[1]]) == 0, check
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert {p.name for p in tmp_path.glob("*.csv")} >= {
+        "isometry.csv", "duality.csv", "h2_wave.csv", "h2_heat.csv"}

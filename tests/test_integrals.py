@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import dblquad
 
 import levyfield as lf
-from levyfield import IntegrandError, MissingFieldError
+from levyfield import IntegrandError, MissingFieldError, cli
 
 from conftest import assert_close, make_empty_config
 
@@ -41,6 +42,84 @@ def test_square_integrability_gate(window):
     singular = lf.integrand(lambda t, x: 1.0 / x, name="inv")
     with np.errstate(divide="ignore"), pytest.raises(IntegrandError):
         lf.check_square_integrable(singular, window)
+
+
+# ------------------------------------------- window rule against dblquad
+
+def _dblquad(fn, window, cuts=(), epsrel=1e-11):
+    # dblquad on the x pieces between the cuts, each piece smooth
+    edges = sorted({-window.R, window.R}
+                   | {c for c in cuts if -window.R < c < window.R})
+    return sum(dblquad(lambda x, t: fn(t, x), 0.0, window.T, a, b,
+                       epsrel=epsrel, epsabs=1e-13)[0]
+               for a, b in zip(edges, edges[1:]))
+
+
+def _rule_agrees(got, fn, window, cuts=()):
+    # 1e-9 of int int |fn| (the rule's own scale), by an independent dblquad
+    want = _dblquad(fn, window, cuts)
+    # |fn| has kinks where fn changes sign; a few digits make the scale
+    scale = _dblquad(lambda t, x: np.abs(fn(t, x)), window, cuts, 1e-4)
+    assert abs(got - want) <= 1e-9 * scale, (got, want, scale)
+
+
+# inside the window, across its edge, at its edge, the whole window
+BOXES = [(-1.0, 1.0), (-0.3, 1.7), (0.25, 0.5), (1.5, 3.0), (-5.0, -1.2),
+         (-2.0, 0.4), (1.1, 2.0), (-3.0, 3.0)]
+
+
+@pytest.mark.parametrize("lo, hi", BOXES)
+def test_window_rule_matches_dblquad_on_boxes(window, lo, hi):
+    box = lf.box_indicator(lo, hi)
+    want = max(0.0, min(hi, window.R) - max(lo, -window.R)) * window.T
+    for got in (lf.window_integral(box, window),
+                lf.window_sq_integral(box, window),
+                lf.inner_product(box, box, window)):
+        _rule_agrees(got, box, window, (lo, hi))
+        assert_close(got, want, rel=1e-14, abs_=1e-15, label=f"box {lo},{hi}")
+
+
+def test_window_rule_matches_dblquad_on_smooth_products(window):
+    h, g = cli.H_SMOOTH, cli.G_SMOOTH
+    box = lf.box_indicator(-1.2, 0.7)
+    _rule_agrees(lf.inner_product(h, g, window),
+                 lambda t, x: h(t, x) * g(t, x), window)
+    _rule_agrees(lf.inner_product(g, box, window),
+                 lambda t, x: g(t, x) * box(t, x), window, (-1.2, 0.7))
+    for f in (h, g, cli.H_POSITIVE):
+        _rule_agrees(lf.window_integral(f, window), f, window)
+        _rule_agrees(lf.window_sq_integral(f, window),
+                     lambda t, x, f=f: f(t, x) ** 2, window)
+
+
+@pytest.mark.parametrize("jump_at", [0.3, -1.37, -1.375, 1.0, 0.0, 1.9])
+def test_undeclared_jump_matches_dblquad_or_raises(window, jump_at):
+    # a box whose breakpoints are hidden from the rule: either the panel
+    # halvings land on the jump and the value is right, or the rule refuses
+    hidden = lf.integrand(lambda t, x: np.where(x >= jump_at, 1.0 + t, 0.0),
+                          name="hidden-step")
+    try:
+        got = lf.window_integral(hidden, window)
+    except IntegrandError:
+        return
+    _rule_agrees(got, hidden, window, (jump_at,))
+
+
+def test_window_rule_halves_panels_for_a_peak(window):
+    # exp(-a (x - 0.3)^2) e^{-t}: width 0.05 needs three halvings and
+    # passes; width 0.01 is out of reach of four and is refused
+    def bump(a):
+        return lf.integrand(lambda t, x: np.exp(-a * (x - 0.3) ** 2 - t))
+    want = math.sqrt(math.pi / 400.0) * (1.0 - math.exp(-1.0))
+    assert_close(lf.window_integral(bump(400.0), window), want, rel=1e-12)
+    with pytest.raises(IntegrandError):
+        lf.window_integral(bump(1e4), window)
+
+
+def test_window_rule_refuses_non_finite_nodes(window):
+    pole = lf.integrand(lambda t, x: 1.0 / (x - 0.1234), name="pole")
+    with np.errstate(divide="ignore"), pytest.raises(IntegrandError):
+        lf.window_sq_integral(pole, window)
 
 
 # ------------------------------------------------------------ ito integral

@@ -159,6 +159,19 @@ def test_h2_certificate_passes(kernel, tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("kernel", [WAVE, HEAT])
+@pytest.mark.parametrize("horizon", [0.01, 0.5, 1.0, 3.0])
+def test_h2_clause_a_matches_quad(kernel, horizon):
+    # clause (a) against quad of the squared mass, heat's s^(-1/2) included
+    rep = lf.check_h2(kernel, horizon, 0.1)
+    got = next(c.value for c in rep.clauses if c.clause == "a")
+    oracle, _ = quad(kernel.square_integral, 0.0, horizon, epsabs=0.0,
+                     epsrel=1e-12, limit=200)
+    assert_close(got, oracle, rel=1e-10, label=f"{kernel.kind} clause (a)")
+    assert_close(got, kernel.cumulative_square_integral(horizon), rel=1e-14,
+                 label=f"{kernel.kind} clause (a) closed form")
+
+
 def test_h2_degenerate_grid_flags_resolution():
     rep = lf.check_h2(WAVE, 1.0, 0.1, xi_grid=[0.5])
     assert rep.insufficient_resolution

@@ -42,6 +42,57 @@ def test_power_law_moments_match_quadrature():
     assert_close(m.second_moment, 2.0 * v, rel=1e-9, label="power-law v")
 
 
+@pytest.mark.parametrize("exponent", [0.5, 1.0, 1.2, 2.0, 1.999999])
+def test_power_law_closed_form_matches_quad(exponent):
+    c, zmax, scale = 0.05, 3.0, 0.7
+    m = lf.truncated_power_law_measure(exponent, c, zmax, scale)
+    dens = lambda z: scale * z ** (-1.0 - exponent)
+    mass, _ = quad(dens, c, zmax, epsabs=0.0, epsrel=1e-13, limit=200)
+    v, _ = quad(lambda z: z * z * dens(z), c, zmax, epsabs=0.0, epsrel=1e-13)
+    assert_close(m.total_mass, 2.0 * mass, rel=1e-12, label="power-law mass")
+    assert_close(m.second_moment, 2.0 * v, rel=1e-12, label="power-law v")
+
+
+def test_power_law_second_moment_is_continuous_at_exponent_two():
+    # v = 2 scale int z^(1 - a) dz: the power branch meets the log branch
+    at_two = lf.truncated_power_law_measure(2.0, 0.05, 3.0).second_moment
+    assert at_two == 2.0 * math.log(3.0 / 0.05)
+    for d in (1e-6, 1e-9, 1e-12):
+        for a in (2.0 - d, 2.0 + d):
+            near = lf.truncated_power_law_measure(a, 0.05, 3.0).second_moment
+            # d/da of v is -v log(M c) / 2 near a = 2: |.| < 2 v
+            assert abs(near - at_two) <= 2.0 * d * at_two + 1e-15 * at_two
+
+
+# offset and narrow bumps, which an adaptive quad over (-inf, inf) once
+# missed entirely (mass, v and m1 all read 0)
+@pytest.mark.parametrize("intensity, mean, std", [
+    (1.0, 100.0, 0.01), (1.0, 1000.0, 1.0), (2.0, 0.0, 1e-4),
+    (3.0, -40.0, 0.5), (0.5, 1e-3, 1e-6), (5.0, 0.5, 1.0)])
+def test_gaussian_measure_moments_offset_and_narrow(intensity, mean, std):
+    m = lf.gaussian_measure(intensity, mean, std)
+    assert m.total_mass == intensity
+    assert_close(m.second_moment, intensity * (std * std + mean * mean),
+                 rel=1e-15)
+    assert m.first_moment == intensity * mean
+    # quad over the bump's own support, where it cannot miss it
+    dens = lambda z: intensity * math.exp(-0.5 * ((z - mean) / std) ** 2) \
+        / (std * math.sqrt(2.0 * math.pi))
+    lo, hi = mean - 40.0 * std, mean + 40.0 * std
+    for k, got in ((0, m.total_mass), (1, m.first_moment),
+                   (2, m.second_moment)):
+        size = intensity * (abs(mean) + std) ** k
+        want, _ = quad(lambda z: z ** k * dens(z), lo, hi, points=[mean],
+                       epsabs=1e-13 * size, epsrel=1e-12, limit=200)
+        assert_close(got, want, rel=1e-9, abs_=1e-12 * size,
+                     label=f"gaussian moment {k}")
+    # and the measure samples atoms: about intensity * |window| = 4 intensity
+    window = lf.SpaceTimeWindow(1.0, 2.0)
+    counts = [lf.sample_prm(m, window, (7, i)).n_atoms for i in range(50)]
+    assert_close(np.mean(counts), intensity * window.volume,
+                 rel=0.5, label="atoms per path")
+
+
 def test_measure_validation_errors():
     with pytest.raises(NoiseError):
         lf.LevyMeasure(kind="two_point", params=(1.0, 1.0), total_mass=-1.0,
