@@ -224,7 +224,7 @@ def check_h2(kernel: GreenKernel, horizon: float, eps: float,
     u = 0.5 * math.sqrt(horizon) * (nodes + 1.0)
     val_a = 0.5 * math.sqrt(horizon) * float(
         np.sum(weights * 2.0 * u * kernel.square_integral(u * u)))
-    clauses.append(H2Clause("a", "cumulative_square_mass", float(val_a),
+    clauses.append(H2Clause("a", "cumulative_square_mass", val_a,
                             bool(np.isfinite(val_a))))
 
     # (b) refinement of the max time-jump of the Fourier transform

@@ -277,7 +277,10 @@ def truncated_power_law_measure(exponent: float, cutoff: float, z_max: float,
     def power_integral(p):
         if p == 0.0:
             return log_ratio
-        return cutoff ** p * math.expm1(p * log_ratio) / p
+        try:
+            return cutoff ** p * math.expm1(p * log_ratio) / p
+        except OverflowError:
+            return math.inf  # LevyMeasure refuses it
 
     mass = 2.0 * scale * power_integral(-exponent)
     v = 2.0 * scale * power_integral(2.0 - exponent)

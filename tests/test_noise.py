@@ -109,6 +109,10 @@ def test_measure_validation_errors():
                        first_moment=0.0)
     with pytest.raises(NoiseError):
         lf.discrete_measure([1.0, 0.0], [1.0, 1.0])
+    with pytest.raises(NoiseError):  # mass beyond the float range
+        lf.truncated_power_law_measure(40.0, 1e-10, 1.0)
+    with pytest.raises(NoiseError):  # v beyond the float range
+        lf.truncated_power_law_measure(0.5, 1e-300, 1e300)
     with pytest.raises(NoiseError):
         lf.discrete_measure([1.0, 2.0], [1.0, -1.0])
 
