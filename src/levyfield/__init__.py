@@ -14,11 +14,10 @@ from .gronwall import (ConvolutionKernel, GronwallError, equality_sequence,
 from .harness import (ConfigError, EnsembleError, RunConfig, build_config,
                       build_measure, build_problem, build_window,
                       parse_config_file, solution_squares)
-from .integrals import (GridField, Integrand, IntegrandError,
-                        MissingFieldError, box_indicator,
-                        check_square_integrable, inner_product, integrand,
-                        isometry_test, ito_integral, ito_integrals,
-                        stochastic_convolution, window_integral,
+from .integrals import (Integrand, IntegrandError, MissingFieldError,
+                        box_indicator, check_square_integrable,
+                        inner_product, integrand, isometry_test,
+                        ito_integral, ito_integrals, window_integral,
                         window_sq_integral)
 from .kernels import (GreenKernel, H2Report, KernelError, check_h2,
                       heat_kernel, wave_kernel)

@@ -217,7 +217,8 @@ def _check_summary(config: RunConfig, check: str, summary) -> int:
     write_summaries(out, [summary])
     return _report(check, summary.passed,
                    f"estimate {summary.estimate:.6g} vs {summary.target:.6g},"
-                   f" z={summary.studentized:.3f}", out)
+                   f" z={summary.studentized:.3f},"
+                   f" se={summary.stderr:.3g}", out)
 
 
 def _check_isometry(config: RunConfig) -> int:

@@ -200,68 +200,6 @@ def ito_integrals(batch: PointBatch, h: Integrand,
     return total
 
 
-@dataclass(frozen=True)
-class GridField:
-    """Field values on a rectangular (time, position) grid, used only for
-    compensator quadrature when m1 != 0."""
-
-    times: np.ndarray
-    positions: np.ndarray
-    values: np.ndarray
-
-
-def _grid_compensator(kernel, sigma, grid: GridField, t: float, x: float) -> float:
-    """Trapezoid quadrature of int_{s<t} int G(t-s, x-y) sigma(u(s,y)) dy ds.
-
-    The cell touching s = t is handled by a first-order tail correction
-    sigma(u(s_last, x)) * int_0^{t-s_last} (int G dy) ds, which keeps the
-    heat kernel's concentration near s = t from being dropped.
-    """
-    mask = grid.times < t
-    if not mask.any():
-        return 0.0
-    s = grid.times[mask]
-    svals = sigma(grid.values[mask, :])
-    G = kernel.evaluate((t - s)[:, None], x - grid.positions[None, :])
-    inner = np.trapezoid(G * svals, grid.positions, axis=1)
-    total = float(np.trapezoid(inner, s))
-    gap = t - s[-1]
-    if gap > 0.0:
-        edge = float(np.interp(x, grid.positions, svals[-1]))
-        total += edge * kernel.cumulative_mass_integral(gap)
-    return total
-
-
-def stochastic_convolution(config: PointConfiguration, kernel, sigma,
-                           atom_field, t: float, x: float,
-                           measure: LevyMeasure | None = None,
-                           grid_field: GridField | None = None) -> float:
-    """Pathwise int_0^t int G(t-s, x-y) sigma(u(s,y)) dL for one realization.
-
-    `atom_field` supplies u at every atom (only entries with atom time < t
-    are read); `grid_field` supplies u on a grid and is required only when
-    the measure has m1 != 0.
-    """
-    measure = measure or config.measure
-    atom_field = np.asarray(atom_field, dtype=float)
-    if atom_field.shape != config.times.shape:
-        raise MissingFieldError("atom_field must align with the atom arrays")
-    mask = config.times < t
-    if not np.all(np.isfinite(atom_field[mask])):
-        raise MissingFieldError("atom_field has non-finite entries before t")
-    total = 0.0
-    if mask.any():
-        G = kernel.evaluate(t - config.times[mask], x - config.positions[mask])
-        total = float(np.dot(G * sigma(atom_field[mask]), config.jumps[mask]))
-    if measure.first_moment != 0.0:
-        if grid_field is None:
-            raise MissingFieldError(
-                "m1 != 0 needs a grid_field for the compensator quadrature")
-        total -= measure.first_moment * _grid_compensator(kernel, sigma,
-                                                          grid_field, t, x)
-    return total
-
-
 def isometry_test(measure: LevyMeasure, h: Integrand, window: SpaceTimeWindow,
                   n_samples: int, seed: int) -> EstimatorSummary:
     """Monte Carlo check of E L(h)^2 = v * int int h^2.

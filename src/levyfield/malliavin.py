@@ -206,16 +206,17 @@ def derivative_equation_residual(problem: ProblemSpec,
 
     for any Lipschitz sigma: the add-one-atom difference obeys the exact
     chain rule, so the bracket is the exact increment (a Du for affine
-    sigma(x) = a x + b).  The left side differences two exact forward
-    solves; the right side re-assembles the equation from the base solve
-    and the differenced atom values.  For r >= t the derivative of an
-    adapted functional vanishes and the routine asserts exact zero.
+    sigma(x) = a x + b).  The left side differences the exact forward
+    solves of the path with and without the atom, from one shared sweep
+    (solve_forward_pair); the right side re-assembles the equation from
+    the base solve and the differenced atom values.  For r >= t the
+    derivative of an adapted functional vanishes and the routine asserts
+    exact zero.
     """
     _validate_point(config, point)
     sigma = problem.sigma
-    base = solve_forward(config, problem, with_grid=False)
-    plus_cfg = add_atom(config, point.time, point.x, point.jump)
-    plus = solve_forward(plus_cfg, problem, with_grid=False)
+    base, plus = solve_forward_pair(config, problem, point.time, point.x,
+                                    point.jump)
     lhs = evaluate_solution(plus, t, x) - evaluate_solution(base, t, x)
     if point.time >= t:
         if lhs != 0.0:

@@ -40,8 +40,8 @@ def write_csv(path, header, rows) -> None:
 class EstimatorSummary:
     """Result of one ensemble estimator run.
 
-    studentized = (estimate - target) / stderr, left as None when there is
-    no target or the standard error is zero.
+    studentized = (estimate - target) / stderr by studentize (0 or inf for
+    a zero standard error), left as None when there is no target.
     """
 
     name: str
@@ -70,7 +70,9 @@ def summarize(name: str, values,
     """Mean / standard-error reduction of per-realization values.
 
     With a target, the studentized discrepancy is attached and the pass flag
-    requires |studentized| <= SLACK_SIGMAS.
+    requires |studentized| <= SLACK_SIGMAS and a positive standard error:
+    values with no spread (a single value, or all equal, as when no
+    realization has an atom) carry no evidence, so they never pass.
     """
     values = np.asarray(values, dtype=float).ravel()
     n = values.size
@@ -81,7 +83,7 @@ def summarize(name: str, values,
     stud = studentize(est, target, se)
     return EstimatorSummary(name=name, n=n, estimate=est, target=target,
                             stderr=se, studentized=stud,
-                            passed=bool(abs(stud) <= SLACK_SIGMAS))
+                            passed=se > 0.0 and abs(stud) <= SLACK_SIGMAS)
 
 
 def write_summaries(path, summaries) -> None:

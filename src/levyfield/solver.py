@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import GreenKernel
-from .integrals import GridField, MissingFieldError, stochastic_convolution
+from .integrals import MissingFieldError
 from .noise import (LevyMeasure, PointBatch, PointConfiguration,
                     SpaceTimeWindow, add_atom, sample_batches)
 from . import parallel
@@ -371,18 +371,31 @@ class SolutionPath:
 
 
 def evaluate_solution(path: SolutionPath, t: float, x: float) -> float:
-    """Evaluate the mild-form right-hand side at (t, x) from the atom values."""
-    problem = path.problem
-    grid_field = None
-    if path.config.measure.first_moment != 0.0:
-        if path.grid_values is None:
-            raise MissingFieldError("m1 != 0 evaluation needs grid values")
-        grid_field = GridField(path.grid_times, path.grid_positions,
-                               path.grid_values)
-    w = deterministic_part(problem, t, x)
-    return w + stochastic_convolution(path.config, problem.kernel,
-                                      problem.sigma, path.atom_values, t, x,
-                                      grid_field=grid_field)
+    """Evaluate the mild-form right-hand side at (t, x): w plus the jump sum
+    over the atoms before t, from the atom values, and, when m1 != 0,
+    minus m1 times the compensator by _compensator_rows, from the grid
+    values.  Raises MissingFieldError for m1 != 0 without grid values and
+    for a non-finite atom value before t."""
+    problem, config = path.problem, path.config
+    m1 = config.measure.first_moment
+    if m1 != 0.0 and path.grid_values is None:
+        raise MissingFieldError("m1 != 0 evaluation needs grid values")
+    mask = config.times < t
+    u = path.atom_values[mask]
+    if not np.all(np.isfinite(u)):
+        raise MissingFieldError("atom values are non-finite before t")
+    total = 0.0
+    if u.size:
+        G = problem.kernel.evaluate(t - config.times[mask],
+                                    x - config.positions[mask])
+        total = float(np.dot(G * problem.sigma(u), config.jumps[mask]))
+    if m1 != 0.0:
+        # the rule reads sigma(u) only at the grid times before t
+        n = int(np.searchsorted(path.grid_times, t))
+        svals = problem.sigma(path.grid_values[:n]).ravel()
+        row = _compensator_rows(problem, t, x)[0, :svals.size]
+        total -= m1 * float(row @ svals)
+    return deterministic_part(problem, t, x) + total
 
 
 def evaluate_batch(batch: PointBatch, problem: ProblemSpec, atom_values,
@@ -840,8 +853,9 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
 
     Returns (SolutionPath of the n-th iterate, PicardDiagnostics with the
     sup-atom differences).  When m1 != 0 the compensator is quadratured on
-    the problem grid, so accuracy is grid-limited; with m1 = 0 the iteration
-    is exact arithmetic on the atoms.
+    the problem grid by _compensator_rows' rule, so accuracy is
+    grid-limited; with m1 = 0 the iteration is exact arithmetic on the
+    atoms.
 
     With m1 = 0 the iterates come from picard_iterates_at_atoms, never the
     n_atoms^2 matrix.  A wave path projects on the grid by _null_plan, a
@@ -926,34 +940,72 @@ def cross_solver_gaps(batch: PointBatch, problem: ProblemSpec, n_iter: int):
     return atom_gaps, grid_gaps
 
 
-def _trapezoid_weights(s, counts):
-    """Row r: trapezoid weights over the first counts[r] points of s, zero
-    after them (and everywhere when counts[r] < 2)."""
+def _trapezoid(s):
+    """Trapezoid weights over the points s (0 for a single point)."""
     half = 0.5 * np.diff(s)
-    i = np.arange(s.size)
-    c = np.asarray(counts)[:, None]
-    return (np.where(i < c - 1, np.append(half, 0.0), 0.0)
-            + np.where((i >= 1) & (i < c), np.insert(half, 0, 0.0), 0.0))
+    w = np.zeros(s.size)
+    w[:-1] += half
+    w[1:] += half
+    return w
 
 
-def _compensator_operator(problem: ProblemSpec, config: PointConfiguration):
-    """integrals._grid_compensator at every grid point and every atom, as
-    one linear map of sigma(u) on the problem grid, built once.
+def _compensator_rows(problem: ProblemSpec, t, x):
+    """The compensator's quadrature rule at time-sorted points (t, x), as
+    the (k, n_t n_x) rows whose product with sigma(u) on the problem grid,
+    raveled, approximates int_0^t int G(t - s, x - y) sigma(u(s, y)) dy ds.
 
-    The quadrature is the same: trapezoid weights in t and x over the grid
-    times before the target, plus the first-order tail
-    sigma(u(s_last, x)) * int_0^{t - s_last} int G, linear in x at atoms
-    (np.interp).  Grid targets use one block G(d, x_l - x_m) w_m per
-    distinct floating-point time difference d = t_j - t_i; one block per
-    lag at a representative time would flip the wave kernel's light-cone
-    ties |x_l - x_m| = t_j - t_i.  Atom targets use dense rows over the
-    grid.  Returns apply(svals), svals = sigma(u) on the grid (n_t, n_x),
-    which gives (compensator at the atoms, compensator on the grid).
+    Trapezoid weights in s over the grid times before t and in y over the
+    grid positions, plus the first-order tail
+    sigma(u(s_last, x)) * int_0^{t - s_last} int G over the cell touching
+    s = t, which keeps the heat kernel's concentration near s = t from
+    being dropped; sigma(u(s_last, .)) is linear in x between grid
+    positions and constant beyond the edges (np.interp).  The points
+    between two consecutive grid times share one kernel evaluation over
+    the grid times before them, so one point costs one evaluation and no
+    temporary is larger than one such group's rows.
     """
     kernel = problem.kernel
     grid_t, grid_x = problem.grid()
     n_t, n_x = grid_t.size, grid_x.size
-    wx = _trapezoid_weights(grid_x, [n_x])[0]
+    t, x = np.atleast_1d(t), np.atleast_1d(x)
+    wx = _trapezoid(grid_x)
+    rows = np.zeros((t.size, n_t, n_x))
+    before = np.searchsorted(grid_t, t)
+    counts, starts = np.unique(before, return_index=True)
+    for c, k0, k1 in zip(counts, starts, np.append(starts[1:], t.size)):
+        if c:
+            tw = _trapezoid(grid_t[:c])
+            rows[k0:k1, :c] = kernel.evaluate(
+                (t[k0:k1, None] - grid_t[:c])[..., None],
+                (x[k0:k1, None] - grid_x)[:, None]) * (tw[:, None] * wx)
+    k = np.flatnonzero(before)
+    last = before[k] - 1
+    m = np.clip(np.searchsorted(grid_x, x[k], side="right") - 1, 0, n_x - 2)
+    frac = np.clip((x[k] - grid_x[m]) / (grid_x[m + 1] - grid_x[m]),
+                   0.0, 1.0)
+    mass = kernel.cumulative_mass_integral(t[k] - grid_t[last])
+    rows[k, last, m] += (1.0 - frac) * mass
+    rows[k, last, m + 1] += frac * mass
+    return rows.reshape(t.size, n_t * n_x)
+
+
+def _compensator_operator(problem: ProblemSpec, config: PointConfiguration):
+    """The compensator at every grid point and every atom, as one linear
+    map of sigma(u) on the problem grid, built once.
+
+    Atom targets are the dense rows of _compensator_rows, the one
+    quadrature rule.  Grid targets apply the same rule, whose tail there
+    is sigma(u(t_{j-1}, x_l)) * int_0^{t_j - t_{j-1}} int G, with one
+    block G(d, x_l - x_m) w_m per distinct floating-point time difference
+    d = t_j - t_i; one block per lag at a representative time would flip
+    the wave kernel's light-cone ties |x_l - x_m| = t_j - t_i.  Returns
+    apply(svals), svals = sigma(u) on the grid (n_t, n_x), which gives
+    (compensator at the atoms, compensator on the grid).
+    """
+    kernel = problem.kernel
+    grid_t, grid_x = problem.grid()
+    n_t, n_x = grid_t.size, grid_x.size
+    wx = _trapezoid(grid_x)
 
     # grid target j, grid source time i < j: pairs in row order
     jj, ii = np.tril_indices(n_t, -1)
@@ -961,29 +1013,10 @@ def _compensator_operator(problem: ProblemSpec, config: PointConfiguration):
     blocks = pairwise_interaction_matrix(
         kernel, np.repeat(lags, n_x), np.tile(grid_x, lags.size),
         np.zeros(n_x), grid_x) * wx                    # (U n_x, n_x)
-    pair_w = _trapezoid_weights(grid_t, np.arange(n_t))[jj, ii]
+    pair_w = np.concatenate([_trapezoid(grid_t[:j]) for j in range(1, n_t)])
     row_starts = np.searchsorted(jj, np.arange(1, n_t))
     tail = kernel.cumulative_mass_integral(np.diff(grid_t))[:, None]
-
-    # atom k: sources at the grid times before t_k, tail on the last of them;
-    # the atoms after grid time i are a suffix, filled one grid time at a time
-    t, x = config.times, config.positions
-    rows = np.zeros((t.size, n_t, n_x))
-    before = np.searchsorted(grid_t, t)
-    tw = _trapezoid_weights(grid_t, before)
-    for i, k0 in enumerate(np.searchsorted(t, grid_t, side="right")):
-        if k0 < t.size:
-            rows[k0:, i] = kernel.evaluate(
-                (t[k0:] - grid_t[i])[:, None],
-                x[k0:, None] - grid_x[None, :]) * (tw[k0:, i, None] * wx)
-    k = np.flatnonzero(before)
-    last = before[k] - 1
-    m = np.clip(np.searchsorted(grid_x, x[k], side="right") - 1, 0, n_x - 2)
-    frac = (x[k] - grid_x[m]) / (grid_x[m + 1] - grid_x[m])
-    mass = kernel.cumulative_mass_integral(t[k] - grid_t[last])
-    rows[k, last, m] += (1.0 - frac) * mass
-    rows[k, last, m + 1] += frac * mass
-    rows = rows.reshape(t.size, n_t * n_x)
+    rows = _compensator_rows(problem, config.times, config.positions)
 
     def apply(svals):
         per_lag = (blocks @ svals.T).reshape(lags.size, n_x, n_t)

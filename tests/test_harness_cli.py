@@ -163,6 +163,11 @@ def test_summarize_reduction():
     assert t.studentized == math.inf and not t.passed
     u = lf.summarize("plain", [1.0, 2.0])
     assert u.target is None and u.studentized is None and u.passed is None
+    # no spread is no evidence: equal to the target, still not a pass
+    for values in ([0.0, 0.0, 0.0], [2.0]):
+        flat = lf.summarize("flat", values, target=values[0])
+        assert flat.stderr == 0.0 and flat.studentized == 0.0
+        assert flat.passed is False
 
 
 # --------------------------------------------------------------------- cli
@@ -303,6 +308,18 @@ def test_cli_isometry_check(tmp_path, capsys):
                      "--outdir", str(tmp_path)]) == 0
     assert capsys.readouterr().out.startswith("isometry: PASS")
     assert (tmp_path / "isometry.csv").exists()
+
+
+@pytest.mark.parametrize("check, extra", [("isometry", ["--n", "100"]),
+                                          ("duality", [])])
+def test_cli_monte_carlo_check_without_atoms_fails(tmp_path, capsys, check,
+                                                   extra):
+    # with no noise every realization gives 0 against a target of 0: a
+    # zero-spread summary, which must not pass
+    assert cli.main(["verify", check, "--mass", "0", *extra,
+                     "--outdir", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"{check}: FAIL (estimate 0 vs 0, z=0.000, se=0)")
 
 
 def test_cli_cross_solver_check(tmp_path, capsys):

@@ -192,39 +192,62 @@ def test_isometry_doubling_quadruples_target(window, unit_noise):
 
 
 # --------------------------------------------------- stochastic convolution
+# u(t, x) = w + int int G sigma(u) dL, evaluated from a path's atom values
+# by evaluate_solution
+
+def _wave(window, sigma):
+    return lf.ProblemSpec(kernel=lf.wave_kernel(), sigma=sigma,
+                          ic_kind="cosine", window=window)
+
 
 def test_convolution_zero_sigma(window, busy_noise):
-    cfg = lf.sample_prm(busy_noise, window, 3)
-    out = lf.stochastic_convolution(cfg, lf.wave_kernel(),
-                                    lf.constant_map(0.0),
-                                    np.ones(cfg.n_atoms), 1.0, 0.0)
-    assert out == 0.0
+    prob = _wave(window, lf.constant_map(0.0))
+    path = lf.solve_forward(lf.sample_prm(busy_noise, window, 3), prob,
+                            with_grid=False)
+    assert lf.evaluate_solution(path, 1.0, 0.0) == \
+        lf.deterministic_part(prob, 1.0, 0.0)
 
 
 def test_convolution_no_atoms_before_t(window, busy_noise, empty_config):
-    kernel = lf.wave_kernel()
-    sig = lf.named_map("affine")
-    assert lf.stochastic_convolution(empty_config, kernel, sig,
-                                     np.zeros(0), 0.7, 0.0) == 0.0
+    prob = _wave(window, lf.named_map("affine"))
+    empty = lf.SolutionPath(empty_config, prob, np.zeros(0), "test")
+    assert lf.evaluate_solution(empty, 0.7, 0.0) == \
+        lf.deterministic_part(prob, 0.7, 0.0)
     cfg = lf.sample_prm(busy_noise, window, 3)
+    path = lf.SolutionPath(cfg, prob, np.ones(cfg.n_atoms), "test")
     t = 0.5 * cfg.times[0]  # strictly before every atom
-    assert lf.stochastic_convolution(cfg, kernel, sig,
-                                     np.ones(cfg.n_atoms), t, 0.0) == 0.0
+    assert lf.evaluate_solution(path, t, 0.0) == \
+        lf.deterministic_part(prob, t, 0.0)
 
 
 def test_convolution_one_atom_hand_value(window):
     cfg = lf.add_atom(make_empty_config(window), 0.5, 0.3, 1.0)
-    sig = lf.named_map("affine", 0.5, 1.0)
-    out = lf.stochastic_convolution(cfg, lf.wave_kernel(), sig,
-                                    np.array([2.0]), 1.0, 0.0)
+    prob = _wave(window, lf.named_map("affine", 0.5, 1.0))
+    path = lf.SolutionPath(cfg, prob, np.array([2.0]), "test")
     # G(0.5, -0.3) * sigma(2) * z = 0.5 * 2 * 1
-    assert out == 0.5 * (0.5 * 2.0 + 1.0) * 1.0
+    assert lf.evaluate_solution(path, 1.0, 0.0) == \
+        lf.deterministic_part(prob, 1.0, 0.0) + 0.5 * (0.5 * 2.0 + 1.0) * 1.0
 
 
 def test_convolution_compensator_needs_grid(window):
     skew = lf.discrete_measure([1.0], [2.0])
-    cfg = lf.add_atom(make_empty_config(window), 0.5, 0.3, 1.0)
-    with pytest.raises(MissingFieldError):
-        lf.stochastic_convolution(cfg, lf.wave_kernel(),
-                                  lf.named_map("affine"), np.array([2.0]),
-                                  1.0, 0.0, measure=skew)
+    cfg = lf.PointConfiguration(np.array([0.5]), np.array([0.3]),
+                                np.array([1.0]), window, skew)
+    path = lf.SolutionPath(cfg, _wave(window, lf.named_map("affine")),
+                           np.array([2.0]), "test")
+    with pytest.raises(MissingFieldError, match="grid"):
+        lf.evaluate_solution(path, 1.0, 0.0)
+
+
+def test_convolution_reads_atom_values_before_t_only(window):
+    cfg = lf.add_atom(lf.add_atom(make_empty_config(window), 0.3, 0.1, 1.0),
+                      0.8, -0.2, -1.0)
+    prob = _wave(window, lf.named_map("affine"))
+    finite = lf.SolutionPath(cfg, prob, np.array([1.0, 5.0]), "test")
+    for bad in (np.nan, np.inf):
+        early = lf.SolutionPath(cfg, prob, np.array([bad, 1.0]), "test")
+        with pytest.raises(MissingFieldError, match="before t"):
+            lf.evaluate_solution(early, 0.5, 0.0)
+        late = lf.SolutionPath(cfg, prob, np.array([1.0, bad]), "test")
+        assert lf.evaluate_solution(late, 0.5, 0.0) == \
+            lf.evaluate_solution(finite, 0.5, 0.0)

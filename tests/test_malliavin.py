@@ -150,8 +150,9 @@ def test_solution_derivative_vanishes_for_late_points(window, busy_noise,
 
 def test_shared_sweep_matches_two_solves(window, busy_noise, wave_problem,
                                          heat_problem):
-    # difference_derivative shares one sweep; derivative_equation_residual
-    # differences two separate solve_forward calls
+    # solve_forward_pair's one sweep against the reference of two separate
+    # solve_forward calls; difference_derivative and the derivative
+    # equation both difference the pair
     mass = 4000 / window.volume
     long = lf.sample_prm(lf.two_point_measure(math.sqrt(5.0 / mass), mass),
                          window, (61, 0))
@@ -164,15 +165,28 @@ def test_shared_sweep_matches_two_solves(window, busy_noise, wave_problem,
         pt = lf.DerivativePoint(rng.uniform(0.05, 0.9),
                                 rng.uniform(-1.5, 1.5), rng.choice([-1, 1]))
         x = rng.uniform(-1.0, 1.0)
+        pair = solver.solve_forward_pair(cfg, problem, pt.time, pt.x,
+                                         pt.jump)
+        two = (lf.solve_forward(cfg, problem, with_grid=False),
+               lf.solve_forward(lf.add_atom(cfg, pt.time, pt.x, pt.jump),
+                                problem, with_grid=False))
         d = lf.difference_derivative(lf.solution_functional(problem, 1.0, x),
                                      cfg, pt)
         check = lf.derivative_equation_residual(problem, cfg, pt, 1.0, x)
+        assert d == check.lhs
+        d_two = lf.evaluate_solution(two[1], 1.0, x) \
+            - lf.evaluate_solution(two[0], 1.0, x)
         if problem.kernel.kind == "wave":
-            assert d == check.lhs
+            for got, want in zip(pair, two):
+                assert np.array_equal(got.atom_values, want.atom_values)
+            assert d == d_two
         else:
-            u = lf.solve_forward(cfg, problem, with_grid=False).atom_values
+            u = two[0].atom_values
             scale = 1.0 + float(np.max(np.abs(u), initial=0.0))
-            assert abs(d - check.lhs) <= 1e-14 * scale, (seed, d, check.lhs)
+            for got, want in zip(pair, two):
+                assert np.all(np.abs(got.atom_values - want.atom_values)
+                              <= 1e-14 * scale), seed
+            assert abs(d - d_two) <= 1e-14 * scale, (seed, d, d_two)
 
 
 def test_default_pair_evaluates_twice(window, busy_noise):
@@ -217,11 +231,19 @@ def test_derivative_equation_constant_sigma_hand_value(window, busy_noise):
     assert chk.residual <= 1e-12 * (1.0 + abs(chk.lhs))
 
 
-def test_derivative_equation_trivial_region(window, busy_noise, wave_problem):
-    cfg = _config(busy_noise, window, 2)
-    chk = lf.derivative_equation_residual(
-        wave_problem, cfg, lf.DerivativePoint(0.7, 0.0, 1.0), 0.5, 0.0)
-    assert chk.trivial and chk.lhs == 0.0 and chk.residual == 0.0
+def test_derivative_equation_trivial_region(window, busy_noise):
+    # r >= t: exactly 0, on a one-block path and on one of more than
+    # ATOM_BLOCK_ROWS atoms, for both kernels
+    dense = lf.two_point_measure(1.0, 200 / window.volume)
+    long = lf.sample_prm(dense, window, 2)
+    assert long.n_atoms > solver.ATOM_BLOCK_ROWS
+    pt = lf.DerivativePoint(0.7, 0.0, 1.0)
+    for kernel in ("wave", "heat"):
+        prob = _problem(kernel, lf.named_map("affine"), window)
+        for cfg in (_config(busy_noise, window, 2), long):
+            for t in (0.5, 0.7):
+                chk = lf.derivative_equation_residual(prob, cfg, pt, t, 0.0)
+                assert chk.trivial and chk.lhs == 0.0 and chk.residual == 0.0
 
 
 # ------------------------------------------ any Lipschitz nonlinearity

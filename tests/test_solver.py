@@ -8,7 +8,6 @@ from scipy import integrate
 
 import levyfield as lf
 from levyfield import SolverError
-from levyfield.integrals import GridField, _grid_compensator
 from levyfield.solver import (_compensator_operator, convolve_square_mass,
                               deterministic_part, initial_condition_bound)
 
@@ -317,6 +316,24 @@ def test_picard_compensated_drift_hand_value(window):
 COMPENSATED = lf.gaussian_measure(5.0, 0.5, 1.0)   # m1 = 2.5
 
 
+def _grid_compensator(kernel, sigma, grid_t, grid_x, values, t, x):
+    """The compensator int_{s<t} int G(t-s, x-y) sigma(u(s,y)) dy ds one
+    point at a time: the trapezoid rule over the grid times before t and
+    the grid positions, plus the first-order tail
+    sigma(u(s_last, x)) * int_0^{t-s_last} (int G dy) ds over the cell
+    touching s = t.  The reference for solver._compensator_rows."""
+    mask = grid_t < t
+    if not mask.any():
+        return 0.0
+    s = grid_t[mask]
+    svals = sigma(values[mask, :])
+    G = kernel.evaluate((t - s)[:, None], x - grid_x[None, :])
+    inner = np.trapezoid(G * svals, grid_x, axis=1)
+    total = float(np.trapezoid(inner, s))
+    edge = float(np.interp(x, grid_x, svals[-1]))
+    return total + edge * kernel.cumulative_mass_integral(t - s[-1])
+
+
 @pytest.mark.parametrize("n_t,n_x", [(64, 64), (40, 64)])
 @pytest.mark.parametrize("kernel", ["wave", "heat"])
 def test_compensator_operator_matches_quadrature(window, kernel, n_t, n_x):
@@ -334,18 +351,40 @@ def test_compensator_operator_matches_quadrature(window, kernel, n_t, n_x):
         cfg = lf.add_atom(cfg, t_a, x_a, 1.0)
     u = deterministic_part(prob, grid_t[:, None], grid_x[None, :]) \
         + np.random.default_rng(0).normal(size=(n_t, n_x))
-    field = GridField(grid_t, grid_x, u)
     apply = _compensator_operator(prob, cfg)
+    # evaluate_solution off the grid: tau = 1e-6 after a grid time, x = -R
+    # and R, x between grid positions, t below the first grid step, x past
+    # the window edge (the tail holds the edge value, as np.interp does);
+    # with w = 0 and no atoms it returns -m1 times the compensator
+    points = ((grid_t[9] + 1e-6, 0.3), (grid_t[30] + 1e-6, grid_x[20]),
+              (0.6, -window.R), (grid_t[12] + 1e-6, window.R),
+              (0.45, 0.5 * (grid_x[10] + grid_x[11])),
+              (0.5 * grid_t[1], 0.1), (0.5 * grid_t[1], window.R),
+              (0.6, window.R + 0.5))
+    no_atoms = lf.PointConfiguration(np.zeros(0), np.zeros(0), np.zeros(0),
+                                     window, COMPENSATED)
     for sigma in (AFFINE, lf.named_map("sin")):
         got_at, got_gr = apply(sigma(u))
-        want_gr = np.array([[_grid_compensator(k, sigma, field, tj, xl)
+        want_gr = np.array([[_grid_compensator(k, sigma, grid_t, grid_x, u,
+                                               tj, xl)
                              for xl in grid_x] for tj in grid_t])
-        want_at = np.array([_grid_compensator(k, sigma, field, tk, xk)
+        want_at = np.array([_grid_compensator(k, sigma, grid_t, grid_x, u,
+                                              tk, xk)
                             for tk, xk in zip(cfg.times, cfg.positions)])
         assert np.all(np.abs(got_gr - want_gr)
                       <= 1e-13 * (1.0 + np.abs(want_gr)))
         assert np.all(np.abs(got_at - want_at)
                       <= 1e-13 * (1.0 + np.abs(want_at)))
+        zero_w = lf.ProblemSpec(kernel=k, sigma=sigma, ic_kind="constant",
+                                window=window, ic_value=0.0, n_t=n_t,
+                                n_x=n_x)
+        path = lf.SolutionPath(no_atoms, zero_w, np.zeros(0), "test",
+                               grid_t, grid_x, u)
+        for tp, xp in points:
+            want = _grid_compensator(k, sigma, grid_t, grid_x, u, tp, xp)
+            got = -lf.evaluate_solution(path, tp, xp) \
+                / COMPENSATED.first_moment
+            assert abs(got - want) <= 1e-13 * abs(want), (tp, xp)
 
 
 def _window_green_mass(kind, t, x, R):
