@@ -15,9 +15,10 @@ makes one traced run (per-layer figures) per workload, at the first seed.
 Writes BENCH_<pr>.json at the root of the working tree: the machine block
 that run.py prints for each side, with `cpus` once, the CPUs this process
 may run on (its affinity mask, which both sides inherit), every run's
-final JSON record, per end-to-end metric the medians of both sides and
-the number of pairs in which the change is lower, and `src_lines`, the
-total line count of src/levyfield/*.py in each side's exported tree.
+final JSON record, per end-to-end metric the medians and quartiles of
+both sides (statistics.quantiles(n=4), as perfbench/spread.py takes them)
+and the number of pairs in which the change is better, and `src_lines`,
+the total line count of src/levyfield/*.py in each side's exported tree.
 """
 
 from __future__ import annotations
@@ -85,6 +86,12 @@ def cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
+def quartiles(values: list):
+    """[q1, median, q3] of values by statistics.quantiles(n=4), None for
+    fewer than two values."""
+    return statistics.quantiles(values, n=4) if len(values) > 1 else None
+
+
 def summarize(runs: list, spec: dict) -> dict:
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
@@ -102,6 +109,8 @@ def summarize(runs: list, spec: dict) -> dict:
                          for q, c in zip(par, chg))
             metrics[name] = {"parent_median": statistics.median(par),
                              "change_median": statistics.median(chg),
+                             "parent_quartiles": quartiles(par),
+                             "change_quartiles": quartiles(chg),
                              "change_better_pairs": better,
                              "pairs": len(pairs)}
         out[workload] = {

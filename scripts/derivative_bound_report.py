@@ -49,7 +49,7 @@ def main():
                                            n_iter=args.n_iter,
                                            eval_points=points,
                                            master_seed=args.seed)
-    except lf.MalliavinError as exc:     # e.g. --n below 100
+    except lf.MalliavinError as exc:     # --n below 100, --n-iter below 2
         print(f"error: {exc}", file=sys.stderr)
         return 1
     path = outdir / f"derivative_bound_{args.kernel}_{args.sigma}.csv"

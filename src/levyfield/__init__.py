@@ -22,13 +22,13 @@ from .integrals import (Integrand, IntegrandError, MissingFieldError,
 from .kernels import (GreenKernel, H2Report, KernelError, check_h2,
                       heat_kernel, wave_kernel)
 from .malliavin import (DerivativePoint, MalliavinError, PathFunctional,
-                        chain_rule_residual, derivative_bound_estimate,
-                        derivative_equation_residual, difference_derivative,
-                        duality_test, exp_derivative_residual,
-                        exp_integral_functional, integral_functional,
-                        picard_derivative_report, solution_functional)
+                        chain_rule_rows, derivative_bound_estimate,
+                        derivative_equation_rows, difference_derivative,
+                        duality_test, exp_derivative_rows,
+                        integral_functional, picard_derivative_report,
+                        solution_functional)
 from .noise import (LevyMeasure, NoiseError, PointBatch, PointConfiguration,
-                    SpaceTimeWindow, add_atom, atomic_decomposition,
+                    SpaceTimeWindow, add_atom, add_atoms, atomic_decomposition,
                     derive_rng, discrete_measure, gaussian_measure,
                     load_configuration, moments, rademacher, remove_atom,
                     sample_batch, sample_batches, sample_prm,

@@ -25,10 +25,9 @@ from .harness import (ConfigError, EnsembleError, RunConfig, build_config,
                       parse_config_file, solution_squares)
 from .integrals import Integrand, box_indicator, isometry_test
 from .kernels import check_h2, heat_kernel, wave_kernel
-from .malliavin import (DerivativePoint, MalliavinError, chain_rule_residual,
-                        derivative_equation_residual, duality_test,
-                        exp_derivative_residual, integral_functional,
-                        picard_derivative_report)
+from .malliavin import (DerivativePoint, MalliavinError, chain_rule_rows,
+                        derivative_equation_rows, duality_test,
+                        exp_derivative_rows, picard_derivative_report)
 from .noise import (NoiseError, derive_rng, sample_batches, sample_prm,
                     save_configuration)
 from .reporting import summarize, write_check_rows, write_csv, write_summaries
@@ -235,23 +234,20 @@ def _check_duality(config: RunConfig) -> int:
 
 def _check_pathwise(config: RunConfig, check: str, rows_of,
                     n: int | None = None) -> int:
-    """The loop of the pathwise checks.  Realization i (of n, default
-    n_diagnostic) is the noise stream (seed, i), drawn by sample_batches,
-    with the derivative point _draw_point(config, i); rows_of(cfg, point,
-    i) returns its CheckRows and its verdict.  The worst residual is taken
-    over gated rows."""
-    measure = build_measure(config)
-    window = build_window(config)
+    """The loop of the pathwise checks, a batch at a time: realization i
+    (of n, default n_diagnostic) is the noise stream (seed, i) with the
+    derivative point _draw_point(config, i), and rows_of(batch, points)
+    returns the CheckRows of the batch's paths in path order and their
+    verdict.  The worst residual is taken over gated rows."""
     n = config.n_diagnostic if n is None else n
-    rows = []
-    ok = True
-    for batch in sample_batches(measure, window, config.seed, n):
-        for j in range(batch.n_paths):
-            i = batch.start + j
-            new_rows, passed = rows_of(batch.path(j), _draw_point(config, i),
-                                       i)
-            rows.extend(new_rows)
-            ok = ok and passed
+    rows, ok = [], True
+    for batch in sample_batches(build_measure(config), build_window(config),
+                                config.seed, n):
+        points = [_draw_point(config, batch.start + j)
+                  for j in range(batch.n_paths)]
+        new_rows, passed = rows_of(batch, points)
+        rows.extend(new_rows)
+        ok = ok and passed
     out = _outpath(config, check.replace("-", "_") + ".csv")
     write_check_rows(out, rows)
     worst = max(r.residual_or_z for r in rows if r.passed is not None)
@@ -259,44 +255,39 @@ def _check_pathwise(config: RunConfig, check: str, rows_of,
                    f"residual {worst:.3g}", out)
 
 
+def _gated(rows, tol: float, scale=lambda row: 1.0):
+    """(rows, all pass), each row passed when residual <= tol * scale(row)."""
+    for row in rows:
+        row.passed = bool(row.residual_or_z <= tol * scale(row))
+    return rows, all(row.passed for row in rows)
+
+
 def _check_chain_rule(config: RunConfig) -> int:
-    F = integral_functional(H_SMOOTH, build_measure(config))
+    measure = build_measure(config)
     maps = (("square", lambda v: v * v), ("exp", np.exp), ("sin", np.sin))
-
-    def rows_of(cfg, point, i):
-        rows = [chain_rule_residual(g, F, cfg, point, gname)
-                for gname, g in maps]
-        for row in rows:
-            scale = 1.0 + abs(row.lhs) + abs(row.rhs)
-            row.passed = bool(row.residual_or_z <= TOL_EXACT * scale)
-        return rows, all(row.passed for row in rows)
-
-    return _check_pathwise(config, "chain-rule", rows_of)
+    return _check_pathwise(config, "chain-rule", lambda batch, points: _gated(
+        chain_rule_rows(H_SMOOTH, maps, batch, points, measure), TOL_EXACT,
+        lambda row: 1.0 + abs(row.lhs) + abs(row.rhs)))
 
 
 def _check_exp_derivative(config: RunConfig) -> int:
     measure = build_measure(config)
-
-    def rows_of(cfg, point, i):
-        row = exp_derivative_residual(H_POSITIVE, cfg, point, measure)
-        row.passed = bool(row.residual_or_z <= TOL_EXACT)
-        return [row], row.passed
-
-    return _check_pathwise(config, "exp-derivative", rows_of)
+    return _check_pathwise(config, "exp-derivative", lambda batch, points: (
+        _gated(exp_derivative_rows(H_POSITIVE, batch, points, measure),
+               TOL_EXACT)))
 
 
 def _check_derivative_eq(config: RunConfig) -> int:
     problem = build_problem(config)
 
-    def rows_of(cfg, point, i):
-        rng = derive_rng(config.seed, 200_000 + i)
-        t = float(rng.uniform(0.0, config.T))
-        x = float(rng.uniform(-config.R, config.R))
-        res = derivative_equation_residual(problem, cfg, point, t, x)
-        passed = bool(res.residual <= TOL_IDENTITY * (1.0 + abs(res.lhs)))
-        row = res.row("derivative-eq", f"{point.label()};t={t:.6g};x={x:.6g}",
-                      passed)
-        return [row], passed
+    def rows_of(batch, points):
+        # path i's (t, x) from the stream (seed, 200_000 + i)
+        rngs = [derive_rng(config.seed, 200_000 + batch.start + j)
+                for j in range(batch.n_paths)]
+        t, x = np.array([(rng.uniform(0.0, config.T),
+                          rng.uniform(-config.R, config.R)) for rng in rngs]).T
+        return _gated(derivative_equation_rows(problem, batch, points, t, x),
+                      TOL_IDENTITY, lambda row: 1.0 + abs(row.lhs))
 
     return _check_pathwise(config, "derivative-eq", rows_of)
 
@@ -304,11 +295,14 @@ def _check_derivative_eq(config: RunConfig) -> int:
 def _check_picard_derivative(config: RunConfig) -> int:
     problem = build_problem(config)
 
-    def rows_of(cfg, point, i):
-        # the verdict includes the decay gate, which has no row
-        report = picard_derivative_report(problem, cfg, point,
-                                          n_iter=config.n_iter)
-        return report.rows(), report.passed
+    def rows_of(batch, points):
+        # one realization at a time; the verdict includes the decay gate,
+        # which has no row
+        reports = [picard_derivative_report(problem, batch.path(j), point,
+                                            n_iter=config.n_iter)
+                   for j, point in enumerate(points)]
+        return ([row for rep in reports for row in rep.rows()],
+                all(rep.passed for rep in reports))
 
     return _check_pathwise(config, "picard-derivative", rows_of,
                            n=min(config.n_diagnostic, 25))

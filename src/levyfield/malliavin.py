@@ -9,7 +9,10 @@ i.e. the response of F to one extra atom.  All identity checks in this
 module (chain rule, exponential formula, duality, the derivative
 fixed-point equation and its Picard version) are verified against that
 definition, with the two sides always assembled through independent code
-paths.
+paths.  The chain rule, the exponential formula and the derivative equation
+are checked a batch at a time, the left side from the plus batch (add_atoms
+of each path's derivative point): one CheckRow per path (per path and map
+for the chain rule), with its raw residual, for the caller to gate.
 """
 
 from __future__ import annotations
@@ -21,14 +24,15 @@ import numpy as np
 
 from .integrals import (Integrand, inner_product, ito_integral,
                         ito_integrals)
-from .noise import (LevyMeasure, PointConfiguration, SpaceTimeWindow,
-                    add_atom, atomic_decomposition, sample_batches)
+from .noise import (LevyMeasure, PointBatch, PointConfiguration,
+                    SpaceTimeWindow, add_atom, add_atoms,
+                    atomic_decomposition, sample_batches)
 from .reporting import (SLACK_SIGMAS, CheckRow, EstimatorSummary, summarize,
                         write_check_rows)
 from .solver import (ProblemSpec, batched_matvec, causal_sums,
-                     deterministic_part, evaluate_solution,
+                     deterministic_part, evaluate_batch, evaluate_solution,
                      iterate_moment_sums, pairwise_interaction_matrix,
-                     picard_iterates_at_atoms, solve_forward,
+                     picard_iterates_at_atoms, solve_batch, solve_forward,
                      solve_forward_pair, sup_estimate)
 
 
@@ -72,12 +76,6 @@ def integral_functional(h: Integrand,
                           lambda cfg: ito_integral(cfg, h, measure))
 
 
-def exp_integral_functional(h: Integrand,
-                            measure: LevyMeasure | None = None) -> PathFunctional:
-    return PathFunctional(f"exp(L({h.name}))",
-                          lambda cfg: math.exp(ito_integral(cfg, h, measure)))
-
-
 @dataclass(frozen=True)
 class _SolutionFunctional(PathFunctional):
     problem: ProblemSpec
@@ -104,10 +102,6 @@ def solution_functional(problem: ProblemSpec, t: float, x: float) -> PathFunctio
     return _SolutionFunctional(f"u({t:g},{x:g})", fn, problem, t, x)
 
 
-def compose_functional(g, F: PathFunctional, gname: str = "g") -> PathFunctional:
-    return PathFunctional(f"{gname}({F.name})", lambda cfg: g(F(cfg)))
-
-
 def _validate_point(config: PointConfiguration, point: DerivativePoint):
     if not (0.0 < point.time < config.window.T):
         raise MalliavinError("derivative point time must lie in (0, T)")
@@ -126,42 +120,93 @@ def difference_derivative(F: PathFunctional, config: PointConfiguration,
     return plus - base
 
 
-def chain_rule_residual(g, F: PathFunctional, config: PointConfiguration,
-                        point: DerivativePoint, gname: str = "g") -> CheckRow:
-    """|D g(F) - [g(F + DF) - g(F)]| with both sides built independently.
-
-    The difference operator satisfies the exact (not first-order) chain
-    rule, so the residual is pure floating-point noise; `residual_or_z` is
-    the raw residual and the caller applies its scale.
-    """
-    composed = compose_functional(g, F, gname)
-    lhs = difference_derivative(composed, config, point)
-    f0 = F(config)
-    df = difference_derivative(F, config, point)
-    rhs = g(f0 + df) - g(f0)
-    return CheckRow(check="chain-rule", params=f"g={gname};{point.label()}",
-                    lhs=lhs, rhs=rhs, residual_or_z=abs(lhs - rhs),
-                    passed=None)
+def _plus_batch(batch: PointBatch, points):
+    """(r, xi, z) of one DerivativePoint per path, and the plus batch."""
+    r, xi, z = (np.array([getattr(p, name) for p in points], dtype=float)
+                for name in ("time", "x", "jump"))
+    return r, xi, z, add_atoms(batch, r, xi, z)
 
 
-def exp_derivative_residual(h: Integrand, config: PointConfiguration,
-                            point: DerivativePoint,
-                            measure: LevyMeasure | None = None) -> CheckRow:
-    """Exponential-functional derivative identity, checked per realization:
+def _rows(check: str, params, lhs, rhs, residuals) -> list:
+    return [CheckRow(check, p, float(a), float(b), float(c), None)
+            for p, a, b, c in zip(params, lhs, rhs, residuals)]
 
-        D exp(L(h)) = exp(L(h)) * (exp(h(r, xi) z) - 1).
 
-    The right side uses expm1 and never forms the difference of exponentials.
-    """
-    F = exp_integral_functional(h, measure)
-    lhs = difference_derivative(F, config, point)
-    base = math.exp(ito_integral(config, h, measure))
-    hval = float(h(point.time, point.x))
-    rhs = base * math.expm1(hval * point.jump)
-    scale = max(abs(rhs), abs(base), 1e-300)
-    return CheckRow(check="exp-derivative", params=point.label(), lhs=lhs,
-                    rhs=rhs, residual_or_z=abs(lhs - rhs) / scale,
-                    passed=None)
+def _integrals(h: Integrand, batch: PointBatch, points, measure):
+    """(L(h), L(h) with the point added, h(r, xi) z), each per path."""
+    r, xi, z, plus = _plus_batch(batch, points)
+    return (ito_integrals(batch, h, measure), ito_integrals(plus, h, measure),
+            np.asarray(h(r, xi), dtype=float) * z)
+
+
+def chain_rule_rows(h: Integrand, maps, batch: PointBatch, points,
+                    measure: LevyMeasure | None = None) -> list:
+    """D g(F) = g(F + DF) - g(F), F = L(h), for each (name, g) of maps (g
+    vectorized): the difference operator obeys this chain rule exactly, so
+    |lhs - rhs| is rounding only.  The left side differences g(F) over the
+    plus batch and the batch; the right side adds DF = h(r, xi) z to F."""
+    f0, f1, df = _integrals(h, batch, points, measure)
+    lhs = np.stack([g(f1) - g(f0) for _, g in maps], axis=1).ravel()
+    rhs = np.stack([g(f0 + df) - g(f0) for _, g in maps], axis=1).ravel()
+    labels = [f"g={name};{p.label()}" for p in points for name, _ in maps]
+    return _rows("chain-rule", labels, lhs, rhs, np.abs(lhs - rhs))
+
+
+def exp_derivative_rows(h: Integrand, batch: PointBatch, points,
+                        measure: LevyMeasure | None = None) -> list:
+    """D exp(L(h)) = exp(L(h)) (exp(h(r, xi) z) - 1).  The left side
+    differences exp(L(h)) over the plus batch and the batch; the right
+    side uses expm1, never a difference of exponentials.  The residual is
+    relative to the larger of |rhs| and exp(L(h))."""
+    f0, f1, hz = _integrals(h, batch, points, measure)
+    base = np.exp(f0)
+    lhs, rhs = np.exp(f1) - base, base * np.expm1(hz)
+    scale = np.maximum(np.maximum(np.abs(rhs), base), 1e-300)
+    return _rows("exp-derivative", [p.label() for p in points], lhs, rhs,
+                 np.abs(lhs - rhs) / scale)
+
+
+def derivative_equation_rows(problem: ProblemSpec, batch: PointBatch,
+                             points, t, x) -> list:
+    """The derivative fixed-point equation of path j at (t[j], x[j]):
+
+        Du(t,x) = G(t-r, x-xi) sigma(u(r,xi)) z
+                  + sum_{r < t_i < t} G(t-t_i, x-x_i)
+                        [sigma(u + Du) - sigma(u)](t_i,x_i) z_i
+
+    for any Lipschitz sigma (the bracket is the exact increment); m1 = 0
+    only.  The left side differences evaluate_batch over the solve_batch of
+    the plus batch and the batch; the right side takes the kernel at the
+    point, the base solve and the differenced atom values.  For r >= t the
+    left side of an adapted functional must read exactly 0 (else
+    MalliavinError), and the row is all 0."""
+    r, xi, z, plus = _plus_batch(batch, points)
+    t, x = (np.asarray(v, dtype=float) for v in (t, x))
+    kernel, sigma = problem.kernel, problem.sigma
+    u, u_plus = solve_batch(batch, problem), solve_batch(plus, problem)
+    lhs = evaluate_batch(plus, problem, u_plus, t, x) \
+        - evaluate_batch(batch, problem, u, t, x)
+    late = r >= t
+    if np.any(lhs[late] != 0.0):
+        j = int(np.flatnonzero(late & (lhs != 0.0))[0])
+        raise MalliavinError(f"adaptedness violated: D at r={r[j]} >= "
+                             f"t={t[j]} returned {lhs[j]!r}")
+    # Du at the batch's atoms: the plus batch's added atom is the one at r
+    du = u_plus[plus.times != r[:, None]].reshape(u.shape) - u
+    sel = batch.mask & (batch.times > r[:, None]) & (batch.times < t[:, None])
+    path = np.nonzero(sel)[0]
+    terms = np.zeros(u.shape)
+    terms[sel] = kernel.evaluate(t[path] - batch.times[sel],
+                                 x[path] - batch.positions[sel]) \
+        * (sigma(u[sel] + du[sel]) - sigma(u[sel])) * batch.jumps[sel]
+    g_point = np.zeros(r.shape)
+    g_point[~late] = kernel.evaluate(t[~late] - r[~late], x[~late] - xi[~late])
+    # the atoms' terms as a running total per path, in time order
+    rhs = g_point * sigma(evaluate_batch(batch, problem, u, r, xi)) * z \
+        + np.ascontiguousarray(terms.T).sum(axis=0)
+    labels = [f"{p.label()};t={a:.6g};x={b:.6g}"
+              for p, a, b in zip(points, t, x)]
+    return _rows("derivative-eq", labels, lhs, rhs, np.abs(lhs - rhs))
 
 
 def duality_test(h: Integrand, g: Integrand, measure: LevyMeasure,
@@ -179,66 +224,6 @@ def duality_test(h: Integrand, g: Integrand, measure: LevyMeasure,
         ito_integrals(batch, h, measure) * ito_integrals(batch, g, measure)
         for batch in sample_batches(measure, window, seed, n_samples)])
     return summarize(f"duality:{h.name},{g.name}", prods, target)
-
-
-@dataclass
-class EquationCheck:
-    lhs: float
-    rhs: float
-    residual: float
-    trivial: bool = False
-
-    def row(self, check: str, params: str, passed=None) -> CheckRow:
-        return CheckRow(check=check, params=params, lhs=self.lhs,
-                        rhs=self.rhs, residual_or_z=self.residual,
-                        passed=passed)
-
-
-def derivative_equation_residual(problem: ProblemSpec,
-                                 config: PointConfiguration,
-                                 point: DerivativePoint, t: float,
-                                 x: float) -> EquationCheck:
-    """Pathwise residual of the derivative fixed-point equation at (t, x):
-
-        Du(t,x) = G(t-r, x-xi) sigma(u(r,xi)) z
-                  + sum_{r < t_i < t} G(t-t_i, x-x_i)
-                        [sigma(u + Du) - sigma(u)](t_i,x_i) z_i
-
-    for any Lipschitz sigma: the add-one-atom difference obeys the exact
-    chain rule, so the bracket is the exact increment (a Du for affine
-    sigma(x) = a x + b).  The left side differences the exact forward
-    solves of the path with and without the atom, from one shared sweep
-    (solve_forward_pair); the right side re-assembles the equation from
-    the base solve and the differenced atom values.  For r >= t the
-    derivative of an adapted functional vanishes and the routine asserts
-    exact zero.
-    """
-    _validate_point(config, point)
-    sigma = problem.sigma
-    base, plus = solve_forward_pair(config, problem, point.time, point.x,
-                                    point.jump)
-    lhs = evaluate_solution(plus, t, x) - evaluate_solution(base, t, x)
-    if point.time >= t:
-        if lhs != 0.0:
-            raise MalliavinError(
-                f"adaptedness violated: D at r={point.time} >= t={t} "
-                f"returned {lhs!r}")
-        return EquationCheck(lhs=0.0, rhs=0.0, residual=0.0, trivial=True)
-    insert = int(np.searchsorted(config.times, point.time))
-    du_at = np.delete(plus.atom_values, insert) - base.atom_values
-    u_r = evaluate_solution(base, point.time, point.x)
-    g_main = pairwise_interaction_matrix(problem.kernel, t, x, point.time,
-                                         point.x)[0, 0]
-    rhs = g_main * sigma(u_r) * point.jump
-    sel = (config.times > point.time) & (config.times < t)
-    if sel.any():
-        g_row = pairwise_interaction_matrix(problem.kernel, t, x,
-                                            config.times[sel],
-                                            config.positions[sel])[0]
-        u_sel = base.atom_values[sel]
-        bracket = sigma(u_sel + du_at[sel]) - sigma(u_sel)
-        rhs += float(np.dot(g_row, bracket * config.jumps[sel]))
-    return EquationCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
 
 
 def _plus_iterates(problem: ProblemSpec, z, base, at_point, M, A,
@@ -420,6 +405,8 @@ def derivative_bound_estimate(problem: ProblemSpec, measure: LevyMeasure,
         raise MalliavinError("derivative bound estimation assumes m1 = 0")
     if n_realizations < 100:
         raise MalliavinError("derivative bound needs at least 100 realizations")
+    if n_iter < 2:      # else the recursion and stability gates have no row
+        raise MalliavinError("derivative bound needs n_iter >= 2")
     window = problem.window
     if eval_points is None:
         eval_points = [(window.T, 0.0)]

@@ -319,6 +319,18 @@ def atomic_decomposition(measure: LevyMeasure, n_quad: int = 64):
     raise NoiseError(f"unknown measure kind {measure.kind!r}")
 
 
+def _check_atoms(window: SpaceTimeWindow, t, x, z, steps):
+    """Refuse atoms (t, x, z) outside the window or with a zero or
+    non-finite jump, and steps of a path's time not > 0; NaN fails each."""
+    if not (np.all(steps > 0.0) and np.all((0.0 < t) & (t < window.T))):
+        raise NoiseError("atom times must be strictly increasing inside "
+                         "(0, T)")
+    if not np.all(np.abs(x) <= window.R):
+        raise NoiseError("atom positions must lie in [-R, R]")
+    if not np.all(np.isfinite(z) & (z != 0.0)):
+        raise NoiseError("jump marks must be finite and nonzero")
+
+
 @dataclass(frozen=True)
 class PointConfiguration:
     """One noise realization: atoms (times, positions, jumps) sorted by time.
@@ -341,16 +353,7 @@ class PointConfiguration:
         z = np.asarray(self.jumps, dtype=float)
         if not (t.shape == x.shape == z.shape) or t.ndim != 1:
             raise NoiseError("atom arrays must be matching 1d arrays")
-        if t.size:
-            # written so that a NaN fails each comparison
-            if not np.all(np.diff(t) > 0.0):
-                raise NoiseError("atom times must be strictly increasing")
-            if not (0.0 < t[0] and t[-1] < self.window.T):
-                raise NoiseError("atom times must lie strictly inside (0, T)")
-            if not np.all(np.abs(x) <= self.window.R):
-                raise NoiseError("atom positions must lie in [-R, R]")
-            if np.any(z == 0.0) or not np.all(np.isfinite(z)):
-                raise NoiseError("jump marks must be finite and nonzero")
+        _check_atoms(self.window, t, x, z, np.diff(t))
         for arr, name in ((t, "times"), (x, "positions"), (z, "jumps")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -445,8 +448,9 @@ class PointBatch:
     atoms at time T, position 0, with jump 0, K the longest path's count.
     No atom or grid time of the window comes after a padding atom, so it is
     never a source, and its zero jump adds nothing to any sum.  mask is
-    true at the atoms.  Path j is sample_prm(measure, window,
-    (master_seed, start + j)) atom for atom.  Arrays are read-only.
+    true at the atoms.  Each row is checked as a PointConfiguration is.
+    sample_batch's path j is sample_prm(measure, window, (master_seed,
+    start + j)) atom for atom.  Arrays are read-only.
     """
 
     times: np.ndarray
@@ -467,11 +471,14 @@ class PointBatch:
                 or shape[1] != self.counts.max(initial=0):
             raise NoiseError("batch counts do not match its atom arrays")
         mask = np.arange(shape[1]) < self.counts[:, None]
-        if np.any((self.jumps == 0.0) == mask) \
-                or np.any(self.times[~mask] != self.window.T) \
-                or np.any(self.positions[~mask] != 0.0):
-            raise NoiseError("batch row j must hold counts[j] atoms with "
-                             "nonzero jumps, then padding atoms (T, 0, 0)")
+        _check_atoms(self.window, self.times[mask], self.positions[mask],
+                     self.jumps[mask],
+                     np.diff(self.times, axis=1)[mask[:, 1:]])
+        if np.any(self.times[~mask] != self.window.T) \
+                or np.any(self.positions[~mask] != 0.0) \
+                or np.any(self.jumps[~mask] != 0.0):
+            raise NoiseError("batch row j must hold counts[j] atoms, then "
+                             "padding atoms (T, 0, 0)")
         object.__setattr__(self, "mask", mask)
         for name in ("times", "positions", "jumps", "counts", "mask"):
             getattr(self, name).flags.writeable = False
@@ -497,11 +504,11 @@ def sample_batch(measure: LevyMeasure, window: SpaceTimeWindow,
     Each path draws from its own stream in sample_prm's order: the atom
     count, the times, the positions, the jumps.  The streams are derive_rng's,
     seeded from one stream_states pass over the batch.  The atoms are drawn
-    concatenated, path after path, and the checks of sample_prm and
-    PointConfiguration run once over all of them; a path that fails them
-    (a tie or a boundary time, probability zero) is drawn again by
-    sample_prm itself, whose re-draws consume its stream before the
-    positions.  Then the paths are padded into rows.
+    concatenated, path after path, and sample_prm's checks run once over
+    all of them; a path that fails them (a tie or a boundary time,
+    probability zero) is drawn again by sample_prm itself, whose re-draws
+    consume its stream before the positions.  Then the paths are padded
+    into rows.
     """
     lam = measure.total_mass * window.volume
     per_jump = _UNIFORMS_PER_JUMP.get(measure.kind, 0)
@@ -532,9 +539,7 @@ def sample_batch(measure: LevyMeasure, window: SpaceTimeWindow,
     order = np.lexsort((times, path))
     times, positions, jumps = times[order], positions[order], jumps[order]
     bad = np.zeros(n, dtype=bool)
-    bad[path[(times <= 0.0) | (times >= window.T)
-             | (np.abs(positions) > window.R)
-             | (jumps == 0.0) | ~np.isfinite(jumps)]] = True
+    bad[path[(times <= 0.0) | (times >= window.T)]] = True
     tie = (times[1:] == times[:-1]) & (path[1:] == path[:-1])
     bad[path[1:][tie]] = True
     if bad.any():
@@ -570,22 +575,31 @@ def add_atom(config: PointConfiguration, time: float, x: float,
              jump: float) -> PointConfiguration:
     """New configuration with one extra atom, inserted in time order.
 
-    Raises on a time collision with an existing atom (the caller perturbs)
-    and on out-of-window coordinates or a zero jump.
+    The new configuration's checks refuse a time outside (0, T) or equal to
+    an atom's (the caller perturbs), a position outside [-R, R] and a zero
+    or non-finite jump.
     """
-    if not (0.0 < time < config.window.T):
-        raise NoiseError(f"atom time {time} outside (0, {config.window.T})")
-    if not abs(x) <= config.window.R:
-        raise NoiseError(f"atom position {x} outside [-R, R]")
-    if jump == 0.0 or not math.isfinite(jump):
-        raise NoiseError("jump mark must be finite and nonzero")
-    if np.any(config.times == time):
-        raise NoiseError(f"atom time {time} collides with an existing atom")
     k = int(np.searchsorted(config.times, time))
     return replace(config,
                    times=np.insert(config.times, k, time),
                    positions=np.insert(config.positions, k, x),
                    jumps=np.insert(config.jumps, k, jump))
+
+
+def add_atoms(batch: PointBatch, times, positions, jumps) -> PointBatch:
+    """The batch with the atom (times[j], positions[j], jumps[j]) added to
+    row j at its time rank, row j add_atom(batch.path(j), ...) atom for
+    atom: a stable sort of each row, after which the padding (time T) stays
+    last.  The new batch's checks refuse what add_atom's do."""
+    t, x, z = (np.asarray(v, dtype=float) for v in (times, positions, jumps))
+    if not t.shape == x.shape == z.shape == batch.counts.shape:
+        raise NoiseError("add_atoms takes one atom for each row of the batch")
+    rows = [np.concatenate([a, v[:, None]], axis=1) for a, v in
+            ((batch.times, t), (batch.positions, x), (batch.jumps, z))]
+    order = np.argsort(rows[0], axis=1, kind="stable")
+    return PointBatch(*(np.take_along_axis(a, order, axis=1) for a in rows),
+                      batch.counts + 1, batch.window, batch.measure,
+                      batch.master_seed, batch.start)
 
 
 def remove_atom(config: PointConfiguration, index: int) -> PointConfiguration:

@@ -399,16 +399,18 @@ def evaluate_solution(path: SolutionPath, t: float, x: float) -> float:
 
 
 def evaluate_batch(batch: PointBatch, problem: ProblemSpec, atom_values,
-                   t: float, x: float) -> np.ndarray:
+                   t, x) -> np.ndarray:
     """evaluate_solution at (t, x) for every path of a batch, (n_paths,),
-    from the (n_paths, K) atom values of solve_batch.  A path with a
-    non-finite atom value before t gets a non-finite value."""
+    from the (n_paths, K) atom values of solve_batch; (t, x) is one point,
+    or (n_paths,) arrays of path j's point (t[j], x[j]).  A path with a
+    non-finite atom value before its t gets a non-finite value."""
     if batch.measure.first_moment != 0.0:
         raise MissingFieldError("m1 != 0 evaluation needs grid values")
-    mask = batch.mask & (batch.times < t)
+    tt, tx = (np.broadcast_to(_column(v), batch.times.shape) for v in (t, x))
+    mask = batch.mask & (batch.times < tt)
     terms = np.zeros(batch.times.shape)
     terms[mask] = problem.kernel.evaluate(
-        t - batch.times[mask], x - batch.positions[mask]) \
+        tt[mask] - batch.times[mask], tx[mask] - batch.positions[mask]) \
         * problem.sigma(np.asarray(atom_values)[mask]) * batch.jumps[mask]
     # a running total per path over its atoms in time order
     return deterministic_part(problem, t, x) \

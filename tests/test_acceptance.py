@@ -39,17 +39,25 @@ def test_criterion_01_isometry():
                    f"{abs(s.studentized):.3f} <= 3, {elapsed:.2f}s")
 
 
+def _draws(seed, r_hi=0.95, xi_hi=2.0):
+    """The 100 realizations (seed, i) as one batch, and a derivative point
+    for each from the stream (seed, 50_000 + i), with that stream."""
+    batch = lf.sample_batch(BUSY, WINDOW, seed, 0, 100)
+    points, rngs = [], []
+    for i in range(100):
+        rng = lf.derive_rng(seed, 50_000 + i)
+        points.append(lf.DerivativePoint(rng.uniform(0.05, r_hi),
+                                         rng.uniform(-xi_hi, xi_hi),
+                                         1.0 if i % 2 else -1.0))
+        rngs.append(rng)
+    return batch, points, rngs
+
+
 def test_criterion_02_exponential_derivative():
     start = time.perf_counter()
-    worst = 0.0
-    for i in range(100):
-        cfg = lf.sample_prm(BUSY, WINDOW, (202, i))
-        rng = lf.derive_rng(202, 50_000 + i)
-        pt = lf.DerivativePoint(rng.uniform(0.05, 0.95),
-                                rng.uniform(-2.0, 2.0),
-                                1.0 if i % 2 else -1.0)
-        row = lf.exp_derivative_residual(H_POS, cfg, pt)
-        worst = max(worst, abs(row.residual_or_z))
+    batch, points, _ = _draws(202)
+    rows = lf.exp_derivative_rows(H_POS, batch, points)
+    worst = max(abs(row.residual_or_z) for row in rows)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0
     assert _report(2, "exponential derivative", ok,
@@ -58,19 +66,11 @@ def test_criterion_02_exponential_derivative():
 
 
 def test_criterion_03_chain_rule():
-    maps = [(lambda v: v * v, "square"), (math.exp, "exp"), (math.sin, "sin")]
-    F = lf.integral_functional(H_POS)
-    worst = 0.0
-    for i in range(100):
-        cfg = lf.sample_prm(BUSY, WINDOW, (303, i))
-        rng = lf.derive_rng(303, 50_000 + i)
-        pt = lf.DerivativePoint(rng.uniform(0.05, 0.95),
-                                rng.uniform(-2.0, 2.0),
-                                1.0 if i % 2 else -1.0)
-        for g, name in maps:
-            row = lf.chain_rule_residual(g, F, cfg, pt, gname=name)
-            scale = max(1.0, abs(row.lhs), abs(row.rhs))
-            worst = max(worst, abs(row.residual_or_z) / scale)
+    maps = [("square", lambda v: v * v), ("exp", np.exp), ("sin", np.sin)]
+    batch, points, _ = _draws(303)
+    worst = max(abs(row.residual_or_z)
+                / max(1.0, abs(row.lhs), abs(row.rhs))
+                for row in lf.chain_rule_rows(H_POS, maps, batch, points))
     ok = worst <= 1e-12
     assert _report(3, "chain rule", ok,
                    f"worst scaled residual {worst:.2e} <= 1e-12 "
@@ -89,17 +89,12 @@ def test_criterion_04_duality():
 
 def test_criterion_05_derivative_equation():
     start = time.perf_counter()
-    worst = 0.0
-    for i in range(100):
-        cfg = lf.sample_prm(BUSY, WINDOW, (505, i))
-        rng = lf.derive_rng(505, 50_000 + i)
-        r = rng.uniform(0.05, 0.7)
-        pt = lf.DerivativePoint(r, rng.uniform(-1.5, 1.5),
-                                1.0 if i % 2 else -1.0)
-        t = rng.uniform(r + 0.02, 1.0)
-        x = rng.uniform(-1.0, 1.0)
-        chk = lf.derivative_equation_residual(WAVE_AFFINE, cfg, pt, t, x)
-        worst = max(worst, chk.residual / (1.0 + abs(chk.lhs)))
+    batch, points, rngs = _draws(505, r_hi=0.7, xi_hi=1.5)
+    t = np.array([rng.uniform(p.time + 0.02, 1.0)
+                  for p, rng in zip(points, rngs)])
+    x = np.array([rng.uniform(-1.0, 1.0) for rng in rngs])
+    rows = lf.derivative_equation_rows(WAVE_AFFINE, batch, points, t, x)
+    worst = max(row.residual_or_z / (1.0 + abs(row.lhs)) for row in rows)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 5.0
     assert _report(5, "derivative fixed-point equation", ok,

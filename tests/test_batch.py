@@ -266,6 +266,114 @@ def test_point_batch_rejects_bad_padding_and_counts():
         _rebuilt(batch, **wider)
 
 
+def _one_row(times, positions, jumps):
+    """A one-row PointBatch of the given atoms on WINDOW (T = 1, R = 2)."""
+    return noise.PointBatch(*(np.array([a], dtype=float)
+                              for a in (times, positions, jumps)),
+                            np.array([len(times)]), WINDOW,
+                            MEASURES["rademacher"], 0, 0)
+
+
+@pytest.mark.parametrize("times, positions, jumps, match", [
+    ([0.2, 0.5], [0.0, 9.0], [1.0, -1.0], "positions"),     # |x| > R
+    ([0.2, 0.5], [0.0, np.nan], [1.0, -1.0], "positions"),
+    ([0.2, 0.5], [0.0, 0.3], [1.0, np.nan], "jump"),
+    ([0.2, 0.5], [0.0, 0.3], [np.inf, -1.0], "jump"),
+    ([0.5, 0.2], [0.0, 0.3], [1.0, -1.0], "increasing"),    # unsorted
+    ([0.5, 0.5], [0.0, 0.3], [1.0, -1.0], "increasing"),    # tied
+    ([0.0, 0.5], [0.0, 0.3], [1.0, -1.0], "inside"),
+    ([0.5, 1.0], [0.0, 0.3], [1.0, -1.0], "inside"),
+    ([np.nan], [0.0], [1.0], "inside"),
+])
+def test_point_batch_checks_its_atom_rows(times, positions, jumps, match):
+    # as PointConfiguration does, and before any solver sees the row
+    assert _one_row([0.2, 0.5], [0.0, 0.3], [1.0, -1.0]).n_paths == 1
+    with pytest.raises(lf.NoiseError, match=match):
+        _one_row(times, positions, jumps)
+    with pytest.raises(lf.NoiseError):
+        lf.PointConfiguration(np.array(times), np.array(positions),
+                              np.array(jumps), WINDOW, MEASURES["rademacher"])
+
+
+def _insert_points(batch, seed):
+    """One point per row of batch: before its first atom, after its last,
+    or between two of its atoms in turn, anywhere in an empty row."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.05, 0.95, batch.n_paths)
+    for j in range(batch.n_paths):
+        row = batch.times[j, :batch.counts[j]]
+        if row.size:
+            ends = (0.0, *row, WINDOW.T)
+            k = (0, row.size, 1)[j % 3 if row.size > 1 else j % 2]
+            t[j] = 0.5 * (ends[k] + ends[k + 1])
+    x = rng.uniform(-WINDOW.R, WINDOW.R, batch.n_paths)
+    z = rng.choice([-1.5, 1.0], batch.n_paths)
+    return t, x, z
+
+
+@pytest.mark.parametrize("measure", [lf.two_point_measure(1.0, 0.5),
+                                     MEASURES["gaussian"]],
+                         ids=["sparse", "gaussian"])
+def test_add_atoms_is_add_atom_row_by_row(measure):
+    # sparse: about 2 atoms a path, so some paths are empty
+    batch = lf.sample_batch(measure, WINDOW, 12, 0, 90)
+    t, x, z = _insert_points(batch, 12)
+    plus = lf.add_atoms(batch, t, x, z)
+    assert np.array_equal(plus.counts, batch.counts + 1)
+    assert plus.times.shape == (batch.n_paths, batch.times.shape[1] + 1)
+    ranks = set()
+    for j in range(batch.n_paths):
+        want = lf.add_atom(batch.path(j), t[j], x[j], z[j])
+        got = plus.path(j)
+        assert _same_atoms(got, want) and got.seed == want.seed, j
+        k = int(np.searchsorted(want.times, t[j]))
+        ranks.add("empty" if batch.counts[j] == 0 else "first" if k == 0
+                  else "last" if k == batch.counts[j] else "inner")
+    assert {"first", "last", "inner"} <= ranks
+    assert ("empty" in ranks) == bool(np.any(batch.counts == 0))
+
+
+def test_add_atoms_refuses_what_add_atom_refuses():
+    batch = lf.sample_batch(MEASURES["two_point"], WINDOW, 9, 0, 20)
+    j = int(np.argmax(batch.counts))
+    good = _insert_points(batch, 9)
+    lf.add_atoms(batch, *good)
+    # (argument, value at row j, message)
+    bad = [(0, batch.times[j, 1], "increasing"), (0, 0.0, "inside"),
+           (0, WINDOW.T, "inside"), (0, np.nan, "inside"),
+           (1, WINDOW.R + 0.1, "position"), (1, np.nan, "position"),
+           (2, 0.0, "jump"), (2, np.nan, "jump"), (2, np.inf, "jump")]
+    for arg, value, message in bad:
+        args = [np.array(a) for a in good]
+        args[arg][j] = value
+        with pytest.raises(lf.NoiseError, match=message):
+            lf.add_atoms(batch, *args)
+        with pytest.raises(lf.NoiseError):
+            lf.add_atom(batch.path(j), *(a[j] for a in args))
+    with pytest.raises(lf.NoiseError, match="each row"):
+        lf.add_atoms(batch, *(a[:-1] for a in good))
+
+
+@pytest.mark.parametrize("kernel", [lf.wave_kernel(), lf.heat_kernel()],
+                         ids=["wave", "heat"])
+def test_evaluate_batch_takes_a_point_per_path(kernel):
+    problem = _problem(kernel, "sin")
+    batch = lf.sample_batch(MEASURES["two_point"], WINDOW, 5, 0, 80)
+    u = lf.solve_batch(batch, problem)
+    rng = np.random.default_rng(5)
+    t = rng.uniform(0.0, WINDOW.T, batch.n_paths)
+    x = rng.uniform(-WINDOW.R, WINDOW.R, batch.n_paths)
+    got = lf.evaluate_batch(batch, problem, u, t, x)
+    for j in range(batch.n_paths):
+        path = lf.SolutionPath(batch.path(j), problem,
+                               u[j, :batch.counts[j]], solver="batch")
+        ref = lf.evaluate_solution(path, t[j], x[j])
+        assert abs(got[j] - ref) <= 1e-13 * (1.0 + abs(ref)), j
+    same = np.full(batch.n_paths, 0.7), np.full(batch.n_paths, -0.2)
+    assert np.array_equal(lf.evaluate_batch(batch, problem, u, *same),
+                          lf.evaluate_batch(batch, problem, u, 0.7, -0.2))
+
+
 EMPTY_CASES = {"empty_paths": (MEASURES["low_mass"], 60),
                "all_empty": (lf.two_point_measure(1.0, 0.0), 5)}
 

@@ -400,10 +400,14 @@ def test_cli_entry_point_subprocess(tmp_path):
 
 
 _SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+# (script, first argument) -> its one-line usage error
 _USAGE_ERRORS = {
-    "derivative_bound_report.py":
+    ("derivative_bound_report.py", "--n"):
         "error: derivative bound needs at least 100 realizations\n",
-    "existence_report.py": "error: need at least two iterates to difference\n",
+    ("derivative_bound_report.py", "--n-iter"):
+        "error: derivative bound needs n_iter >= 2\n",
+    ("existence_report.py", "--n-iter"):
+        "error: need at least two iterates to difference\n",
 }
 
 
@@ -415,6 +419,7 @@ _USAGE_ERRORS = {
     # bad sizes (csv_name None): a one-line usage error, no traceback
     ("derivative_bound_report.py", ["--n", "50"], None),
     ("existence_report.py", ["--n-iter", "1"], None),
+    ("derivative_bound_report.py", ["--n-iter", "0"], None),
 ])
 def test_report_scripts_subprocess(tmp_path, script, args, csv_name):
     proc = subprocess.run(
@@ -423,7 +428,7 @@ def test_report_scripts_subprocess(tmp_path, script, args, csv_name):
         capture_output=True, text=True, timeout=300, env=child_env())
     if csv_name is None:
         assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert proc.stderr == _USAGE_ERRORS[script]
+        assert proc.stderr == _USAGE_ERRORS[script, args[0]]
         assert not any(tmp_path.iterdir())
         return
     assert proc.returncode == 0, proc.stdout + proc.stderr

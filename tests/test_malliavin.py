@@ -1,5 +1,6 @@
 """Add-one-point derivatives: exact identities, duality, bound estimates."""
 
+import csv
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 import levyfield as lf
 from levyfield import MalliavinError, cli, harness, malliavin, solver
 
+import pathwise_reference as ref
 from conftest import assert_close, make_empty_config
 
 H_POS = lf.integrand(lambda t, x: 0.5 + 0.3 * np.cos(x) * np.exp(-t),
@@ -78,15 +80,21 @@ def test_derivative_linearity(a, b):
 # ------------------------------------------------------------- chain rules
 
 @pytest.mark.parametrize("g,name", [
-    (lambda v: v * v, "square"), (math.exp, "exp"), (math.sin, "sin")])
+    (lambda v: v * v, "square"), (np.exp, "exp"), (np.sin, "sin")])
 def test_chain_rule_exact(window, busy_noise, g, name):
+    # the batch check on a one-row batch, and its per-path reference
     F = lf.integral_functional(H_POS)
     for seed in range(10):
         cfg = _config(busy_noise, window, seed)
         pt = lf.DerivativePoint(0.3 + 0.05 * seed, 0.1, 1.0)
-        row = lf.chain_rule_residual(g, F, cfg, pt, gname=name)
-        scale = max(1.0, abs(row.lhs), abs(row.rhs))
-        assert abs(row.residual_or_z) <= 1e-12 * scale
+        want = ref.chain_rule_residual(g, F, cfg, pt, gname=name)
+        [row] = lf.chain_rule_rows(H_POS, [(name, g)],
+                                   ref.one_row_batch(cfg), [pt])
+        for r in (row, want):
+            scale = max(1.0, abs(r.lhs), abs(r.rhs))
+            assert abs(r.residual_or_z) <= 1e-12 * scale
+        assert row.params == want.params
+        assert abs(row.lhs - want.lhs) <= 1e-13 * (1.0 + abs(want.lhs))
 
 
 def test_exp_derivative_identity(window, busy_noise):
@@ -94,8 +102,10 @@ def test_exp_derivative_identity(window, busy_noise):
     for seed in range(20):
         cfg = _config(busy_noise, window, seed)
         pt = lf.DerivativePoint(0.2 + 0.03 * seed, -0.5 + 0.05 * seed, 1.0)
-        row = lf.exp_derivative_residual(H_POS, cfg, pt)
-        worst = max(worst, abs(row.residual_or_z))
+        want = ref.exp_derivative_residual(H_POS, cfg, pt)
+        [row] = lf.exp_derivative_rows(H_POS, ref.one_row_batch(cfg), [pt])
+        worst = max(worst, abs(row.residual_or_z), abs(want.residual_or_z))
+        assert abs(row.lhs - want.lhs) <= 1e-13 * (1.0 + abs(want.lhs))
     assert worst <= 1e-12
 
 
@@ -172,7 +182,7 @@ def test_shared_sweep_matches_two_solves(window, busy_noise, wave_problem,
                                 problem, with_grid=False))
         d = lf.difference_derivative(lf.solution_functional(problem, 1.0, x),
                                      cfg, pt)
-        check = lf.derivative_equation_residual(problem, cfg, pt, 1.0, x)
+        check = ref.derivative_equation_residual(problem, cfg, pt, 1.0, x)
         assert d == check.lhs
         d_two = lf.evaluate_solution(two[1], 1.0, x) \
             - lf.evaluate_solution(two[0], 1.0, x)
@@ -191,7 +201,7 @@ def test_shared_sweep_matches_two_solves(window, busy_noise, wave_problem,
 
 def test_default_pair_evaluates_twice(window, busy_noise):
     F = lf.integral_functional(H_POS)
-    E = lf.exp_integral_functional(G_SMOOTH)
+    E = ref.exp_integral_functional(G_SMOOTH)
     for seed in range(10):
         cfg = _config(busy_noise, window, seed)
         rng = lf.derive_rng(seed, 9200)
@@ -213,9 +223,7 @@ def test_derivative_equation_affine(window, busy_noise, wave_problem):
                                 rng.uniform(-1.0, 1.0), 1.0)
         t = rng.uniform(pt.time + 0.05, 1.0)
         x = rng.uniform(-1.0, 1.0)
-        chk = lf.derivative_equation_residual(wave_problem, cfg, pt, t, x)
-        assert not chk.trivial
-        assert chk.residual <= 1e-10 * (1.0 + abs(chk.lhs))
+        _assert_equation_closes(wave_problem, cfg, pt, t, x)
 
 
 def test_derivative_equation_constant_sigma_hand_value(window, busy_noise):
@@ -224,11 +232,15 @@ def test_derivative_equation_constant_sigma_hand_value(window, busy_noise):
                           ic_kind="cosine", window=window)
     cfg = _config(busy_noise, window, 2)
     pt = lf.DerivativePoint(0.3, 0.1, -1.0)
-    chk = lf.derivative_equation_residual(prob, cfg, pt, 0.9, 0.0)
+    chk = _assert_equation_closes(prob, cfg, pt, 0.9, 0.0)
+    [row] = lf.derivative_equation_rows(prob, ref.one_row_batch(cfg), [pt],
+                                        [0.9], [0.0])
     # constant sigma kills the sum term: D u = G(t-r, x-xi) sigma z
     want = lf.wave_kernel().evaluate(0.6, -0.1) * b * (-1.0)
-    assert_close(chk.lhs, want, rel=1e-12)
-    assert chk.residual <= 1e-12 * (1.0 + abs(chk.lhs))
+    for lhs, residual in ((chk.lhs, chk.residual),
+                          (row.lhs, row.residual_or_z)):
+        assert_close(lhs, want, rel=1e-12)
+        assert residual <= 1e-12 * (1.0 + abs(lhs))
 
 
 def test_derivative_equation_trivial_region(window, busy_noise):
@@ -242,8 +254,11 @@ def test_derivative_equation_trivial_region(window, busy_noise):
         prob = _problem(kernel, lf.named_map("affine"), window)
         for cfg in (_config(busy_noise, window, 2), long):
             for t in (0.5, 0.7):
-                chk = lf.derivative_equation_residual(prob, cfg, pt, t, 0.0)
+                chk = ref.derivative_equation_residual(prob, cfg, pt, t, 0.0)
                 assert chk.trivial and chk.lhs == 0.0 and chk.residual == 0.0
+                [row] = lf.derivative_equation_rows(
+                    prob, ref.one_row_batch(cfg), [pt], [t], [0.0])
+                assert row.lhs == row.rhs == row.residual_or_z == 0.0
 
 
 # ------------------------------------------ any Lipschitz nonlinearity
@@ -257,10 +272,16 @@ def _problem(kernel, sigma, window, ic_kind="cosine", ic_value=1.0):
 
 
 def _assert_equation_closes(prob, cfg, pt, t, x):
-    chk = lf.derivative_equation_residual(prob, cfg, pt, t, x)
+    # the batch check on a one-row batch, and its per-path reference
+    chk = ref.derivative_equation_residual(prob, cfg, pt, t, x)
+    [row] = lf.derivative_equation_rows(prob, ref.one_row_batch(cfg), [pt],
+                                        [t], [x])
     assert not chk.trivial
-    assert chk.residual <= 1e-10 * (1.0 + abs(chk.lhs)), \
-        f"{prob.kernel.kind}/{prob.sigma.label()}: {chk}"
+    label = f"{prob.kernel.kind}/{prob.sigma.label()}: {chk}, {row}"
+    for lhs, residual in ((chk.lhs, chk.residual),
+                          (row.lhs, row.residual_or_z)):
+        assert residual <= 1e-10 * (1.0 + abs(lhs)), label
+    assert abs(row.lhs - chk.lhs) <= 1e-13 * (1.0 + abs(chk.lhs)), label
     return chk
 
 
@@ -526,3 +547,77 @@ def test_derivative_bound_needs_ensemble(window, busy_noise, wave_problem):
     with pytest.raises(MalliavinError):
         lf.derivative_bound_estimate(wave_problem, busy_noise,
                                      n_realizations=50)
+
+
+@pytest.mark.parametrize("n_iter", [0, 1])
+def test_derivative_bound_needs_two_iterates(busy_noise, wave_problem,
+                                             n_iter):
+    # with fewer, no recursion or stability row would gate anything
+    with pytest.raises(MalliavinError, match="n_iter >= 2"):
+        lf.derivative_bound_estimate(wave_problem, busy_noise,
+                                     n_realizations=100, n_iter=n_iter)
+
+
+# ------------------------------------------- batch checks vs per path
+
+_SWEEP_CSVS = ("chain_rule", "exp_derivative", "derivative_eq")
+
+
+def _per_path_rows(config):
+    """{csv name: [(params, reference row or EquationCheck)]} of the three
+    batch checks, from the per-path references on the CLI's paths, points
+    and (t, x)."""
+    measure = harness.build_measure(config)
+    problem = harness.build_problem(config)
+    F = lf.integral_functional(cli.H_SMOOTH, measure)
+    maps = (("square", lambda v: v * v), ("exp", math.exp), ("sin", math.sin))
+    want = {name: [] for name in _SWEEP_CSVS}
+    for batch in lf.sample_batches(measure, harness.build_window(config),
+                                   config.seed, config.n_diagnostic):
+        for j in range(batch.n_paths):
+            i = batch.start + j
+            cfg, point = batch.path(j), cli._draw_point(config, i)
+            for name, g in maps:
+                row = ref.chain_rule_residual(g, F, cfg, point, name)
+                want["chain_rule"].append((row.params, row))
+            row = ref.exp_derivative_residual(cli.H_POSITIVE, cfg, point,
+                                              measure)
+            want["exp_derivative"].append((row.params, row))
+            rng = lf.derive_rng(config.seed, 200_000 + i)
+            t = float(rng.uniform(0.0, config.T))
+            x = float(rng.uniform(-config.R, config.R))
+            want["derivative_eq"].append(
+                (f"{point.label()};t={t:.6g};x={x:.6g}",
+                 ref.derivative_equation_residual(problem, cfg, point, t, x)))
+    return want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kernel", ["wave", "heat"])
+def test_batch_checks_match_per_path_references(tmp_path, capsys, kernel,
+                                                seed):
+    # verify chain-rule, exp-derivative and derivative-eq run on batches;
+    # each row must be its per-path reference's, up to the rounding of the
+    # batch sums, and read exactly 0 where the point is not before t
+    config = harness.RunConfig(kernel=kernel, seed=seed)
+    for name in _SWEEP_CSVS:
+        assert cli.main(["verify", name.replace("_", "-"), "--kernel",
+                         kernel, "--seed", str(seed), "--outdir",
+                         str(tmp_path)]) == 0
+    capsys.readouterr()
+    late = 0
+    for name, want in _per_path_rows(config).items():
+        with open(tmp_path / f"{name}.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(want), name
+        for row, (params, reference) in zip(rows, want):
+            assert row["check"] == name.replace("_", "-")
+            assert row["params"] == params and row["pass"] == "true"
+            lhs, rhs = float(row["lhs"]), float(row["rhs"])
+            if getattr(reference, "trivial", False):
+                late += 1
+                assert lhs == rhs == float(row["residual_or_z"]) == 0.0
+            scale = 1.0 + abs(reference.lhs)
+            assert abs(lhs - reference.lhs) <= 1e-13 * scale, (name, params)
+            assert abs(rhs - reference.rhs) <= 1e-13 * scale, (name, params)
+    assert late > 0

@@ -11,6 +11,8 @@ import pytest
 import levyfield as lf
 from levyfield import solver
 
+import pathwise_reference as ref
+
 B = solver.ATOM_BLOCK_ROWS
 WINDOW = lf.SpaceTimeWindow(1.0, 2.0)
 # grid times j / 64 and positions -2 + l / 16: dyadic
@@ -117,7 +119,7 @@ def test_adding_an_atom_keeps_the_past_bit_for_bit():
         rows = base.grid_times <= r
         assert np.array_equal(plus.grid_values[rows], base.grid_values[rows])
         for t in (r, 0.5 * r):
-            check = lf.derivative_equation_residual(problem, cfg, point, t,
+            check = ref.derivative_equation_residual(problem, cfg, point, t,
                                                     0.1)
             assert check.trivial and check.lhs == 0.0
     # paths of about 20 atoms, where one more atom often changes a count
