@@ -25,7 +25,7 @@ from .malliavin import (DerivativePoint, MalliavinError, PathFunctional,
                         chain_rule_rows, derivative_bound_estimate,
                         derivative_equation_rows, difference_derivative,
                         duality_test, exp_derivative_rows,
-                        integral_functional, picard_derivative_report,
+                        integral_functional, picard_derivative_rows,
                         solution_functional)
 from .noise import (LevyMeasure, NoiseError, PointBatch, PointConfiguration,
                     SpaceTimeWindow, add_atom, add_atoms, atomic_decomposition,

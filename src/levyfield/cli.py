@@ -27,7 +27,7 @@ from .integrals import Integrand, box_indicator, isometry_test
 from .kernels import check_h2, heat_kernel, wave_kernel
 from .malliavin import (DerivativePoint, MalliavinError, chain_rule_rows,
                         derivative_equation_rows, duality_test,
-                        exp_derivative_rows, picard_derivative_report)
+                        exp_derivative_rows, picard_derivative_rows)
 from .noise import (NoiseError, derive_rng, sample_batches, sample_prm,
                     save_configuration)
 from .reporting import summarize, write_check_rows, write_csv, write_summaries
@@ -47,8 +47,8 @@ OUTDIR_ENV = "LEVYFIELD_OUTDIR"
 
 # chain rule, exponential formula: the add-one-atom difference obeys them
 # exactly and both sides are O(1) sums of a few dozen terms, so only rounding
-# (about 1e-16 per operation) remains; PicardDerivativeReport gates its
-# recursion at the same 1e-12
+# (about 1e-16 per operation) remains; picard_derivative_rows gates its
+# recursion at the same 1e-12, scaled by 1 + max|u_n|
 TOL_EXACT = 1e-12
 # derivative equation: the left side differences two forward solves whose
 # rounding accumulates along the causal chain of atoms, scaled by 1 + |lhs|
@@ -294,17 +294,10 @@ def _check_derivative_eq(config: RunConfig) -> int:
 
 def _check_picard_derivative(config: RunConfig) -> int:
     problem = build_problem(config)
-
-    def rows_of(batch, points):
-        # one realization at a time; the verdict includes the decay gate,
-        # which has no row
-        reports = [picard_derivative_report(problem, batch.path(j), point,
-                                            n_iter=config.n_iter)
-                   for j, point in enumerate(points)]
-        return ([row for rep in reports for row in rep.rows()],
-                all(rep.passed for rep in reports))
-
-    return _check_pathwise(config, "picard-derivative", rows_of,
+    # the verdict includes the decay gate, which has no row
+    return _check_pathwise(config, "picard-derivative", lambda batch, points:
+                           picard_derivative_rows(problem, batch, points,
+                                                  config.n_iter),
                            n=min(config.n_diagnostic, 25))
 
 

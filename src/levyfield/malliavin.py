@@ -248,116 +248,90 @@ RESIDUAL_TOL = 1e-12
 DECAY_RATIO = 0.9
 
 
-@dataclass
-class PicardDerivativeReport:
-    """Pathwise audit of the Picard derivative recursion
+def _decays(cauchy, floor):
+    """Per path, geometric decay of the increments (P, n) from their peak
+    onward: early orders may grow while new interaction chains open up;
+    the peak (rows <= floor (P,) are rounding: 0) must arrive within the
+    first few orders, and the rows contract by DECAY_RATIO after it."""
+    floor = floor[:, None]
+    peak = np.argmax(np.where(cauchy > floor, cauchy, 0.0), axis=1)
+    grows = cauchy[:, 1:] > np.maximum(DECAY_RATIO * cauchy[:, :-1], floor)
+    after = np.arange(1, cauchy.shape[1]) > peak[:, None]
+    return (peak <= 3) & ~np.any(grows & after, axis=1)
+
+
+def picard_derivative_rows(problem: ProblemSpec, batch: PointBatch, points,
+                           n_iter: int) -> tuple:
+    """The Picard derivative recursion of each path of a batch, checked at
+    its atoms for every order n (n_iter >= 1):
 
         Du_{n+1}(t,x) = G(t-r, x-xi) sigma(u_n(r,xi)) z
             + sum_i G(t-t_i, x-x_i) [sigma(u_n + Du_n) - sigma(u_n)](t_i) z_i
 
-    checked at every atom for each n, plus the hand formula at n = 1
-    (Du_1 = G sigma(w(r,xi)) z) and the Cauchy decay of successive
-    derivative iterates.
-    """
+    Du_n is the literal difference of the picard_iterates_at_atoms runs of
+    the plus batch and the batch; the right side uses the base iterates and
+    Du only: the kick column G(t_i - r, x_i - xi), the added atom's value
+    (the base iterate at the point, from its kernel row: it sees only
+    earlier atoms), and causal_sums of the brackets.
 
-    point: DerivativePoint
-    residuals: np.ndarray          # max-atom residual of the recursion per n
-    hand_formula_residual: float   # n = 1 against the closed form
-    start_zero: bool               # Du_0 == 0 exactly
-    cauchy: np.ndarray             # max-atom |Du_{n+1} - Du_n|
-    scale: float
-
-    @property
-    def recursion_ok(self) -> bool:
-        return bool(np.all(self.residuals <= RESIDUAL_TOL * self.scale))
-
-    @property
-    def decay_ok(self) -> bool:
-        """Geometric decay of the increments from their peak onward.
-
-        Early orders may grow while new interaction chains open up; the
-        peak (rows <= 1e-14 * scale are rounding: 0) must arrive within the
-        first few orders, and the rows contract by DECAY_RATIO after it.
-        """
-        if self.cauchy.size < 2:
-            return True
-        floor = 1e-14 * self.scale
-        peak = int(np.argmax(np.where(self.cauchy > floor, self.cauchy, 0.0)))
-        if peak > 3:
-            return False
-        tail = self.cauchy[peak:]
-        for prev, cur in zip(tail[:-1], tail[1:]):
-            if cur > max(DECAY_RATIO * prev, floor):
-                return False
-        return True
-
-    @property
-    def passed(self) -> bool:
-        return (self.start_zero and self.recursion_ok and self.decay_ok
-                and self.hand_formula_residual <= RESIDUAL_TOL * self.scale)
-
-    def rows(self):
-        out = [CheckRow("picard-derivative", "n=1 hand formula", 0.0, 0.0,
-                        self.hand_formula_residual, self.hand_formula_residual
-                        <= RESIDUAL_TOL * self.scale)]
-        for i, r in enumerate(self.residuals):
-            out.append(CheckRow("picard-derivative", f"recursion n={i + 1}",
-                                0.0, 0.0, r,
-                                bool(r <= RESIDUAL_TOL * self.scale)))
-        for i, c in enumerate(self.cauchy):
-            out.append(CheckRow("picard-derivative", f"cauchy n={i}",
-                                c, 0.0, c, None))
-        return out
-
-    def to_csv(self, path):
-        write_check_rows(path, self.rows())
-
-
-def picard_derivative_report(problem: ProblemSpec,
-                             config: PointConfiguration,
-                             point: DerivativePoint, n_iter: int = 8
-                             ) -> PicardDerivativeReport:
-    """Difference the Picard iterates with and without the added atom and
-    verify the derivative recursion pathwise at each order (n_iter >= 1).
-
-    Du_n is the literal difference of two picard_iterates_at_atoms runs
-    (buckets sized by the measure); the right side uses the base iterates
-    and Du only: the kick column G(t_i - r, x_i - xi), the added atom's
-    value (the base iterate at the point: it sees only earlier atoms), and
-    causal_sums of the brackets."""
-    _validate_point(config, point)
+    Returns (rows, verdict).  Per path, in path order: the n = 1 hand
+    formula Du_1 = G sigma(w(r,xi)) z, the recursion at n = 1..n_iter, both
+    gated at RESIDUAL_TOL * (1 + max|u_n|), and the Cauchy rows
+    max|Du_{n+1} - Du_n| (ungated).  A path passes when Du_0 is exactly 0,
+    its gated rows pass and its Cauchy rows decay (_decays)."""
     if n_iter < 1:
         raise MalliavinError("picard derivative recursion needs n_iter >= 1")
-    if config.measure.first_moment != 0.0:
+    measure = batch.measure
+    if measure.first_moment != 0.0:
         raise MalliavinError("picard derivative recursion assumes m1 = 0")
+    if measure.total_mass == 0.0:
+        raise MalliavinError("picard derivative recursion needs a measure "
+                             "of positive mass: no path has an atom")
     kernel, sigma = problem.kernel, problem.sigma
-    t, x, z = config.times, config.positions, config.jumps
-    expected = config.measure.total_mass * config.window.volume
-    base, plus = (picard_iterates_at_atoms(problem, c.times, c.positions,
-                                           c.jumps, n_iter, expected)
-                  for c in (config, add_atom(config, point.time, point.x,
-                                             point.jump)))
-    du = [np.delete(p, np.searchsorted(t, point.time)) - b
-          for p, b in zip(plus, base)]
-    kick = pairwise_interaction_matrix(kernel, t, x, point.time,
-                                      point.x)[:, 0]
-    row = pairwise_interaction_matrix(kernel, point.time, point.x, t, x)[0]
-    w_pt = deterministic_part(problem, point.time, point.x)
+    r, xi, jump, plus = _plus_batch(batch, points)
+    t, x, z = batch.times, batch.positions, batch.jumps
+    expected = measure.total_mass * batch.window.volume
+    base, plus_its = (picard_iterates_at_atoms(problem, b.times, b.positions,
+                                               b.jumps, n_iter, expected)
+                      for b in (batch, plus))
+    # drop the added atom, the one at r, from each plus iterate
+    keep = plus.times != r[:, None]
+    du = [p[keep].reshape(t.shape) - b for p, b in zip(plus_its, base)]
+    r, xi = r[:, None], xi[:, None]
+    kick = pairwise_interaction_matrix(kernel, t, x, r, xi)[..., 0]
+    row = pairwise_interaction_matrix(kernel, r, xi, t, x)
+    w_pt = deterministic_part(problem, r[:, 0], xi[:, 0])
     # the base iterate n at the point, from sigma of iterate n - 1
-    at_point = [w_pt] + [w_pt + row @ (sigma(b) * z) for b in base[:-2]]
-    kicks = [kick * (sigma(a) * point.jump) for a in at_point]
-    sums = causal_sums(kernel, t, x, np.array(
-        [(sigma(b + d) - sigma(b)) * z for b, d in zip(base, du[:-1])]))
+    at_point = [w_pt] + [w_pt + batched_matvec(row, sigma(b) * z)[:, 0]
+                         for b in base[:-2]]
+    kicks = [kick * (sigma(a) * jump)[:, None] for a in at_point]
+    sums = causal_sums(kernel, t, x, np.stack(
+        [(sigma(b + d) - sigma(b)) * z for b, d in zip(base, du[:-1])],
+        axis=1))
 
-    def sup(v):
-        return float(np.max(np.abs(v), initial=0.0))
+    def sup(v):     # per path, over its atoms
+        return np.max(np.where(batch.mask, np.abs(v), 0.0), axis=-1,
+                      initial=0.0)
 
-    residuals = np.array([sup(d - (k + s))
-                          for d, k, s in zip(du[1:], kicks, sums)])
-    cauchy = np.array([sup(b - a) for a, b in zip(du[:-1], du[1:])])
-    return PicardDerivativeReport(point, residuals, sup(du[1] - kicks[0]),
-                                  bool(np.all(du[0] == 0.0)), cauchy,
-                                  1.0 + max(sup(b) for b in base))
+    # per path: the hand formula, then the recursion at n = 1..n_iter
+    residuals = np.stack([sup(du[1] - kicks[0])] + [
+        sup(d - (k + s)) for d, k, s in
+        zip(du[1:], kicks, sums.swapaxes(0, 1))], axis=1)
+    cauchy = np.stack([sup(b - a) for a, b in zip(du[:-1], du[1:])], axis=1)
+    scale = 1.0 + np.max([sup(b) for b in base], axis=0)
+    gated = residuals <= RESIDUAL_TOL * scale[:, None]
+    passed = (sup(du[0]) == 0.0) & gated.all(axis=1) \
+        & _decays(cauchy, 1e-14 * scale)
+    labels = ["n=1 hand formula"] + [f"recursion n={i + 1}"
+                                     for i in range(n_iter)]
+    rows = []
+    for j in range(batch.n_paths):
+        rows += [CheckRow("picard-derivative", p, 0.0, 0.0, float(v), bool(ok))
+                 for p, v, ok in zip(labels, residuals[j], gated[j])]
+        rows += [CheckRow("picard-derivative", f"cauchy n={i}", float(c),
+                          0.0, float(c), None)
+                 for i, c in enumerate(cauchy[j])]
+    return rows, bool(passed.all())
 
 
 @dataclass

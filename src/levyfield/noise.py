@@ -588,8 +588,8 @@ def add_atom(config: PointConfiguration, time: float, x: float,
 
 def add_atoms(batch: PointBatch, times, positions, jumps) -> PointBatch:
     """The batch with the atom (times[j], positions[j], jumps[j]) added to
-    row j at its time rank, row j add_atom(batch.path(j), ...) atom for
-    atom: a stable sort of each row, after which the padding (time T) stays
+    row j at its time rank, row j add_atom of path j atom for atom: a
+    stable sort of each row, after which the padding (time T) stays
     last.  The new batch's checks refuse what add_atom's do."""
     t, x, z = (np.asarray(v, dtype=float) for v in (times, positions, jumps))
     if not t.shape == x.shape == z.shape == batch.counts.shape:

@@ -488,11 +488,12 @@ def _atom_blocks(kernel: GreenKernel, times, positions):
 
 def causal_sums(kernel: GreenKernel, times, positions, coefs):
     """s[..., i] = sum_{t_j < t_i} G(t_i - t_j, x_i - x_j) coefs[..., j] at
-    one path's atoms (k,), coefs (k,) or (m, k): one pass over _atom_blocks
-    for every field and kernel (wave too, apart from _null_plan)."""
+    one path's atoms (k,), coefs (k,) or (m, k), or at a PointBatch's rows
+    (P, K), coefs (P, m, K): one pass over _atom_blocks for every field and
+    kernel (wave too, apart from _null_plan)."""
     out = np.empty_like(coefs)
     for r0, r1, G in _atom_blocks(kernel, times, positions):
-        out[..., r0:r1] = coefs[..., :r1] @ G.T
+        out[..., r0:r1] = coefs[..., :r1] @ G.swapaxes(-1, -2)
     return out
 
 

@@ -1,11 +1,12 @@
 """Per-path references of the batch identity checks.
 
-levyfield checks the chain rule, the exponential formula and the derivative
-fixed-point equation one batch at a time (malliavin.chain_rule_rows,
-exp_derivative_rows, derivative_equation_rows).  The functions here check
-the same identities one realization at a time, through PathFunctional,
-add_atom and solve_forward_pair, and are the references the batch checks
-are tested against.
+levyfield checks the chain rule, the exponential formula, the derivative
+fixed-point equation and the Picard derivative recursion one batch at a
+time (malliavin.chain_rule_rows, exp_derivative_rows,
+derivative_equation_rows, picard_derivative_rows).  The functions here
+check the same identities one realization at a time, through
+PathFunctional, add_atom, solve_forward_pair and picard_iterates_at_atoms,
+and are the references the batch checks are tested against.
 """
 
 import math
@@ -14,7 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 import levyfield as lf
-from levyfield.solver import pairwise_interaction_matrix, solve_forward_pair
+from levyfield.malliavin import DECAY_RATIO, RESIDUAL_TOL
+from levyfield.solver import (causal_sums, deterministic_part,
+                              pairwise_interaction_matrix,
+                              picard_iterates_at_atoms, solve_forward_pair)
 
 
 def one_row_batch(config):
@@ -97,3 +101,103 @@ def derivative_equation_residual(problem, config, point, t, x):
         bracket = sigma(u_sel + du_at[sel]) - sigma(u_sel)
         rhs += float(np.dot(g_row, bracket * config.jumps[sel]))
     return EquationCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
+
+
+@dataclass
+class PicardDerivativeReport:
+    """Pathwise audit of the Picard derivative recursion
+
+        Du_{n+1}(t,x) = G(t-r, x-xi) sigma(u_n(r,xi)) z
+            + sum_i G(t-t_i, x-x_i) [sigma(u_n + Du_n) - sigma(u_n)](t_i) z_i
+
+    checked at every atom for each n, plus the hand formula at n = 1
+    (Du_1 = G sigma(w(r,xi)) z) and the Cauchy decay of successive
+    derivative iterates.
+    """
+
+    point: lf.DerivativePoint
+    residuals: np.ndarray          # max-atom residual of the recursion per n
+    hand_formula_residual: float   # n = 1 against the closed form
+    start_zero: bool               # Du_0 == 0 exactly
+    cauchy: np.ndarray             # max-atom |Du_{n+1} - Du_n|
+    scale: float
+
+    @property
+    def recursion_ok(self) -> bool:
+        return bool(np.all(self.residuals <= RESIDUAL_TOL * self.scale))
+
+    @property
+    def decay_ok(self) -> bool:
+        """Geometric decay of the increments from their peak onward (rows
+        <= 1e-14 * scale are rounding: 0): the peak within the first few
+        orders, then contraction by DECAY_RATIO."""
+        if self.cauchy.size < 2:
+            return True
+        floor = 1e-14 * self.scale
+        peak = int(np.argmax(np.where(self.cauchy > floor, self.cauchy, 0.0)))
+        if peak > 3:
+            return False
+        tail = self.cauchy[peak:]
+        for prev, cur in zip(tail[:-1], tail[1:]):
+            if cur > max(DECAY_RATIO * prev, floor):
+                return False
+        return True
+
+    @property
+    def passed(self) -> bool:
+        return (self.start_zero and self.recursion_ok and self.decay_ok
+                and self.hand_formula_residual <= RESIDUAL_TOL * self.scale)
+
+    def rows(self):
+        out = [lf.CheckRow("picard-derivative", "n=1 hand formula", 0.0, 0.0,
+                           self.hand_formula_residual,
+                           self.hand_formula_residual
+                           <= RESIDUAL_TOL * self.scale)]
+        for i, r in enumerate(self.residuals):
+            out.append(lf.CheckRow("picard-derivative", f"recursion n={i + 1}",
+                                   0.0, 0.0, r,
+                                   bool(r <= RESIDUAL_TOL * self.scale)))
+        for i, c in enumerate(self.cauchy):
+            out.append(lf.CheckRow("picard-derivative", f"cauchy n={i}",
+                                   c, 0.0, c, None))
+        return out
+
+
+def picard_derivative_report(problem, config, point, n_iter=8):
+    """Difference the Picard iterates of one realization with and without
+    the added atom and verify the derivative recursion at each order
+    (n_iter >= 1): Du_n is the difference of two picard_iterates_at_atoms
+    runs, the right side the kick column, the base iterate at the point
+    and causal_sums of the brackets."""
+    if n_iter < 1:
+        raise lf.MalliavinError("picard derivative needs n_iter >= 1")
+    if config.measure.first_moment != 0.0:
+        raise lf.MalliavinError("picard derivative recursion assumes m1 = 0")
+    kernel, sigma = problem.kernel, problem.sigma
+    t, x, z = config.times, config.positions, config.jumps
+    expected = config.measure.total_mass * config.window.volume
+    base, plus = (picard_iterates_at_atoms(problem, c.times, c.positions,
+                                           c.jumps, n_iter, expected)
+                  for c in (config, lf.add_atom(config, point.time, point.x,
+                                                point.jump)))
+    du = [np.delete(p, np.searchsorted(t, point.time)) - b
+          for p, b in zip(plus, base)]
+    kick = pairwise_interaction_matrix(kernel, t, x, point.time,
+                                      point.x)[:, 0]
+    row = pairwise_interaction_matrix(kernel, point.time, point.x, t, x)[0]
+    w_pt = deterministic_part(problem, point.time, point.x)
+    # the base iterate n at the point, from sigma of iterate n - 1
+    at_point = [w_pt] + [w_pt + row @ (sigma(b) * z) for b in base[:-2]]
+    kicks = [kick * (sigma(a) * point.jump) for a in at_point]
+    sums = causal_sums(kernel, t, x, np.array(
+        [(sigma(b + d) - sigma(b)) * z for b, d in zip(base, du[:-1])]))
+
+    def sup(v):
+        return float(np.max(np.abs(v), initial=0.0))
+
+    residuals = np.array([sup(d - (k + s))
+                          for d, k, s in zip(du[1:], kicks, sums)])
+    cauchy = np.array([sup(b - a) for a, b in zip(du[:-1], du[1:])])
+    return PicardDerivativeReport(point, residuals, sup(du[1] - kicks[0]),
+                                  bool(np.all(du[0] == 0.0)), cauchy,
+                                  1.0 + max(sup(b) for b in base))

@@ -1,15 +1,28 @@
-"""Every levyfield name the benchmark workloads use exists.
+"""Every levyfield name the benchmark workloads and tracing use exists.
 
 perfbench/workloads.py is parsed, never imported or run: a public name
 deleted from levyfield would otherwise show only as failed benchmark
-operations."""
+operations.  perfbench/tracing.py skips a layer whose function is gone, so
+its figures read 0; the layers known to be gone are listed here."""
 
 import ast
 import importlib
 import types
 from pathlib import Path
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
+
+# tracing LAYERS entries (layer name, attribute) whose function levyfield no
+# longer has: their traced figures read 0.  Removing a layer's function
+# means adding it here, so that a figure stops counting on purpose only.
+DEAD_LAYERS = {
+    ("integrals.stochastic_convolution", "stochastic_convolution"),
+    ("integrals.compensator", "_compensator"),
+    ("solver.kernel_matrix", "influence_rows"),
+    ("harness.run_ensemble", "run_ensemble"),
+    ("malliavin.picard_derivative_report", "picard_derivative_report"),
+}
 
 
 def _resolve(module_name: str, name: str):
@@ -48,3 +61,28 @@ def test_benchmark_workload_names_resolve():
     missing += [f"{alias}.{attr}" for alias, attr in sorted(used)
                 if not hasattr(modules[alias], attr)]
     assert missing == []
+
+
+def _tracing_layers():
+    # LAYERS is a literal tuple of tuples whose last item may name a
+    # counter function: read everything but that
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) \
+                and [t.id for t in node.targets] == ["LAYERS"]:
+            return [tuple(ast.literal_eval(item) for item in entry.elts[:4])
+                    for entry in node.value.elts]
+    raise AssertionError("perfbench/tracing.py has no LAYERS")
+
+
+def test_tracing_layers_resolve():
+    layers = _tracing_layers()
+    assert layers
+    dead = set()
+    for layer, module_name, attr, owner in layers:
+        obj = importlib.import_module(module_name)
+        if owner is not None:
+            obj = getattr(obj, owner)
+        if not hasattr(obj, attr):
+            dead.add((layer, attr))
+    assert dead == DEAD_LAYERS

@@ -225,6 +225,19 @@ def test_cli_picard_derivative_needs_an_iteration(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_picard_derivative_refuses_zero_mass(tmp_path, capsys):
+    # no path of a zero-mass measure has an atom, so no Du is compared:
+    # a configuration error, not a PASS
+    assert cli.main(["verify", "picard-derivative", "--kernel", "heat",
+                     "--mass", "0", "--outdir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: picard derivative recursion needs a "
+                            "measure of positive mass: no path has an "
+                            "atom\n")
+    assert captured.out == ""
+    assert not (tmp_path / "picard_derivative.csv").exists()
+
+
 def test_cli_gronwall_check(tmp_path, capsys):
     assert cli.main(["verify", "gronwall", "--outdir", str(tmp_path)]) == 0
     out = capsys.readouterr().out

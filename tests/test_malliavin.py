@@ -328,23 +328,76 @@ def test_probe_reports_sine_sigma(window, busy_noise):
 
 # ----------------------------------------------------- picard derivatives
 
-def test_picard_derivative_report(window, busy_noise, wave_problem):
+def _picard_rows(problem, cfg, pt, n_iter=8):
+    """picard_derivative_rows on cfg as a one-row batch, checked against
+    the per-path reference: the same row text and pass column, lhs and
+    residual within 1e-13 * scale, and the same verdict.  Returns
+    (rows, verdict, reference report)."""
+    rows, ok = lf.picard_derivative_rows(problem, ref.one_row_batch(cfg),
+                                         [pt], n_iter)
+    rep = ref.picard_derivative_report(problem, cfg, pt, n_iter)
+    want = rep.rows()
+    assert [(r.check, r.params, r.passed) for r in rows] \
+        == [(r.check, r.params, r.passed) for r in want]
+    for got, row in zip(rows, want):
+        assert got.rhs == 0.0
+        assert abs(got.lhs - row.lhs) <= 1e-13 * rep.scale, row.params
+        assert abs(got.residual_or_z - row.residual_or_z) \
+            <= 1e-13 * rep.scale, row.params
+    assert ok == rep.passed
+    return rows, ok, rep
+
+
+def test_picard_derivative_rows(window, busy_noise, wave_problem):
     for seed in range(10):
         cfg = _config(busy_noise, window, seed)
         pt = lf.DerivativePoint(0.25, 0.3, 1.0)
-        rep = lf.picard_derivative_report(wave_problem, cfg, pt, n_iter=8)
+        rows, ok, rep = _picard_rows(wave_problem, cfg, pt)
         assert rep.start_zero
-        assert rep.hand_formula_residual <= 1e-12 * rep.scale
-        assert max(rep.residuals) <= malliavin.RESIDUAL_TOL * rep.scale
-        assert rep.passed
+        assert rows[0].residual_or_z <= 1e-12 * rep.scale
+        assert max(r.residual_or_z for r in rows[1:9]) \
+            <= malliavin.RESIDUAL_TOL * rep.scale
+        assert ok
 
 
 def test_picard_derivative_needs_an_iteration(window, busy_noise,
                                               wave_problem):
-    cfg = _config(busy_noise, window)
+    batch = ref.one_row_batch(_config(busy_noise, window))
     pt = lf.DerivativePoint(0.25, 0.3, 1.0)
     with pytest.raises(MalliavinError, match="n_iter"):
-        lf.picard_derivative_report(wave_problem, cfg, pt, n_iter=0)
+        lf.picard_derivative_rows(wave_problem, batch, [pt], 0)
+
+
+def test_picard_derivative_needs_mass(window, wave_problem):
+    # no path of a zero-mass measure has an atom, so no Du is compared
+    batch = ref.one_row_batch(make_empty_config(window))
+    with pytest.raises(MalliavinError, match="positive mass"):
+        lf.picard_derivative_rows(wave_problem, batch,
+                                  [lf.DerivativePoint(0.25, 0.3, 1.0)], 8)
+
+
+def test_picard_derivative_empty_row(window, busy_noise, wave_problem):
+    # a path without atoms next to one with: its rows all read 0 and pass,
+    # and the other path's rows are its one-row batch's
+    cfg = _config(busy_noise, window)
+    k, T = cfg.n_atoms, window.T
+    assert k > 0
+    batch = lf.PointBatch(np.array([np.full(k, T), cfg.times]),
+                          np.array([np.zeros(k), cfg.positions]),
+                          np.array([np.zeros(k), cfg.jumps]),
+                          np.array([0, k]), window, busy_noise, 0, 0)
+    pt = lf.DerivativePoint(0.25, 0.3, 1.0)
+    rows, ok = lf.picard_derivative_rows(wave_problem, batch, [pt, pt], 8)
+    alone, alone_ok, _ = _picard_rows(wave_problem, cfg, pt)
+    assert len(rows) == 2 * len(alone) == 34
+    for row in rows[:17]:
+        assert row.lhs == row.rhs == row.residual_or_z == 0.0
+        assert row.passed in (True, None)
+    for got, want in zip(rows[17:], alone):
+        assert (got.params, got.passed) == (want.params, want.passed)
+        assert got.residual_or_z == pytest.approx(want.residual_or_z,
+                                                  rel=0, abs=1e-14)
+    assert ok == alone_ok
 
 
 def test_picard_derivative_sine_sigma(window, busy_noise):
@@ -353,51 +406,101 @@ def test_picard_derivative_sine_sigma(window, busy_noise):
     for kernel in ("wave", "heat"):
         prob = _problem(kernel, lf.named_map("sin"), window)
         for seed in range(10):
-            rep = lf.picard_derivative_report(
+            rows, _, rep = _picard_rows(
                 prob, _config(busy_noise, window, seed),
-                lf.DerivativePoint(0.25, 0.3, 1.0), n_iter=8)
-            assert rep.start_zero and rep.recursion_ok
-            assert rep.hand_formula_residual <= 1e-12 * rep.scale
+                lf.DerivativePoint(0.25, 0.3, 1.0))
+            assert rep.start_zero
+            assert all(r.passed for r in rows if r.passed is not None)
+            assert rows[0].residual_or_z <= 1e-12 * rep.scale
+
+
+def _cli_batches(config):
+    """(batch, derivative points) of `verify picard-derivative`."""
+    for batch in lf.sample_batches(harness.build_measure(config),
+                                   harness.build_window(config), config.seed,
+                                   min(config.n_diagnostic, 25)):
+        yield batch, [cli._draw_point(config, batch.start + j)
+                      for j in range(batch.n_paths)]
 
 
 @pytest.mark.parametrize("kernel", ["wave", "heat"])
 def test_picard_derivative_exact_gates_sweep(kernel):
-    # every exact gate of `verify picard-derivative` at default settings,
+    # every gated row of `verify picard-derivative` at default settings,
     # seeds 0-9, the CLI's paths and derivative points; the tuned decay
     # gate is not asserted
     for seed in range(10):
         config = harness.RunConfig(kernel=kernel, seed=seed)
         problem = harness.build_problem(config)
-        for batch in lf.sample_batches(harness.build_measure(config),
-                                       harness.build_window(config), seed,
-                                       min(config.n_diagnostic, 25)):
-            for j in range(batch.n_paths):
-                i = batch.start + j
-                rep = lf.picard_derivative_report(
-                    problem, batch.path(j), cli._draw_point(config, i),
-                    n_iter=config.n_iter)
-                tol = malliavin.RESIDUAL_TOL * rep.scale
-                assert rep.start_zero, (seed, i)
-                assert rep.hand_formula_residual <= tol, (seed, i)
-                assert np.all(rep.residuals <= tol), (seed, i)
+        for batch, points in _cli_batches(config):
+            rows, _ = lf.picard_derivative_rows(problem, batch, points,
+                                                config.n_iter)
+            assert len(rows) == 17 * batch.n_paths
+            bad = [r.params for r in rows if r.passed is False]
+            assert bad == [], (seed, bad)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("kernel", ["wave", "heat"])
+def test_picard_derivative_matches_per_path_reference(tmp_path, capsys,
+                                                      kernel, seed):
+    # `verify picard-derivative` runs on batches; each row must be its
+    # per-path reference's up to the rounding of the batch sums, with the
+    # reference's row text, pass column and verdict (wave seed 3 and every
+    # heat seed fail the decay gate)
+    config = harness.RunConfig(kernel=kernel, seed=seed)
+    problem = harness.build_problem(config)
+    want, passed = [], True
+    for batch, points in _cli_batches(config):
+        for j, point in enumerate(points):
+            rep = ref.picard_derivative_report(problem, batch.path(j), point,
+                                               config.n_iter)
+            want += [(row, rep.scale) for row in rep.rows()]
+            passed = passed and rep.passed
+    code = cli.main(["verify", "picard-derivative", "--kernel", kernel,
+                     "--seed", str(seed), "--outdir", str(tmp_path)])
+    capsys.readouterr()
+    assert code == (0 if passed else 2)
+    assert passed == (kernel == "wave" and seed != 3)
+    with open(tmp_path / "picard_derivative.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(want) == 425
+    for row, (reference, scale) in zip(rows, want):
+        assert (row["check"], row["params"]) \
+            == ("picard-derivative", reference.params)
+        assert row["pass"] == {None: "", True: "true",
+                               False: "false"}[reference.passed]
+        assert abs(float(row["lhs"]) - reference.lhs) <= 1e-13 * scale
+        assert abs(float(row["residual_or_z"]) - reference.residual_or_z) \
+            <= 1e-13 * scale
+
+
+def _scales(problem, batch, n_iter):
+    """1 + max |u_n| over each path's atoms and n <= n_iter."""
+    its = solver.picard_iterates_at_atoms(
+        problem, batch.times, batch.positions, batch.jumps, n_iter,
+        batch.measure.total_mass * batch.window.volume)
+    return 1.0 + np.max([np.max(np.where(batch.mask, np.abs(u), 0.0),
+                                axis=1) for u in its], axis=0)
 
 
 def test_picard_derivative_after_every_atom_passes():
-    # a point after every atom of a one-block heat path: Du is 0 up to
+    # a point after every atom of each one-block heat path: Du is 0 up to
     # the rounding of two block sizes, which the decay gate's floor absorbs
     # wherever the peak of the rounding rows lands
     config = harness.RunConfig(kernel="heat", seed=0)
     problem = harness.build_problem(config)
-    for cfg in lf.sample_batches(harness.build_measure(config),
-                                 harness.build_window(config), 0, 25):
-        for j in range(cfg.n_paths):
-            path = cfg.path(j)
-            assert 0 < path.n_atoms <= solver.ATOM_BLOCK_ROWS
-            r = 0.5 * (path.times[-1] + config.T)
-            rep = lf.picard_derivative_report(
-                problem, path, lf.DerivativePoint(r, 0.0, 1.0), n_iter=8)
-            assert np.all(rep.cauchy <= 1e-14 * rep.scale), j
-            assert rep.decay_ok and rep.passed, j
+    for batch in lf.sample_batches(harness.build_measure(config),
+                                   harness.build_window(config), 0, 25):
+        assert np.all(batch.counts > 0)
+        assert batch.times.shape[1] < solver.ATOM_BLOCK_ROWS
+        last = batch.times[np.arange(batch.n_paths), batch.counts - 1]
+        points = [lf.DerivativePoint(float(r), 0.0, 1.0)
+                  for r in 0.5 * (last + config.T)]
+        rows, ok = lf.picard_derivative_rows(problem, batch, points, 8)
+        assert ok
+        cauchy = np.array([r.lhs for r in rows if r.params.startswith(
+            "cauchy")]).reshape(batch.n_paths, 8)
+        assert np.all(cauchy <= 1e-14 * _scales(problem, batch, 8)[:, None])
 
 
 def _long_path(window, mass):
@@ -436,6 +539,7 @@ def _dense_cauchy(problem, config, point, n_iter):
 def test_picard_derivative_long_path(window, kernel, monkeypatch):
     problem = _problem(kernel, lf.affine_map(0.5, 1.0), window)
     cfg, pt = _long_path(window, 250.0)
+    batch = ref.one_row_batch(cfg)
     n = cfg.n_atoms
     assert 1000 < n < 1100
     shapes = []
@@ -450,20 +554,21 @@ def test_picard_derivative_long_path(window, kernel, monkeypatch):
         monkeypatch.setattr(module, "pairwise_interaction_matrix", spy)
     tracemalloc.start()
     try:
-        rep = lf.picard_derivative_report(problem, cfg, pt, n_iter=8)
+        rows, _ = lf.picard_derivative_rows(problem, batch, [pt], 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    monkeypatch.undo()
     # no atoms x atoms matrix: kernel blocks of at most ATOM_BLOCK_ROWS rows,
     # the kick column and the point's row
     assert shapes
     assert all(s[-2] <= solver.ATOM_BLOCK_ROWS or s[-1] == 1
                for s in shapes), shapes
     assert peak < 8 * n * n, (peak, n)
-    assert rep.start_zero and rep.recursion_ok
-    tol = 1e-14 * rep.scale
-    assert np.max(np.abs(rep.cauchy - _dense_cauchy(problem, cfg, pt, 8))) \
-        <= tol
+    assert all(r.passed for r in rows if r.passed is not None)
+    cauchy = np.array([r.lhs for r in rows[9:]])
+    tol = 1e-14 * _scales(problem, batch, 8)[0]
+    assert np.max(np.abs(cauchy - _dense_cauchy(problem, cfg, pt, 8))) <= tol
 
 
 @pytest.mark.parametrize("mass", [60.0, 250.0])
@@ -471,8 +576,9 @@ def test_picard_derivative_long_path(window, kernel, monkeypatch):
 def test_picard_derivative_is_adapted_bit_for_bit(window, kernel, mass,
                                                   monkeypatch):
     # Du_n is exactly 0 at every atom before the added one, for every n:
-    # a wave path sizes its null-coordinate buckets by the measure, not by
-    # its own atom count, in the report and in picard_solve
+    # on a batch the rows before the added atom's block see the same
+    # kernel blocks in both runs, and a wave path in picard_solve sizes its
+    # null-coordinate buckets by the measure, not by its own atom count
     problem = _problem(kernel, lf.affine_map(0.5, 1.0), window)
     cfg, pt = _long_path(window, mass)
     plus_cfg = lf.add_atom(cfg, pt.time, pt.x, pt.jump)
@@ -486,11 +592,14 @@ def test_picard_derivative_is_adapted_bit_for_bit(window, kernel, mass,
 
     iterates = solver.picard_iterates_at_atoms
     monkeypatch.setattr(malliavin, "picard_iterates_at_atoms", record)
-    rep = lf.picard_derivative_report(problem, cfg, pt, n_iter=8)
-    assert rep.start_zero and len(runs) == 2
+    rows, _ = lf.picard_derivative_rows(problem, ref.one_row_batch(cfg), [pt],
+                                        8)
+    assert all(r.passed for r in rows if r.passed is not None)
+    assert len(runs) == 2
     base, plus = runs
     for b, p in zip(base, plus):
-        assert np.array_equal(p[:early], b[:early])
+        assert b.shape == (1, cfg.n_atoms) and p.shape == (1, cfg.n_atoms + 1)
+        assert np.all(p[0, :early] - b[0, :early] == 0.0)
     for n_iter in (1, 8):
         b = lf.picard_solve(cfg, problem, n_iter, with_grid=False)[0]
         p = lf.picard_solve(plus_cfg, problem, n_iter, with_grid=False)[0]
@@ -498,14 +607,14 @@ def test_picard_derivative_is_adapted_bit_for_bit(window, kernel, mass,
 
 
 def test_picard_derivative_csv(tmp_path, window, busy_noise, wave_problem):
-    rep = lf.picard_derivative_report(
-        wave_problem, _config(busy_noise, window, 0),
-        lf.DerivativePoint(0.25, 0.3, 1.0), n_iter=4)
+    rows, _ = lf.picard_derivative_rows(
+        wave_problem, ref.one_row_batch(_config(busy_noise, window, 0)),
+        [lf.DerivativePoint(0.25, 0.3, 1.0)], 4)
     out = tmp_path / "picard_derivative.csv"
-    rep.to_csv(out)
+    lf.reporting.write_check_rows(out, rows)
     lines = out.read_text().splitlines()
     assert lines[0] == "check,params,lhs,rhs,residual_or_z,pass"
-    assert len(lines) > 2
+    assert len(lines) == 1 + 9
 
 
 # ------------------------------------------------------- derivative bound
