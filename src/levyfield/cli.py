@@ -1,7 +1,11 @@
 """Command-line verification surface.
 
-Subcommands: sample, solve, picard, moments, verify <check>, where
-`verify all` runs every check in turn.  Exit codes:
+Subcommands: sample, solve, picard, moments, verify <check>.  The checks
+are the pathwise identities (chain-rule, exp-derivative, derivative-eq,
+picard-derivative, cross-solver), the Monte Carlo gates (isometry,
+duality), the deterministic certificates (gronwall, h2) and the two
+ensemble diagnostics of the paper's main results (existence,
+derivative-bound); `verify all` runs every check in turn.  Exit codes:
 0 = success / check passed, 2 = check ran and failed, 1 = usage or
 configuration error.  All outputs are CSV files under the output directory
 (flag --outdir, else env LEVYFIELD_OUTDIR, else config file, else cwd).
@@ -26,17 +30,23 @@ from .harness import (ConfigError, EnsembleError, RunConfig, build_config,
 from .integrals import Integrand, box_indicator, isometry_test
 from .kernels import check_h2, heat_kernel, wave_kernel
 from .malliavin import (DerivativePoint, MalliavinError, chain_rule_rows,
-                        derivative_equation_rows, duality_test,
-                        exp_derivative_rows, picard_derivative_rows)
+                        derivative_bound_estimate, derivative_equation_rows,
+                        duality_test, exp_derivative_rows,
+                        picard_derivative_rows)
 from .noise import (NoiseError, derive_rng, sample_batches, sample_prm,
                     save_configuration)
 from .reporting import summarize, write_check_rows, write_csv, write_summaries
-from .solver import (SolverError, cross_solver_gaps, picard_solve,
-                     solve_forward)
+from .solver import (SolverError, cross_solver_gaps, existence_diagnostics,
+                     picard_solve, solve_forward)
 
+# CHECKS is also the check list of the benchmark's `ensemble` round
+# (perfbench/workloads.py runs each of them), until the benchmark pins its
+# own list; so the ensemble diagnostics stay in a tuple of their own, and
+# `verify all` runs both
 CHECKS = ("isometry", "chain-rule", "exp-derivative", "duality",
           "derivative-eq", "picard-derivative", "gronwall", "h2",
           "cross-solver")
+DIAGNOSTIC_CHECKS = ("existence", "derivative-bound")
 
 OUTDIR_ENV = "LEVYFIELD_OUTDIR"
 
@@ -121,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="ensemble second moments of the solution")
     ver = sub.add_parser("verify", parents=[common],
                          help="run one verification check, or all")
-    ver.add_argument("check", choices=CHECKS + ("all",))
+    ver.add_argument("check", choices=CHECKS + DIAGNOSTIC_CHECKS + ("all",))
     return parser
 
 
@@ -182,13 +192,20 @@ def _cmd_picard(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_moments(config: RunConfig) -> int:
+def _centred_measure(config: RunConfig, command: str, hint: str = ""):
+    """The jump measure of a command that needs m1 = 0 (the forward solve
+    and the Picard iterates at the atoms are exact for m1 = 0 only),
+    refused with a ConfigError before anything is drawn otherwise."""
     measure = build_measure(config)
     if measure.first_moment != 0.0:
-        # the forward solve is exact for m1 = 0 only
-        raise ConfigError(
-            f"moments needs a centred jump measure, but m1 = "
-            f"{measure.first_moment:g}; use `levyfield picard` for m1 != 0")
+        raise ConfigError(f"{command} needs a centred jump measure, but m1 = "
+                          f"{measure.first_moment:g}{hint}")
+    return measure
+
+
+def _cmd_moments(config: RunConfig) -> int:
+    measure = _centred_measure(config, "moments",
+                               "; use `levyfield picard` for m1 != 0")
     problem = build_problem(config)
     T, R = config.T, config.R
     points = [(T, 0.0), (T / 2, 0.0), (T, R / 2), (T / 2, -R / 2),
@@ -278,6 +295,7 @@ def _check_exp_derivative(config: RunConfig) -> int:
 
 
 def _check_derivative_eq(config: RunConfig) -> int:
+    _centred_measure(config, "derivative-eq")
     problem = build_problem(config)
 
     def rows_of(batch, points):
@@ -293,6 +311,7 @@ def _check_derivative_eq(config: RunConfig) -> int:
 
 
 def _check_picard_derivative(config: RunConfig) -> int:
+    _centred_measure(config, "picard-derivative")
     problem = build_problem(config)
     # the verdict includes the decay gate, which has no row
     return _check_pathwise(config, "picard-derivative", lambda batch, points:
@@ -336,12 +355,11 @@ def _check_h2(config: RunConfig) -> int:
 
 def _check_cross_solver(config: RunConfig) -> int:
     problem = build_problem(config)
-    measure = build_measure(config)
-    if measure.first_moment != 0.0:
-        # the forward solve is exact for m1 = 0 only
-        raise ConfigError(
-            f"cross-solver needs a centred jump measure, but m1 = "
-            f"{measure.first_moment:g}")
+    measure = _centred_measure(config, "cross-solver")
+    if measure.total_mass == 0.0:
+        # both sides would be w: nothing compared
+        raise ConfigError("cross-solver needs a measure of positive mass: "
+                          "no path has an atom")
     n_iter = max(config.n_iter, 10)
     rows = []
     for batch in sample_batches(measure, build_window(config), config.seed,
@@ -360,10 +378,41 @@ def _check_cross_solver(config: RunConfig) -> int:
                    f"worst gap {worst:.3g}", out)
 
 
+def _check_diagnostic(config: RunConfig, check: str, report) -> int:
+    """Write an ensemble diagnostic's CheckRows, every criterion of its
+    verdict a gated row, and report FAIL exactly when a row fails."""
+    rows = report.rows
+    out = _outpath(config, check.replace("-", "_") + ".csv")
+    write_check_rows(out, rows)
+    failed = sum(row.passed is False for row in rows)
+    return _report(check, not failed, f"{config.n_diagnostic} realizations "
+                   f"x {config.n_iter} iterates, {len(rows)} rows, "
+                   f"{failed} failed", out)
+
+
+def _check_existence(config: RunConfig) -> int:
+    report = existence_diagnostics(
+        build_problem(config), _centred_measure(config, "existence"),
+        config.n_diagnostic, config.n_iter, config.seed)
+    return _check_diagnostic(config, "existence", report)
+
+
+def _check_derivative_bound(config: RunConfig) -> int:
+    T, R = config.T, config.R
+    report = derivative_bound_estimate(
+        build_problem(config), _centred_measure(config, "derivative-bound"),
+        config.n_diagnostic, n_iter=config.n_iter,
+        eval_points=[(T / 2, 0.0), (T, 0.0), (T, R / 2)],
+        master_seed=config.seed)
+    return _check_diagnostic(config, "derivative-bound", report)
+
+
 def _check_all(config: RunConfig) -> int:
-    """Every check of CHECKS in turn; 0 when all pass, else 2."""
-    failed = [check for check in CHECKS if _CHECK_DISPATCH[check](config)]
-    print(f"all: {len(CHECKS) - len(failed)} of {len(CHECKS)} checks passed"
+    """Every check of CHECKS and DIAGNOSTIC_CHECKS in turn; 0 when all
+    pass, else 2."""
+    checks = CHECKS + DIAGNOSTIC_CHECKS
+    failed = [check for check in checks if _CHECK_DISPATCH[check](config)]
+    print(f"all: {len(checks) - len(failed)} of {len(checks)} checks passed"
           + (f"; failed: {', '.join(failed)}" if failed else ""))
     return 2 if failed else 0
 
@@ -378,6 +427,8 @@ _CHECK_DISPATCH = {
     "gronwall": _check_gronwall,
     "h2": _check_h2,
     "cross-solver": _check_cross_solver,
+    "existence": _check_existence,
+    "derivative-bound": _check_derivative_bound,
     "all": _check_all,
 }
 

@@ -26,7 +26,7 @@ from .integrals import MissingFieldError
 from .noise import (LevyMeasure, PointBatch, PointConfiguration,
                     SpaceTimeWindow, add_atom, sample_batches)
 from . import parallel
-from .reporting import SLACK_SIGMAS, write_csv
+from .reporting import SLACK_SIGMAS, CheckRow, write_check_rows, write_csv
 
 
 class SolverError(ValueError):
@@ -1064,6 +1064,7 @@ class ExistenceReport:
     bound_pass: np.ndarray    # bool, same shape
     sqrt_ratios: np.ndarray   # (n_iter - 1,)
     second_moment_sup: np.ndarray  # K-hat estimates per iterate, 0..n_iter
+    second_moment_se: np.ndarray   # their standard errors
     n_realizations: int
     recursion_ok: bool
     decay_ok: bool
@@ -1074,16 +1075,56 @@ class ExistenceReport:
     def passed(self) -> bool:
         return self.recursion_ok and self.decay_ok and self.bounded_ok
 
-    def to_csv(self, path) -> None:
+    @property
+    def rows(self) -> list:
+        """Every criterion of passed as a CheckRow, built from the arrays on
+        demand: H_n(t) against its recursion bound (n = 1 has none and is
+        not gated), the sqrt-ratio sqrt(sup_t H_n / sup_t H_{n-1}) against
+        DECAY_LIMIT (the last three gated: decay_ok) and the K-hat steps
+        |K_{n} - K_{n-1}| that bounded_ok gates against their allowance."""
         rows = []
-        n_iter, n_t = self.h_values.shape
-        for n in range(n_iter):
-            for j in range(n_t):
-                b = self.bounds[n, j]
-                rows.append([n + 1, self.t_grid[j], self.h_values[n, j],
-                             None if math.isnan(b) else b,
-                             bool(self.bound_pass[n, j])])
-        write_csv(path, ["n", "t", "H_n", "bound", "pass"], rows)
+        for (n, j), h in np.ndenumerate(self.h_values):
+            bound = None if n == 0 else float(self.bounds[n, j])
+            rows.append(CheckRow(
+                "existence", f"n={n + 1};t={self.t_grid[j]:g}", float(h),
+                bound, None if n == 0 else float(h) - bound,
+                None if n == 0 else bool(self.bound_pass[n, j])))
+        gated = dict(_decay_gates(self.sqrt_ratios))
+        for n, ratio in enumerate(self.sqrt_ratios.tolist()):
+            rows.append(CheckRow("existence", f"decay n={n + 2}", ratio,
+                                 DECAY_LIMIT, ratio - DECAY_LIMIT,
+                                 gated.get(n)))
+        for n, step, allowance in _k_hat_steps(self.second_moment_sup,
+                                                self.second_moment_se):
+            rows.append(CheckRow("existence", f"K-hat step n={n + 1}",
+                                 float(step), float(allowance),
+                                 float(step - allowance),
+                                 not step > allowance))
+        return rows
+
+    def to_csv(self, path) -> None:
+        write_check_rows(path, self.rows)
+
+
+# existence_diagnostics' decay gate: the last three sqrt-ratios of
+# sup_t H_n at most DECAY_LIMIT
+DECAY_LIMIT = 0.9
+
+
+def _decay_gates(ratios):
+    """(index, passed) of the sqrt-ratios that decay_ok gates."""
+    return [(n, bool(ratios[n] <= DECAY_LIMIT))
+            for n in range(max(0, ratios.size - 3), ratios.size)]
+
+
+def _k_hat_steps(k_mean, k_se):
+    """(n, |K_{n+1} - K_n|, allowance) of the steps that bounded_ok gates:
+    the last two, each within SLACK_SIGMAS standard errors plus 5% of
+    1 + K_n."""
+    n_iter = k_mean.size - 1
+    return [(n, abs(k_mean[n + 1] - k_mean[n]),
+             SLACK_SIGMAS * (k_se[n + 1] + k_se[n]) + 0.05 * (1 + k_mean[n]))
+            for n in range(max(1, n_iter - 2), n_iter)]
 
 
 def existence_diagnostics(problem: ProblemSpec, measure: LevyMeasure,
@@ -1097,6 +1138,9 @@ def existence_diagnostics(problem: ProblemSpec, measure: LevyMeasure,
     """
     if measure.first_moment != 0.0:
         raise SolverError("diagnostics assume a compensator-free measure")
+    if measure.total_mass == 0.0:
+        raise SolverError("existence diagnostics need a measure of positive "
+                          "mass: no path has an atom")
     if n_iter < 2:
         raise SolverError("need at least two iterates to difference")
     sums, expected = None, measure.total_mass * problem.window.volume
@@ -1138,17 +1182,13 @@ def _existence_report(problem: ProblemSpec, measure: LevyMeasure,
     sup_h = np.max(h, axis=1)
     ratios = np.array([math.sqrt(sup_h[n + 1] / sup_h[n]) if sup_h[n] > 0
                        else 0.0 for n in range(n_iter - 1)])
-    tail = ratios[max(0, ratios.size - 3):]
-    decay_ok = bool(tail.size == 0 or np.all(tail <= 0.9))
+    decay_ok = all(ok for _, ok in _decay_gates(ratios))
 
     k_mean, k_se = sup_estimate(u1.reshape(n_iter + 1, -1),
                                 u2.reshape(n_iter + 1, -1), nr)
-    bounded_ok = True
-    for n in range(max(1, n_iter - 2), n_iter):
-        step = abs(k_mean[n + 1] - k_mean[n])
-        if step > SLACK_SIGMAS * (k_se[n + 1] + k_se[n]) + 0.05 * (1 + k_mean[n]):
-            bounded_ok = False
+    bounded_ok = not any(step > allowance
+                         for _, step, allowance in _k_hat_steps(k_mean, k_se))
 
     return ExistenceReport(grid_t, h, se_h, bounds, bound_pass, ratios,
-                           k_mean, n_realizations, recursion_ok, decay_ok,
-                           bool(bounded_ok))
+                           k_mean, k_se, n_realizations, recursion_ok,
+                           decay_ok, bounded_ok)

@@ -1,6 +1,7 @@
 """Run configuration, ensemble execution, and the command-line interface."""
 
 import argparse
+import csv
 import dataclasses
 import importlib
 import json
@@ -203,20 +204,35 @@ def test_cli_failed_realization_is_error(tmp_path, capsys):
     assert not (tmp_path / "second_moments.csv").exists()
 
 
-def test_cli_cross_solver_refuses_compensated_measure(tmp_path, capsys,
-                                                     monkeypatch):
+def _assert_refuses_compensated(check, tmp_path, capsys, monkeypatch):
     # a configuration error like `moments`, raised before any path is drawn
     def no_draws(*args):
-        raise AssertionError("cross-solver drew realizations")
+        raise AssertionError(f"{check} drew realizations")
 
-    monkeypatch.setattr(cli, "sample_batches", no_draws)
-    assert cli.main(["verify", "cross-solver", "--noise", "gaussian",
+    for module in (cli, lf.solver, lf.malliavin):
+        monkeypatch.setattr(module, "sample_batches", no_draws)
+    assert cli.main(["verify", check, "--noise", "gaussian",
                      "--noise-mean", "0.5", "--outdir", str(tmp_path)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == ("error: cross-solver needs a centred jump "
+    assert captured.err == (f"error: {check} needs a centred jump "
                             "measure, but m1 = 2.5\n")
     assert captured.out == ""
-    assert not (tmp_path / "cross_solver.csv").exists()
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_cross_solver_refuses_compensated_measure(tmp_path, capsys,
+                                                     monkeypatch):
+    _assert_refuses_compensated("cross-solver", tmp_path, capsys,
+                                monkeypatch)
+
+
+@pytest.mark.parametrize("check", ["derivative-eq", "picard-derivative",
+                                   "existence", "derivative-bound"])
+def test_cli_checks_refuse_compensated_measure(tmp_path, capsys,
+                                               monkeypatch, check):
+    # every other check that solves forward or runs the m1 = 0 Picard
+    # iterates at the atoms, with the same message
+    _assert_refuses_compensated(check, tmp_path, capsys, monkeypatch)
 
 
 def test_cli_picard_derivative_needs_an_iteration(tmp_path, capsys):
@@ -236,6 +252,26 @@ def test_cli_picard_derivative_refuses_zero_mass(tmp_path, capsys):
                             "atom\n")
     assert captured.out == ""
     assert not (tmp_path / "picard_derivative.csv").exists()
+
+
+_ZERO_MASS_ERRORS = {
+    "cross-solver": "cross-solver needs",
+    "existence": "existence diagnostics need",
+    "derivative-bound": "derivative bound needs",
+}
+
+
+@pytest.mark.parametrize("check", list(_ZERO_MASS_ERRORS))
+def test_cli_checks_refuse_zero_mass(tmp_path, capsys, check):
+    # with no atom both sides of cross-solver are w, and the diagnostics'
+    # estimates are all 0: nothing is compared, so no PASS
+    assert cli.main(["verify", check, "--mass", "0",
+                     "--outdir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {_ZERO_MASS_ERRORS[check]} a measure "
+                            "of positive mass: no path has an atom\n")
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_gronwall_check(tmp_path, capsys):
@@ -347,17 +383,21 @@ def test_cli_cross_solver_check(tmp_path, capsys):
     ("wave", 0, ""),
     ("heat", 2, "; failed: picard-derivative, cross-solver")])
 def test_cli_verify_all(tmp_path, capsys, kernel, code, failed):
+    # derivative-bound refuses fewer than 100 realizations
     assert "all" not in cli.CHECKS
+    assert not set(cli.CHECKS) & set(cli.DIAGNOSTIC_CHECKS)
     assert cli.main(["verify", "all", "--kernel", kernel, "--n", "500",
-                     "--n-diagnostic", "10", "--outdir", str(tmp_path)]) \
+                     "--n-diagnostic", "100", "--outdir", str(tmp_path)]) \
         == code
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == [*cli.CHECKS, "all"]
-    n_passed = len(cli.CHECKS) - failed.count(",") - bool(failed)
-    assert lines[-1] == f"all: {n_passed} of {len(cli.CHECKS)} checks " \
-        f"passed{failed}"
+    checks = [*cli.CHECKS, *cli.DIAGNOSTIC_CHECKS]
+    assert len(checks) == 11
+    assert [line.split(":")[0] for line in lines] == [*checks, "all"]
+    n_passed = len(checks) - failed.count(",") - bool(failed)
+    assert lines[-1] == f"all: {n_passed} of 11 checks passed{failed}"
     for name in ("isometry.csv", "chain_rule.csv", "h2_heat.csv",
-                 "gronwall_bound.csv", "cross_solver.csv"):
+                 "gronwall_bound.csv", "cross_solver.csv", "existence.csv",
+                 "derivative_bound.csv"):
         assert (tmp_path / name).exists(), name
 
 
@@ -373,12 +413,16 @@ def test_cli_derivative_eq_lipschitz_sigma(tmp_path, capsys):
             assert out.startswith("derivative-eq: PASS")
 
 
-def _verify_options(parser):
-    """dest -> option action of the `verify` subcommand."""
+def _verify_actions(parser):
+    """The argument actions of the `verify` subcommand."""
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices["verify"]._actions
-            if a.option_strings}
+    return sub.choices["verify"]._actions
+
+
+def _verify_options(parser):
+    """dest -> option action of the `verify` subcommand."""
+    return {a.dest: a for a in _verify_actions(parser) if a.option_strings}
 
 
 def test_every_run_config_field_has_a_cli_flag(monkeypatch):
@@ -400,6 +444,18 @@ def test_every_run_config_field_has_a_cli_flag(monkeypatch):
         assert getattr(cli._load_config(args), f.name) == new, f.name
 
 
+def test_readme_check_table_is_the_verify_checks():
+    # the table of README's "What gets verified" names each `verify` check
+    # once, and nothing else
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## What gets verified\n", 1)[1].split("\n## ")[0]
+    names = [line.split("|")[1].strip() for line in section.splitlines()
+             if line.startswith("| ")][1:]           # the header goes
+    check = next(a for a in _verify_actions(cli._build_parser())
+                 if a.dest == "check")
+    assert sorted(names) == sorted(set(check.choices) - {"all"})
+
+
 _CLI_ARGS = ["verify", "exp-derivative", "--n-diagnostic", "20"]
 
 
@@ -412,42 +468,97 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert "exp-derivative: PASS" in proc.stdout
 
 
-_SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-# (script, first argument) -> its one-line usage error
-_USAGE_ERRORS = {
-    ("derivative_bound_report.py", "--n"):
-        "error: derivative bound needs at least 100 realizations\n",
-    ("derivative_bound_report.py", "--n-iter"):
-        "error: derivative bound needs n_iter >= 2\n",
-    ("existence_report.py", "--n-iter"):
-        "error: need at least two iterates to difference\n",
-}
+def _check_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
 
 
-@pytest.mark.parametrize("script, args, csv_name", [
-    ("existence_report.py", ["--n", "100", "--masses", "5"],
-     "existence_wave_mass5.csv"),
-    ("derivative_bound_report.py", ["--n", "100", "--n-points", "16"],
-     "derivative_bound_wave_affine.csv"),
-    # bad sizes (csv_name None): a one-line usage error, no traceback
-    ("derivative_bound_report.py", ["--n", "50"], None),
-    ("existence_report.py", ["--n-iter", "1"], None),
-    ("derivative_bound_report.py", ["--n-iter", "0"], None),
-])
-def test_report_scripts_subprocess(tmp_path, script, args, csv_name):
-    proc = subprocess.run(
-        [sys.executable, str(_SCRIPTS / script), *args,
-         "--outdir", str(tmp_path)],
-        capture_output=True, text=True, timeout=300, env=child_env())
-    if csv_name is None:
-        assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert proc.stderr == _USAGE_ERRORS[script, args[0]]
-        assert not any(tmp_path.iterdir())
-        return
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    header, *rows = (tmp_path / csv_name).read_text().splitlines()
-    assert header.endswith(",pass") and rows
-    assert all(row.endswith(",true") for row in rows)
+@pytest.mark.parametrize("check", ["existence", "derivative-bound"])
+def test_cli_diagnostic_check(tmp_path, capsys, check):
+    assert cli.main(["verify", check, "--outdir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith(f"{check}: PASS")
+    path = tmp_path / (check.replace("-", "_") + ".csv")
+    header = path.read_text().splitlines()[0]
+    assert header == ",".join(lf.CheckRow.HEADER)
+    gated = [row["pass"] for row in _check_rows(path) if row["pass"]]
+    assert gated and set(gated) == {"true"}
+
+
+@pytest.mark.parametrize("args, message", [
+    (["derivative-bound", "--n-diagnostic", "50"],
+     "derivative bound needs at least 100 realizations"),
+    (["derivative-bound", "--n-iter", "0"],
+     "derivative bound needs n_iter >= 2"),
+    (["existence", "--n-iter", "1"],
+     "need at least two iterates to difference"),
+], ids=["derivative-bound-n-diagnostic-50", "derivative-bound-n-iter-0",
+        "existence-n-iter-1"])
+def test_cli_diagnostic_usage_errors(tmp_path, capsys, args, message):
+    # bad sizes: a one-line usage error, no traceback, no CSV
+    assert cli.main(["verify", *args, "--outdir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def _column(rows, key):
+    return np.array([float(row[key] or "nan") for row in rows])
+
+
+def _diagnostic_report(check, config):
+    problem, measure = lf.build_problem(config), lf.build_measure(config)
+    if check == "existence":
+        return lf.existence_diagnostics(problem, measure, config.n_diagnostic,
+                                        config.n_iter, config.seed)
+    T, R = config.T, config.R
+    return lf.derivative_bound_estimate(
+        problem, measure, config.n_diagnostic, n_iter=config.n_iter,
+        eval_points=[(T / 2, 0.0), (T, 0.0), (T, R / 2)],
+        master_seed=config.seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("kernel", ["wave", "heat"])
+@pytest.mark.parametrize("check", ["existence", "derivative-bound"])
+def test_cli_diagnostic_rows_are_the_verdict(tmp_path, capsys, check, kernel,
+                                             seed):
+    # exit 2 exactly when a row reads false, the library's verdict at the
+    # same settings, and the report's numbers in the rows to the last bit
+    code = cli.main(["verify", check, "--kernel", kernel, "--seed", str(seed),
+                     "--outdir", str(tmp_path)])
+    capsys.readouterr()
+    rows = _check_rows(tmp_path / (check.replace("-", "_") + ".csv"))
+    assert code == (2 if any(row["pass"] == "false" for row in rows) else 0)
+    report = _diagnostic_report(check, lf.RunConfig(kernel=kernel, seed=seed))
+    assert (code == 0) == report.passed
+    passes = [row["pass"] for row in rows]
+    if check == "existence":
+        n_iter, n_t = report.h_values.shape
+        m = n_iter * n_t
+        assert np.array_equal(_column(rows[:m], "lhs"),
+                              report.h_values.ravel())
+        assert np.array_equal(_column(rows[:m], "rhs"), report.bounds.ravel(),
+                              equal_nan=True)
+        assert passes[:n_t] == [""] * n_t     # H_1 has no bound
+        assert [p == "true" for p in passes[n_t:m]] == \
+            report.bound_pass[1:].ravel().tolist()
+        assert np.array_equal(_column(rows[m:-2], "lhs"), report.sqrt_ratios)
+        assert passes[m:-5] == [""] * (n_iter - 4)   # three gated ratios
+        assert report.decay_ok == ("false" not in passes[m:-2])
+        assert [row["params"] for row in rows[-2:]] == [
+            f"K-hat step n={n}" for n in (n_iter - 1, n_iter)]
+        assert report.bounded_ok == ("false" not in passes[-2:])
+        assert "" not in passes[-5:]
+    else:
+        n_iter, n_pts = report.estimates.shape
+        m = (n_iter - 1) * n_pts
+        assert np.array_equal(_column(rows[:m], "lhs"),
+                              report.estimates[1:].T.ravel())
+        assert len(rows) == m + 3 * n_pts     # the last three steps
+        assert report.recursion_ok == ("false" not in passes[:m])
+        assert report.stable_ok == ("false" not in passes[m:])
+        assert "" not in passes
 
 
 @pytest.mark.skipif(shutil.which("levyfield") is None,

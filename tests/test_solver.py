@@ -490,8 +490,14 @@ def test_existence_csv(tmp_path, window, busy_noise, wave_problem):
     out = tmp_path / "existence.csv"
     rep.to_csv(out)
     lines = out.read_text().splitlines()
-    assert lines[0] == "n,t,H_n,bound,pass"
-    assert len(lines) > 1
+    # every criterion of rep.passed a CheckRow: H_n(t) for n = 1..3 (H_1
+    # ungated), two sqrt-ratios and two K-hat steps
+    assert lines[0] == "check,params,lhs,rhs,residual_or_z,pass"
+    assert len(lines) == 1 + 3 * 64 + 2 + 2
+    assert [line.split(",")[1] for line in lines[-4:]] == [
+        "decay n=2", "decay n=3", "K-hat step n=2", "K-hat step n=3"]
+    assert all(line.endswith(",true") for line in lines[65:])
+    assert rep.passed
 
 
 def test_convolve_square_mass_constant_identity():
