@@ -9,8 +9,8 @@ tolerances and seeds.
 """
 
 from .gronwall import (ConvolutionKernel, GronwallError, equality_sequence,
-                       iterated_convolutions, renewal_probabilities,
-                       summability_check, verify_bound)
+                       renewal_probabilities, summability_check,
+                       verify_bound)
 from .harness import (ConfigError, EnsembleError, RunConfig, build_config,
                       build_measure, build_problem, build_window,
                       parse_config_file, solution_squares)
@@ -25,13 +25,12 @@ from .malliavin import (DerivativePoint, MalliavinError, PathFunctional,
                         chain_rule_rows, derivative_bound_estimate,
                         derivative_equation_rows, difference_derivative,
                         duality_test, exp_derivative_rows,
-                        integral_functional, picard_derivative_rows,
-                        solution_functional)
+                        picard_derivative_rows, solution_functional)
 from .noise import (LevyMeasure, NoiseError, PointBatch, PointConfiguration,
                     SpaceTimeWindow, add_atom, add_atoms, atomic_decomposition,
                     derive_rng, discrete_measure, gaussian_measure,
-                    load_configuration, moments, rademacher, remove_atom,
-                    sample_batch, sample_batches, sample_prm,
+                    load_configuration, moments, rademacher, sample_batch,
+                    sample_batches, sample_prm,
                     save_configuration, truncated_power_law_measure,
                     two_point_measure)
 from .reporting import CheckRow, EstimatorSummary, studentize, summarize

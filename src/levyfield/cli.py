@@ -407,11 +407,26 @@ def _check_derivative_bound(config: RunConfig) -> int:
     return _check_diagnostic(config, "derivative-bound", report)
 
 
+# the errors main reports as a usage or configuration error, exit 1
+_USAGE_ERRORS = (ConfigError, EnsembleError, NoiseError, SolverError,
+                 MalliavinError, OSError, ValueError)
+
+
 def _check_all(config: RunConfig) -> int:
     """Every check of CHECKS and DIAGNOSTIC_CHECKS in turn; 0 when all
-    pass, else 2."""
+    pass, else 2.  A check that refuses the configuration (an error main
+    maps to exit 1) prints a REFUSED line, counts as failed, and the run
+    goes on."""
     checks = CHECKS + DIAGNOSTIC_CHECKS
-    failed = [check for check in checks if _CHECK_DISPATCH[check](config)]
+    failed = []
+    for check in checks:
+        try:
+            code = _CHECK_DISPATCH[check](config)
+        except _USAGE_ERRORS as exc:
+            print(f"{check}: REFUSED ({exc})")
+            code = 1
+        if code:
+            failed.append(check)
     print(f"all: {len(checks) - len(failed)} of {len(checks)} checks passed"
           + (f"; failed: {', '.join(failed)}" if failed else ""))
     return 2 if failed else 0
@@ -453,8 +468,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _CHECK_DISPATCH[args.check](config)
         return _COMMAND_DISPATCH[args.command](config)
-    except (ConfigError, EnsembleError, NoiseError, SolverError,
-            MalliavinError, OSError, ValueError) as exc:
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -105,21 +105,6 @@ def renewal_probabilities(kernel: ConvolutionKernel, n_max: int) -> np.ndarray:
     return out
 
 
-def iterated_convolutions(kernel: ConvolutionKernel, n_max: int) -> np.ndarray:
-    """b_n on the grid with b_0 = 1 and b_{n+1} = b_n * g.
-
-    b_n(T) equals a_n; the grid functions themselves drive the equality
-    construction for the sequence bound.
-    """
-    if n_max < 0:
-        raise GronwallError("n_max must be non-negative")
-    out = np.empty((n_max + 1, kernel.grid.size))
-    out[0] = 1.0
-    for n in range(1, n_max + 1):
-        out[n] = kernel.convolve(out[n - 1])
-    return out
-
-
 def equality_sequence(kernel: ConvolutionKernel, constants,
                       n_max: int) -> np.ndarray:
     """f_0 = C_0, f_n = C_n + f_{n-1} * g: the recursion run at equality.

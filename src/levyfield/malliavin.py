@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrals import (Integrand, inner_product, ito_integral,
-                        ito_integrals)
+from .integrals import Integrand, inner_product, ito_integrals
 from .noise import (LevyMeasure, PointBatch, PointConfiguration,
                     SpaceTimeWindow, add_atom, add_atoms,
                     atomic_decomposition, sample_batches)
@@ -68,12 +67,6 @@ class PathFunctional:
         twice; a functional whose two values share work overrides it."""
         plus = add_atom(config, point.time, point.x, point.jump)
         return self(config), self(plus)
-
-
-def integral_functional(h: Integrand,
-                        measure: LevyMeasure | None = None) -> PathFunctional:
-    return PathFunctional(f"L({h.name})",
-                          lambda cfg: ito_integral(cfg, h, measure))
 
 
 @dataclass(frozen=True)

@@ -504,21 +504,22 @@ def sample_batch(measure: LevyMeasure, window: SpaceTimeWindow,
     Each path draws from its own stream in sample_prm's order: the atom
     count, the times, the positions, the jumps.  The streams are derive_rng's,
     seeded from one stream_states pass over the batch.  The atoms are drawn
-    concatenated, path after path, and sample_prm's checks run once over
-    all of them; a path that fails them (a tie or a boundary time,
-    probability zero) is drawn again by sample_prm itself, whose re-draws
-    consume its stream before the positions.  Then the paths are padded
-    into rows.
+    concatenated, path after path, and padded into rows; each row is then
+    ordered by a stable argsort of its times (the padding, at T, sorts
+    last) and sample_prm's checks run over the sorted rows.  A path that
+    fails them (a tie or a boundary time, probability zero) is drawn again
+    by sample_prm itself, whose re-draws consume its stream before the
+    positions, into its own row.
     """
     lam = measure.total_mass * window.volume
     per_jump = _UNIFORMS_PER_JUMP.get(measure.kind, 0)
-    counts = np.empty(n, dtype=np.int64)
-    uniforms, drawn_jumps = [np.empty(0)], [np.empty(0)]
-    for j, rng in enumerate(_batch_streams(master_seed, start, n)):
-        c = counts[j] = int(rng.poisson(lam))
-        uniforms.append(rng.random((2 + per_jump) * c))
+    counts, uniforms, drawn_jumps = [], [np.empty(0)], [np.empty(0)]
+    for rng in _batch_streams(master_seed, start, n):
+        counts.append(int(rng.poisson(lam)))
+        uniforms.append(rng.random((2 + per_jump) * counts[-1]))
         if not per_jump:
-            drawn_jumps.append(_draw_jumps(measure, rng, c))
+            drawn_jumps.append(_draw_jumps(measure, rng, counts[-1]))
+    counts = np.array(counts, dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     u = np.concatenate(uniforms)
     # atom r of path j: time uniform at (2 + per_jump) * offsets[j] + r,
@@ -536,29 +537,21 @@ def sample_batch(measure: LevyMeasure, window: SpaceTimeWindow,
     else:
         jumps = np.concatenate(drawn_jumps)
 
-    order = np.lexsort((times, path))
-    times, positions, jumps = times[order], positions[order], jumps[order]
-    bad = np.zeros(n, dtype=bool)
-    bad[path[(times <= 0.0) | (times >= window.T)]] = True
-    tie = (times[1:] == times[:-1]) & (path[1:] == path[:-1])
-    bad[path[1:][tie]] = True
-    if bad.any():
-        segments = [list(np.split(a, offsets[1:-1]))
-                    for a in (times, positions, jumps)]
-        for j in np.flatnonzero(bad):
-            cfg = sample_prm(measure, window, (master_seed, start + int(j)))
-            for seg, arr in zip(segments, (cfg.times, cfg.positions,
-                                           cfg.jumps)):
-                seg[j] = arr
-            counts[j] = cfg.n_atoms
-        times, positions, jumps = (np.concatenate(seg) for seg in segments)
-
     mask = np.arange(counts.max(initial=0)) < counts[:, None]
     rows = []
     for values, fill in ((times, window.T), (positions, 0.0), (jumps, 0.0)):
         row = np.full(mask.shape, fill)
         row[mask] = values
         rows.append(row)
+    order = np.argsort(rows[0], axis=1, kind="stable")
+    rows = [np.take_along_axis(a, order, axis=1) for a in rows]
+    times = rows[0]
+    bad = np.any(mask & ((times <= 0.0) | (times >= window.T)), axis=1)
+    bad |= np.any(mask[:, 1:] & (times[:, 1:] == times[:, :-1]), axis=1)
+    for j in np.flatnonzero(bad):
+        cfg = sample_prm(measure, window, (master_seed, start + int(j)))
+        for row, values in zip(rows, (cfg.times, cfg.positions, cfg.jumps)):
+            row[j, :counts[j]] = values
     return PointBatch(*rows, counts, window, measure, master_seed, start)
 
 
@@ -600,15 +593,6 @@ def add_atoms(batch: PointBatch, times, positions, jumps) -> PointBatch:
     return PointBatch(*(np.take_along_axis(a, order, axis=1) for a in rows),
                       batch.counts + 1, batch.window, batch.measure,
                       batch.master_seed, batch.start)
-
-
-def remove_atom(config: PointConfiguration, index: int) -> PointConfiguration:
-    if not 0 <= index < config.n_atoms:
-        raise NoiseError(f"atom index {index} out of range")
-    return replace(config,
-                   times=np.delete(config.times, index),
-                   positions=np.delete(config.positions, index),
-                   jumps=np.delete(config.jumps, index))
 
 
 def save_configuration(config: PointConfiguration, path) -> Path:

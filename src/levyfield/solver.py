@@ -171,15 +171,6 @@ def deterministic_part(problem: ProblemSpec, t, x):
     return out if out.ndim else float(out)
 
 
-def initial_condition_bound(problem: ProblemSpec) -> float:
-    """Uniform bound on |w| over the window (w is continuous and bounded)."""
-    if problem.ic_kind == "constant":
-        return abs(problem.ic_value)
-    if problem.ic_kind == "cosine":
-        return 1.0
-    return math.sqrt(2.0)
-
-
 def _column(v):
     return np.asarray(v, dtype=float)[..., None]
 
@@ -421,32 +412,53 @@ def _grid_blocks(problem: ProblemSpec, times, positions, fresh=False):
     """The kernel block of each grid time t_j.  times and positions are one
     path's time-sorted atoms (k,) or a PointBatch's rows (P, K).  The atoms
     before t_j are a prefix of each path, k_j atoms long in the longest, and
-    the block is their (..., n_x, k_j) kernel block G(t_j - t_i, x_l - x_i)
-    by pairwise_interaction_matrix's rule, zero after each path's prefix;
-    it is (..., n_x, 0) where no atom comes before t_j.
+    the block is their (..., n_x, k_j) kernel block G(t_j - t_i, x_l - x_i),
+    zero after each path's prefix; it is (..., n_x, 0) where no atom comes
+    before t_j.  A block built in a buffer of the pass is valid only until
+    the next one is yielded, unless fresh, which gives every block its own
+    buffers (for a caller that holds them all).
 
-    One path of more than ATOM_BLOCK_ROWS atoms builds its blocks in one
-    _BlockWork, dt and the scale of G kept (1, k_j) as for any grid time:
-    each block is valid only until the next one is yielded, unless fresh,
-    which gives every block its own buffers (for a caller that holds them
-    all).  A block's n_x rows are split across the CPUs where a split of
-    its size was measured to pay (_least_range), else filled on the
-    calling thread.  A padded batch or a shorter path builds each block as
-    new arrays on the calling thread."""
+    A padded batch evaluates G only on each row's causal prefix, one call
+    per grid time on those (pairs, n_x) points, and writes it into a
+    (P, k_j, n_x) array whose other entries are zeroed, the first entries
+    of one buffer per pass: the block is that array's swapaxes view, so the
+    operand of grid_projection's matrix product is contiguous.  Its entries
+    are pairwise_interaction_matrix's bit for bit.
+
+    One path builds its blocks by pairwise_interaction_matrix.  One of
+    more than ATOM_BLOCK_ROWS atoms builds them in one _BlockWork, dt and
+    the scale of G kept (1, k_j) as for any grid time.  A block's n_x rows
+    are split across the CPUs where a split of its size was measured to
+    pay (_least_range), else filled on the calling thread.  A shorter path
+    builds each block as new arrays on the calling thread."""
     grid_t, grid_x = problem.grid()
     before = np.sum(times[..., None, :] < grid_t[:, None], axis=-1)
-    prefix = before.reshape(-1, grid_t.size).max(axis=0)
-    widest = int(prefix.max(initial=0))
-    blocked = times.ndim == 1 and times.size > ATOM_BLOCK_ROWS
+    if times.ndim == 2:
+        widest = 0 if fresh else int(before.max(initial=0))
+        shared = np.empty(times.shape[0] * widest * grid_x.size)
+        for tj, counts in zip(grid_t, before.T):
+            causal = np.arange(counts.max(initial=0)) < counts[:, None]
+            kj = causal.shape[1]
+            shape = causal.shape + grid_x.shape
+            block = np.empty(shape) if fresh else \
+                shared[:math.prod(shape)].reshape(shape)
+            block[~causal] = 0.0
+            block[causal] = problem.kernel.evaluate(
+                tj - times[:, :kj][causal][:, None],
+                grid_x - positions[:, :kj][causal][:, None])
+            yield block.swapaxes(-1, -2)
+        return
+    widest = int(before.max(initial=0))
+    blocked = times.size > ATOM_BLOCK_ROWS
     least = _least_range(problem.kernel, True, widest) if blocked else None
 
     def workspace(k):
         return _BlockWork(k, grid_x.size * k, least) if blocked else None
 
     shared = None if fresh else workspace(widest)
-    for tj, kj in zip(grid_t, prefix):
+    for tj, kj in zip(grid_t, before):
         yield pairwise_interaction_matrix(
-            problem.kernel, tj, grid_x, times[..., :kj], positions[..., :kj],
+            problem.kernel, tj, grid_x, times[:kj], positions[:kj],
             workspace(kj) if fresh else shared)
 
 
@@ -600,13 +612,15 @@ def grid_projection(problem: ProblemSpec, times, positions, coefs,
     m fields; over a padded batch (times (P, K)) it is (P, m, K).  values
     has coefs' shape with n_x in place of the atom axis.  Each grid time's
     kernel block is built once and applied to every field and path with
-    one (batched) matrix product; a grid time with no atom before it has
-    an empty block, and its values are w.  blocks is
-    list(_grid_blocks(..., fresh=True)) from a caller that projects the
-    same atoms again; without it the blocks are built one at a time (on
-    one long path, in one reused workspace) and dropped, so a caller that
-    reduces each grid time's values as they come never holds the whole
-    grid.
+    one (batched) matrix product; a batch's block holds G only on each
+    row's causal prefix, and zeros elsewhere, and is the transpose view of
+    a contiguous array, so the product's right operand is contiguous.  A
+    grid time with no atom before it has an empty block, and its values
+    are w.  blocks is list(_grid_blocks(..., fresh=True)) from a caller
+    that projects the same atoms again; without it the blocks are built
+    one at a time (on a batch and on one long path, in one reused buffer)
+    and dropped, so a caller that reduces each grid time's values as they
+    come never holds the whole grid.
     """
     grid_t, grid_x = problem.grid()
     coefs = np.asarray(coefs, dtype=float)

@@ -567,6 +567,75 @@ def test_interaction_matrix_branches_agree(kernel):
         assert np.array_equal(row, full), tj
 
 
+# a batch's grid blocks evaluate G on each row's causal prefix only; the
+# dense rule builds every row over the longest prefix and zeroes the rest
+BLOCK_CASES = {
+    "paths": (lf.two_point_measure(1.0, 5.0), 30),
+    "empty_paths": (MEASURES["low_mass"], 40),
+    "all_empty": (lf.two_point_measure(1.0, 0.0), 5),     # K = 0
+    "one_row": (lf.two_point_measure(1.0, 5.0), 1),
+}
+
+
+def _grid_block_batch(kernel, case):
+    measure, n_paths = BLOCK_CASES[case]
+    batch = lf.sample_batch(measure, WINDOW, 3, 0, n_paths)
+    if case == "empty_paths":
+        assert np.any(batch.counts == 0) and np.any(batch.counts > 0)
+    if case == "all_empty":
+        assert batch.times.shape == (n_paths, 0)
+    return _problem(kernel, "affine"), batch
+
+
+@pytest.mark.parametrize("kernel", [lf.wave_kernel(), lf.heat_kernel()],
+                         ids=["wave", "heat"])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_batch_grid_blocks_are_the_dense_rule_bit_for_bit(kernel, case):
+    problem, batch = _grid_block_batch(kernel, case)
+    t, x = batch.times, batch.positions
+    grid_t, grid_x = problem.grid()
+    dense = []
+    for tj in grid_t:
+        kj = int(np.max(np.sum(t < tj, axis=1), initial=0))
+        dense.append(solver.pairwise_interaction_matrix(
+            kernel, tj, grid_x, t[:, :kj], x[:, :kj]))
+    # t_0 = 0 comes before every atom
+    assert dense[0].shape == (batch.n_paths, grid_x.size, 0)
+    # one buffer per pass: compare each block as it comes
+    for fresh in (False, True):
+        n = 0
+        for n, got in enumerate(solver._grid_blocks(problem, t, x, fresh),
+                                start=1):
+            want = dense[n - 1]
+            assert got.shape == want.shape, n
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes(), n
+        assert n == grid_t.size
+    held = list(solver._grid_blocks(problem, t, x, fresh=True))
+    assert all(np.array_equal(a, b) for a, b in zip(held, dense))
+
+
+@pytest.mark.parametrize("kernel", [lf.wave_kernel(), lf.heat_kernel()],
+                         ids=["wave", "heat"])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_batch_grid_blocks_evaluate_only_causal_pairs(monkeypatch, kernel,
+                                                      case):
+    problem, batch = _grid_block_batch(kernel, case)
+    t, x = batch.times, batch.positions
+    grid_t, grid_x = problem.grid()
+    before = np.sum(t[:, None, :] < grid_t[:, None], axis=-1)
+    points, real = [], lf.GreenKernel.evaluate
+
+    def counting(self, *args, **kwargs):
+        out = real(self, *args, **kwargs)
+        points.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(lf.GreenKernel, "evaluate", counting)
+    for j, _ in enumerate(solver._grid_blocks(problem, t, x)):
+        assert sum(points) == before[:, j].sum() * grid_x.size, j
+        points.clear()
+
+
 # existence_diagnostics, derivative_bound_estimate and verify cross-solver
 # at their defaults, against one dense per-path pass over the same
 # realizations.  The per-path sums go through the same report (gate) code,

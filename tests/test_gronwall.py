@@ -8,6 +8,7 @@ import pytest
 import levyfield as lf
 from levyfield import GronwallError
 
+import helpers
 from conftest import assert_close
 
 
@@ -82,7 +83,7 @@ def test_convolve_shape_checked():
 
 def test_iterated_convolutions_simplex_volumes():
     k = ones_kernel(2048)
-    b = np.asarray(lf.iterated_convolutions(k, 4))
+    b = np.asarray(helpers.iterated_convolutions(k, 4))
     assert np.array_equal(b[0], np.ones_like(k.grid))
     # b_n(T) = T^n / n! for g = 1
     for n in range(1, 5):

@@ -401,6 +401,27 @@ def test_cli_verify_all(tmp_path, capsys, kernel, code, failed):
         assert (tmp_path / name).exists(), name
 
 
+@pytest.mark.parametrize("kernel", ["wave", "heat"])
+def test_cli_verify_all_goes_on_past_a_refused_check(tmp_path, capsys,
+                                                     kernel):
+    # derivative-bound refuses 10 realizations: a failed line, not exit 1
+    assert cli.main(["verify", "all", "--kernel", kernel, "--n", "500",
+                     "--n-diagnostic", "10", "--outdir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    checks = [*cli.CHECKS, *cli.DIAGNOSTIC_CHECKS]
+    assert len(lines) == 12
+    assert [line.split(":")[0] for line in lines] == [*checks, "all"]
+    assert lines[checks.index("derivative-bound")] == (
+        "derivative-bound: REFUSED (derivative bound needs at least 100 "
+        "realizations)")
+    assert lines[-1].startswith("all: ")
+    assert "derivative-bound" in lines[-1].split("; failed: ")[1].split(", ")
+    assert "error" not in captured.err
+    assert (tmp_path / "existence.csv").exists()
+    assert not (tmp_path / "derivative_bound.csv").exists()
+
+
 def test_cli_derivative_eq_lipschitz_sigma(tmp_path, capsys):
     # the derivative equation is gated for non-affine sigma too
     for sigma in ("sin", "abs"):

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 import levyfield as lf
 from levyfield import MalliavinError, cli, harness, malliavin, solver
 
+import helpers
 import pathwise_reference as ref
 from conftest import assert_close, make_empty_config
 
@@ -29,7 +30,7 @@ def test_derivative_of_compensated_integral(window, busy_noise):
     cfg = _config(busy_noise, window)
     for r, xi, z in [(0.4, 0.2, 1.0), (0.15, -1.7, -1.0), (0.93, 0.0, 2.5)]:
         pt = lf.DerivativePoint(r, xi, z)
-        d = lf.difference_derivative(lf.integral_functional(H_POS), cfg, pt)
+        d = lf.difference_derivative(helpers.integral_functional(H_POS), cfg, pt)
         want = H_POS(r, xi) * z
         assert abs(d - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -40,7 +41,7 @@ def test_derivative_ignores_compensator(window):
     skew = lf.discrete_measure([1.0], [2.0])
     cfg = lf.sample_prm(skew, window, 5)
     pt = lf.DerivativePoint(0.4, 0.2, 1.0)
-    F = lf.integral_functional(H_POS, measure=skew)
+    F = helpers.integral_functional(H_POS, measure=skew)
     d = lf.difference_derivative(F, cfg, pt)
     want = H_POS(0.4, 0.2)
     assert abs(d - want) <= 1e-12 * want
@@ -55,7 +56,7 @@ def test_derivative_of_constant_functional(window, busy_noise):
 
 def test_derivative_point_validation(window, busy_noise):
     cfg = _config(busy_noise, window)
-    F = lf.integral_functional(H_POS)
+    F = helpers.integral_functional(H_POS)
     for bad in [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (0.5, 2.5, 1.0),
                 (0.5, 0.0, 0.0), (0.5, math.nan, 1.0)]:
         with pytest.raises(MalliavinError):
@@ -67,8 +68,8 @@ def test_derivative_linearity(a, b):
     window = lf.SpaceTimeWindow(1.0, 2.0)
     cfg = lf.sample_prm(lf.two_point_measure(1.0, 5.0), window, 3)
     pt = lf.DerivativePoint(0.4, 0.2, 1.0)
-    F = lf.integral_functional(H_POS)
-    G = lf.integral_functional(G_SMOOTH)
+    F = helpers.integral_functional(H_POS)
+    G = helpers.integral_functional(G_SMOOTH)
     combo = lf.PathFunctional("combo", lambda c: a * F(c) + b * G(c))
     dc = lf.difference_derivative(combo, cfg, pt)
     da = lf.difference_derivative(F, cfg, pt)
@@ -83,7 +84,7 @@ def test_derivative_linearity(a, b):
     (lambda v: v * v, "square"), (np.exp, "exp"), (np.sin, "sin")])
 def test_chain_rule_exact(window, busy_noise, g, name):
     # the batch check on a one-row batch, and its per-path reference
-    F = lf.integral_functional(H_POS)
+    F = helpers.integral_functional(H_POS)
     for seed in range(10):
         cfg = _config(busy_noise, window, seed)
         pt = lf.DerivativePoint(0.3 + 0.05 * seed, 0.1, 1.0)
@@ -200,7 +201,7 @@ def test_shared_sweep_matches_two_solves(window, busy_noise, wave_problem,
 
 
 def test_default_pair_evaluates_twice(window, busy_noise):
-    F = lf.integral_functional(H_POS)
+    F = helpers.integral_functional(H_POS)
     E = ref.exp_integral_functional(G_SMOOTH)
     for seed in range(10):
         cfg = _config(busy_noise, window, seed)
@@ -678,7 +679,7 @@ def _per_path_rows(config):
     and (t, x)."""
     measure = harness.build_measure(config)
     problem = harness.build_problem(config)
-    F = lf.integral_functional(cli.H_SMOOTH, measure)
+    F = helpers.integral_functional(cli.H_SMOOTH, measure)
     maps = (("square", lambda v: v * v), ("exp", math.exp), ("sin", math.sin))
     want = {name: [] for name in _SWEEP_CSVS}
     for batch in lf.sample_batches(measure, harness.build_window(config),

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 import levyfield as lf
 from levyfield import NoiseError
 
+import helpers
 from conftest import assert_close, make_empty_config
 
 
@@ -212,12 +213,12 @@ def test_add_atom_rejects_nan(window, busy_noise):
 def test_remove_atom_roundtrip(window, busy_noise):
     cfg = lf.sample_prm(busy_noise, window, 3)
     mid = 0.5 * (cfg.times[2] + cfg.times[3])
-    back = lf.remove_atom(lf.add_atom(cfg, mid, 0.1, 1.0), 3)
+    back = helpers.remove_atom(lf.add_atom(cfg, mid, 0.1, 1.0), 3)
     assert np.array_equal(back.times, cfg.times)
     assert np.array_equal(back.positions, cfg.positions)
     assert np.array_equal(back.jumps, cfg.jumps)
     with pytest.raises(NoiseError):
-        lf.remove_atom(cfg, cfg.n_atoms)
+        helpers.remove_atom(cfg, cfg.n_atoms)
 
 
 @given(pts=st.lists(

@@ -9,8 +9,9 @@ from scipy import integrate
 import levyfield as lf
 from levyfield import SolverError
 from levyfield.solver import (_compensator_operator, convolve_square_mass,
-                              deterministic_part, initial_condition_bound)
+                              deterministic_part)
 
+import helpers
 from conftest import assert_close, make_empty_config
 
 AFFINE = lf.named_map("affine", 0.5, 1.0)
@@ -153,7 +154,7 @@ def test_initial_condition_bound_holds_on_grid(window, kernel, ic, value):
     ts = np.linspace(0.0, window.T, 41)
     xs = np.linspace(-window.R, window.R, 81)
     w = deterministic_part(prob, ts[:, None], xs[None, :])
-    assert np.max(np.abs(w)) <= initial_condition_bound(prob) + 1e-12
+    assert np.max(np.abs(w)) <= helpers.initial_condition_bound(prob) + 1e-12
 
 
 # ----------------------------------------------------------- forward solve
