@@ -6,8 +6,11 @@
 Exports the parent commit and the working tree's tracked files (as
 `git stash create` records them, or HEAD when the tree is clean) with
 `git archive` into two sibling temporary directories, so that both sides
-import levyfield from the same kind of place.  Then, for each seed and
-workload of BENCHMARK.json, runs `perfbench/run.py` once on each copy.
+import levyfield from the same kind of place.  A stash leaves untracked
+files out, so the script refuses (exit 2, naming them) while src/,
+tests/, scripts/ or perfbench/ hold an untracked file that .gitignore
+does not exclude.  Then, for each seed and workload of BENCHMARK.json,
+runs `perfbench/run.py` once on each copy.
 The side that goes first alternates from pair to pair, so that a drift of
 the machine's speed hits both sides alike.  With --traced, each side also
 makes one traced run (per-layer figures) per workload, at the first seed.
@@ -19,6 +22,12 @@ final JSON record, per end-to-end metric the medians and quartiles of
 both sides (statistics.quantiles(n=4), as perfbench/spread.py takes them)
 and the number of pairs in which the change is better, and `src_lines`,
 the total line count of src/levyfield/*.py in each side's exported tree.
+Per workload and end-to-end metric it also records, and prints, two
+verdicts: `gain_rule`, the change better in at least 9 of 10 pairs (a tie
+counts for neither side) and its median better than the parent's by more
+than the parent's q3 - q1; and `within_bound`, the change's median worse
+than the parent's by at most the metric's BENCHMARK.json bound, a
+fraction of the parent's median.
 """
 
 from __future__ import annotations
@@ -40,9 +49,20 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from spread import seeds  # noqa: E402
 
 
-def git(*args) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+# the directories whose files the benchmarked trees must hold
+SOURCE_DIRS = ("src", "tests", "scripts", "perfbench")
+
+
+def git(*args, cwd=ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def untracked(root: Path = ROOT) -> list:
+    """Untracked files under SOURCE_DIRS that .gitignore does not exclude:
+    `git stash create` would leave them out of the change."""
+    return git("ls-files", "--others", "--exclude-standard", "--",
+               *SOURCE_DIRS, cwd=root).splitlines()
 
 
 def export(rev: str, dest: Path) -> None:
@@ -107,12 +127,27 @@ def summarize(runs: list, spec: dict) -> dict:
             chg = [p["change"]["metrics"][name]["value"] for p in pairs]
             better = sum((c < q) if lower else (c > q)
                          for q, c in zip(par, chg))
-            metrics[name] = {"parent_median": statistics.median(par),
-                             "change_median": statistics.median(chg),
-                             "parent_quartiles": quartiles(par),
+            par_med, chg_med = statistics.median(par), statistics.median(chg)
+            gain = par_med - chg_med if lower else chg_med - par_med
+            q = quartiles(par)
+            # no quartiles below two pairs, so no gain verdict
+            gain_rule = None if q is None else bool(
+                10 * better >= 9 * len(pairs) and gain > q[2] - q[0])
+            within = bool(-gain <= m["bound"] * abs(par_med))
+            metrics[name] = {"parent_median": par_med,
+                             "change_median": chg_med,
+                             "parent_quartiles": q,
                              "change_quartiles": quartiles(chg),
                              "change_better_pairs": better,
-                             "pairs": len(pairs)}
+                             "pairs": len(pairs),
+                             "gain_rule": gain_rule,
+                             "within_bound": within}
+            spread = "n/a" if q is None else f"{q[2] - q[0]:.4g}"
+            print(f"{workload} {name}: gain_rule {gain_rule} ({better} of "
+                  f"{len(pairs)} pairs better, median {par_med:.4g} -> "
+                  f"{chg_med:.4g}, parent q3 - q1 {spread})")
+            print(f"{workload} {name}: within_bound {within} (bound "
+                  f"{m['bound']} of the parent median)")
         out[workload] = {
             "metrics": metrics,
             "failed": {side: [p[side]["failed"] for p in pairs]
@@ -133,6 +168,12 @@ def main() -> int:
     ap.add_argument("--traced", action="store_true",
                     help="add one traced run per side and workload")
     args = ap.parse_args()
+    missing = untracked()
+    if missing:
+        print("bench.py: untracked files would be left out of the change; "
+              "add or remove them first:\n  " + "\n  ".join(missing),
+              file=sys.stderr)
+        return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]

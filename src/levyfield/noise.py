@@ -411,8 +411,16 @@ def sample_prm(measure: LevyMeasure, window: SpaceTimeWindow,
     jump sizes i.i.d. from the normalized measure.  Deterministic given
     `seed` (an int, or a (master, index) pair for a derived stream).
     Ties and boundary times have probability zero but are re-drawn anyway so
-    the strict-ordering invariant holds exactly.
+    the strict-ordering invariant holds exactly.  The configuration's seed
+    label holds an integer seed's entries as plain ints (numpy's too, so
+    save_configuration can write them), any other seed as None.
     """
+    if isinstance(seed, tuple):
+        label = tuple(operator.index(v) for v in seed)
+    elif isinstance(seed, (int, np.integer)):
+        label = operator.index(seed)
+    else:
+        label = None
     rng = _as_rng(seed)
     n = int(rng.poisson(measure.total_mass * window.volume))
     times = rng.uniform(0.0, window.T, size=n)
@@ -427,7 +435,6 @@ def sample_prm(measure: LevyMeasure, window: SpaceTimeWindow,
     positions = rng.uniform(-window.R, window.R, size=n)
     jumps = _draw_jumps(measure, rng, n)
     order = np.argsort(times, kind="stable")
-    label = seed if isinstance(seed, (int, tuple)) else None
     return PointConfiguration(times[order], positions[order], jumps[order],
                               window, measure, label)
 
@@ -488,7 +495,7 @@ class PointBatch:
         return int(self.counts.size)
 
     def seed(self, j: int):
-        return (self.master_seed, self.start + j)
+        return (self.master_seed, self.start + operator.index(j))
 
     def path(self, j: int) -> PointConfiguration:
         k = self.counts[j]
@@ -509,8 +516,10 @@ def sample_batch(measure: LevyMeasure, window: SpaceTimeWindow,
     last) and sample_prm's checks run over the sorted rows.  A path that
     fails them (a tie or a boundary time, probability zero) is drawn again
     by sample_prm itself, whose re-draws consume its stream before the
-    positions, into its own row.
+    positions, into its own row.  master_seed and start are kept as plain
+    ints, the labels of the batch's paths.
     """
+    master_seed, start = operator.index(master_seed), operator.index(start)
     lam = measure.total_mass * window.volume
     per_jump = _UNIFORMS_PER_JUMP.get(measure.kind, 0)
     counts, uniforms, drawn_jumps = [], [np.empty(0)], [np.empty(0)]

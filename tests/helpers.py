@@ -1,6 +1,7 @@
 """Functions only the tests call: removing an atom from a configuration,
-the iterated renewal convolutions, the Ito integral as a path functional
-and the uniform bound on the deterministic part."""
+the iterated renewal convolutions, the Ito integral as a path functional,
+the uniform bound on the deterministic part and the compensator's grid
+operator built one block per lag."""
 
 import math
 from dataclasses import replace
@@ -8,6 +9,8 @@ from dataclasses import replace
 import numpy as np
 
 import levyfield as lf
+from levyfield.solver import (_compensator_rows, _trapezoid,
+                              pairwise_interaction_matrix)
 
 
 def remove_atom(config, index: int):
@@ -45,3 +48,34 @@ def initial_condition_bound(problem) -> float:
     if problem.ic_kind == "cosine":
         return 1.0
     return math.sqrt(2.0)
+
+
+def per_lag_compensator_operator(problem, config):
+    """solver._compensator_operator's reference: one block per distinct
+    grid time difference, every block built by pairwise_interaction_matrix
+    and multiplied by every grid time of sigma(u) at each apply."""
+    kernel = problem.kernel
+    grid_t, grid_x = problem.grid()
+    n_t, n_x = grid_t.size, grid_x.size
+    wx = _trapezoid(grid_x)
+
+    # grid target j, grid source time i < j: pairs in row order
+    jj, ii = np.tril_indices(n_t, -1)
+    lags, lag_of = np.unique(grid_t[jj] - grid_t[ii], return_inverse=True)
+    blocks = pairwise_interaction_matrix(
+        kernel, np.repeat(lags, n_x), np.tile(grid_x, lags.size),
+        np.zeros(n_x), grid_x) * wx                    # (U n_x, n_x)
+    pair_w = np.concatenate([_trapezoid(grid_t[:j]) for j in range(1, n_t)])
+    row_starts = np.searchsorted(jj, np.arange(1, n_t))
+    tail = kernel.cumulative_mass_integral(np.diff(grid_t))[:, None]
+    rows = _compensator_rows(problem, config.times, config.positions)
+
+    def apply(svals):
+        per_lag = (blocks @ svals.T).reshape(lags.size, n_x, n_t)
+        terms = pair_w[:, None] * per_lag[lag_of, :, ii]
+        grid = np.zeros((n_t, n_x))
+        grid[1:] = np.add.reduceat(terms, row_starts, axis=0) \
+            + tail * svals[:-1]
+        return rows @ svals.ravel(), grid
+
+    return apply

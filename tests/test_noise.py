@@ -287,6 +287,34 @@ def test_save_load_roundtrip(tmp_path, window, busy_noise):
     assert back.seed == (9, 4)
 
 
+
+@pytest.mark.parametrize("seed,label", [
+    (np.int64(3), 3), ((np.int64(61), np.int64(2)), (61, 2))],
+    ids=["int", "pair"])
+def test_numpy_int_seeds_save_and_load_as_plain_ints(tmp_path, window,
+                                                     busy_noise, seed, label):
+    # np.arange indices give numpy ints; the draws are the plain ints' and
+    # the label is written to the sidecar and read back as plain ints
+    cfg = lf.sample_prm(busy_noise, window, seed)
+    plain = lf.sample_prm(busy_noise, window, label)
+    assert np.array_equal(cfg.times, plain.times)
+    assert np.array_equal(cfg.jumps, plain.jumps)
+    path = tmp_path / "atoms.csv"
+    lf.save_configuration(cfg, path)
+    back = lf.load_configuration(path)
+    assert back.seed == label and back.seed == cfg.seed
+    assert type(cfg.seed) is type(label)
+
+
+def test_batch_seed_labels_are_plain_ints(tmp_path, window, busy_noise):
+    batch = lf.sample_batch(busy_noise, window, np.int64(61), np.int64(1), 3)
+    j = np.arange(3)[1]
+    assert batch.seed(j) == (61, 2)
+    assert all(type(v) is int for v in batch.seed(j))
+    path = tmp_path / "atoms.csv"
+    lf.save_configuration(batch.path(j), path)
+    assert lf.load_configuration(path).seed == (61, 2)
+
 def test_save_load_empty(tmp_path, empty_config):
     path = tmp_path / "empty.csv"
     lf.save_configuration(empty_config, path)

@@ -335,7 +335,7 @@ def _grid_compensator(kernel, sigma, grid_t, grid_x, values, t, x):
     return total + edge * kernel.cumulative_mass_integral(t - s[-1])
 
 
-@pytest.mark.parametrize("n_t,n_x", [(64, 64), (40, 64)])
+@pytest.mark.parametrize("n_t,n_x", [(64, 64), (40, 64), (64, 40)])
 @pytest.mark.parametrize("kernel", ["wave", "heat"])
 def test_compensator_operator_matches_quadrature(window, kernel, n_t, n_x):
     # on the default 64^2 grid dx = 4 dt, so the wave light-cone edge
@@ -387,6 +387,31 @@ def test_compensator_operator_matches_quadrature(window, kernel, n_t, n_x):
                 / COMPENSATED.first_moment
             assert abs(got - want) <= 1e-13 * abs(want), (tp, xp)
 
+
+
+@pytest.mark.parametrize("sigma", [AFFINE, lf.named_map("sin")],
+                         ids=["affine", "sin"])
+@pytest.mark.parametrize("n_t,n_x", [(64, 64), (40, 64), (64, 40)])
+@pytest.mark.parametrize("kernel", ["wave", "heat"])
+def test_compensator_operator_is_the_per_lag_reference(window, kernel, n_t,
+                                                       n_x, sigma):
+    # one block per run of equal lag blocks, applied as one product read at
+    # the used (source time, block) pairs: bit for bit one block per lag;
+    # n_t != n_x both ways, so a swapped axis of the product shows
+    k = lf.wave_kernel() if kernel == "wave" else lf.heat_kernel()
+    prob = lf.ProblemSpec(kernel=k, sigma=sigma, ic_kind="cosine",
+                          window=window, n_t=n_t, n_x=n_x)
+    grid_t, grid_x = prob.grid()
+    cfg = lf.add_atom(lf.sample_prm(COMPENSATED, window, 2), grid_t[5],
+                      grid_x[-1], 1.0)
+    u = deterministic_part(prob, grid_t[:, None], grid_x[None, :]) \
+        + np.random.default_rng(1).normal(size=(n_t, n_x))
+    got_at, got_gr = _compensator_operator(prob, cfg)(sigma(u))
+    want_at, want_gr = helpers.per_lag_compensator_operator(prob, cfg)(
+        sigma(u))
+    assert got_at.tobytes() == want_at.tobytes()
+    assert got_gr.shape == (n_t, n_x)
+    assert got_gr.tobytes() == want_gr.tobytes()
 
 def _window_green_mass(kind, t, x, R):
     """int_0^t int_{-R}^{R} G(t - s, x - y) dy ds at one point, |x| <= R."""
