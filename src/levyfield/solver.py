@@ -1023,10 +1023,10 @@ def _compensator_operator(problem: ProblemSpec, config: PointConfiguration):
     so equal blocks are runs of neighbouring lags in sorted order and a
     comparison with the previous lag finds them (wave keeps 38 of 169 on
     the default 64 x 64 grid; heat's G(d, 0) falls strictly with d, so it
-    keeps them all).  Returns apply(svals),
-    svals = sigma(u) on the grid (n_t, n_x), which gives (compensator at
-    the atoms, compensator on the grid): one product of svals with every
-    kept block, read at each (source time, block) pair of a grid target.
+    keeps them all).  Returns apply(svals), svals = sigma(u) on the grid
+    (n_t, n_x), which gives (compensator at the atoms, compensator on the
+    grid): one product of svals with every kept block, read at each
+    (source time, block) pair of a grid target.
     """
     kernel = problem.kernel
     grid_t, grid_x = problem.grid()
