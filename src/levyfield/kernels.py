@@ -56,11 +56,6 @@ class GreenKernel:
         first and runs the ranges on several CPUs); fill checks t's rows
         r0:r1 and writes G into out's by the same operations (a t or x of
         one row serves every range)."""
-        return self._evaluate(t, x, out, rows)
-
-    def _evaluate(self, t, x, out=None, rows=None):
-        # evaluate's body; the sample fills that solver._least_range times
-        # call it, so that a tracer of evaluate counts no measurement
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         if out is None:

@@ -1,13 +1,13 @@
-"""Fill the rows of one array on several CPUs, where that is measured to pay.
+"""Fill the rows of one array on several CPUs.
 
-The kernel blocks of one long path (solver._atom_blocks and _grid_blocks)
-are filled this way: each CPU takes a contiguous range of rows and runs the
-same elementwise numpy operations on it as a serial fill would, so every
-entry has the same bits whatever the split.  numpy releases the GIL inside
-its loops over large arrays, so large ranges run at once; over small ones
-the threads mostly take turns at the interpreter lock, and a split is
-slower than one thread.  `least_range` finds where that turns by timing
-the fill itself, and a caller splits no range below it.
+The large kernel blocks of one long path (solver._atom_blocks and
+_grid_blocks) are filled this way: each CPU takes a contiguous range of
+rows and runs the same elementwise numpy operations on it as a serial fill
+would, so every entry has the same bits whatever the split.  numpy releases
+the GIL inside its loops over large arrays, so large ranges run at once;
+over small ones the threads mostly take turns at the interpreter lock, and
+a split is slower than one thread, so the caller sizes its ranges
+(solver.RANGE_ENTRIES).
 
 The thread pool is made on first use, so importing levyfield starts no
 thread, and with one CPU no thread is ever started.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from concurrent.futures import wait
 
 
@@ -29,9 +28,6 @@ def _cpus() -> int:
 
 # the most row ranges of one fill: one per CPU the process may run on
 PARTS = _cpus()
-
-# timed runs of each side of a split-or-serial comparison; the least counts
-TRIALS = 5
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -90,27 +86,3 @@ def map_rows(fill, n_rows: int, parts: int) -> list:
         wait(futures)   # no range that started is still being written
         raise
 
-
-def _seconds(run, parts: int) -> float:
-    t0 = time.perf_counter()
-    run(parts)
-    return time.perf_counter() - t0
-
-
-def least_range(samples):
-    """The fewest entries per range at which splitting pays, or None.
-    samples yields (run, entries), fills of growing size: run(parts) fills
-    `entries` entries over that many row ranges (map_rows).  Each is run
-    on the calling thread alone and split over two ranges, in turn, TRIALS
-    times, and the first whose least split time is below its least serial
-    time gives its entries / 2.  None if no sample's split is faster (no
-    larger sample was then tried: the caller asks again when it has larger
-    fills)."""
-    for run, entries in samples:
-        serial = split = float("inf")
-        for _ in range(TRIALS):
-            serial = min(serial, _seconds(run, 1))
-            split = min(split, _seconds(run, 2))
-        if split < serial:
-            return entries // 2
-    return None

@@ -234,25 +234,21 @@ class _BlockWork:
     """The dt, causal, dx and out buffers of one pass over the kernel
     blocks of one path, allocated once per pass: flat, each as long as the
     pass's largest block needs.  Consecutive blocks reuse the same memory,
-    so a block is valid only until the next one is built.  least is the
-    fewest entries per row range at which a split fill pays
-    (_least_range), or None: every block is filled on the calling
-    thread."""
+    so a block is valid only until the next one is built."""
 
-    def __init__(self, t_size: int, size: int, least=None):
+    def __init__(self, t_size: int, size: int):
         self.dt = np.empty(t_size)
         self.causal = np.empty(t_size, dtype=bool)
         self.dx = np.empty(size)
         self.out = np.empty(size)
-        self.least = least
 
-    def fill(self, evaluate, tt, tx, st, sx, parts=None):
+    def fill(self, evaluate, tt, tx, st, sx):
         """The (n, k) block of targets (tt, tx), columns, over sources
         (st, sx), rows, by pairwise_interaction_matrix's rule: views of
         the first entries of the buffers, dt and causal in the times'
-        shape.  evaluate (the kernel's) is entered once, here; its rows go
-        in `parts` ranges, by default as many as parallel.PARTS allows
-        with no range below least entries, and each range writes its dx,
+        shape.  evaluate (the kernel's) is entered once, here.  Its rows go
+        in min(parallel.PARTS, n k // RANGE_ENTRIES) ranges, on the calling
+        thread alone when that is below 2, and each range writes its dx,
         dt and causal rows, then G, then the mask, so one thread writes
         all of a row.  A grid time's dt, (1, k), is written once first."""
         n, k = tx.shape[0], sx.shape[-1]
@@ -264,8 +260,7 @@ class _BlockWork:
         by_row = m == n
         # one grid time: its dt row, written here, serves every range
         every = by_row or _causal_times(tt, st, dt, causal)
-        if parts is None:
-            parts = 1 if self.least is None else n * k // self.least
+        parts = min(parallel.PARTS, n * k // RANGE_ENTRIES)
 
         def block_rows(fill, r0, r1):
             np.subtract(tx[r0:r1], sx, out=dx[r0:r1])
@@ -286,52 +281,6 @@ class _BlockWork:
             parallel.map_rows(functools.partial(block_rows, fill), n, parts)
 
         return evaluate(dt, dx, out=out, rows=rows)
-
-
-# (kernel kind, grid form) -> (widest sample block tried, fewest entries
-# per range at which a split first paid, or None): _least_range's record
-_SPLIT = {}
-
-
-def _samples(kernel: GreenKernel, grid: bool, widths):
-    # ATOM_BLOCK_ROWS x w blocks of made-up atoms (t in [0, 1), x in
-    # [-1, 1)) in the given form, each as run(parts) and its entry count;
-    # a generator of its own, so no caller's random stream moves
-    rng = np.random.default_rng(0)
-    rows = ATOM_BLOCK_ROWS
-    for w in widths:
-        st = np.sort(rng.uniform(0.0, 1.0, w))
-        sx = rng.uniform(-1.0, 1.0, w)
-        if grid:
-            tt, tx = _column(1.0), _column(np.linspace(-1.0, 1.0, rows))
-        else:
-            tt, tx = _column(st[-rows:]), _column(sx[-rows:])
-        work = _BlockWork(w if grid else rows * w, rows * w)
-        yield (functools.partial(work.fill, kernel._evaluate, tt, tx,
-                                 _row(st), _row(sx)), rows * w)
-
-
-def _least_range(kernel: GreenKernel, grid: bool, width: int):
-    """The fewest entries per row range at which splitting a block fill
-    pays, or None (never split): measured by parallel.least_range on
-    ATOM_BLOCK_ROWS-row sample blocks of the pass's form (grid: one time
-    per block; atoms: a time per entry and the causal mask), of widths
-    doubling from ATOM_BLOCK_ROWS up to width, the pass's widest block.
-    Once per process, kernel kind and form, on first need: a later pass
-    with wider blocks measures only the widths not yet tried.  Nothing is
-    measured on one CPU.  kernel.evaluate is not entered."""
-    if parallel.PARTS < 2 or width < 1:
-        return None
-    key = (kernel.kind, grid)
-    tried, least = _SPLIT.get(key, (0, None))
-    if least is None and tried < width:
-        widths, w = [], max(ATOM_BLOCK_ROWS, 2 * tried)
-        while not widths or widths[-1] < width:
-            widths.append(min(w, width))
-            w *= 2
-        least = parallel.least_range(_samples(kernel, grid, widths))
-        _SPLIT[key] = (widths[-1], least)
-    return least
 
 
 @dataclass
@@ -408,15 +357,14 @@ def evaluate_batch(batch: PointBatch, problem: ProblemSpec, atom_values,
         + np.ascontiguousarray(terms.T).sum(axis=0)
 
 
-def _grid_blocks(problem: ProblemSpec, times, positions, fresh=False):
+def _grid_blocks(problem: ProblemSpec, times, positions):
     """The kernel block of each grid time t_j.  times and positions are one
     path's time-sorted atoms (k,) or a PointBatch's rows (P, K).  The atoms
     before t_j are a prefix of each path, k_j atoms long in the longest, and
     the block is their (..., n_x, k_j) kernel block G(t_j - t_i, x_l - x_i),
     zero after each path's prefix; it is (..., n_x, 0) where no atom comes
     before t_j.  A block built in a buffer of the pass is valid only until
-    the next one is yielded, unless fresh, which gives every block its own
-    buffers (for a caller that holds them all).
+    the next one is yielded; a caller that holds them all copies each.
 
     A padded batch evaluates G only on each row's causal prefix, one call
     per grid time on those (pairs, n_x) points, and writes it into a
@@ -427,39 +375,30 @@ def _grid_blocks(problem: ProblemSpec, times, positions, fresh=False):
 
     One path builds its blocks by pairwise_interaction_matrix.  One of
     more than ATOM_BLOCK_ROWS atoms builds them in one _BlockWork, dt and
-    the scale of G kept (1, k_j) as for any grid time.  A block's n_x rows
-    are split across the CPUs where a split of its size was measured to
-    pay (_least_range), else filled on the calling thread.  A shorter path
-    builds each block as new arrays on the calling thread."""
+    the scale of G kept (1, k_j) as for any grid time, and a block's n_x
+    rows are split across the CPUs by its size alone (_BlockWork.fill).  A
+    shorter path builds each block as new arrays on the calling thread."""
     grid_t, grid_x = problem.grid()
     before = np.sum(times[..., None, :] < grid_t[:, None], axis=-1)
+    widest = int(before.max(initial=0))
     if times.ndim == 2:
-        widest = 0 if fresh else int(before.max(initial=0))
         shared = np.empty(times.shape[0] * widest * grid_x.size)
         for tj, counts in zip(grid_t, before.T):
             causal = np.arange(counts.max(initial=0)) < counts[:, None]
             kj = causal.shape[1]
             shape = causal.shape + grid_x.shape
-            block = np.empty(shape) if fresh else \
-                shared[:math.prod(shape)].reshape(shape)
+            block = shared[:math.prod(shape)].reshape(shape)
             block[~causal] = 0.0
             block[causal] = problem.kernel.evaluate(
                 tj - times[:, :kj][causal][:, None],
                 grid_x - positions[:, :kj][causal][:, None])
             yield block.swapaxes(-1, -2)
         return
-    widest = int(before.max(initial=0))
-    blocked = times.size > ATOM_BLOCK_ROWS
-    least = _least_range(problem.kernel, True, widest) if blocked else None
-
-    def workspace(k):
-        return _BlockWork(k, grid_x.size * k, least) if blocked else None
-
-    shared = None if fresh else workspace(widest)
+    work = _BlockWork(widest, grid_x.size * widest) \
+        if times.size > ATOM_BLOCK_ROWS else None
     for tj, kj in zip(grid_t, before):
         yield pairwise_interaction_matrix(
-            problem.kernel, tj, grid_x, times[:kj], positions[:kj],
-            workspace(kj) if fresh else shared)
+            problem.kernel, tj, grid_x, times[:kj], positions[:kj], work)
 
 
 # target atoms per causal row block of _atom_blocks.  On one path of 1000
@@ -469,6 +408,14 @@ def _grid_blocks(problem: ProblemSpec, times, positions, fresh=False):
 # the forward solve and the grid always, Picard on paths longer than one
 # block.  Heat stays on blocks: its G is never exactly 0.
 ATOM_BLOCK_ROWS = 64
+
+# the fewest entries per row range of a split block fill (_BlockWork.fill):
+# over smaller ranges the threads mostly take turns at the interpreter
+# lock.  Picard-8 plus a forward solve on a heat path, best of 5 on 2
+# vCPUs: 4195 atoms 271-310 ms at this size against 324-369 ms serial;
+# 200 atoms (no block split) 10-14 ms against 34-42 ms with every block
+# split.  16 384 and 65 536 did no better on paths of 200 to 4195 atoms.
+RANGE_ENTRIES = 32_768
 
 
 def _atom_blocks(kernel: GreenKernel, times, positions):
@@ -482,15 +429,13 @@ def _atom_blocks(kernel: GreenKernel, times, positions):
     One path of more than ATOM_BLOCK_ROWS atoms builds its blocks in one
     _BlockWork of ATOM_BLOCK_ROWS x n entries per buffer, allocated once
     for the pass: a yielded G is valid only until the next one.  A block's
-    target rows are split across the CPUs where a split of its size was
-    measured to pay (_least_range), else filled on the calling thread.  A
-    padded batch or a path of one block builds G as new arrays on the
-    calling thread."""
+    target rows are split across the CPUs by its size alone
+    (_BlockWork.fill).  A padded batch or a path of one block builds G as
+    new arrays on the calling thread."""
     n = times.shape[-1]
     work = None
     if times.ndim == 1 and n > ATOM_BLOCK_ROWS:
-        work = _BlockWork(ATOM_BLOCK_ROWS * n, ATOM_BLOCK_ROWS * n,
-                          _least_range(kernel, False, n))
+        work = _BlockWork(ATOM_BLOCK_ROWS * n, ATOM_BLOCK_ROWS * n)
     for r0 in range(0, n, ATOM_BLOCK_ROWS):
         r1 = min(r0 + ATOM_BLOCK_ROWS, n)
         yield r0, r1, pairwise_interaction_matrix(
@@ -616,11 +561,11 @@ def grid_projection(problem: ProblemSpec, times, positions, coefs,
     row's causal prefix, and zeros elsewhere, and is the transpose view of
     a contiguous array, so the product's right operand is contiguous.  A
     grid time with no atom before it has an empty block, and its values
-    are w.  blocks is list(_grid_blocks(..., fresh=True)) from a caller
-    that projects the same atoms again; without it the blocks are built
-    one at a time (on a batch and on one long path, in one reused buffer)
-    and dropped, so a caller that reduces each grid time's values as they
-    come never holds the whole grid.
+    are w.  blocks is a list of copies of _grid_blocks' blocks from a
+    caller that projects the same atoms again; without it the blocks are
+    built one at a time (on a batch and on one long path, in one reused
+    buffer) and dropped, so a caller that reduces each grid time's values
+    as they come never holds the whole grid.
     """
     grid_t, grid_x = problem.grid()
     coefs = np.asarray(coefs, dtype=float)
@@ -707,9 +652,9 @@ def solve_forward(config: PointConfiguration, problem: ProblemSpec,
     (_heat_forward), so memory is ATOM_BLOCK_ROWS x n_atoms, never
     n_atoms^2.  On a heat path of more than ATOM_BLOCK_ROWS atoms the
     atom blocks and then the grid blocks are each built in one workspace
-    per pass, the rows of a block large enough for a split to pay
-    (_least_range) divided across the CPUs, with the serial bits; each
-    block is used before the next is built.
+    per pass, the rows of a block of at least 2 RANGE_ENTRIES entries
+    divided across the CPUs, with the serial bits; each block is used
+    before the next is built.
     """
     if config.measure.first_moment != 0.0:
         raise SolverError("solve_forward requires m1 = 0; use picard_solve")
@@ -842,6 +787,8 @@ def picard_iterates_at_atoms(problem: ProblemSpec, times, positions, jumps,
     built in one workspace for the sweep (_atom_blocks), each used before
     the next overwrites it.  A padded batch of up to ATOM_BLOCK_ROWS atoms
     per path is one block, the whole (P, K, K) matrix, built serially."""
+    if n_iter < 0:
+        raise SolverError("n_iter must be >= 0")
     sigma = problem.sigma
     w = np.array(deterministic_part(problem, times, positions), dtype=float,
                  ndmin=1)
@@ -886,8 +833,8 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
     (on the default 64 x 64 grid wave 38: 1.2 MB, heat 169: 5.5 MB), plus
     n_atoms * n_t * n_x * 8 bytes of atom rows.
     The grid projection's kernel blocks are built once per call too, about
-    n_atoms * n_t * n_x * 4 bytes, each in buffers of its own
-    (_grid_blocks(..., fresh=True)), since all of them are held at once.
+    n_atoms * n_t * n_x * 4 bytes, each copied out of _grid_blocks'
+    workspace, since all of them are held at once.
     """
     if n_iter < 0:
         raise SolverError("n_iter must be >= 0")
@@ -918,7 +865,7 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
                                          grid_x[None, :]), dtype=float)
     M = pairwise_interaction_matrix(kernel, t, x, t, x)
     compensator = _compensator_operator(problem, config)
-    blocks = list(_grid_blocks(problem, t, x, fresh=True))
+    blocks = [b.copy() for b in _grid_blocks(problem, t, x)]
     u_at = w_at.copy()
     diffs = []
     m1 = measure.first_moment
@@ -942,6 +889,8 @@ def cross_solver_gaps(batch: PointBatch, problem: ProblemSpec, n_iter: int):
     largest |Picard(n_iter) - forward solve| at the atoms and on the grid
     (solve_batch, and Picard projecting sigma of its last but one
     iterate, as picard_solve does); m1 = 0, n_iter >= 1."""
+    if n_iter < 1:
+        raise SolverError("n_iter must be >= 1")
     t, x, z = batch.times, batch.positions, batch.jumps
     exact = solve_batch(batch, problem)
     approx = picard_iterates_at_atoms(

@@ -7,6 +7,7 @@ into one reused workspace, against the serial matrix."""
 import math
 import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 
@@ -258,7 +259,7 @@ def _grid_reference(problem, t, x):
 def _split_every_block(monkeypatch, parts):
     # as if a split over `parts` ranges paid at any size
     monkeypatch.setattr(parallel, "PARTS", parts)
-    monkeypatch.setattr(solver, "_least_range", lambda *args: 1)
+    monkeypatch.setattr(solver, "RANGE_ENTRIES", 1)
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3, 9])
@@ -279,23 +280,28 @@ def test_parallel_blocks_equal_serial_blocks(monkeypatch, n, parts):
 
 
 def _check_blocks(n):
+    # the atom then the grid blocks of the first n atoms, each against the
+    # serial matrix; returns their shapes in the order they were built
     problem = _problem("heat")
     cfg = _path(n)
     t, x = cfg.times, cfg.positions
     M = solver.pairwise_interaction_matrix(problem.kernel, t, x, t, x)
-    rows = 0
+    rows, shapes = 0, []
     for r0, r1, G in solver._atom_blocks(problem.kernel, t, x):
         want = solver.pairwise_interaction_matrix(
             problem.kernel, t[r0:r1], x[r0:r1], t[:r1], x[:r1])
         assert G.shape == want.shape and G.tobytes() == want.tobytes(), r0
         assert np.array_equal(G, M[r0:r1, :r1])
         rows = r1
+        shapes.append(G.shape)
     assert rows == n
     blocks = solver._grid_blocks(problem, t, x)
     for j, (G, want) in enumerate(zip(blocks, _grid_reference(problem, t,
                                                                x))):
         assert G.shape == want.shape and G.tobytes() == want.tobytes(), j
+        shapes.append(G.shape)
     assert j == problem.n_t - 1
+    return shapes
 
 
 def _solve_all(problem, cfg):
@@ -342,71 +348,72 @@ def test_ensemble_sized_inputs_start_no_thread(monkeypatch, heat_problem):
     solver.cross_solver_gaps(batch, heat_problem, 4)
 
 
-def test_blocks_below_the_measured_size_are_filled_serially(monkeypatch):
-    # a split where none was measured to pay, or of a block under twice
-    # the measured range, asks for no thread; the 200-atom path gets the
-    # serial blocks' bits either way
-    monkeypatch.setattr(parallel, "PARTS", 2)
-    monkeypatch.setattr(parallel, "least_range", lambda samples: None)
-    monkeypatch.setattr(solver, "_SPLIT", {})
-    monkeypatch.setattr(parallel, "_executor", _refuse)
-    _check_blocks(200)
-    largest = B * 200
-    monkeypatch.setattr(solver, "_least_range",
-                        lambda *args: largest // 2 + 1)
-    _check_blocks(200)
+# the largest blocks of a 200-atom path: the grid block of t = T, 64 x 200
+LARGEST = B * 200
 
 
-def test_split_is_measured_once_per_width(monkeypatch):
-    # _least_range measures the widths up to the pass's widest block that
-    # no earlier pass tried, once per kernel kind and form, and stops once
-    # a split has paid; it enters no traced layer
-    monkeypatch.setattr(parallel, "PARTS", 2)
-    monkeypatch.setattr(solver, "_SPLIT", {})
-    monkeypatch.setattr(lf.GreenKernel, "evaluate", _refuse)
-    widths, verdict = [], [None]
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("least", [LARGEST + 1, LARGEST // 2 + 1,
+                                   LARGEST // 2, 3000, 1000])
+def test_a_block_is_split_by_its_size_alone(monkeypatch, parts, least):
+    # a block of n x k entries is filled over min(PARTS, n k // least)
+    # ranges, and on the calling thread alone, asking for no thread, when
+    # that is below 2; every block has the serial bits either way
+    monkeypatch.setattr(parallel, "PARTS", parts)
+    monkeypatch.setattr(solver, "RANGE_ENTRIES", least)
+    if 2 * least > LARGEST:
+        monkeypatch.setattr(parallel, "_executor", _refuse)
+    splits = []
+    map_rows = parallel.map_rows
 
-    def least_range(samples):
-        for run, entries in samples:
-            widths.append(entries // B)
-            run(1)
-            run(2)
-        return verdict[0]
+    def recording(fill, n_rows, n_parts):
+        splits.append((n_rows, n_parts))
+        return map_rows(fill, n_rows, n_parts)
 
-    monkeypatch.setattr(parallel, "least_range", least_range)
-    heat = lf.heat_kernel()
-    assert solver._least_range(heat, False, 200) is None
-    assert widths == [64, 128, 200]
-    assert solver._least_range(heat, False, 150) is None
-    verdict[0] = 777
-    assert solver._least_range(heat, False, 1000) == 777
-    assert widths == [64, 128, 200, 400, 800, 1000]
-    assert solver._least_range(heat, False, 5000) == 777
-    assert solver._least_range(heat, True, 100) == 777
-    assert widths[6:] == [64, 100]
-    monkeypatch.setattr(parallel, "PARTS", 1)
-    monkeypatch.setattr(solver, "_SPLIT", {})
-    assert solver._least_range(heat, False, 1000) is None
-    assert len(widths) == 8
+    monkeypatch.setattr(parallel, "map_rows", recording)
+    shapes = _check_blocks(200)
+    assert max(n * k for n, k in shapes) == LARGEST
+    assert splits == [(n, min(parts, n * k // least)) for n, k in shapes
+                      if n * k >= 2 * least]
 
 
-def test_least_range_takes_the_first_size_whose_split_is_faster(
-        monkeypatch):
-    # a split that costs half the serial time plus 100 first pays above
-    # 200 entries; no larger sample is run once one has paid
-    runs = []
-    monkeypatch.setattr(
-        parallel, "_seconds",
-        lambda run, parts: run(parts) if parts == 1 else run(parts) / 2 + 100)
+def test_a_solve_fills_only_its_own_blocks():
+    # nothing but the solve's own blocks is filled, even on the first long
+    # heat path of a process that may split: no sample fill is timed
+    code = textwrap.dedent("""
+        import math
+        import levyfield as lf
+        from levyfield import parallel, solver
+        parallel.PARTS = 2
+        entries = []
+        fill = lf.GreenKernel._fill
 
-    def samples(sizes):
-        for e in sizes:
-            yield (lambda parts, e=e: runs.append(e) or float(e)), e
+        def counting(self, t, x, out):
+            entries.append(out.size)
+            return fill(self, t, x, out)
 
-    assert parallel.least_range(samples([64, 128, 256, 512])) == 128
-    assert set(runs) == {64, 128, 256}
-    assert len(runs) == 3 * 2 * parallel.TRIALS
-    assert parallel.least_range(samples([64, 128, 200])) is None
+        lf.GreenKernel._fill = counting
+        window = lf.SpaceTimeWindow(1.0, 2.0)
+        mass = 1600 / window.volume
+        measure = lf.two_point_measure(math.sqrt(5.0 / mass), mass)
+        cfg = lf.sample_prm(measure, window, (17, 0))
+        t, x = cfg.times[:200], cfg.positions[:200]
+        cfg = lf.PointConfiguration(t, x, cfg.jumps[:200], window, measure)
+        problem = lf.ProblemSpec(kernel=lf.heat_kernel(),
+                                 sigma=lf.affine_map(0.5, 1.0),
+                                 ic_kind="cosine", window=window)
+        lf.picard_solve(cfg, problem, 8)
+        solved = sum(entries)
+        own = sum(G.size for *_, G in solver._atom_blocks(problem.kernel,
+                                                          t, x))
+        own += sum(G.size for G in solver._grid_blocks(problem, t, x))
+        print(solved, own)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env=child_env(), capture_output=True, text=True,
+                         timeout=120)
+    solved, own = map(int, out.stdout.split())
+    assert solved == own > 0
 
 
 def test_kernel_layers_are_entered_on_the_calling_thread(monkeypatch):
@@ -450,9 +457,7 @@ def test_compensated_picard_holds_blocks_of_their_own(monkeypatch):
     assert cfg.n_atoms > B and measure.first_moment != 0.0
     got, got_diag = lf.picard_solve(cfg, problem, 3)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_grid_blocks",
-                   lambda problem, t, x, fresh=False:
-                   _grid_reference(problem, t, x))
+        mp.setattr(solver, "_grid_blocks", _grid_reference)
         want, want_diag = lf.picard_solve(cfg, problem, 3)
     assert got.atom_values.tobytes() == want.atom_values.tobytes()
     assert got.grid_values.tobytes() == want.grid_values.tobytes()

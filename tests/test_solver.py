@@ -9,7 +9,8 @@ from scipy import integrate
 import levyfield as lf
 from levyfield import SolverError
 from levyfield.solver import (_compensator_operator, convolve_square_mass,
-                              deterministic_part)
+                              cross_solver_gaps, deterministic_part,
+                              picard_iterates_at_atoms)
 
 import helpers
 from conftest import assert_close, make_empty_config
@@ -269,6 +270,22 @@ def test_picard_zero_iterations_is_deterministic(window, busy_noise,
         path.atom_values,
         deterministic_part(wave_problem, cfg.times, cfg.positions))
     assert diag.sup_differences.size == 0
+
+
+@pytest.mark.parametrize("call", ["cross_solver_gaps",
+                                  "picard_iterates_at_atoms"])
+def test_bad_iteration_count_is_a_solver_error(window, busy_noise,
+                                               heat_problem, call):
+    # as picard_solve's: not an IndexError or numpy's ValueError
+    batch = lf.sample_batch(busy_noise, window, 4, 0, 3)
+    t, x, z = batch.times, batch.positions, batch.jumps
+    runs = {
+        "cross_solver_gaps": lambda: cross_solver_gaps(batch, heat_problem, 0),
+        "picard_iterates_at_atoms": lambda: picard_iterates_at_atoms(
+            heat_problem, t, x, z, -1, 10.0),
+    }
+    with pytest.raises(SolverError, match="n_iter must be"):
+        runs[call]()
 
 
 def test_picard_constant_sigma_converges_in_one_step(window, busy_noise):
