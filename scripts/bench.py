@@ -27,7 +27,10 @@ verdicts: `gain_rule`, the change better in at least 9 of 10 pairs (a tie
 counts for neither side) and its median better than the parent's by more
 than the parent's q3 - q1; and `within_bound`, the change's median worse
 than the parent's by at most the metric's BENCHMARK.json bound, a
-fraction of the parent's median.
+fraction of the parent's median.  Per workload it records each side's
+`failed` and `attempted` operation counts per pair and prints
+`failed_share_ok`: the change's summed failed over summed attempted
+operations is no higher than the parent's.
 """
 
 from __future__ import annotations
@@ -148,13 +151,26 @@ def summarize(runs: list, spec: dict) -> dict:
                   f"{chg_med:.4g}, parent q3 - q1 {spread})")
             print(f"{workload} {name}: within_bound {within} (bound "
                   f"{m['bound']} of the parent median)")
-        out[workload] = {
-            "metrics": metrics,
-            "failed": {side: [p[side]["failed"] for p in pairs]
-                       for side in ("parent", "change")},
-            "correct": {side: [p[side]["correct"] for p in pairs]
-                        for side in ("parent", "change")}}
+        counts = {key: {side: [p[side][key] for p in pairs]
+                        for side in ("parent", "change")}
+                  for key in ("failed", "attempted", "correct")}
+        share = {side: failed_share(counts["failed"][side],
+                                    counts["attempted"][side])
+                 for side in ("parent", "change")}
+        share_ok = share["change"] <= share["parent"]
+        print(f"{workload}: failed_share_ok {share_ok} (failed of attempted "
+              + ", ".join(f"{side} {sum(counts['failed'][side]):g} of "
+                          f"{sum(counts['attempted'][side]):g}"
+                          for side in ("parent", "change")) + ")")
+        out[workload] = {"metrics": metrics, **counts,
+                         "failed_share": share, "failed_share_ok": share_ok}
     return out
+
+
+def failed_share(failed: list, attempted: list) -> float:
+    """Summed failed over summed attempted operations, 0 with none."""
+    total = sum(attempted)
+    return sum(failed) / total if total else 0.0
 
 
 def main() -> int:

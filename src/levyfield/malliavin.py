@@ -386,6 +386,9 @@ def derivative_bound_estimate(problem: ProblemSpec, measure: LevyMeasure,
     window = problem.window
     if eval_points is None:
         eval_points = [(window.T, 0.0)]
+    if n_points < 1 or not len(eval_points):
+        raise MalliavinError("derivative bound needs at least one derivative "
+                             "point and one evaluation point")
     per_real = np.zeros((n_realizations, n_iter, len(eval_points)))
     k_sums = None
     for batch in sample_batches(measure, window, master_seed,

@@ -567,7 +567,11 @@ def sample_batch(measure: LevyMeasure, window: SpaceTimeWindow,
 def sample_batches(measure: LevyMeasure, window: SpaceTimeWindow,
                    master_seed: int, n: int):
     """sample_batch over the realizations 0 .. n - 1, BATCH_PATHS at a
-    time."""
+    time.  n < 1 is refused: an ensemble of no realization compares
+    nothing (sample_batch itself takes n = 0)."""
+    if n < 1:
+        raise NoiseError("an ensemble needs at least one realization, "
+                         f"got {n}")
     for start in range(0, n, BATCH_PATHS):
         yield sample_batch(measure, window, master_seed, start,
                            min(BATCH_PATHS, n - start))

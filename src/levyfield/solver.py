@@ -11,6 +11,15 @@ the value at atom k depends only on atoms j < k.  Picard iteration from
 u_0 = w is the constructive counterpart; at the atoms its dependency
 structure is strictly lower triangular, so it reaches the forward solution
 exactly once the iteration count passes the longest interaction chain.
+
+Atoms come as rows: one path's time-sorted atoms (n,) or a PointBatch's
+padded rows (P, K), and outputs keep the rows' leading shape.  The row
+count alone picks the machinery (_one_row).  One row, (n,) or (1, n),
+takes the per-path code at any length: the Fenwick sweep or _heat_forward,
+blocks built in one reused, CPU-split _BlockWork above ATOM_BLOCK_ROWS
+atoms, and _null_plan for wave.  Several rows, including an all-empty
+(P, 0) batch, take the batch code: the rank loop of _forward, (P, K, K)
+blocks and the causal-prefix gather of _grid_blocks.
 """
 
 from __future__ import annotations
@@ -177,6 +186,17 @@ def _column(v):
 
 def _row(v):
     return np.atleast_1d(np.asarray(v, dtype=float))[..., None, :]
+
+
+def _one_row(times) -> bool:
+    """True for one row of atoms, (n,) or (1, n): the per-path code."""
+    return math.prod(np.shape(times)[:-1]) == 1
+
+
+def _expected(atoms) -> float:
+    """The expected atom count of a path's or a batch's measure in its
+    window, which sizes the null-coordinate buckets (_null_buckets)."""
+    return atoms.measure.total_mass * atoms.window.volume
 
 
 def batched_matvec(M, v):
@@ -358,55 +378,47 @@ def evaluate_batch(batch: PointBatch, problem: ProblemSpec, atom_values,
 
 
 def _grid_blocks(problem: ProblemSpec, times, positions):
-    """The kernel block of each grid time t_j.  times and positions are one
-    path's time-sorted atoms (k,) or a PointBatch's rows (P, K).  The atoms
-    before t_j are a prefix of each path, k_j atoms long in the longest, and
-    the block is their (..., n_x, k_j) kernel block G(t_j - t_i, x_l - x_i),
-    zero after each path's prefix; it is (..., n_x, 0) where no atom comes
-    before t_j.  A block built in a buffer of the pass is valid only until
-    the next one is yielded; a caller that holds them all copies each.
+    """The kernel block of each grid time t_j over rows of atoms: the atoms
+    before t_j, a prefix of each row k_j atoms long in the longest, give the
+    (..., n_x, k_j) block G(t_j - t_i, x_l - x_i), zero after each row's
+    prefix.  A block built in a buffer of the pass is valid only until the
+    next one is yielded; a caller that holds them all copies each.
 
-    A padded batch evaluates G only on each row's causal prefix, one call
-    per grid time on those (pairs, n_x) points, and writes it into a
-    (P, k_j, n_x) array whose other entries are zeroed, the first entries
-    of one buffer per pass: the block is that array's swapaxes view, so the
-    operand of grid_projection's matrix product is contiguous.  Its entries
-    are pairwise_interaction_matrix's bit for bit.
-
-    One path builds its blocks by pairwise_interaction_matrix.  One of
-    more than ATOM_BLOCK_ROWS atoms builds them in one _BlockWork, dt and
-    the scale of G kept (1, k_j) as for any grid time, and a block's n_x
-    rows are split across the CPUs by its size alone (_BlockWork.fill).  A
-    shorter path builds each block as new arrays on the calling thread."""
+    One row builds its blocks by pairwise_interaction_matrix, in one
+    _BlockWork above ATOM_BLOCK_ROWS atoms.  Several rows evaluate G only on
+    each row's causal prefix, one call per grid time on those (pairs, n_x)
+    points, written into a zeroed (P, k_j, n_x) array at the start of one
+    buffer per pass; the block is its swapaxes view, so grid_projection's
+    operand is contiguous, and pairwise_interaction_matrix's bit for bit."""
     grid_t, grid_x = problem.grid()
     before = np.sum(times[..., None, :] < grid_t[:, None], axis=-1)
     widest = int(before.max(initial=0))
-    if times.ndim == 2:
-        shared = np.empty(times.shape[0] * widest * grid_x.size)
-        for tj, counts in zip(grid_t, before.T):
-            causal = np.arange(counts.max(initial=0)) < counts[:, None]
-            kj = causal.shape[1]
-            shape = causal.shape + grid_x.shape
-            block = shared[:math.prod(shape)].reshape(shape)
-            block[~causal] = 0.0
-            block[causal] = problem.kernel.evaluate(
-                tj - times[:, :kj][causal][:, None],
-                grid_x - positions[:, :kj][causal][:, None])
-            yield block.swapaxes(-1, -2)
+    if _one_row(times):
+        t, x = times.reshape(-1), positions.reshape(-1)
+        work = _BlockWork(widest, grid_x.size * widest) \
+            if t.size > ATOM_BLOCK_ROWS else None
+        for tj, kj in zip(grid_t, before.reshape(-1)):
+            yield pairwise_interaction_matrix(
+                problem.kernel, tj, grid_x, t[:kj], x[:kj], work).reshape(
+                    times.shape[:-1] + (grid_x.size, kj))
         return
-    work = _BlockWork(widest, grid_x.size * widest) \
-        if times.size > ATOM_BLOCK_ROWS else None
-    for tj, kj in zip(grid_t, before):
-        yield pairwise_interaction_matrix(
-            problem.kernel, tj, grid_x, times[:kj], positions[:kj], work)
+    shared = np.empty(times.shape[0] * widest * grid_x.size)
+    for tj, counts in zip(grid_t, before.T):
+        causal = np.arange(counts.max(initial=0)) < counts[:, None]
+        kj = causal.shape[1]
+        shape = causal.shape + grid_x.shape
+        block = shared[:math.prod(shape)].reshape(shape)
+        block[~causal] = 0.0
+        block[causal] = problem.kernel.evaluate(
+            tj - times[:, :kj][causal][:, None],
+            grid_x - positions[:, :kj][causal][:, None])
+        yield block.swapaxes(-1, -2)
 
 
 # target atoms per causal row block of _atom_blocks.  On one path of 1000
 # and of 4000 atoms, 32 to 64 rows ran Picard-8 and the forward solve
 # fastest; at 64 a padded batch of the default noise (K about 20 to 40)
-# is one block.  Wave paths sum in null coordinates instead (_null_plan):
-# the forward solve and the grid always, Picard on paths longer than one
-# block.  Heat stays on blocks: its G is never exactly 0.
+# is one block.
 ATOM_BLOCK_ROWS = 64
 
 # the fewest entries per row range of a split block fill (_BlockWork.fill):
@@ -419,35 +431,35 @@ RANGE_ENTRIES = 32_768
 
 
 def _atom_blocks(kernel: GreenKernel, times, positions):
-    """(r0, r1, G) over causal row blocks of time-sorted atoms, one path's
-    (n,) or a PointBatch's rows (P, K): G is the (..., r1 - r0, r1) block
-    G(t_i - t_j, x_i - x_j) of targets r0 <= i < r1 over the sources
-    j < r1, zero where t_j >= t_i.  Atom i only sees atoms before it, so
-    these blocks hold every nonzero entry of the atoms' interaction
-    matrix, ATOM_BLOCK_ROWS target rows at a time.
+    """(r0, r1, G) over causal row blocks of rows of time-sorted atoms: G is
+    the (..., r1 - r0, r1) block G(t_i - t_j, x_i - x_j) of targets
+    r0 <= i < r1 over the sources j < r1, zero where t_j >= t_i.  Atom i
+    only sees atoms before it, so these blocks hold every nonzero entry of
+    the atoms' interaction matrix, ATOM_BLOCK_ROWS target rows at a time.
 
-    One path of more than ATOM_BLOCK_ROWS atoms builds its blocks in one
-    _BlockWork of ATOM_BLOCK_ROWS x n entries per buffer, allocated once
-    for the pass: a yielded G is valid only until the next one.  A block's
-    target rows are split across the CPUs by its size alone
-    (_BlockWork.fill).  A padded batch or a path of one block builds G as
-    new arrays on the calling thread."""
-    n = times.shape[-1]
+    One row of more than ATOM_BLOCK_ROWS atoms builds its blocks in one
+    _BlockWork of ATOM_BLOCK_ROWS x n entries per buffer, its target rows
+    split across the CPUs (_BlockWork.fill): a yielded G is valid only
+    until the next one.  Other rows build G as new arrays."""
+    lead, n = times.shape[:-1], times.shape[-1]
     work = None
-    if times.ndim == 1 and n > ATOM_BLOCK_ROWS:
-        work = _BlockWork(ATOM_BLOCK_ROWS * n, ATOM_BLOCK_ROWS * n)
+    if _one_row(times):
+        times, positions = times.reshape(-1), positions.reshape(-1)
+        if n > ATOM_BLOCK_ROWS:
+            work = _BlockWork(ATOM_BLOCK_ROWS * n, ATOM_BLOCK_ROWS * n)
     for r0 in range(0, n, ATOM_BLOCK_ROWS):
         r1 = min(r0 + ATOM_BLOCK_ROWS, n)
-        yield r0, r1, pairwise_interaction_matrix(
+        G = pairwise_interaction_matrix(
             kernel, times[..., r0:r1], positions[..., r0:r1],
             times[..., :r1], positions[..., :r1], work)
+        yield r0, r1, G.reshape(lead + G.shape[-2:])
 
 
 def causal_sums(kernel: GreenKernel, times, positions, coefs):
     """s[..., i] = sum_{t_j < t_i} G(t_i - t_j, x_i - x_j) coefs[..., j] at
-    one path's atoms (k,), coefs (k,) or (m, k), or at a PointBatch's rows
-    (P, K), coefs (P, m, K): one pass over _atom_blocks for every field and
-    kernel (wave too, apart from _null_plan)."""
+    rows of atoms, coefs (..., m, K) for m fields or the rows' shape: one
+    pass over _atom_blocks for every field and kernel (wave too, apart
+    from _null_plan)."""
     out = np.empty_like(coefs)
     for r0, r1, G in _atom_blocks(kernel, times, positions):
         out[..., r0:r1] = coefs[..., :r1] @ G.swapaxes(-1, -2)
@@ -465,13 +477,15 @@ def _null_buckets(window: SpaceTimeWindow, expected: float, t, x):
 
 
 def _null_plan(window: SpaceTimeWindow, expected: float, t, x, tq, xq):
-    """apply(v) -> s (q,): s_q sums the values v (n,) of the atoms (t, x),
-    in time order, strictly before target q in its closed light cone, that
-    is a_j <= a_q and b_j <= b_q for a = t + x, b = t - x.  The sweep order
-    is (a, t), targets first on ties.  s_q adds what _wave_forward's Fenwick
-    tree adds, in its order: the running sum of each dyadic range of
-    buckets below q's, then the earlier atoms of q's bucket with b_j <= b_q.
-    """
+    """apply(v) -> s in the targets' shape: s_q sums the values v of the
+    atoms (t, x) of one row, in time order, strictly before target q in its
+    closed light cone, that is a_j <= a_q and b_j <= b_q for a = t + x,
+    b = t - x.  The sweep order is (a, t), targets first on ties.  s_q adds
+    what _wave_forward's Fenwick tree adds, in its order: the running sum
+    of each dyadic range of buckets below q's, then the earlier atoms of
+    q's bucket with b_j <= b_q."""
+    shape = np.shape(tq)
+    t, x, tq, xq = (np.ravel(a) for a in (t, x, tq, xq))
     n, nq = t.size, tq.size
     order = np.argsort(t + x, kind="stable")    # the atoms in sweep order
     # atoms swept before each target: complex numbers sort by (real, imag)
@@ -506,25 +520,24 @@ def _null_plan(window: SpaceTimeWindow, expected: float, t, x, tq, xq):
     index = np.array(rows, dtype=np.intp).reshape(-1, nq)
 
     def apply(v):
-        v = np.append(np.asarray(v, dtype=float)[order], 0.0)
+        v = np.append(np.ravel(np.asarray(v, dtype=float))[order], 0.0)
         terms = [[0.0], *(np.cumsum(v[pad], axis=1).ravel()
                           for pad in pads[:-1]), v[pads[-1]].ravel()]
         s = np.zeros(nq)
         for row in np.concatenate(terms)[index]:    # in the sweep's order
             s += row
-        return s
+        return s.reshape(shape)
 
     return apply
 
 
-def _wave_forward(config: PointConfiguration, problem: ProblemSpec):
-    """(u, sigma(u) z) at the atoms of one wave path, swept in (a, t) order:
-    u_i = w_i + 1/2 sum sigma(u_j) z_j over the swept atoms with b_j <= b_i,
-    by a Fenwick tree over the buckets below i's and a scan of i's own."""
-    t, x, z = config.times, config.positions, config.jumps
+def _wave_forward(problem: ProblemSpec, t, x, z, expected: float):
+    """(u, sigma(u) z) at the atoms (t, x, z), (n,), of one wave path, swept
+    in (a, t) order: u_i = w_i + 1/2 sum sigma(u_j) z_j over the swept atoms
+    with b_j <= b_i, by a Fenwick tree over the buckets below i's and a scan
+    of i's own (buckets sized by expected, _null_buckets)."""
     order = np.argsort(t + x, kind="stable")    # (a, t): t is sorted
-    expected = config.measure.total_mass * config.window.volume
-    k, n_buckets = _null_buckets(config.window, expected, t, x)
+    k, n_buckets = _null_buckets(problem.window, expected, t, x)
     w = np.array(deterministic_part(problem, t, x), dtype=float, ndmin=1)
     tree, own = [0.0] * (n_buckets + 1), [[] for _ in range(n_buckets)]
     u, sigz = np.empty(t.size), np.empty(t.size)
@@ -553,19 +566,14 @@ def grid_projection(problem: ProblemSpec, times, positions, coefs,
     """Yield (j, values) for each grid time t_j, with values[..., l] =
     w(t_j, x_l) + sum_{t_i < t_j} G(t_j - t_i, x_l - x_i) coefs[..., i].
 
-    Over one path (times (k,)), coefs is (k,) for one field or (m, k) for
-    m fields; over a padded batch (times (P, K)) it is (P, m, K).  values
+    coefs is (..., m, K) for m fields or in the rows' shape for one; values
     has coefs' shape with n_x in place of the atom axis.  Each grid time's
-    kernel block is built once and applied to every field and path with
-    one (batched) matrix product; a batch's block holds G only on each
-    row's causal prefix, and zeros elsewhere, and is the transpose view of
-    a contiguous array, so the product's right operand is contiguous.  A
-    grid time with no atom before it has an empty block, and its values
-    are w.  blocks is a list of copies of _grid_blocks' blocks from a
-    caller that projects the same atoms again; without it the blocks are
-    built one at a time (on a batch and on one long path, in one reused
-    buffer) and dropped, so a caller that reduces each grid time's values
-    as they come never holds the whole grid.
+    kernel block (_grid_blocks) is built once and applied to every field
+    and row with one (batched) matrix product; with no atom before t_j the
+    values are w.  blocks is a list of copies of _grid_blocks' blocks from
+    a caller that projects the same atoms again; without it each block is
+    built, used and dropped, so a caller that reduces each grid time's
+    values as they come never holds the whole grid.
     """
     grid_t, grid_x = problem.grid()
     coefs = np.asarray(coefs, dtype=float)
@@ -577,32 +585,32 @@ def grid_projection(problem: ProblemSpec, times, positions, coefs,
         yield j, w[j] + coefs[..., :block.shape[-1]] @ block.swapaxes(-1, -2)
 
 
-def _project_grid(problem: ProblemSpec, config: PointConfiguration, coefs,
-                  blocks=None):
+def _project_grid(problem: ProblemSpec, times, positions, coefs,
+                  expected=None, blocks=None):
     """Grid values w + sum_{t_i < t_j} G(t_j - t_i, x_l - x_i) coefs_i of
-    one path: grid_projection collected into (n_t, n_x), or (m, n_t, n_x)
-    for coefs (m, k).  A wave path with m1 = 0 and coefs (k,) takes the
-    grid points as the targets of _null_plan in place of kernel blocks."""
+    one row and one field, coefs in the row's shape: grid_projection
+    collected into (..., n_t, n_x).  Given expected, the measure's expected
+    atom count (m1 = 0), a wave row takes the grid points as the targets of
+    _null_plan, whose buckets it sizes, in place of kernel blocks."""
     grid_t, grid_x = problem.grid()
-    coefs = np.asarray(coefs, dtype=float)
-    if problem.kernel.kind == "wave" and config.measure.first_moment == 0.0:
+    shape = np.shape(times)[:-1] + (grid_t.size, grid_x.size)
+    if problem.kernel.kind == "wave" and expected is not None:
         tq, xq = np.repeat(grid_t, grid_x.size), np.tile(grid_x, grid_t.size)
-        s = _null_plan(config.window, config.measure.total_mass
-                       * config.window.volume, config.times,
-                       config.positions, tq, xq)(coefs)
+        s = _null_plan(problem.window, expected, times, positions, tq,
+                       xq)(coefs)
         return grid_t, grid_x, (deterministic_part(problem, tq, xq)
-                                + 0.5 * s).reshape(grid_t.size, grid_x.size)
-    out = np.empty(coefs.shape[:-1] + (grid_t.size, grid_x.size))
-    for j, values in grid_projection(problem, config.times,
-                                     config.positions, coefs, blocks):
+                                + 0.5 * s).reshape(shape)
+    out = np.empty(shape)
+    for j, values in grid_projection(problem, times, positions, coefs,
+                                     blocks):
         out[..., j, :] = values
     return grid_t, grid_x, out
 
 
 def iterate_moment_sums(problem: ProblemSpec, times, positions, jumps,
                         iterates, increments: bool = False):
-    """Sums over the paths of a padded batch of the grid values of the
-    Picard iterates u_0..u_n (iterates at the atoms, each (P, K)).
+    """Sums over the rows of a batch of the grid values of the Picard
+    iterates u_0..u_n (iterates at the atoms, each (P, K)).
 
     Returns [sum u_m^2, sum u_m^4], each (n + 1, n_t, n_x), followed with
     increments by [sum (u_m - u_{m-1})^2, sum (u_m - u_{m-1})^4], each
@@ -639,50 +647,78 @@ def sup_estimate(sums, sums_sq, n: int):
             np.sqrt(np.take_along_axis(var, arg, axis=-1)[..., 0] / n))
 
 
+def _forward(problem: ProblemSpec, atoms):
+    """(u, sigma(u) z) in the rows' shape, 0 at padding atoms: the exact
+    solution at the atoms of a PointConfiguration or a PointBatch by
+    forward substitution in atom time; m1 = 0 only.
+
+    One row: wave sweeps in null coordinates (_wave_forward), heat, whose G
+    is never exactly 0, over _atom_blocks (_heat_forward).  Several rows:
+    step k solves atom k of the a rows with more than k atoms, the (a, k)
+    prefix of the rows sorted by decreasing count.  On 100 rows this beat
+    per-row sweeps at 20 to 256 atoms a row; on one row the sweep won at
+    27 to 4094 atoms."""
+    if atoms.measure.first_moment != 0.0:
+        raise SolverError("forward solve requires m1 = 0; use picard_solve")
+    shape = atoms.times.shape
+    if _one_row(atoms.times):
+        t, x, z = (a.reshape(-1) for a in (atoms.times, atoms.positions,
+                                           atoms.jumps))
+        if problem.kernel.kind == "wave":
+            u, sigz = _wave_forward(problem, t, x, z, _expected(atoms))
+        else:
+            u = np.array(deterministic_part(problem, t, x), dtype=float,
+                         ndmin=1)
+            sigz = _heat_forward(problem, t, x, u, z)
+        return u.reshape(shape), sigz.reshape(shape)
+    by_count = np.argsort(-atoms.counts, kind="stable")
+    t, x, z = (a[by_count] for a in (atoms.times, atoms.positions,
+                                     atoms.jumps))
+    # active[k]: the number of rows with more than k atoms
+    active = np.searchsorted(-atoms.counts[by_count], -np.arange(shape[1]))
+    u = np.array(deterministic_part(problem, t, x), dtype=float, ndmin=2)
+    sigz = np.zeros_like(u)
+    for k, a in enumerate(active.tolist()):
+        if k:
+            G = problem.kernel.evaluate(t[:a, k, None] - t[:a, :k],
+                                        x[:a, k, None] - x[:a, :k])
+            u[:a, k] += np.sum(G * sigz[:a, :k], axis=1)
+        sigz[:a, k] = problem.sigma(u[:a, k]) * z[:a, k]
+    unsort = np.argsort(by_count)
+    return np.where(atoms.mask, u[unsort], 0.0), sigz[unsort]
+
+
 def solve_forward(config: PointConfiguration, problem: ProblemSpec,
                   with_grid: bool = True) -> SolutionPath:
-    """Exact pathwise solution by forward substitution over time-sorted atoms.
-
-    Only valid when the jump measure is compensator-free (m1 = 0); otherwise
-    the solution is not a finite jump sum and picard_solve must be used.
-
-    A wave path sweeps its atoms in null coordinates (_wave_forward) and
-    projects on the grid by _null_plan, with no kernel evaluation.  A heat
-    path, whose G is never exactly 0, is blocked over _atom_blocks
-    (_heat_forward), so memory is ATOM_BLOCK_ROWS x n_atoms, never
-    n_atoms^2.  On a heat path of more than ATOM_BLOCK_ROWS atoms the
-    atom blocks and then the grid blocks are each built in one workspace
-    per pass, the rows of a block of at least 2 RANGE_ENTRIES entries
-    divided across the CPUs, with the serial bits; each block is used
-    before the next is built.
-    """
-    if config.measure.first_moment != 0.0:
-        raise SolverError("solve_forward requires m1 = 0; use picard_solve")
-    if problem.kernel.kind == "wave":
-        u, sigz = _wave_forward(config, problem)
-    else:
-        u = np.array(deterministic_part(problem, config.times,
-                                        config.positions), dtype=float,
-                     ndmin=1)
-        sigz = _heat_forward(problem, config, u, config.jumps)
+    """The exact solution of one path at its atoms (_forward; m1 = 0 only,
+    else picard_solve) and with_grid on the grid, projecting sigma(u) z
+    (_project_grid: by _null_plan on wave, by kernel blocks on heat)."""
+    u, sigz = _forward(problem, config)
     path = SolutionPath(config, problem, u, solver="forward")
     if with_grid:
         path.grid_times, path.grid_positions, path.grid_values = \
-            _project_grid(problem, config, sigz)
+            _project_grid(problem, config.times, config.positions, sigz,
+                          _expected(config))
     return path
 
 
-def _heat_forward(problem: ProblemSpec, config: PointConfiguration, u, z,
+def solve_batch(batch: PointBatch, problem: ProblemSpec) -> np.ndarray:
+    """solve_forward's atom values for every path of a batch, (n_paths, K)
+    like the batch's rows, 0 at the padding atoms; m1 = 0 only."""
+    return _forward(problem, batch)[0]
+
+
+def _heat_forward(problem: ProblemSpec, times, positions, u, z,
                   shared: int = 0):
-    """Forward substitution over _atom_blocks in place: u holds w at the
-    atoms on entry, the solution on return; returns sigma(u) z.  A block's
-    rows take the atoms before it with one matrix product, then are solved
-    one at a time.  u and z are (n,), or (n, m) for m jump fields sharing
-    each block; at rows k < shared every field copies field 0."""
+    """Forward substitution over _atom_blocks of one path's atoms (n,) in
+    place: u holds w at the atoms on entry, the solution on return; returns
+    sigma(u) z.  A block's rows take the atoms before it with one matrix
+    product, then are solved one at a time.  u and z are (n,), or (n, m)
+    for m jump fields sharing each block, copying field 0 at rows below
+    shared."""
     sigma = problem.sigma
     sigz = np.empty_like(u)
-    for r0, r1, G in _atom_blocks(problem.kernel, config.times,
-                                  config.positions):
+    for r0, r1, G in _atom_blocks(problem.kernel, times, positions):
         if r0:
             u[r0:r1] += G[:, :r0] @ sigz[:r0]
         for k in range(r0, r1):
@@ -715,39 +751,9 @@ def solve_forward_pair(config: PointConfiguration, problem: ProblemSpec,
     z[k, 0] = 0.0
     u = np.repeat(_column(deterministic_part(problem, plus.times,
                                              plus.positions)), 2, axis=1)
-    _heat_forward(problem, plus, u, z, shared=k)
+    _heat_forward(problem, plus.times, plus.positions, u, z, shared=k)
     return (SolutionPath(config, problem, np.delete(u[:, 0], k), "forward"),
             SolutionPath(plus, problem, u[:, 1].copy(), "forward"))
-
-
-def solve_batch(batch: PointBatch, problem: ProblemSpec) -> np.ndarray:
-    """solve_forward's atom values for every path of a batch, (n_paths, K)
-    like the batch's rows, 0 at the padding atoms; m1 = 0 only.
-
-    Forward substitution by atom rank over the rows sorted by decreasing
-    atom count: step k solves atom k of the a paths with more than k atoms
-    from their k earlier atoms, the (a, k) prefix of the sorted rows, so a
-    batch takes as many steps as its longest path has atoms.  For many
-    short paths; solve_forward stays the solver of one long path.
-    """
-    if batch.measure.first_moment != 0.0:
-        raise SolverError("solve_batch requires m1 = 0; use picard_solve")
-    by_count = np.argsort(-batch.counts, kind="stable")
-    t, x, z = (a[by_count] for a in (batch.times, batch.positions,
-                                     batch.jumps))
-    # active[k]: the number of paths with more than k atoms
-    active = np.searchsorted(-batch.counts[by_count], -np.arange(t.shape[1]))
-    u = np.array(deterministic_part(problem, t, x), dtype=float, ndmin=2)
-    sigz = np.zeros_like(u)
-    for k, a in enumerate(active.tolist()):
-        if k:
-            G = problem.kernel.evaluate(t[:a, k, None] - t[:a, :k],
-                                        x[:a, k, None] - x[:a, :k])
-            u[:a, k] += np.sum(G * sigz[:a, :k], axis=1)
-        sigz[:a, k] = problem.sigma(u[:a, k]) * z[:a, k]
-    out = np.empty_like(u)
-    out[by_count] = u
-    return np.where(batch.mask, out, 0.0)
 
 
 def mild_residual(path: SolutionPath) -> float:
@@ -774,25 +780,21 @@ class PicardDiagnostics:
 
 def picard_iterates_at_atoms(problem: ProblemSpec, times, positions, jumps,
                              n_iter: int, expected: float):
-    """Atom-value Picard iterates [u_0, ..., u_n] for m1 = 0, of one path's
-    atoms (k,) or of a PointBatch's rows (P, K).
+    """Atom-value Picard iterates [u_0, ..., u_n] for m1 = 0 at rows of
+    atoms, each in the rows' shape.
 
-    One wave path of more than ATOM_BLOCK_ROWS atoms applies one _null_plan
+    One wave row of more than ATOM_BLOCK_ROWS atoms applies one _null_plan
     to each iterate, its buckets sized by expected, the measure's expected
     atom count in the window, so an added atom moves no bucket.  Otherwise
-    one sweep over the causal row blocks of _atom_blocks: u_{m+1} at rows
-    [r0, r1) needs u_m only before r1, so each block computes all n
-    iterates of its rows, one (batched) matrix-vector product each, and is
-    dropped.  On one path of more than ATOM_BLOCK_ROWS atoms the blocks are
-    built in one workspace for the sweep (_atom_blocks), each used before
-    the next overwrites it.  A padded batch of up to ATOM_BLOCK_ROWS atoms
-    per path is one block, the whole (P, K, K) matrix, built serially."""
+    one sweep over _atom_blocks: u_{m+1} at rows [r0, r1) needs u_m only
+    before r1, so each block computes all n iterates of its rows, one
+    (batched) matrix-vector product each, and is dropped."""
     if n_iter < 0:
         raise SolverError("n_iter must be >= 0")
     sigma = problem.sigma
     w = np.array(deterministic_part(problem, times, positions), dtype=float,
                  ndmin=1)
-    if problem.kernel.kind == "wave" and times.ndim == 1 \
+    if problem.kernel.kind == "wave" and _one_row(times) \
             and times.size > ATOM_BLOCK_ROWS:
         dominance = _null_plan(problem.window, expected, times, positions,
                                times, positions)
@@ -823,27 +825,27 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
 
     With m1 = 0 the iterates come from picard_iterates_at_atoms, never the
     n_atoms^2 matrix.  A wave path projects on the grid by _null_plan, a
-    heat path builds one grid time's kernel block at a time.
+    heat path builds one grid time's kernel block at a time.  With m1 != 0
+    the grid is returned whatever with_grid says: the compensator's
+    quadrature carries the iterate on it.
 
     The m1 != 0 branch holds the dense atoms x atoms matrix (its paths are
-    short) and builds the compensator once per call as a linear
-    operator (_compensator_operator) and applies it with one matrix product
-    per iteration.  It holds B * n_x^2 * 8 bytes of grid blocks, B the
-    number of distinct blocks over the grid time differences t_j - t_i
-    (on the default 64 x 64 grid wave 38: 1.2 MB, heat 169: 5.5 MB), plus
-    n_atoms * n_t * n_x * 8 bytes of atom rows.
-    The grid projection's kernel blocks are built once per call too, about
-    n_atoms * n_t * n_x * 4 bytes, each copied out of _grid_blocks'
-    workspace, since all of them are held at once.
+    short) and the compensator, built once per call as a linear operator
+    (_compensator_operator) applied with one matrix product per iteration:
+    B * n_x^2 * 8 bytes of grid blocks, B the number of distinct blocks over
+    the grid time differences (on the default 64 x 64 grid wave 38: 1.2 MB,
+    heat 169: 5.5 MB), plus n_atoms * n_t * n_x * 8 bytes of atom rows.
+    It holds the grid projection's kernel blocks too, copied out of
+    _grid_blocks' workspace, about n_atoms * n_t * n_x * 4 bytes.
     """
     if n_iter < 0:
         raise SolverError("n_iter must be >= 0")
     kernel, sigma = problem.kernel, problem.sigma
-    measure = config.measure
+    measure, t, x = config.measure, config.times, config.positions
     if measure.first_moment == 0.0:
-        iterates = picard_iterates_at_atoms(
-            problem, config.times, config.positions, config.jumps, n_iter,
-            measure.total_mass * config.window.volume)
+        expected = _expected(config)
+        iterates = picard_iterates_at_atoms(problem, t, x, config.jumps,
+                                            n_iter, expected)
         u = iterates[-1]
         diffs = np.array([float(np.max(np.abs(b - a))) if a.size else 0.0
                           for a, b in zip(iterates[:-1], iterates[1:])])
@@ -853,11 +855,10 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
             coef = sigma(iterates[-2]) * config.jumps if n_iter else \
                 np.zeros(config.n_atoms)
             path.grid_times, path.grid_positions, path.grid_values = \
-                _project_grid(problem, config, coef)
+                _project_grid(problem, t, x, coef, expected)
         return path, PicardDiagnostics(diffs)
 
     # m1 != 0: carry the iterate on the grid for the compensator quadrature
-    t, x = config.times, config.positions
     w_at = np.atleast_1d(np.asarray(deterministic_part(problem, t, x),
                                     dtype=float))
     grid_t, grid_x = problem.grid()
@@ -873,7 +874,7 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
         comp_at, comp_gr = compensator(sigma(u_gr))
         coef = sigma(u_at) * config.jumps
         new_at = w_at + M @ coef - m1 * comp_at
-        _, _, new_gr = _project_grid(problem, config, coef, blocks)
+        _, _, new_gr = _project_grid(problem, t, x, coef, blocks=blocks)
         new_gr -= m1 * comp_gr
         diffs.append(float(np.max(np.abs(new_at - u_at))) if u_at.size else
                      float(np.max(np.abs(new_gr - u_gr))))
@@ -893,9 +894,8 @@ def cross_solver_gaps(batch: PointBatch, problem: ProblemSpec, n_iter: int):
         raise SolverError("n_iter must be >= 1")
     t, x, z = batch.times, batch.positions, batch.jumps
     exact = solve_batch(batch, problem)
-    approx = picard_iterates_at_atoms(
-        problem, t, x, z, n_iter,
-        batch.measure.total_mass * problem.window.volume)
+    approx = picard_iterates_at_atoms(problem, t, x, z, n_iter,
+                                      _expected(batch))
     atom_gaps = np.max(np.where(batch.mask, np.abs(approx[-1] - exact),
                                 0.0), axis=-1, initial=0.0)
     coefs = np.stack([problem.sigma(approx[-2]) * z,

@@ -171,6 +171,31 @@ def test_paths_do_not_depend_on_batch_size(monkeypatch):
         assert _same_atoms(tail.path(j), longer.path(100 + j))
 
 
+_NO_REALIZATION = {
+    "sample_batches_0": lambda m, p: list(lf.sample_batches(m, WINDOW, 0, 0)),
+    "sample_batches_-1": lambda m, p: list(lf.sample_batches(m, WINDOW, 0,
+                                                             -1)),
+    "existence": lambda m, p: lf.existence_diagnostics(p, m,
+                                                       n_realizations=0),
+    "isometry": lambda m, p: lf.isometry_test(m, cli.H_SMOOTH, WINDOW, 0, 0),
+    "duality": lambda m, p: lf.duality_test(cli.H_SMOOTH, cli.H_SMOOTH, m,
+                                            WINDOW, 0, 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NO_REALIZATION))
+def test_an_ensemble_of_no_realization_is_refused(entry):
+    # each failed inside numpy or, for n < 0, silently drew nothing
+    problem = _problem(lf.wave_kernel(), "affine")
+    with pytest.raises(lf.NoiseError, match="at least one realization"):
+        _NO_REALIZATION[entry](MEASURES["two_point"], problem)
+    # one path is an ensemble; sample_batch itself still takes n = 0
+    assert [b.n_paths for b in lf.sample_batches(MEASURES["two_point"],
+                                                 WINDOW, 0, 1)] == [1]
+    assert lf.sample_batch(MEASURES["two_point"], WINDOW, 0, 0, 0).n_paths \
+        == 0
+
+
 def _problem(kernel, sigma):
     return lf.ProblemSpec(kernel=kernel, sigma=lf.named_map(sigma),
                           ic_kind="cosine", window=WINDOW)
@@ -630,6 +655,69 @@ def test_batch_grid_blocks_evaluate_only_causal_pairs(monkeypatch, kernel,
     for j, _ in enumerate(solver._grid_blocks(problem, t, x)):
         assert sum(points) == before[:, j].sum() * grid_x.size, j
         points.clear()
+
+
+# a one-row batch is a path: the row count picks the machinery, so one row
+# of any length takes the per-path code and gives the path's bits
+
+def _one_row_batch(atoms, n_paths=1):
+    """n_paths rows of about `atoms` atoms (v = 5), the first one-path
+    batch on either side of ATOM_BLOCK_ROWS."""
+    mass = atoms / WINDOW.volume
+    measure = lf.two_point_measure(float(np.sqrt(5.0 / mass)), mass)
+    batch = lf.sample_batch(measure, WINDOW, 61, 0, n_paths)
+    assert (batch.counts > solver.ATOM_BLOCK_ROWS).all() \
+        == (atoms > solver.ATOM_BLOCK_ROWS)
+    return batch
+
+
+@pytest.mark.parametrize("atoms", [30, 200])
+@pytest.mark.parametrize("kernel", ["wave", "heat"])
+def test_a_one_row_batch_is_its_path_bit_for_bit(kernel, atoms):
+    problem = _problem(lf.GreenKernel(kernel), "sin")
+    batch = _one_row_batch(atoms)
+    t, x, z = batch.times, batch.positions, batch.jumps
+    path = lf.solve_forward(batch.path(0), problem)
+    u = lf.solve_batch(batch, problem)
+    assert u.shape == t.shape
+    assert u[0].tobytes() == path.atom_values.tobytes()
+    expected = batch.measure.total_mass * WINDOW.volume
+    rows = solver.picard_iterates_at_atoms(problem, t, x, z, 8, expected)
+    flat = solver.picard_iterates_at_atoms(problem, t[0], x[0], z[0], 8,
+                                           expected)
+    for m, (a, b) in enumerate(zip(rows, flat)):
+        assert a.shape == t.shape and a[0].tobytes() == b.tobytes(), m
+    # the row's grid projection is the path's grid
+    _, sigz = solver._forward(problem, batch)
+    _, _, grid = solver._project_grid(problem, t, x, sigz, expected)
+    assert grid.shape == (1,) + path.grid_values.shape
+    assert grid[0].tobytes() == path.grid_values.tobytes()
+
+
+def _spy_builds(monkeypatch):
+    built = []
+    for name in ("_null_plan", "_BlockWork"):
+        def spy(*args, _name=name, _real=getattr(solver, name)):
+            built.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(solver, name, spy)
+    return built
+
+
+@pytest.mark.parametrize("kernel, builds", [("wave", "_null_plan"),
+                                            ("heat", "_BlockWork")])
+def test_a_long_one_row_batch_takes_the_per_path_machinery(monkeypatch,
+                                                           kernel, builds):
+    problem = _problem(lf.GreenKernel(kernel), "affine")
+    built = _spy_builds(monkeypatch)
+    for n_paths, want in ((1, [builds]), (2, [])):
+        batch = _one_row_batch(200, n_paths)
+        solver.picard_iterates_at_atoms(
+            problem, batch.times, batch.positions, batch.jumps, 4,
+            batch.measure.total_mass * WINDOW.volume)
+        # several rows of long paths keep the batch code
+        assert built == want, n_paths
+        built.clear()
 
 
 # existence_diagnostics, derivative_bound_estimate and verify cross-solver

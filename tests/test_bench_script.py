@@ -22,7 +22,7 @@ def _run(seed, side, wave_s, trace=0):
     return {"workload": "ensemble", "seed": seed, "trace": trace,
             "side": side, "first": "parent",
             "record": {"metrics": {"wave_s": {"value": wave_s}},
-                       "failed": 0.0, "correct": True}}
+                       "failed": 0.0, "attempted": 23, "correct": True}}
 
 
 def test_summary_records_each_sides_quartiles():
@@ -45,15 +45,17 @@ def test_summary_records_each_sides_quartiles():
     assert one["parent_quartiles"] is None and one["pairs"] == 1
 
 
-def _pairs(name, parent, change):
+def _pairs(name, parent, change, failed=((0, 14), (0, 14))):
     """Untraced (parent, change) runs of the solvers workload, one pair per
-    seed, with the one metric name."""
+    seed, with the one metric name; failed holds each side's (failed,
+    attempted) operations per run."""
     return [{"workload": "solvers", "seed": seed, "trace": 0, "side": side,
              "first": "parent",
              "record": {"metrics": {name: {"value": value}},
-                        "failed": 0.0, "correct": True}}
+                        "failed": ops[0], "attempted": ops[1],
+                        "correct": True}}
             for seed, pair in enumerate(zip(parent, change))
-            for side, value in zip(("parent", "change"), pair)]
+            for side, value, ops in zip(("parent", "change"), pair, failed)]
 
 
 def _verdict(name, better, bound, parent, change):
@@ -108,6 +110,30 @@ def test_within_bound_is_a_fraction_of_the_parent_median():
     worse = [v + 0.3 * median for v in PARENT]
     got = _verdict("heat_s", "lower", 0.25, PARENT, worse)
     assert got["within_bound"] is False and got["gain_rule"] is False
+
+
+def test_failed_share_ok_compares_summed_failed_over_attempted(capsys):
+    spec = {"end_to_end": [{"name": "wave_s", "better": "lower",
+                            "bound": 0.25}]}
+
+    def summary(parent_ops, change_ops):
+        runs = _pairs("wave_s", PARENT, PARENT, (parent_ops, change_ops))
+        return _bench().summarize(runs, spec)["solvers"]
+
+    # the same share on more operations, and a lower share, are ok
+    got = summary((2, 23), (4, 46))
+    assert got["failed"]["change"] == [4] * 10
+    assert got["attempted"] == {"parent": [23] * 10, "change": [46] * 10}
+    assert got["failed_share"] == {"parent": 2 / 23, "change": 2 / 23}
+    assert got["failed_share_ok"] is True
+    assert summary((2, 23), (0, 23))["failed_share_ok"] is True
+    assert summary((0, 0), (0, 0))["failed_share_ok"] is True
+    # one more failure, or the same failures over fewer operations, is not
+    assert summary((2, 23), (3, 23))["failed_share_ok"] is False
+    assert summary((2, 23), (2, 22))["failed_share_ok"] is False
+    assert summary((0, 14), (1, 14))["failed_share_ok"] is False
+    assert "solvers: failed_share_ok False (failed of attempted parent 0 " \
+        "of 140, change 10 of 140)" in capsys.readouterr().out
 
 
 def test_bench_refuses_a_tree_with_untracked_source_files(tmp_path):

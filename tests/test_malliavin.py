@@ -668,6 +668,17 @@ def test_derivative_bound_needs_two_iterates(busy_noise, wave_problem,
                                      n_realizations=100, n_iter=n_iter)
 
 
+@pytest.mark.parametrize("kwargs", [{"eval_points": []}, {"n_points": 0}],
+                         ids=["no_eval_point", "no_derivative_point"])
+def test_derivative_bound_needs_something_to_compare(busy_noise,
+                                                     wave_problem, kwargs):
+    # with no evaluation point the report passed with 0 rows; with no
+    # derivative point its estimates were NaN
+    with pytest.raises(MalliavinError, match="at least one"):
+        lf.derivative_bound_estimate(wave_problem, busy_noise,
+                                     n_realizations=100, **kwargs)
+
+
 # ------------------------------------------- batch checks vs per path
 
 _SWEEP_CSVS = ("chain_rule", "exp_derivative", "derivative_eq")
