@@ -17,8 +17,7 @@ from .harness import (ConfigError, EnsembleError, RunConfig, build_config,
 from .integrals import (Integrand, IntegrandError, MissingFieldError,
                         box_indicator, check_square_integrable,
                         inner_product, integrand, isometry_test,
-                        ito_integral, ito_integrals, window_integral,
-                        window_sq_integral)
+                        ito_integrals, window_integral, window_sq_integral)
 from .kernels import (GreenKernel, H2Report, KernelError, check_h2,
                       heat_kernel, wave_kernel)
 from .malliavin import (DerivativePoint, MalliavinError, PathFunctional,
@@ -26,13 +25,12 @@ from .malliavin import (DerivativePoint, MalliavinError, PathFunctional,
                         derivative_equation_rows, difference_derivative,
                         duality_test, exp_derivative_rows,
                         picard_derivative_rows, solution_functional)
-from .noise import (LevyMeasure, NoiseError, PointBatch, PointConfiguration,
-                    SpaceTimeWindow, add_atom, add_atoms, atomic_decomposition,
-                    derive_rng, discrete_measure, gaussian_measure,
-                    load_configuration, moments, rademacher, sample_batch,
-                    sample_batches, sample_prm,
-                    save_configuration, truncated_power_law_measure,
-                    two_point_measure)
+from .noise import (LevyMeasure, NoiseError, PointBatch, SpaceTimeWindow,
+                    add_atoms, atomic_decomposition, derive_rng,
+                    discrete_measure, gaussian_measure, load_configuration,
+                    moments, rademacher, sample_batch, sample_batches,
+                    sample_prm, save_configuration,
+                    truncated_power_law_measure, two_point_measure)
 from .reporting import CheckRow, EstimatorSummary, studentize, summarize
 from .solver import (ExistenceReport, ProblemSpec, ScalarMap, SolutionPath,
                      SolverError, affine_map, constant_map, custom_map,

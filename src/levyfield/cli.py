@@ -167,7 +167,8 @@ def _cmd_sample(config: RunConfig) -> int:
 
 
 def _cmd_solve(config: RunConfig) -> int:
-    measure = build_measure(config)
+    measure = _centred_measure(config, "solve",
+                               "; use `levyfield picard` for m1 != 0")
     cfg = sample_prm(measure, build_window(config), config.seed)
     path = solve_forward(cfg, build_problem(config))
     atoms = _outpath(config, "solution_atoms.csv")

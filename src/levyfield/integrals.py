@@ -1,7 +1,7 @@
 """Pathwise compensated integrals against one noise realization.
 
-For a finite-activity configuration the compensated integral of a
-deterministic integrand h is
+For a finite-activity configuration, one row of a PointBatch, the
+compensated integral of a deterministic integrand h is
 
     L(h) = sum_i h(t_i, x_i) z_i  -  m1 * int_0^T int_{-R}^{R} h(t, x) dx dt,
 
@@ -18,8 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .noise import (LevyMeasure, PointBatch, PointConfiguration,
-                    SpaceTimeWindow, sample_batches)
+from .noise import LevyMeasure, PointBatch, SpaceTimeWindow, sample_batches
 from .reporting import EstimatorSummary, summarize
 
 # the window rule: Gauss-Legendre of orders _ORDERS per panel must agree to
@@ -166,26 +165,11 @@ def check_square_integrable(h: Integrand, window: SpaceTimeWindow,
     return sq
 
 
-def ito_integral(config: PointConfiguration, h: Integrand,
-                 measure: LevyMeasure | None = None) -> float:
-    """Compensated pathwise integral L(h) for one realization."""
-    measure = measure or config.measure
-    if config.n_atoms:
-        vals = np.asarray(h(config.times, config.positions), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise IntegrandError(f"integrand {h.name!r} not finite at an atom")
-        total = float(np.dot(vals, config.jumps))
-    else:
-        total = 0.0
-    if measure.first_moment != 0.0:
-        total -= measure.first_moment * window_integral(h, config.window)
-    return total
-
-
 def ito_integrals(batch: PointBatch, h: Integrand,
                   measure: LevyMeasure | None = None) -> np.ndarray:
-    """ito_integral of every path of the batch, (n_paths,); h is evaluated
-    at the atoms only, never at the padding."""
+    """The compensated integral L(h) of each row: (n_paths,) for a batch's
+    (P, K) rows, a float for one path's (K,) row.  h is evaluated at the
+    atoms only, never at the padding."""
     measure = measure or batch.measure
     vals = np.asarray(h(batch.times[batch.mask], batch.positions[batch.mask]),
                       dtype=float)

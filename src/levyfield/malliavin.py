@@ -9,10 +9,11 @@ i.e. the response of F to one extra atom.  All identity checks in this
 module (chain rule, exponential formula, duality, the derivative
 fixed-point equation and its Picard version) are verified against that
 definition, with the two sides always assembled through independent code
-paths.  The chain rule, the exponential formula and the derivative equation
-are checked a batch at a time, the left side from the plus batch (add_atoms
-of each path's derivative point): one CheckRow per path (per path and map
-for the chain rule), with its raw residual, for the caller to gate.
+paths.  difference_derivative takes one path's (K,) row.  The other
+identities are checked a batch at a time (a path's row is a batch of one
+row), the left side from the plus batch (add_atoms of each path's
+derivative point): one CheckRow per path (per path and map for the chain
+rule), with its raw residual, for the caller to gate.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrals import Integrand, inner_product, ito_integrals
-from .noise import (LevyMeasure, PointBatch, PointConfiguration,
-                    SpaceTimeWindow, add_atom, add_atoms,
+from .noise import (LevyMeasure, PointBatch, SpaceTimeWindow, add_atoms,
                     atomic_decomposition, sample_batches)
 from .reporting import (SLACK_SIGMAS, CheckRow, EstimatorSummary, summarize,
                         write_check_rows)
@@ -53,19 +53,19 @@ class DerivativePoint:
 
 @dataclass(frozen=True)
 class PathFunctional:
-    """Named deterministic map from a configuration to a real number."""
+    """Named deterministic map from one path's (K,) row to a real number."""
 
     name: str
     fn: object
 
-    def __call__(self, config: PointConfiguration) -> float:
+    def __call__(self, config: PointBatch) -> float:
         return float(self.fn(config))
 
-    def pair(self, config: PointConfiguration,
-             point: DerivativePoint) -> tuple:
+    def pair(self, config: PointBatch, point: DerivativePoint) -> tuple:
         """(F(config), F(config plus the atom at point)) by evaluating F
-        twice; a functional whose two values share work overrides it."""
-        plus = add_atom(config, point.time, point.x, point.jump)
+        twice, the plus row from add_atoms; a functional whose two values
+        share work overrides it."""
+        plus = add_atoms(config, point.time, point.x, point.jump)
         return self(config), self(plus)
 
 
@@ -75,8 +75,7 @@ class _SolutionFunctional(PathFunctional):
     t: float
     x: float
 
-    def pair(self, config: PointConfiguration,
-             point: DerivativePoint) -> tuple:
+    def pair(self, config: PointBatch, point: DerivativePoint) -> tuple:
         paths = solve_forward_pair(config, self.problem, point.time, point.x,
                                    point.jump)
         return tuple(float(evaluate_solution(p, self.t, self.x))
@@ -95,7 +94,7 @@ def solution_functional(problem: ProblemSpec, t: float, x: float) -> PathFunctio
     return _SolutionFunctional(f"u({t:g},{x:g})", fn, problem, t, x)
 
 
-def _validate_point(config: PointConfiguration, point: DerivativePoint):
+def _validate_point(config: PointBatch, point: DerivativePoint):
     if not (0.0 < point.time < config.window.T):
         raise MalliavinError("derivative point time must lie in (0, T)")
     if not abs(point.x) <= config.window.R:
@@ -104,20 +103,27 @@ def _validate_point(config: PointConfiguration, point: DerivativePoint):
         raise MalliavinError("derivative point jump must be finite nonzero")
 
 
-def difference_derivative(F: PathFunctional, config: PointConfiguration,
+def difference_derivative(F: PathFunctional, config: PointBatch,
                           point: DerivativePoint) -> float:
-    """D_{r,xi,z} F as the literal add-one-point difference
-    F(config + atom) - F(config), both values from F.pair."""
+    """D_{r,xi,z} F as the literal add-one-point difference of one path's
+    row, F(config + atom) - F(config), both values from F.pair."""
     _validate_point(config, point)
     base, plus = F.pair(config, point)
     return plus - base
 
 
 def _plus_batch(batch: PointBatch, points):
-    """(r, xi, z) of one DerivativePoint per path, and the plus batch."""
+    """(batch, r, xi, z, plus): the rows as (P, K), one path's (K,) row as
+    a batch of one row; (r, xi, z) of one DerivativePoint per path; and
+    the plus batch."""
+    if batch.times.ndim == 1:
+        batch = PointBatch(batch.times[None], batch.positions[None],
+                           batch.jumps[None], batch.counts[None],
+                           batch.window, batch.measure, batch.master_seed,
+                           batch.start)
     r, xi, z = (np.array([getattr(p, name) for p in points], dtype=float)
                 for name in ("time", "x", "jump"))
-    return r, xi, z, add_atoms(batch, r, xi, z)
+    return batch, r, xi, z, add_atoms(batch, r, xi, z)
 
 
 def _rows(check: str, params, lhs, rhs, residuals) -> list:
@@ -127,7 +133,7 @@ def _rows(check: str, params, lhs, rhs, residuals) -> list:
 
 def _integrals(h: Integrand, batch: PointBatch, points, measure):
     """(L(h), L(h) with the point added, h(r, xi) z), each per path."""
-    r, xi, z, plus = _plus_batch(batch, points)
+    batch, r, xi, z, plus = _plus_batch(batch, points)
     return (ito_integrals(batch, h, measure), ito_integrals(plus, h, measure),
             np.asarray(h(r, xi), dtype=float) * z)
 
@@ -173,7 +179,7 @@ def derivative_equation_rows(problem: ProblemSpec, batch: PointBatch,
     point, the base solve and the differenced atom values.  For r >= t the
     left side of an adapted functional must read exactly 0 (else
     MalliavinError), and the row is all 0."""
-    r, xi, z, plus = _plus_batch(batch, points)
+    batch, r, xi, z, plus = _plus_batch(batch, points)
     t, x = (np.asarray(v, dtype=float) for v in (t, x))
     kernel, sigma = problem.kernel, problem.sigma
     u, u_plus = solve_batch(batch, problem), solve_batch(plus, problem)
@@ -223,7 +229,14 @@ def _plus_iterates(problem: ProblemSpec, z, base, at_point, M, A,
                    jump: float):
     """Yield the Picard iterates u_0, u_1, ..., (P, B, K) at the atoms of
     a padded batch plus the atom (r_b, xi_b, jump) for each of its B
-    points, from _derivative_samples' base iterates, M and A."""
+    points, from _derivative_samples' base iterates, M and A.
+
+    It stays apart from add_atoms: the plus batch of every path and point
+    would hold P * B rows and their (P * B, K + 1, K + 1) kernel blocks,
+    at BATCH_PATHS = 256 paths, B = 64 points and K about 36 atoms about
+    170 MB, against the 31 MB peak of BATCH_PATHS' comment.  Here the
+    plus atom's kernel row and column, A and at_point, are computed once
+    per point and the base matrix M serves every point."""
     sigma = problem.sigma
     w_at = base[0][..., None, :]
     plus = np.broadcast_to(w_at, A.shape).copy()
@@ -281,7 +294,7 @@ def picard_derivative_rows(problem: ProblemSpec, batch: PointBatch, points,
         raise MalliavinError("picard derivative recursion needs a measure "
                              "of positive mass: no path has an atom")
     kernel, sigma = problem.kernel, problem.sigma
-    r, xi, jump, plus = _plus_batch(batch, points)
+    batch, r, xi, jump, plus = _plus_batch(batch, points)
     t, x, z = batch.times, batch.positions, batch.jumps
     expected = measure.total_mass * batch.window.volume
     base, plus_its = (picard_iterates_at_atoms(problem, b.times, b.positions,

@@ -5,6 +5,11 @@ set of atoms (t_i, x_i, z_i): a Poisson number of space-time points, uniform
 on the window, each carrying an i.i.d. jump size drawn from the normalized
 jump measure.  Everything downstream (integrals, solvers, derivatives) is a
 deterministic function of one such configuration.
+
+One type holds realizations: PointBatch, one path's atoms as a (K,) row
+(sample_prm, PointBatch.path, load_configuration) or many paths as padded
+(P, K) rows (sample_batch).  add_atoms adds one atom to each row, the
+Malliavin derivative's add-one-atom step.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -322,49 +327,13 @@ def atomic_decomposition(measure: LevyMeasure, n_quad: int = 64):
 def _check_atoms(window: SpaceTimeWindow, t, x, z, steps):
     """Refuse atoms (t, x, z) outside the window or with a zero or
     non-finite jump, and steps of a path's time not > 0; NaN fails each."""
-    if not (np.all(steps > 0.0) and np.all((0.0 < t) & (t < window.T))):
+    if not ((steps > 0.0).all() and ((0.0 < t) & (t < window.T)).all()):
         raise NoiseError("atom times must be strictly increasing inside "
                          "(0, T)")
-    if not np.all(np.abs(x) <= window.R):
+    if not (np.abs(x) <= window.R).all():
         raise NoiseError("atom positions must lie in [-R, R]")
-    if not np.all(np.isfinite(z) & (z != 0.0)):
+    if not (np.isfinite(z) & (z != 0.0)).all():
         raise NoiseError("jump marks must be finite and nonzero")
-
-
-@dataclass(frozen=True)
-class PointConfiguration:
-    """One noise realization: atoms (times, positions, jumps) sorted by time.
-
-    Atom times are pairwise distinct and interior to (0, T); jumps are
-    nonzero.  Arrays are read-only.  `measure` records the generating jump
-    measure so that solvers can read its compensator density directly.
-    """
-
-    times: np.ndarray
-    positions: np.ndarray
-    jumps: np.ndarray
-    window: SpaceTimeWindow
-    measure: LevyMeasure
-    seed: object = None
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        x = np.asarray(self.positions, dtype=float)
-        z = np.asarray(self.jumps, dtype=float)
-        if not (t.shape == x.shape == z.shape) or t.ndim != 1:
-            raise NoiseError("atom arrays must be matching 1d arrays")
-        _check_atoms(self.window, t, x, z, np.diff(t))
-        for arr, name in ((t, "times"), (x, "positions"), (z, "jumps")):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_atoms(self) -> int:
-        return int(self.times.size)
-
-    @property
-    def atoms(self):
-        return list(zip(self.times, self.positions, self.jumps))
 
 
 # uniforms per jump of the kinds whose jumps are a function of uniforms; a
@@ -404,23 +373,24 @@ def _draw_jumps(measure: LevyMeasure, rng: np.random.Generator, n: int):
 
 
 def sample_prm(measure: LevyMeasure, window: SpaceTimeWindow,
-               seed) -> PointConfiguration:
-    """Sample one Poisson random measure realization on the window.
+               seed) -> PointBatch:
+    """Sample one Poisson random measure realization on the window, as a
+    (K,) row.
 
     Atom count ~ Poisson(total_mass * |window|); times and positions uniform;
     jump sizes i.i.d. from the normalized measure.  Deterministic given
     `seed` (an int, or a (master, index) pair for a derived stream).
     Ties and boundary times have probability zero but are re-drawn anyway so
-    the strict-ordering invariant holds exactly.  The configuration's seed
-    label holds an integer seed's entries as plain ints (numpy's too, so
-    save_configuration can write them), any other seed as None.
+    the strict-ordering invariant holds exactly.  The row's seed label
+    (PointBatch.seed) holds an integer seed's entries as plain ints (numpy's
+    too, so save_configuration can write them), any other seed as None.
     """
-    if isinstance(seed, tuple):
+    if isinstance(seed, tuple) and len(seed) == 2:
         label = tuple(operator.index(v) for v in seed)
     elif isinstance(seed, (int, np.integer)):
-        label = operator.index(seed)
+        label = (operator.index(seed), None)
     else:
-        label = None
+        label = (None, None)
     rng = _as_rng(seed)
     n = int(rng.poisson(measure.total_mass * window.volume))
     times = rng.uniform(0.0, window.T, size=n)
@@ -435,8 +405,8 @@ def sample_prm(measure: LevyMeasure, window: SpaceTimeWindow,
     positions = rng.uniform(-window.R, window.R, size=n)
     jumps = _draw_jumps(measure, rng, n)
     order = np.argsort(times, kind="stable")
-    return PointConfiguration(times[order], positions[order], jumps[order],
-                              window, measure, label)
+    return PointBatch(times[order], positions[order], jumps[order], n,
+                      window, measure, *label)
 
 
 # Paths per batch in every ensemble.  Rows are padded to the longest path,
@@ -449,15 +419,24 @@ BATCH_PATHS = 256
 
 @dataclass(frozen=True)
 class PointBatch:
-    """Realizations start .. start + n_paths - 1 of the streams
-    (master_seed, i), one row per path: row j of times, positions and jumps
-    (n_paths, K) holds path j's counts[j] atoms in time order, then padding
-    atoms at time T, position 0, with jump 0, K the longest path's count.
-    No atom or grid time of the window comes after a padding atom, so it is
-    never a source, and its zero jump adds nothing to any sum.  mask is
-    true at the atoms.  Each row is checked as a PointConfiguration is.
-    sample_batch's path j is sample_prm(measure, window, (master_seed,
-    start + j)) atom for atom.  Arrays are read-only.
+    """Noise realizations as rows of atoms: one path's (K,) row, or a
+    batch's (n_paths, K) rows.
+
+    Row j holds path j's counts[j] atoms in time order, times pairwise
+    distinct inside (0, T), jumps finite and nonzero; a batch's row then
+    holds padding atoms at time T, position 0, with jump 0, K the longest
+    path's count.  No atom or grid time of the window comes after a
+    padding atom, so it is never a source, and its zero jump adds nothing
+    to any sum.  counts has the rows' leading shape (0-d for one path,
+    which holds no padding); mask is true at the atoms; measure is the
+    generating jump measure, whose compensator density solvers read.
+    Arrays are read-only.
+
+    Row j is labelled seed(j): (master_seed, start + j), the stream
+    derive_rng(master_seed, start + j) drew it from, or, with start None,
+    master_seed, the int seed of one path drawn from default_rng (None for
+    any other source).  sample_batch's row j is sample_prm(measure, window,
+    (master_seed, start + j)) atom for atom.
     """
 
     times: np.ndarray
@@ -466,42 +445,59 @@ class PointBatch:
     counts: np.ndarray
     window: SpaceTimeWindow
     measure: LevyMeasure
-    master_seed: int
-    start: int
+    master_seed: int | None = None
+    start: int | None = None
     mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        shape = self.times.shape
-        if len(shape) != 2 or self.counts.shape != shape[:1] \
-                or self.positions.shape != shape \
-                or self.jumps.shape != shape or np.any(self.counts < 0) \
-                or shape[1] != self.counts.max(initial=0):
+        t, x, z = (np.asarray(getattr(self, name), dtype=float)
+                   for name in ("times", "positions", "jumps"))
+        counts = np.asarray(self.counts)
+        shape = t.shape
+        if len(shape) not in (1, 2) or counts.shape != shape[:-1] \
+                or x.shape != shape or z.shape != shape \
+                or (counts < 0).any() or shape[-1] != counts.max(initial=0):
             raise NoiseError("batch counts do not match its atom arrays")
-        mask = np.arange(shape[1]) < self.counts[:, None]
-        _check_atoms(self.window, self.times[mask], self.positions[mask],
-                     self.jumps[mask],
-                     np.diff(self.times, axis=1)[mask[:, 1:]])
-        if np.any(self.times[~mask] != self.window.T) \
-                or np.any(self.positions[~mask] != 0.0) \
-                or np.any(self.jumps[~mask] != 0.0):
+        mask = np.arange(shape[-1]) < counts[..., None]
+        _check_atoms(self.window, t[mask], x[mask], z[mask],
+                     np.diff(t)[mask[..., 1:]])
+        pad = ~mask
+        if pad.any() and ((t[pad] != self.window.T).any()
+                          or (x[pad] != 0.0).any() or (z[pad] != 0.0).any()):
             raise NoiseError("batch row j must hold counts[j] atoms, then "
                              "padding atoms (T, 0, 0)")
-        object.__setattr__(self, "mask", mask)
-        for name in ("times", "positions", "jumps", "counts", "mask"):
-            getattr(self, name).flags.writeable = False
+        for name, arr in (("times", t), ("positions", x), ("jumps", z),
+                          ("counts", counts), ("mask", mask)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_paths(self) -> int:
         return int(self.counts.size)
 
-    def seed(self, j: int):
-        return (self.master_seed, self.start + operator.index(j))
+    @property
+    def n_atoms(self) -> int:
+        return int(self.counts.sum())
 
-    def path(self, j: int) -> PointConfiguration:
+    def seed(self, j: int = 0):
+        """The seed label of row j, 0 <= j < n_paths (NoiseError else)."""
+        j = operator.index(j)
+        if not 0 <= j < self.n_paths:
+            raise NoiseError(f"row {j} is not one of the {self.n_paths} rows")
+        if self.start is None:
+            return self.master_seed
+        return (self.master_seed, self.start + j)
+
+    def path(self, j: int) -> PointBatch:
+        """Row j as one path's (counts[j],) row, labelled seed(j)."""
+        seed = self.seed(j)
+        if self.times.ndim == 1:
+            return self
         k = self.counts[j]
-        return PointConfiguration(self.times[j, :k], self.positions[j, :k],
-                                  self.jumps[j, :k], self.window,
-                                  self.measure, self.seed(j))
+        return PointBatch(self.times[j, :k], self.positions[j, :k],
+                          self.jumps[j, :k], k, self.window, self.measure,
+                          self.master_seed,
+                          None if self.start is None else seed[1])
 
 
 def sample_batch(measure: LevyMeasure, window: SpaceTimeWindow,
@@ -577,50 +573,40 @@ def sample_batches(measure: LevyMeasure, window: SpaceTimeWindow,
                            min(BATCH_PATHS, n - start))
 
 
-def add_atom(config: PointConfiguration, time: float, x: float,
-             jump: float) -> PointConfiguration:
-    """New configuration with one extra atom, inserted in time order.
-
-    The new configuration's checks refuse a time outside (0, T) or equal to
-    an atom's (the caller perturbs), a position outside [-R, R] and a zero
-    or non-finite jump.
-    """
-    k = int(np.searchsorted(config.times, time))
-    return replace(config,
-                   times=np.insert(config.times, k, time),
-                   positions=np.insert(config.positions, k, x),
-                   jumps=np.insert(config.jumps, k, jump))
-
-
 def add_atoms(batch: PointBatch, times, positions, jumps) -> PointBatch:
-    """The batch with the atom (times[j], positions[j], jumps[j]) added to
-    row j at its time rank, row j add_atom of path j atom for atom: a
-    stable sort of each row, after which the padding (time T) stays
-    last.  The new batch's checks refuse what add_atom's do."""
+    """The rows with the atom (times[j], positions[j], jumps[j]) added to
+    row j at its time rank, the atom arrays in the rows' leading shape (one
+    atom, scalars, for one path's (K,) row): a stable sort of each row,
+    after which the padding (time T) stays last.  The new rows' checks
+    refuse a time outside (0, T) or equal to an atom's (the caller
+    perturbs), a position outside [-R, R] and a zero or non-finite jump."""
     t, x, z = (np.asarray(v, dtype=float) for v in (times, positions, jumps))
     if not t.shape == x.shape == z.shape == batch.counts.shape:
         raise NoiseError("add_atoms takes one atom for each row of the batch")
-    rows = [np.concatenate([a, v[:, None]], axis=1) for a, v in
+    rows = [np.concatenate([a, v[..., None]], axis=-1) for a, v in
             ((batch.times, t), (batch.positions, x), (batch.jumps, z))]
-    order = np.argsort(rows[0], axis=1, kind="stable")
-    return PointBatch(*(np.take_along_axis(a, order, axis=1) for a in rows),
+    order = np.argsort(rows[0], axis=-1, kind="stable")
+    return PointBatch(*(np.take_along_axis(a, order, axis=-1) for a in rows),
                       batch.counts + 1, batch.window, batch.measure,
                       batch.master_seed, batch.start)
 
 
-def save_configuration(config: PointConfiguration, path) -> Path:
-    """Write atoms as CSV (t,x,z; 17 significant digits) plus a JSON sidecar
-    with the window, measure, and seed."""
+def save_configuration(config: PointBatch, path) -> Path:
+    """Write one path's (K,) row of atoms as CSV (t,x,z; 17 significant
+    digits) plus a JSON sidecar with the window, measure, and seed label."""
+    if config.times.ndim != 1:
+        raise NoiseError("save_configuration writes one path's (K,) row; "
+                         "take batch.path(j)")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write("t,x,z\n")
-        for t, x, z in config.atoms:
+        for t, x, z in zip(config.times, config.positions, config.jumps):
             fh.write(f"{t:.17g},{x:.17g},{z:.17g}\n")
+    seed = config.seed()
     meta = {"window": {"T": config.window.T, "R": config.window.R},
             "measure": config.measure.describe(),
-            "seed": list(config.seed) if isinstance(config.seed, tuple)
-                    else config.seed}
+            "seed": list(seed) if isinstance(seed, tuple) else seed}
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     sidecar.write_text(json.dumps(meta, indent=1) + "\n")
     return sidecar
@@ -639,7 +625,9 @@ def _measure_from_description(desc: dict) -> LevyMeasure:
     raise NoiseError(f"unknown measure kind {kind!r}")
 
 
-def load_configuration(path) -> PointConfiguration:
+def load_configuration(path) -> PointBatch:
+    """The (K,) row that save_configuration wrote to path, with its seed
+    label."""
     path = Path(path)
     meta = json.loads(path.with_suffix(path.suffix + ".meta.json").read_text())
     rows = [line.split(",") for line in
@@ -649,7 +637,6 @@ def load_configuration(path) -> PointConfiguration:
     window = SpaceTimeWindow(**meta["window"])
     measure = _measure_from_description(meta["measure"])
     seed = meta.get("seed")
-    if isinstance(seed, list):
-        seed = tuple(seed)
-    return PointConfiguration(data[:, 0], data[:, 1], data[:, 2],
-                              window, measure, seed)
+    return PointBatch(data[:, 0], data[:, 1], data[:, 2], len(data), window,
+                      measure, *(seed if isinstance(seed, list)
+                                 else (seed, None)))

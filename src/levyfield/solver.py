@@ -12,8 +12,10 @@ u_0 = w is the constructive counterpart; at the atoms its dependency
 structure is strictly lower triangular, so it reaches the forward solution
 exactly once the iteration count passes the longest interaction chain.
 
-Atoms come as rows: one path's time-sorted atoms (n,) or a PointBatch's
-padded rows (P, K), and outputs keep the rows' leading shape.  The row
+Atoms come as the rows of a PointBatch: one path's time-sorted atoms (n,)
+or a batch's padded rows (P, K), and outputs keep the rows' leading shape.
+The per-path entry points (solve_forward, solve_forward_pair, picard_solve
+and SolutionPath) take one path's (n,) row.  The row
 count alone picks the machinery (_one_row).  One row, (n,) or (1, n),
 takes the per-path code at any length: the Fenwick sweep or _heat_forward,
 blocks built in one reused, CPU-split _BlockWork above ATOM_BLOCK_ROWS
@@ -32,8 +34,8 @@ import numpy as np
 
 from .kernels import GreenKernel
 from .integrals import MissingFieldError
-from .noise import (LevyMeasure, PointBatch, PointConfiguration,
-                    SpaceTimeWindow, add_atom, sample_batches)
+from .noise import (LevyMeasure, PointBatch, SpaceTimeWindow, add_atoms,
+                    sample_batches)
 from . import parallel
 from .reporting import SLACK_SIGMAS, CheckRow, write_check_rows, write_csv
 
@@ -308,7 +310,7 @@ class SolutionPath:
     """Solution values at the atoms (exact support of the jump part) and on
     a rectangular output grid."""
 
-    config: PointConfiguration
+    config: PointBatch
     problem: ProblemSpec
     atom_values: np.ndarray
     solver: str
@@ -317,8 +319,9 @@ class SolutionPath:
     grid_values: np.ndarray | None = None
 
     def atoms_csv(self, path) -> None:
-        rows = [[t, x, z, u] for (t, x, z), u
-                in zip(self.config.atoms, self.atom_values)]
+        config = self.config
+        rows = [[t, x, z, u] for t, x, z, u in zip(
+            config.times, config.positions, config.jumps, self.atom_values)]
         write_csv(path, ["t", "x", "z", "u"], rows)
 
     def grid_csv(self, path) -> None:
@@ -649,8 +652,8 @@ def sup_estimate(sums, sums_sq, n: int):
 
 def _forward(problem: ProblemSpec, atoms):
     """(u, sigma(u) z) in the rows' shape, 0 at padding atoms: the exact
-    solution at the atoms of a PointConfiguration or a PointBatch by
-    forward substitution in atom time; m1 = 0 only.
+    solution at the atoms of the rows of a PointBatch by forward
+    substitution in atom time; m1 = 0 only.
 
     One row: wave sweeps in null coordinates (_wave_forward), heat, whose G
     is never exactly 0, over _atom_blocks (_heat_forward).  Several rows:
@@ -688,11 +691,19 @@ def _forward(problem: ProblemSpec, atoms):
     return np.where(atoms.mask, u[unsort], 0.0), sigz[unsort]
 
 
-def solve_forward(config: PointConfiguration, problem: ProblemSpec,
+def _path_row(config: PointBatch):
+    """Refuse anything but one path's (n,) row."""
+    if config.times.ndim != 1:
+        raise SolverError("a per-path solver takes one path's (n,) row; "
+                          "take batch.path(j)")
+
+
+def solve_forward(config: PointBatch, problem: ProblemSpec,
                   with_grid: bool = True) -> SolutionPath:
-    """The exact solution of one path at its atoms (_forward; m1 = 0 only,
-    else picard_solve) and with_grid on the grid, projecting sigma(u) z
-    (_project_grid: by _null_plan on wave, by kernel blocks on heat)."""
+    """The exact solution of one path's row at its atoms (_forward; m1 = 0
+    only) and with_grid on the grid, projecting sigma(u) z (_project_grid:
+    by _null_plan on wave, by kernel blocks on heat)."""
+    _path_row(config)
     u, sigz = _forward(problem, config)
     path = SolutionPath(config, problem, u, solver="forward")
     if with_grid:
@@ -730,19 +741,21 @@ def _heat_forward(problem: ProblemSpec, times, positions, u, z,
     return sigz
 
 
-def solve_forward_pair(config: PointConfiguration, problem: ProblemSpec,
+def solve_forward_pair(config: PointBatch, problem: ProblemSpec,
                        time: float, x: float, jump: float):
-    """(base, plus): solve_forward's paths, without the grid, of config and
-    of config with the atom (time, x, jump) added; m1 = 0 only.
+    """(base, plus): solve_forward's paths, without the grid, of one path's
+    row and of the row with the atom (time, x, jump) added (add_atoms);
+    m1 = 0 only.
 
     Wave sweeps twice (_wave_forward evaluates no kernel).  Heat runs one
     _heat_forward over the plus atoms with two jump fields, the added jump
     0 in the base one, so each kernel block is built once; atoms before
     the added one copy base into plus, so adaptedness holds bit for bit.
     The base values round apart from solve_forward(config)'s."""
+    _path_row(config)
     if config.measure.first_moment != 0.0:
         raise SolverError("solve_forward_pair requires m1 = 0")
-    plus = add_atom(config, time, x, jump)
+    plus = add_atoms(config, time, x, jump)
     if problem.kernel.kind == "wave":
         return (solve_forward(config, problem, with_grid=False),
                 solve_forward(plus, problem, with_grid=False))
@@ -813,9 +826,10 @@ def picard_iterates_at_atoms(problem: ProblemSpec, times, positions, jumps,
     return iterates
 
 
-def picard_solve(config: PointConfiguration, problem: ProblemSpec,
+def picard_solve(config: PointBatch, problem: ProblemSpec,
                  n_iter: int, with_grid: bool = True):
-    """Picard iteration u_{m+1} = w + int G sigma(u_m) dL from u_0 = w.
+    """Picard iteration u_{m+1} = w + int G sigma(u_m) dL from u_0 = w on
+    one path's row.
 
     Returns (SolutionPath of the n-th iterate, PicardDiagnostics with the
     sup-atom differences).  When m1 != 0 the compensator is quadratured on
@@ -840,6 +854,7 @@ def picard_solve(config: PointConfiguration, problem: ProblemSpec,
     """
     if n_iter < 0:
         raise SolverError("n_iter must be >= 0")
+    _path_row(config)
     kernel, sigma = problem.kernel, problem.sigma
     measure, t, x = config.measure, config.times, config.positions
     if measure.first_moment == 0.0:
@@ -956,7 +971,7 @@ def _compensator_rows(problem: ProblemSpec, t, x):
     return rows.reshape(t.size, n_t * n_x)
 
 
-def _compensator_operator(problem: ProblemSpec, config: PointConfiguration):
+def _compensator_operator(problem: ProblemSpec, config: PointBatch):
     """The compensator at every grid point and every atom, as one linear
     map of sigma(u) on the problem grid, built once.
 

@@ -1,10 +1,11 @@
-"""Functions only the tests call: removing an atom from a configuration,
-the iterated renewal convolutions, the Ito integral as a path functional,
-the uniform bound on the deterministic part and the compensator's grid
-operator built one block per lag."""
+"""Functions only the tests call: adding an atom to and removing one from a
+path's row, the Ito integral, also as a path functional, the iterated
+renewal convolutions, the uniform bound on the deterministic part and the
+compensator's grid operator built one block per lag.  The row functions
+are the tests' own, plain np.insert, np.delete and np.dot, apart from the
+batch code they check."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -13,14 +14,38 @@ from levyfield.solver import (_compensator_rows, _trapezoid,
                               pairwise_interaction_matrix)
 
 
+def _row(config, times, positions, jumps):
+    """A path's row with config's window, measure and seed label."""
+    return lf.PointBatch(times, positions, jumps, times.size, config.window,
+                         config.measure, config.master_seed, config.start)
+
+
+def add_atom(config, time: float, x: float, jump: float):
+    """The path's (K,) row with one atom inserted in time order."""
+    k = int(np.searchsorted(config.times, time))
+    return _row(config, np.insert(config.times, k, time),
+                np.insert(config.positions, k, x),
+                np.insert(config.jumps, k, jump))
+
+
 def remove_atom(config, index: int):
-    """The configuration without its atom number index."""
+    """The path's (K,) row without its atom number index."""
     if not 0 <= index < config.n_atoms:
         raise lf.NoiseError(f"atom index {index} out of range")
-    return replace(config,
-                   times=np.delete(config.times, index),
-                   positions=np.delete(config.positions, index),
-                   jumps=np.delete(config.jumps, index))
+    return _row(config, np.delete(config.times, index),
+                np.delete(config.positions, index),
+                np.delete(config.jumps, index))
+
+
+def ito_integral(config, h, measure=None) -> float:
+    """The compensated integral L(h) of one path's (K,) row."""
+    measure = measure or config.measure
+    total = float(np.dot(np.asarray(h(config.times, config.positions),
+                                    dtype=float), config.jumps)) \
+        if config.n_atoms else 0.0
+    if measure.first_moment != 0.0:
+        total -= measure.first_moment * lf.window_integral(h, config.window)
+    return total
 
 
 def iterated_convolutions(kernel, n_max: int) -> np.ndarray:
@@ -38,7 +63,7 @@ def iterated_convolutions(kernel, n_max: int) -> np.ndarray:
 def integral_functional(h, measure=None):
     """The compensated Poisson integral L(h) as a path functional."""
     return lf.PathFunctional(f"L({h.name})",
-                             lambda cfg: lf.ito_integral(cfg, h, measure))
+                             lambda cfg: ito_integral(cfg, h, measure))
 
 
 def initial_condition_bound(problem) -> float:

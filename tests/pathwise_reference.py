@@ -4,9 +4,11 @@ levyfield checks the chain rule, the exponential formula, the derivative
 fixed-point equation and the Picard derivative recursion one batch at a
 time (malliavin.chain_rule_rows, exp_derivative_rows,
 derivative_equation_rows, picard_derivative_rows).  The functions here
-check the same identities one realization at a time, through
-PathFunctional, add_atom, solve_forward_pair and picard_iterates_at_atoms,
-and are the references the batch checks are tested against.
+check the same identities one realization, one path's (K,) row, at a
+time, through PathFunctional, solve_forward_pair and
+picard_iterates_at_atoms, with the tests' own np.insert add-atom and
+np.dot L(h) (helpers.add_atom, helpers.ito_integral), and are the
+references the batch checks are tested against.
 """
 
 import math
@@ -20,12 +22,7 @@ from levyfield.solver import (causal_sums, deterministic_part,
                               pairwise_interaction_matrix,
                               picard_iterates_at_atoms, solve_forward_pair)
 
-
-def one_row_batch(config):
-    """config as a PointBatch of one row, for the batch checks."""
-    return lf.PointBatch(config.times[None], config.positions[None],
-                         config.jumps[None], np.array([config.n_atoms]),
-                         config.window, config.measure, 0, 0)
+import helpers
 
 
 def compose_functional(g, F, gname="g"):
@@ -35,7 +32,7 @@ def compose_functional(g, F, gname="g"):
 def exp_integral_functional(h, measure=None):
     return lf.PathFunctional(
         f"exp(L({h.name}))",
-        lambda cfg: math.exp(lf.ito_integral(cfg, h, measure)))
+        lambda cfg: math.exp(helpers.ito_integral(cfg, h, measure)))
 
 
 def chain_rule_residual(g, F, config, point, gname="g"):
@@ -56,7 +53,7 @@ def exp_derivative_residual(h, config, point, measure=None):
     the right side by expm1."""
     lhs = lf.difference_derivative(exp_integral_functional(h, measure),
                                    config, point)
-    base = math.exp(lf.ito_integral(config, h, measure))
+    base = math.exp(helpers.ito_integral(config, h, measure))
     rhs = base * math.expm1(float(h(point.time, point.x)) * point.jump)
     scale = max(abs(rhs), abs(base), 1e-300)
     return lf.CheckRow(check="exp-derivative", params=point.label(),
@@ -178,8 +175,8 @@ def picard_derivative_report(problem, config, point, n_iter=8):
     expected = config.measure.total_mass * config.window.volume
     base, plus = (picard_iterates_at_atoms(problem, c.times, c.positions,
                                            c.jumps, n_iter, expected)
-                  for c in (config, lf.add_atom(config, point.time, point.x,
-                                                point.jump)))
+                  for c in (config, helpers.add_atom(config, point.time,
+                                                     point.x, point.jump)))
     du = [np.delete(p, np.searchsorted(t, point.time)) - b
           for p, b in zip(plus, base)]
     kick = pairwise_interaction_matrix(kernel, t, x, point.time,

@@ -40,8 +40,8 @@ def _path(n: int):
     measure = _noise(1600)
     cfg = lf.sample_prm(measure, WINDOW, (17, 0))
     assert cfg.n_atoms >= n
-    return lf.PointConfiguration(cfg.times[:n], cfg.positions[:n],
-                                 cfg.jumps[:n], WINDOW, measure)
+    return lf.PointBatch(cfg.times[:n], cfg.positions[:n], cfg.jumps[:n], n,
+                         WINDOW, measure)
 
 
 def _dense_iterates(problem, t, x, z, n_iter):
@@ -398,7 +398,7 @@ def test_a_solve_fills_only_its_own_blocks():
         measure = lf.two_point_measure(math.sqrt(5.0 / mass), mass)
         cfg = lf.sample_prm(measure, window, (17, 0))
         t, x = cfg.times[:200], cfg.positions[:200]
-        cfg = lf.PointConfiguration(t, x, cfg.jumps[:200], window, measure)
+        cfg = lf.PointBatch(t, x, cfg.jumps[:200], 200, window, measure)
         problem = lf.ProblemSpec(kernel=lf.heat_kernel(),
                                  sigma=lf.affine_map(0.5, 1.0),
                                  ic_kind="cosine", window=window)

@@ -12,6 +12,8 @@ import levyfield as lf
 import levyfield.noise as noise
 from levyfield import cli, malliavin, solver
 
+import helpers
+
 WINDOW = lf.SpaceTimeWindow(1.0, 2.0)
 MEASURES = {
     "rademacher": lf.rademacher(),
@@ -36,7 +38,7 @@ def test_batch_atoms_equal_sample_prm(name):
     assert batch.n_paths == 2000
     for i in range(2000):
         path = batch.path(i)
-        assert path.seed == (17, i)
+        assert path.seed() == (17, i)
         assert _same_atoms(path, lf.sample_prm(measure, WINDOW, (17, i))), i
     if name == "low_mass":
         assert np.count_nonzero(batch.counts == 0) > 1000
@@ -311,13 +313,14 @@ def _one_row(times, positions, jumps):
     ([np.nan], [0.0], [1.0], "inside"),
 ])
 def test_point_batch_checks_its_atom_rows(times, positions, jumps, match):
-    # as PointConfiguration does, and before any solver sees the row
+    # as a (1, K) batch and as one path's (K,) row, before any solver sees
+    # the row
     assert _one_row([0.2, 0.5], [0.0, 0.3], [1.0, -1.0]).n_paths == 1
     with pytest.raises(lf.NoiseError, match=match):
         _one_row(times, positions, jumps)
-    with pytest.raises(lf.NoiseError):
-        lf.PointConfiguration(np.array(times), np.array(positions),
-                              np.array(jumps), WINDOW, MEASURES["rademacher"])
+    with pytest.raises(lf.NoiseError, match=match):
+        lf.PointBatch(np.array(times), np.array(positions), np.array(jumps),
+                      len(times), WINDOW, MEASURES["rademacher"])
 
 
 def _insert_points(batch, seed):
@@ -348,9 +351,11 @@ def test_add_atoms_is_add_atom_row_by_row(measure):
     assert plus.times.shape == (batch.n_paths, batch.times.shape[1] + 1)
     ranks = set()
     for j in range(batch.n_paths):
-        want = lf.add_atom(batch.path(j), t[j], x[j], z[j])
+        want = helpers.add_atom(batch.path(j), t[j], x[j], z[j])
         got = plus.path(j)
-        assert _same_atoms(got, want) and got.seed == want.seed, j
+        assert _same_atoms(got, want) and got.seed() == want.seed(), j
+        assert _same_atoms(lf.add_atoms(batch.path(j), t[j], x[j], z[j]),
+                           want), j
         k = int(np.searchsorted(want.times, t[j]))
         ranks.add("empty" if batch.counts[j] == 0 else "first" if k == 0
                   else "last" if k == batch.counts[j] else "inner")
@@ -374,7 +379,7 @@ def test_add_atoms_refuses_what_add_atom_refuses():
         with pytest.raises(lf.NoiseError, match=message):
             lf.add_atoms(batch, *args)
         with pytest.raises(lf.NoiseError):
-            lf.add_atom(batch.path(j), *(a[j] for a in args))
+            lf.add_atoms(batch.path(j), *(a[j] for a in args))
     with pytest.raises(lf.NoiseError, match="each row"):
         lf.add_atoms(batch, *(a[:-1] for a in good))
 
@@ -427,7 +432,7 @@ def test_batch_operations_match_per_path_with_empty_paths(kernel, case):
         for (t, x), got in evals.items():
             ref = lf.evaluate_solution(path, t, x)
             assert abs(got[j] - ref) <= 1e-13 * (1.0 + abs(ref)), (j, t)
-        ref = lf.ito_integral(cfg, cli.H_SMOOTH)
+        ref = helpers.ito_integral(cfg, cli.H_SMOOTH)
         assert abs(vals[j] - ref) <= 1e-13 * (1.0 + abs(ref)), j
     # the grid projection where no atom precedes a grid time: every grid
     # time of an empty path, and grid time 0 of every path, is exactly w
@@ -489,8 +494,10 @@ def test_ito_integrals_match_ito_integral(measure):
     batch = lf.sample_batch(measure, WINDOW, 6, 0, 200)
     vals = lf.ito_integrals(batch, cli.H_SMOOTH, measure)
     for j in range(batch.n_paths):
-        want = lf.ito_integral(batch.path(j), cli.H_SMOOTH, measure)
+        want = helpers.ito_integral(batch.path(j), cli.H_SMOOTH, measure)
         assert abs(vals[j] - want) <= 1e-13 * (1.0 + abs(want)), j
+        got = lf.ito_integrals(batch.path(j), cli.H_SMOOTH, measure)
+        assert abs(got - want) <= 1e-13 * (1.0 + abs(want)), j
 
 
 def test_ito_integrals_reject_non_finite_integrand():
@@ -718,6 +725,21 @@ def test_a_long_one_row_batch_takes_the_per_path_machinery(monkeypatch,
         # several rows of long paths keep the batch code
         assert built == want, n_paths
         built.clear()
+
+
+def test_per_path_entry_points_refuse_a_batch(tmp_path, wave_problem):
+    # a (P, K) batch would mix its rows in a path's grid projection, so the
+    # per-path entry points take one path's (K,) row only
+    batch = lf.sample_batch(MEASURES["two_point"], WINDOW, 3, 0, 2)
+    for call in (lambda b: lf.solve_forward(b, wave_problem),
+                 lambda b: lf.picard_solve(b, wave_problem, 2),
+                 lambda b: solver.solve_forward_pair(b, wave_problem, 0.5,
+                                                     0.1, 1.0)):
+        with pytest.raises(lf.SolverError, match="batch.path"):
+            call(batch)
+        call(batch.path(1))
+    with pytest.raises(lf.NoiseError, match="batch.path"):
+        lf.save_configuration(batch, tmp_path / "batch.csv")
 
 
 # existence_diagnostics, derivative_bound_estimate and verify cross-solver

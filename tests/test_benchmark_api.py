@@ -22,6 +22,7 @@ DEAD_LAYERS = {
     ("solver.kernel_matrix", "influence_rows"),
     ("harness.run_ensemble", "run_ensemble"),
     ("malliavin.picard_derivative_report", "picard_derivative_report"),
+    ("integrals.ito_integral", "ito_integral"),
 }
 
 

@@ -204,6 +204,23 @@ def test_cli_failed_realization_is_error(tmp_path, capsys):
     assert not (tmp_path / "second_moments.csv").exists()
 
 
+def test_cli_solve_refuses_compensated_measure(tmp_path, capsys,
+                                               monkeypatch):
+    # the forward solve needs m1 = 0: refused as `moments` is, before the
+    # path is drawn, naming the command that takes m1 != 0
+    def no_draws(*args):
+        raise AssertionError("solve drew a realization")
+
+    monkeypatch.setattr(cli, "sample_prm", no_draws)
+    assert cli.main(["solve", "--noise", "gaussian", "--noise-mean", "0.5",
+                     "--outdir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: solve needs a centred jump measure, but "
+                            "m1 = 2.5; use `levyfield picard` for m1 != 0\n")
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
 def _assert_refuses_compensated(check, tmp_path, capsys, monkeypatch):
     # a configuration error like `moments`, raised before any path is drawn
     def no_draws(*args):

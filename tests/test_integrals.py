@@ -125,27 +125,27 @@ def test_window_rule_refuses_non_finite_nodes(window):
 # ------------------------------------------------------------ ito integral
 
 def test_ito_empty_configuration_is_zero(empty_config):
-    assert lf.ito_integral(empty_config, SMOOTH) == 0.0
+    assert lf.ito_integrals(empty_config, SMOOTH) == 0.0
 
 
 def test_ito_single_atom_hand_value(window):
-    cfg = lf.add_atom(make_empty_config(window), 0.5, 0.3, -1.0)
-    assert lf.ito_integral(cfg, ONE) == -1.0
-    assert_close(lf.ito_integral(cfg, SMOOTH),
+    cfg = lf.add_atoms(make_empty_config(window), 0.5, 0.3, -1.0)
+    assert lf.ito_integrals(cfg, ONE) == -1.0
+    assert_close(lf.ito_integrals(cfg, SMOOTH),
                  -math.cos(0.3) * math.exp(-0.5), rel=1e-14)
 
 
 def test_ito_compensator_hand_value(window):
     # all-plus-one jumps at rate 2: m1 = 2, so L(1) = z - m1 * |window|
     skew = lf.discrete_measure([1.0], [2.0])
-    cfg = lf.add_atom(make_empty_config(window), 0.5, 0.3, 1.0)
-    assert_close(lf.ito_integral(cfg, ONE, measure=skew),
+    cfg = lf.add_atoms(make_empty_config(window), 0.5, 0.3, 1.0)
+    assert_close(lf.ito_integrals(cfg, ONE, measure=skew),
                  1.0 - 2.0 * 4.0, rel=1e-9)
 
 
 def test_ito_mean_and_variance(window, unit_noise):
     n = 10_000
-    vals = np.array([lf.ito_integral(
+    vals = np.array([lf.ito_integrals(
         lf.sample_prm(unit_noise, window, (13, i)), ONE, unit_noise)
         for i in range(n)])
     se_mean = vals.std(ddof=1) / math.sqrt(n)
@@ -163,8 +163,8 @@ def test_ito_linearity(a, b):
                         lf.SpaceTimeWindow(1.0, 2.0), 5)
     combo = lf.integrand(lambda t, x: a * SMOOTH(t, x) + b * SMOOTH2(t, x),
                          name="combo")
-    lhs = lf.ito_integral(cfg, combo)
-    rhs = a * lf.ito_integral(cfg, SMOOTH) + b * lf.ito_integral(cfg, SMOOTH2)
+    lhs = lf.ito_integrals(cfg, combo)
+    rhs = a * lf.ito_integrals(cfg, SMOOTH) + b * lf.ito_integrals(cfg, SMOOTH2)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
@@ -221,7 +221,7 @@ def test_convolution_no_atoms_before_t(window, busy_noise, empty_config):
 
 
 def test_convolution_one_atom_hand_value(window):
-    cfg = lf.add_atom(make_empty_config(window), 0.5, 0.3, 1.0)
+    cfg = lf.add_atoms(make_empty_config(window), 0.5, 0.3, 1.0)
     prob = _wave(window, lf.named_map("affine", 0.5, 1.0))
     path = lf.SolutionPath(cfg, prob, np.array([2.0]), "test")
     # G(0.5, -0.3) * sigma(2) * z = 0.5 * 2 * 1
@@ -231,8 +231,8 @@ def test_convolution_one_atom_hand_value(window):
 
 def test_convolution_compensator_needs_grid(window):
     skew = lf.discrete_measure([1.0], [2.0])
-    cfg = lf.PointConfiguration(np.array([0.5]), np.array([0.3]),
-                                np.array([1.0]), window, skew)
+    cfg = lf.PointBatch(np.array([0.5]), np.array([0.3]), np.array([1.0]), 1,
+                        window, skew)
     path = lf.SolutionPath(cfg, _wave(window, lf.named_map("affine")),
                            np.array([2.0]), "test")
     with pytest.raises(MissingFieldError, match="grid"):
@@ -240,7 +240,7 @@ def test_convolution_compensator_needs_grid(window):
 
 
 def test_convolution_reads_atom_values_before_t_only(window):
-    cfg = lf.add_atom(lf.add_atom(make_empty_config(window), 0.3, 0.1, 1.0),
+    cfg = lf.add_atoms(lf.add_atoms(make_empty_config(window), 0.3, 0.1, 1.0),
                       0.8, -0.2, -1.0)
     prob = _wave(window, lf.named_map("affine"))
     finite = lf.SolutionPath(cfg, prob, np.array([1.0, 5.0]), "test")

@@ -83,14 +83,13 @@ def test_derivative_linearity(a, b):
 @pytest.mark.parametrize("g,name", [
     (lambda v: v * v, "square"), (np.exp, "exp"), (np.sin, "sin")])
 def test_chain_rule_exact(window, busy_noise, g, name):
-    # the batch check on a one-row batch, and its per-path reference
+    # the batch check on one path's row, and its per-path reference
     F = helpers.integral_functional(H_POS)
     for seed in range(10):
         cfg = _config(busy_noise, window, seed)
         pt = lf.DerivativePoint(0.3 + 0.05 * seed, 0.1, 1.0)
         want = ref.chain_rule_residual(g, F, cfg, pt, gname=name)
-        [row] = lf.chain_rule_rows(H_POS, [(name, g)],
-                                   ref.one_row_batch(cfg), [pt])
+        [row] = lf.chain_rule_rows(H_POS, [(name, g)], cfg, [pt])
         for r in (row, want):
             scale = max(1.0, abs(r.lhs), abs(r.rhs))
             assert abs(r.residual_or_z) <= 1e-12 * scale
@@ -104,7 +103,7 @@ def test_exp_derivative_identity(window, busy_noise):
         cfg = _config(busy_noise, window, seed)
         pt = lf.DerivativePoint(0.2 + 0.03 * seed, -0.5 + 0.05 * seed, 1.0)
         want = ref.exp_derivative_residual(H_POS, cfg, pt)
-        [row] = lf.exp_derivative_rows(H_POS, ref.one_row_batch(cfg), [pt])
+        [row] = lf.exp_derivative_rows(H_POS, cfg, [pt])
         worst = max(worst, abs(row.residual_or_z), abs(want.residual_or_z))
         assert abs(row.lhs - want.lhs) <= 1e-13 * (1.0 + abs(want.lhs))
     assert worst <= 1e-12
@@ -179,7 +178,8 @@ def test_shared_sweep_matches_two_solves(window, busy_noise, wave_problem,
         pair = solver.solve_forward_pair(cfg, problem, pt.time, pt.x,
                                          pt.jump)
         two = (lf.solve_forward(cfg, problem, with_grid=False),
-               lf.solve_forward(lf.add_atom(cfg, pt.time, pt.x, pt.jump),
+               lf.solve_forward(helpers.add_atom(cfg, pt.time, pt.x,
+                                                 pt.jump),
                                 problem, with_grid=False))
         d = lf.difference_derivative(lf.solution_functional(problem, 1.0, x),
                                      cfg, pt)
@@ -208,7 +208,7 @@ def test_default_pair_evaluates_twice(window, busy_noise):
         rng = lf.derive_rng(seed, 9200)
         pt = lf.DerivativePoint(rng.uniform(0.05, 0.95),
                                 rng.uniform(-2.0, 2.0), rng.normal())
-        plus = lf.add_atom(cfg, pt.time, pt.x, pt.jump)
+        plus = helpers.add_atom(cfg, pt.time, pt.x, pt.jump)
         for G in (F, E):
             assert G.pair(cfg, pt) == (G(cfg), G(plus))
             assert lf.difference_derivative(G, cfg, pt) == G(plus) - G(cfg)
@@ -234,8 +234,7 @@ def test_derivative_equation_constant_sigma_hand_value(window, busy_noise):
     cfg = _config(busy_noise, window, 2)
     pt = lf.DerivativePoint(0.3, 0.1, -1.0)
     chk = _assert_equation_closes(prob, cfg, pt, 0.9, 0.0)
-    [row] = lf.derivative_equation_rows(prob, ref.one_row_batch(cfg), [pt],
-                                        [0.9], [0.0])
+    [row] = lf.derivative_equation_rows(prob, cfg, [pt], [0.9], [0.0])
     # constant sigma kills the sum term: D u = G(t-r, x-xi) sigma z
     want = lf.wave_kernel().evaluate(0.6, -0.1) * b * (-1.0)
     for lhs, residual in ((chk.lhs, chk.residual),
@@ -257,8 +256,8 @@ def test_derivative_equation_trivial_region(window, busy_noise):
             for t in (0.5, 0.7):
                 chk = ref.derivative_equation_residual(prob, cfg, pt, t, 0.0)
                 assert chk.trivial and chk.lhs == 0.0 and chk.residual == 0.0
-                [row] = lf.derivative_equation_rows(
-                    prob, ref.one_row_batch(cfg), [pt], [t], [0.0])
+                [row] = lf.derivative_equation_rows(prob, cfg, [pt], [t],
+                                                    [0.0])
                 assert row.lhs == row.rhs == row.residual_or_z == 0.0
 
 
@@ -273,10 +272,9 @@ def _problem(kernel, sigma, window, ic_kind="cosine", ic_value=1.0):
 
 
 def _assert_equation_closes(prob, cfg, pt, t, x):
-    # the batch check on a one-row batch, and its per-path reference
+    # the batch check on one path's row, and its per-path reference
     chk = ref.derivative_equation_residual(prob, cfg, pt, t, x)
-    [row] = lf.derivative_equation_rows(prob, ref.one_row_batch(cfg), [pt],
-                                        [t], [x])
+    [row] = lf.derivative_equation_rows(prob, cfg, [pt], [t], [x])
     assert not chk.trivial
     label = f"{prob.kernel.kind}/{prob.sigma.label()}: {chk}, {row}"
     for lhs, residual in ((chk.lhs, chk.residual),
@@ -330,12 +328,11 @@ def test_probe_reports_sine_sigma(window, busy_noise):
 # ----------------------------------------------------- picard derivatives
 
 def _picard_rows(problem, cfg, pt, n_iter=8):
-    """picard_derivative_rows on cfg as a one-row batch, checked against
+    """picard_derivative_rows on cfg, one path's row, checked against
     the per-path reference: the same row text and pass column, lhs and
     residual within 1e-13 * scale, and the same verdict.  Returns
     (rows, verdict, reference report)."""
-    rows, ok = lf.picard_derivative_rows(problem, ref.one_row_batch(cfg),
-                                         [pt], n_iter)
+    rows, ok = lf.picard_derivative_rows(problem, cfg, [pt], n_iter)
     rep = ref.picard_derivative_report(problem, cfg, pt, n_iter)
     want = rep.rows()
     assert [(r.check, r.params, r.passed) for r in rows] \
@@ -363,7 +360,7 @@ def test_picard_derivative_rows(window, busy_noise, wave_problem):
 
 def test_picard_derivative_needs_an_iteration(window, busy_noise,
                                               wave_problem):
-    batch = ref.one_row_batch(_config(busy_noise, window))
+    batch = _config(busy_noise, window)
     pt = lf.DerivativePoint(0.25, 0.3, 1.0)
     with pytest.raises(MalliavinError, match="n_iter"):
         lf.picard_derivative_rows(wave_problem, batch, [pt], 0)
@@ -371,7 +368,7 @@ def test_picard_derivative_needs_an_iteration(window, busy_noise,
 
 def test_picard_derivative_needs_mass(window, wave_problem):
     # no path of a zero-mass measure has an atom, so no Du is compared
-    batch = ref.one_row_batch(make_empty_config(window))
+    batch = make_empty_config(window)
     with pytest.raises(MalliavinError, match="positive mass"):
         lf.picard_derivative_rows(wave_problem, batch,
                                   [lf.DerivativePoint(0.25, 0.3, 1.0)], 8)
@@ -379,7 +376,7 @@ def test_picard_derivative_needs_mass(window, wave_problem):
 
 def test_picard_derivative_empty_row(window, busy_noise, wave_problem):
     # a path without atoms next to one with: its rows all read 0 and pass,
-    # and the other path's rows are its one-row batch's
+    # and the other path's rows are its own row's
     cfg = _config(busy_noise, window)
     k, T = cfg.n_atoms, window.T
     assert k > 0
@@ -481,7 +478,7 @@ def _scales(problem, batch, n_iter):
         problem, batch.times, batch.positions, batch.jumps, n_iter,
         batch.measure.total_mass * batch.window.volume)
     return 1.0 + np.max([np.max(np.where(batch.mask, np.abs(u), 0.0),
-                                axis=1) for u in its], axis=0)
+                                axis=-1) for u in its], axis=0)
 
 
 def test_picard_derivative_after_every_atom_passes():
@@ -540,7 +537,6 @@ def _dense_cauchy(problem, config, point, n_iter):
 def test_picard_derivative_long_path(window, kernel, monkeypatch):
     problem = _problem(kernel, lf.affine_map(0.5, 1.0), window)
     cfg, pt = _long_path(window, 250.0)
-    batch = ref.one_row_batch(cfg)
     n = cfg.n_atoms
     assert 1000 < n < 1100
     shapes = []
@@ -555,7 +551,7 @@ def test_picard_derivative_long_path(window, kernel, monkeypatch):
         monkeypatch.setattr(module, "pairwise_interaction_matrix", spy)
     tracemalloc.start()
     try:
-        rows, _ = lf.picard_derivative_rows(problem, batch, [pt], 8)
+        rows, _ = lf.picard_derivative_rows(problem, cfg, [pt], 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -568,7 +564,7 @@ def test_picard_derivative_long_path(window, kernel, monkeypatch):
     assert peak < 8 * n * n, (peak, n)
     assert all(r.passed for r in rows if r.passed is not None)
     cauchy = np.array([r.lhs for r in rows[9:]])
-    tol = 1e-14 * _scales(problem, batch, 8)[0]
+    tol = 1e-14 * float(_scales(problem, cfg, 8))
     assert np.max(np.abs(cauchy - _dense_cauchy(problem, cfg, pt, 8))) <= tol
 
 
@@ -582,7 +578,7 @@ def test_picard_derivative_is_adapted_bit_for_bit(window, kernel, mass,
     # null-coordinate buckets by the measure, not by its own atom count
     problem = _problem(kernel, lf.affine_map(0.5, 1.0), window)
     cfg, pt = _long_path(window, mass)
-    plus_cfg = lf.add_atom(cfg, pt.time, pt.x, pt.jump)
+    plus_cfg = helpers.add_atom(cfg, pt.time, pt.x, pt.jump)
     early = int(np.searchsorted(cfg.times, pt.time))
     assert cfg.n_atoms % 8 == 7 and early > solver.ATOM_BLOCK_ROWS
     runs = []
@@ -593,8 +589,7 @@ def test_picard_derivative_is_adapted_bit_for_bit(window, kernel, mass,
 
     iterates = solver.picard_iterates_at_atoms
     monkeypatch.setattr(malliavin, "picard_iterates_at_atoms", record)
-    rows, _ = lf.picard_derivative_rows(problem, ref.one_row_batch(cfg), [pt],
-                                        8)
+    rows, _ = lf.picard_derivative_rows(problem, cfg, [pt], 8)
     assert all(r.passed for r in rows if r.passed is not None)
     assert len(runs) == 2
     base, plus = runs
@@ -609,7 +604,7 @@ def test_picard_derivative_is_adapted_bit_for_bit(window, kernel, mass,
 
 def test_picard_derivative_csv(tmp_path, window, busy_noise, wave_problem):
     rows, _ = lf.picard_derivative_rows(
-        wave_problem, ref.one_row_batch(_config(busy_noise, window, 0)),
+        wave_problem, _config(busy_noise, window, 0),
         [lf.DerivativePoint(0.25, 0.3, 1.0)], 4)
     out = tmp_path / "picard_derivative.csv"
     lf.reporting.write_check_rows(out, rows)

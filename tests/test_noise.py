@@ -1,5 +1,6 @@
 """Jump measures, Poisson sampling, and point-configuration surgery."""
 
+import json
 import math
 
 import numpy as np
@@ -176,7 +177,7 @@ def test_jump_second_moment_matches_measure():
 def test_add_atom_inserts_in_time_order(window, busy_noise):
     cfg = lf.sample_prm(busy_noise, window, 3)
     mid = 0.5 * (cfg.times[0] + cfg.times[1])
-    out = lf.add_atom(cfg, mid, 0.25, -1.0)
+    out = lf.add_atoms(cfg, mid, 0.25, -1.0)
     assert out.n_atoms == cfg.n_atoms + 1
     assert np.all(np.diff(out.times) > 0.0)
     assert out.times[1] == mid and out.positions[1] == 0.25
@@ -189,31 +190,31 @@ def test_add_atom_inserts_in_time_order(window, busy_noise):
 def test_add_atom_rejects_bad_points(window, busy_noise):
     cfg = lf.sample_prm(busy_noise, window, 3)
     with pytest.raises(NoiseError):
-        lf.add_atom(cfg, cfg.times[0], 0.0, 1.0)  # time collision
+        lf.add_atoms(cfg, cfg.times[0], 0.0, 1.0)  # time collision
     with pytest.raises(NoiseError):
-        lf.add_atom(cfg, 0.0, 0.0, 1.0)
+        lf.add_atoms(cfg, 0.0, 0.0, 1.0)
     with pytest.raises(NoiseError):
-        lf.add_atom(cfg, window.T, 0.0, 1.0)
+        lf.add_atoms(cfg, window.T, 0.0, 1.0)
     with pytest.raises(NoiseError):
-        lf.add_atom(cfg, 0.5, window.R + 0.1, 1.0)
+        lf.add_atoms(cfg, 0.5, window.R + 0.1, 1.0)
     with pytest.raises(NoiseError):
-        lf.add_atom(cfg, 0.5, 0.0, 0.0)
+        lf.add_atoms(cfg, 0.5, 0.0, 0.0)
 
 
 def test_add_atom_rejects_nan(window, busy_noise):
     cfg = lf.sample_prm(busy_noise, window, 3)
     with pytest.raises(NoiseError, match="position"):
-        lf.add_atom(cfg, 0.5, np.nan, 1.0)
+        lf.add_atoms(cfg, 0.5, np.nan, 1.0)
     with pytest.raises(NoiseError, match="time"):
-        lf.add_atom(cfg, np.nan, 0.0, 1.0)
+        lf.add_atoms(cfg, np.nan, 0.0, 1.0)
     with pytest.raises(NoiseError, match="jump"):
-        lf.add_atom(cfg, 0.5, 0.0, np.nan)
+        lf.add_atoms(cfg, 0.5, 0.0, np.nan)
 
 
 def test_remove_atom_roundtrip(window, busy_noise):
     cfg = lf.sample_prm(busy_noise, window, 3)
     mid = 0.5 * (cfg.times[2] + cfg.times[3])
-    back = helpers.remove_atom(lf.add_atom(cfg, mid, 0.1, 1.0), 3)
+    back = helpers.remove_atom(lf.add_atoms(cfg, mid, 0.1, 1.0), 3)
     assert np.array_equal(back.times, cfg.times)
     assert np.array_equal(back.positions, cfg.positions)
     assert np.array_equal(back.jumps, cfg.jumps)
@@ -228,7 +229,7 @@ def test_remove_atom_roundtrip(window, busy_noise):
 def test_add_atom_keeps_sorted_distinct(pts):
     cfg = make_empty_config(lf.SpaceTimeWindow(1.0, 2.0))
     for r, xi, z, neg in pts:
-        cfg = lf.add_atom(cfg, r, xi, -z if neg else z)
+        cfg = lf.add_atoms(cfg, r, xi, -z if neg else z)
     assert cfg.n_atoms == len(pts)
     assert np.all(np.diff(cfg.times) > 0.0)
     assert np.unique(cfg.times).size == cfg.n_atoms
@@ -237,16 +238,13 @@ def test_add_atom_keeps_sorted_distinct(pts):
 def test_configuration_validation(window, unit_noise):
     bad = dict(window=window, measure=unit_noise)
     with pytest.raises(NoiseError):
-        lf.PointConfiguration(np.array([0.5, 0.4]), np.zeros(2),
-                              np.ones(2), **bad)
+        lf.PointBatch(np.array([0.5, 0.4]), np.zeros(2), np.ones(2), 2, **bad)
     with pytest.raises(NoiseError):
-        lf.PointConfiguration(np.array([0.0]), np.zeros(1), np.ones(1), **bad)
+        lf.PointBatch(np.array([0.0]), np.zeros(1), np.ones(1), 1, **bad)
     with pytest.raises(NoiseError):
-        lf.PointConfiguration(np.array([0.5]), np.array([2.5]),
-                              np.ones(1), **bad)
+        lf.PointBatch(np.array([0.5]), np.array([2.5]), np.ones(1), 1, **bad)
     with pytest.raises(NoiseError):
-        lf.PointConfiguration(np.array([0.5]), np.zeros(1),
-                              np.zeros(1), **bad)
+        lf.PointBatch(np.array([0.5]), np.zeros(1), np.zeros(1), 1, **bad)
 
 
 @pytest.mark.parametrize("times, positions", [
@@ -259,8 +257,8 @@ def test_configuration_validation(window, unit_noise):
 def test_configuration_refuses_nan_atoms(window, unit_noise, times,
                                          positions):
     with pytest.raises(NoiseError):
-        lf.PointConfiguration(np.array(times), np.array(positions),
-                              np.ones(len(times)), window, unit_noise)
+        lf.PointBatch(np.array(times), np.array(positions),
+                      np.ones(len(times)), len(times), window, unit_noise)
 
 
 def test_window_validation():
@@ -284,7 +282,7 @@ def test_save_load_roundtrip(tmp_path, window, busy_noise):
     assert np.array_equal(back.jumps, cfg.jumps)
     assert back.window == cfg.window
     assert back.measure.describe() == cfg.measure.describe()
-    assert back.seed == (9, 4)
+    assert back.seed() == (9, 4)
 
 
 
@@ -302,8 +300,8 @@ def test_numpy_int_seeds_save_and_load_as_plain_ints(tmp_path, window,
     path = tmp_path / "atoms.csv"
     lf.save_configuration(cfg, path)
     back = lf.load_configuration(path)
-    assert back.seed == label and back.seed == cfg.seed
-    assert type(cfg.seed) is type(label)
+    assert back.seed() == label and back.seed() == cfg.seed()
+    assert type(cfg.seed()) is type(label)
 
 
 def test_batch_seed_labels_are_plain_ints(tmp_path, window, busy_noise):
@@ -313,7 +311,44 @@ def test_batch_seed_labels_are_plain_ints(tmp_path, window, busy_noise):
     assert all(type(v) is int for v in batch.seed(j))
     path = tmp_path / "atoms.csv"
     lf.save_configuration(batch.path(j), path)
-    assert lf.load_configuration(path).seed == (61, 2)
+    assert lf.load_configuration(path).seed() == (61, 2)
+
+
+@pytest.mark.parametrize("j", [-1, 3, 99])
+def test_batch_refuses_a_row_it_does_not_hold(window, busy_noise, j):
+    # row -1 would hold stream (7, 12) but be labelled (7, 9); row 3 and
+    # on are no row of the batch
+    batch = lf.sample_batch(busy_noise, window, 7, 10, 3)
+    with pytest.raises(NoiseError, match="row"):
+        batch.seed(j)
+    with pytest.raises(NoiseError, match="row"):
+        batch.path(j)
+    path = batch.path(2)
+    assert path.seed() == (7, 12)
+    with pytest.raises(NoiseError, match="row"):
+        path.path(j if j < 0 else 1)
+
+
+@pytest.mark.parametrize("kernel", ["wave", "heat"])
+def test_save_load_keeps_the_seed_and_the_solution(tmp_path, window,
+                                                   busy_noise, kernel):
+    problem = lf.ProblemSpec(
+        kernel=lf.wave_kernel() if kernel == "wave" else lf.heat_kernel(),
+        sigma=lf.named_map("sin"), ic_kind="cosine", window=window)
+    rows = {"int": lf.sample_prm(busy_noise, window, 5),
+            "pair": lf.sample_prm(busy_noise, window, (5, 7)),
+            "batch": lf.sample_batch(busy_noise, window, 5, 20, 4).path(2)}
+    labels = {"int": 5, "pair": [5, 7], "batch": [5, 22]}
+    for name, row in rows.items():
+        path = tmp_path / f"{name}.csv"
+        sidecar = lf.save_configuration(row, path)
+        assert json.loads(sidecar.read_text())["seed"] == labels[name]
+        back = lf.load_configuration(path)
+        assert back.seed() == row.seed()
+        assert back.n_atoms == row.n_atoms > 0
+        want, got = (lf.solve_forward(r, problem) for r in (row, back))
+        assert want.atom_values.tobytes() == got.atom_values.tobytes()
+        assert want.grid_values.tobytes() == got.grid_values.tobytes()
 
 def test_save_load_empty(tmp_path, empty_config):
     path = tmp_path / "empty.csv"

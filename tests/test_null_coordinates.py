@@ -40,9 +40,8 @@ def _dyadic_path(n: int, seed: int):
     pos[times == 0.5] = 1.0 / 256.0
     pos[times == 0.75] = 0.25
     jumps = rng.choice([-0.5, 0.5], n)
-    return lf.PointConfiguration(
-        times, pos, jumps, WINDOW,
-        lf.two_point_measure(0.5, n / WINDOW.volume))
+    return lf.PointBatch(times, pos, jumps, n, WINDOW,
+                         lf.two_point_measure(0.5, n / WINDOW.volume))
 
 
 def _exact(values):
@@ -112,7 +111,7 @@ def test_adding_an_atom_keeps_the_past_bit_for_bit():
     base = lf.solve_forward(cfg, problem)
     for r, xi in ((0.25, -1.0), (0.5, 0.3), (0.9, 1.7)):
         point = lf.DerivativePoint(r, xi, -cfg.jumps[0])
-        plus = lf.solve_forward(lf.add_atom(cfg, r, xi, point.jump), problem)
+        plus = lf.solve_forward(lf.add_atoms(cfg, r, xi, point.jump), problem)
         early = cfg.times < r
         assert np.array_equal(plus.atom_values[:early.sum()],
                               base.atom_values[early])
@@ -130,8 +129,8 @@ def test_adding_an_atom_keeps_the_past_bit_for_bit():
         rng = np.random.default_rng([7, i])
         r = float(rng.uniform(0.1, 0.9))
         base = lf.solve_forward(cfg, problem, with_grid=False)
-        plus = lf.solve_forward(lf.add_atom(cfg, r, float(rng.uniform(-2, 2)),
-                                            1.0), problem, with_grid=False)
+        plus = lf.solve_forward(lf.add_atoms(cfg, r, float(rng.uniform(-2, 2)),
+                                             1.0), problem, with_grid=False)
         early = cfg.times < r
         assert np.array_equal(plus.atom_values[:early.sum()],
                               base.atom_values[early])
@@ -163,8 +162,8 @@ def test_wave_paths_build_no_kernel_blocks(monkeypatch):
     monkeypatch.undo()
     for name in ("_atom_blocks", "_grid_blocks"):
         monkeypatch.setattr(solver, name, count(name, getattr(solver, name)))
-    short = lf.PointConfiguration(cfg.times[:B + 1], cfg.positions[:B + 1],
-                                  cfg.jumps[:B + 1], WINDOW, cfg.measure)
+    short = lf.PointBatch(cfg.times[:B + 1], cfg.positions[:B + 1],
+                          cfg.jumps[:B + 1], B + 1, WINDOW, cfg.measure)
     lf.solve_forward(short, _problem("heat"))
     lf.picard_solve(short, _problem("heat"), 2)
     assert built.count("_atom_blocks") == 2

@@ -181,7 +181,7 @@ def test_forward_empty_configuration(window, wave_problem):
 
 
 def test_forward_one_atom_hand_formula(window, wave_problem):
-    cfg = lf.add_atom(make_empty_config(window), 0.5, 0.3, 1.0)
+    cfg = lf.add_atoms(make_empty_config(window), 0.5, 0.3, 1.0)
     path = lf.solve_forward(cfg, wave_problem)
     w_atom = deterministic_part(wave_problem, 0.5, 0.3)
     assert path.atom_values[0] == w_atom
@@ -192,8 +192,8 @@ def test_forward_one_atom_hand_formula(window, wave_problem):
 
 def test_forward_two_atom_chained_hand_formula(window, wave_problem):
     cfg = make_empty_config(window)
-    cfg = lf.add_atom(cfg, 0.3, 0.0, 1.0)
-    cfg = lf.add_atom(cfg, 0.6, 0.2, -1.0)
+    cfg = lf.add_atoms(cfg, 0.3, 0.0, 1.0)
+    cfg = lf.add_atoms(cfg, 0.6, 0.2, -1.0)
     path = lf.solve_forward(cfg, wave_problem)
     sig = wave_problem.sigma
     w1 = deterministic_part(wave_problem, 0.3, 0.0)
@@ -213,7 +213,7 @@ def test_forward_grid_matches_evaluate_solution(window, busy_noise, kernel):
     grid_t, grid_x = prob.grid()
     j = 20
     base = lf.sample_prm(busy_noise, window, 3)
-    cfg = lf.add_atom(base, grid_t[j], 0.3, 1.0)
+    cfg = lf.add_atoms(base, grid_t[j], 0.3, 1.0)
     path = lf.solve_forward(cfg, prob)
     for jj, tj in enumerate(grid_t):
         for l, xl in enumerate(grid_x):
@@ -251,7 +251,7 @@ def test_mild_residual_small(window, busy_noise, kernel):
 def test_future_atom_does_not_change_past(window, busy_noise, wave_problem):
     cfg = lf.sample_prm(busy_noise, window, 12)
     before = lf.solve_forward(cfg, wave_problem, with_grid=False)
-    bumped = lf.add_atom(cfg, 0.95, 0.0, 1.0)
+    bumped = lf.add_atoms(cfg, 0.95, 0.0, 1.0)
     after = lf.solve_forward(bumped, wave_problem, with_grid=False)
     keep = cfg.times < 0.95
     where = np.searchsorted(bumped.times, cfg.times[keep])
@@ -324,7 +324,7 @@ def test_picard_compensated_drift_hand_value(window):
     path, _ = lf.picard_solve(cfg, prob, cfg.n_atoms + 2)
     kern = lf.wave_kernel()
     jumps_part = sum(kern.evaluate(1.0 - t, -x) * b * z
-                     for t, x, z in cfg.atoms)
+                     for t, x, z in zip(cfg.times, cfg.positions, cfg.jumps))
     want = deterministic_part(prob, 1.0, 0.0) + jumps_part \
         - b * skew.first_moment * 0.5
     got = lf.evaluate_solution(path, 1.0, 0.0)
@@ -366,7 +366,7 @@ def test_compensator_operator_matches_quadrature(window, kernel, n_t, n_x):
     # atoms at a grid time, at a grid position and on the window edges
     for t_a, x_a in ((grid_t[5], 0.3), (0.5, grid_x[10]),
                      (grid_t[7], grid_x[-1]), (0.9, -window.R)):
-        cfg = lf.add_atom(cfg, t_a, x_a, 1.0)
+        cfg = lf.add_atoms(cfg, t_a, x_a, 1.0)
     u = deterministic_part(prob, grid_t[:, None], grid_x[None, :]) \
         + np.random.default_rng(0).normal(size=(n_t, n_x))
     apply = _compensator_operator(prob, cfg)
@@ -379,8 +379,8 @@ def test_compensator_operator_matches_quadrature(window, kernel, n_t, n_x):
               (0.45, 0.5 * (grid_x[10] + grid_x[11])),
               (0.5 * grid_t[1], 0.1), (0.5 * grid_t[1], window.R),
               (0.6, window.R + 0.5))
-    no_atoms = lf.PointConfiguration(np.zeros(0), np.zeros(0), np.zeros(0),
-                                     window, COMPENSATED)
+    no_atoms = lf.PointBatch(np.zeros(0), np.zeros(0), np.zeros(0), 0,
+                             window, COMPENSATED)
     for sigma in (AFFINE, lf.named_map("sin")):
         got_at, got_gr = apply(sigma(u))
         want_gr = np.array([[_grid_compensator(k, sigma, grid_t, grid_x, u,
@@ -419,8 +419,8 @@ def test_compensator_operator_is_the_per_lag_reference(window, kernel, n_t,
     prob = lf.ProblemSpec(kernel=k, sigma=sigma, ic_kind="cosine",
                           window=window, n_t=n_t, n_x=n_x)
     grid_t, grid_x = prob.grid()
-    cfg = lf.add_atom(lf.sample_prm(COMPENSATED, window, 2), grid_t[5],
-                      grid_x[-1], 1.0)
+    cfg = lf.add_atoms(lf.sample_prm(COMPENSATED, window, 2), grid_t[5],
+                       grid_x[-1], 1.0)
     u = deterministic_part(prob, grid_t[:, None], grid_x[None, :]) \
         + np.random.default_rng(1).normal(size=(n_t, n_x))
     got_at, got_gr = _compensator_operator(prob, cfg)(sigma(u))
@@ -466,7 +466,7 @@ def test_compensated_grid_converges_under_refinement(window, kernel):
         tt, xx = np.meshgrid(path.grid_times, path.grid_positions,
                              indexing="ij")
         jumps = np.zeros_like(tt)
-        for tk, xk, zk in cfg.atoms:
+        for tk, xk, zk in zip(cfg.times, cfg.positions, cfg.jumps):
             after = tt > tk
             jumps[after] += k.evaluate(tt[after] - tk, xx[after] - xk) * zk
         # the window mass is even in x and the grid is symmetric (n even)
