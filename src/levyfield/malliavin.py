@@ -313,7 +313,7 @@ def picard_derivative_rows(problem: ProblemSpec, batch: PointBatch, points,
     kicks = [kick * (sigma(a) * jump)[:, None] for a in at_point]
     sums = causal_sums(kernel, t, x, np.stack(
         [(sigma(b + d) - sigma(b)) * z for b, d in zip(base, du[:-1])],
-        axis=1))
+        axis=1), problem.window, expected)
 
     def sup(v):     # per path, over its atoms
         return np.max(np.where(batch.mask, np.abs(v), 0.0), axis=-1,

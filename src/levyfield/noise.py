@@ -151,12 +151,16 @@ def _as_rng(seed) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SpaceTimeWindow:
-    """Bounded simulation window [0,T] x [-R,R]."""
+    """Bounded simulation window [0,T] x [-R,R].  T and R are stored as
+    floats, so an integer window pads and compares as its float one."""
 
     T: float
     R: float
 
     def __post_init__(self):
+        # frozen: set the floats through object.__setattr__
+        object.__setattr__(self, "T", float(self.T))
+        object.__setattr__(self, "R", float(self.R))
         if not (self.T > 0 and math.isfinite(self.T)):
             raise NoiseError(f"horizon T must be finite positive, got {self.T}")
         if not (self.R > 0 and math.isfinite(self.R)):

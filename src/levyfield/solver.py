@@ -19,9 +19,15 @@ and SolutionPath) take one path's (n,) row.  The row
 count alone picks the machinery (_one_row).  One row, (n,) or (1, n),
 takes the per-path code at any length: the Fenwick sweep or _heat_forward,
 blocks built in one reused, CPU-split _BlockWork above ATOM_BLOCK_ROWS
-atoms, and _null_plan for wave.  Several rows, including an all-empty
-(P, 0) batch, take the batch code: the rank loop of _forward, (P, K, K)
-blocks and the causal-prefix gather of _grid_blocks.
+atoms, and _null_plan for wave.  One heat row whose measure expects more
+than SPECTRAL_ROWS atoms in the window sums the sources of its own and the
+previous time slab by such blocks and every earlier one through a Fourier
+state carried from slab to slab (_FarField), in O(n^1.5): the causal sums,
+the forward solve, the m1 = 0 Picard iterates and the grid projection.
+Several rows, including an all-empty (P, 0) batch, take the batch code:
+the rank loop of _forward, (P, K, K) blocks and the causal-prefix gather
+of _grid_blocks.  mild_residual stays dense, the independent side of the
+mild equation.
 """
 
 from __future__ import annotations
@@ -197,7 +203,8 @@ def _one_row(times) -> bool:
 
 def _expected(atoms) -> float:
     """The expected atom count of a path's or a batch's measure in its
-    window, which sizes the null-coordinate buckets (_null_buckets)."""
+    window, which sizes the null-coordinate buckets (_null_buckets) and
+    _FarField's slabs."""
     return atoms.measure.total_mass * atoms.window.volume
 
 
@@ -458,14 +465,245 @@ def _atom_blocks(kernel: GreenKernel, times, positions):
         yield r0, r1, G.reshape(lead + G.shape[-2:])
 
 
-def causal_sums(kernel: GreenKernel, times, positions, coefs):
+# one heat row whose measure expects more atoms than this in its window
+# sums its far sources spectrally (_FarField).  A path's forward solve and
+# Picard-8, each with the grid, and its add-one-atom derivative, best of 5
+# over 3 paths on 2 vCPUs, dense against spectral: 500 atoms 21 against
+# 22 ms, 700 29 against 25-28 ms, 900 37-39 against 33-34 ms, 2000 127
+# against 63 ms.  So they cross near 700, and a row a little above it
+# gains little either way.
+SPECTRAL_ROWS = 800
+
+# expected atoms per time slab of _FarField: the slab width tau0 balances
+# the near blocks (up to 2 slabs of sources per target) against the M + 1
+# Fourier modes per atom that a narrower slab needs (M grows like
+# tau0^-1/2).  The forward solve and Picard-8 with the grid and the
+# derivative of a 4000-atom path, best of 4 on 2 vCPUs: 100-110 ms at 100
+# to 160 atoms a slab, 115-124 ms at 200 and 250
+SLAB_ATOMS = 160
+
+# e-folds by which _FarField's dropped Fourier tail and its nearest alias
+# fall below a far source: e^-40 = 4.2e-18, under eps / 50
+FAR_EFOLDS = 40.0
+
+# Fourier modes in _FarField's low phase table: e^(i k h x) for
+# k = 16 a + b is e^(i 16 a h x) e^(i b h x), so 16 + (M + 1) / 16 direct
+# cos and sin per atom, then one complex product per mode (a direct
+# complex exp per mode is several times slower)
+_LOW_MODES = 16
+
+
+def _far_field(kernel: GreenKernel, window: SpaceTimeWindow, expected,
+               times, positions):
+    """The _FarField of one heat row whose measure expects more than
+    SPECTRAL_ROWS atoms in the window (expected), inside the window; else
+    None, and the row's sums stay dense.  A row whose atoms all lie in its
+    first two slabs has no far pair of atoms, and stays dense too."""
+    if kernel.kind != "heat" or expected is None \
+            or expected <= SPECTRAL_ROWS or not _one_row(times):
+        return None
+    t, x = np.ravel(times), np.ravel(positions)
+    if not (t.size and t.min() >= 0.0 and t.max() <= window.T
+            and np.abs(x).max() <= window.R):
+        return None
+    far = _FarField(window, expected, t, x)
+    return far if far.slab_of(t[-1]) > 1 else None
+
+
+def _cis(theta):
+    """e^(i theta) from one cos and one sin of each angle."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+class _FarField:
+    """The heat sums of one row of time-sorted atoms with sources at least
+    one time slab earlier summed through their Fourier transform (fast
+    heat potentials: Greengard & Strain, Comm. Pure Appl. Math. 43, 1990;
+    Greengard & Lin, Appl. Comput. Harmon. Anal. 9, 2000).
+
+    Slab s is [s tau0, (s + 1) tau0), with tau0 = T / n and n = expected /
+    SLAB_ATOMS slabs: fixed by the window and the measure, so adding an
+    atom moves no slab edge.  A target in slab s sums the sources of slabs
+    s - 1 and s directly (near, by pairwise_interaction_matrix), and those
+    of slabs up to s - 2, each at least tau0 earlier (far), as
+
+        G(tau, x) = (h / 2 pi) sum_|k|<=M exp(-tau xi_k^2 / 2 + i xi_k x),
+
+    xi_k = k h: the trapezoid rule of the inverse Fourier integral.  Its
+    error is the dropped tail, below exp(-tau0 xi_M^2 / 2) / (pi tau0
+    xi_M) with xi_M = M h >= xi_max = sqrt(2 FAR_EFOLDS / tau0), plus the
+    aliases sum_{m != 0} G(tau, x + 2 pi m / h) (Poisson summation), below
+    2 sum_{m >= 1} G(T, m L - 2R) with the period L = 2 pi / h = 2R +
+    sqrt(2 FAR_EFOLDS T) and |x| <= 2R: each about exp(-FAR_EFOLDS) per
+    unit of |coef|.
+
+    The far state of each field holds M + 1 complex values, the sources'
+    sum_j c_j exp(-(e - t_j) xi_k^2 / 2 + i xi_k x_j) at the current slab
+    edge e (the conjugate of the transform; real c makes k and -k
+    conjugate), stored as interleaved real and imaginary parts, so the
+    target's real part of the product is one real matrix product.  It is
+    carried one slab by exp(-tau0 xi_k^2 / 2).  A slab's phases
+    e^(i xi_k x) are built when its atoms are targets and kept until they
+    are folded in as sources, in buffers of the largest slab's size, so
+    memory stays O(slab x M)."""
+
+    def __init__(self, window: SpaceTimeWindow, expected: float, times,
+                 positions):
+        self.times, self.positions = times, positions
+        self.n_slabs = max(1, int(expected / SLAB_ATOMS))
+        self.tau0 = window.T / self.n_slabs
+        self.h = 2.0 * math.pi / (2.0 * window.R
+                                  + math.sqrt(2.0 * FAR_EFOLDS * window.T))
+        xi_max = math.sqrt(2.0 * FAR_EFOLDS / self.tau0)
+        # M + 1 modes, rounded up to whole rows of the low phase table
+        highs = -(-(math.ceil(xi_max / self.h) + 1) // _LOW_MODES)
+        self.xi = self.h * np.arange(highs * _LOW_MODES)
+        self.xi2 = -0.5 * self.xi * self.xi
+        self.weights = np.full(self.xi.size, self.h / math.pi)
+        self.weights[0] = self.h / (2.0 * math.pi)
+        self.decay = np.repeat(np.exp(self.tau0 * self.xi2), 2)[:, None]
+        self.starts = np.searchsorted(self.slab_of(times),
+                                      np.arange(self.n_slabs + 1))
+        self._factor = np.empty((0, self.xi.size))
+        self.reserve(int(np.diff(self.starts).max()))
+
+    def reserve(self, rows: int):
+        """Buffers of phases and decayed rows for at least rows targets or
+        sources: fresh arrays of this size cost page faults on every slab."""
+        if rows > self._factor.shape[0]:
+            self._phases = np.empty((rows, self.xi.size), dtype=complex)
+            self._factor = np.empty((rows, self.xi.size))
+            self._rows = np.empty((rows, self.xi.size), dtype=complex)
+
+    def slab_of(self, t):
+        return np.clip(np.floor(np.asarray(t) / self.tau0), 0,
+                       self.n_slabs - 1).astype(np.intp)
+
+    def phases(self, x):
+        """e^(i xi_k x), (len(x), M + 1): the low table times the high, in
+        the phase buffer."""
+        x = np.asarray(x, dtype=float)[:, None]
+        low = self.h * np.arange(_LOW_MODES) * x
+        high = (self.h * _LOW_MODES) * np.arange(
+            self.xi.size // _LOW_MODES) * x
+        out = self._phases[:x.shape[0]]
+        np.multiply(_cis(high)[:, :, None], _cis(low)[:, None, :],
+                    out=out.reshape(high.shape + (_LOW_MODES,)))
+        return out
+
+    def decayed(self, phases, dt, weights=None):
+        """(k, 2 (M + 1)) real rows: phases times exp(-dt xi_k^2 / 2)
+        (times weights), their real and imaginary parts interleaved; valid
+        until the next call.  With the weights, the rows whose product with
+        a state is the far sum at targets dt after its slab edge."""
+        factor = self._factor[:phases.shape[0]]
+        np.multiply(np.reshape(dt, (-1, 1)), self.xi2, out=factor)
+        np.exp(factor, out=factor)
+        if weights is not None:
+            factor *= weights
+        return np.multiply(phases, factor,
+                           out=self._rows[:phases.shape[0]]).view(float)
+
+    def states(self, coefs):
+        """Yield (s, lo, hi, state, phases) per slab s: its atoms lo:hi,
+        the (2 (M + 1), m) far state of the m fields coefs (n, m) at its
+        start edge, and its atoms' phases.  coefs[lo:hi] must hold the
+        slab's values when the generator resumes: they are folded in as
+        the state two slabs on is yielded."""
+        state = np.zeros((2 * self.xi.size, coefs.shape[1]))
+        older = newer = state
+        for s in range(self.n_slabs):
+            if s > 1:
+                state = self.decay * (state + older)
+            lo, hi = self.starts[s], self.starts[s + 1]
+            phases = self.phases(self.positions[lo:hi])
+            yield s, lo, hi, state, phases
+            rows = self.decayed(phases, (s + 1) * self.tau0
+                                - self.times[lo:hi])
+            older, newer = newer, rows.T @ coefs[lo:hi]
+
+    def blocks(self, kernel: GreenKernel, values, coefs):
+        """(r0, r1, c0, G) over the row's causal row blocks, slab by slab:
+        G the (r1 - r0, r1 - c0) block of targets r0 <= i < r1 over the
+        near sources c0 <= j < r1 of pairwise_interaction_matrix, at most
+        ATOM_BLOCK_ROWS rows of one slab each, built in one _BlockWork.
+        Before a slab's blocks its far sums over coefs (n, m) are added to
+        values (n, m); coefs must hold a slab's values once its last block
+        has been taken."""
+        t, x, starts = self.times, self.positions, self.starts
+        size = ATOM_BLOCK_ROWS * int(np.max(starts[2:] - starts[:-2]))
+        work = _BlockWork(size, size)
+        for s, lo, hi, state, phases in self.states(coefs):
+            if s > 1:
+                values[lo:hi] += self.decayed(
+                    phases, t[lo:hi] - s * self.tau0, self.weights) @ state
+            c0 = starts[max(s - 1, 0)]
+            for r0 in range(lo, hi, ATOM_BLOCK_ROWS):
+                r1 = min(r0 + ATOM_BLOCK_ROWS, hi)
+                yield r0, r1, c0, pairwise_interaction_matrix(
+                    kernel, t[r0:r1], x[r0:r1], t[c0:r1], x[c0:r1], work)
+
+    def project(self, kernel: GreenKernel, grid_t, grid_x, coefs):
+        """Yield (j, sums (n_x,)) for each grid time t_j: sum over the
+        atoms before t_j of G(t_j - t_i, x_l - x_i) coefs_i, the atoms of
+        t_j's slab and the one before by kernel blocks (one _BlockWork),
+        the earlier ones from the far state."""
+        t, x, starts = self.times, self.positions, self.starts
+        coefs = np.reshape(coefs, (-1, 1))
+        before = np.searchsorted(t, grid_t)
+        slab = self.slab_of(grid_t)
+        wide = max((int(k - starts[max(s - 1, 0)])
+                    for k, s in zip(before, slab)), default=0)
+        work = _BlockWork(wide, grid_x.size * wide)
+        self.reserve(grid_x.size)
+        grid_phases = self.phases(grid_x).copy()
+        j = 0
+        for s, lo, hi, state, _ in self.states(coefs):
+            while j < grid_t.size and slab[j] == s:
+                c0, k = starts[max(s - 1, 0)], before[j]
+                sums = pairwise_interaction_matrix(
+                    kernel, grid_t[j], grid_x, t[c0:k], x[c0:k], work) \
+                    @ coefs[c0:k, 0]
+                if s > 1:
+                    sums += self.decayed(grid_phases,
+                                         grid_t[j] - s * self.tau0,
+                                         self.weights) @ state[:, 0]
+                yield j, sums
+                j += 1
+
+
+def _causal_blocks(kernel: GreenKernel, times, positions, far, values,
+                   coefs):
+    """(r0, r1, c0, G): G the block of targets r0 <= i < r1 over sources
+    c0 <= j < r1 that a sweep sums directly.  Without far they are
+    _atom_blocks' blocks, c0 = 0; with it, far.blocks', which add the far
+    sums over coefs (n, m) to values (n, m) slab by slab."""
+    if far is None:
+        return ((r0, r1, 0, G) for r0, r1, G in
+                _atom_blocks(kernel, times, positions))
+    return far.blocks(kernel, values, coefs)
+
+
+def causal_sums(kernel: GreenKernel, times, positions, coefs, window=None,
+                expected=None):
     """s[..., i] = sum_{t_j < t_i} G(t_i - t_j, x_i - x_j) coefs[..., j] at
     rows of atoms, coefs (..., m, K) for m fields or the rows' shape: one
     pass over _atom_blocks for every field and kernel (wave too, apart
-    from _null_plan)."""
-    out = np.empty_like(coefs)
-    for r0, r1, G in _atom_blocks(kernel, times, positions):
-        out[..., r0:r1] = coefs[..., :r1] @ G.swapaxes(-1, -2)
+    from _null_plan).  Given the window and expected, the measure's
+    expected atom count in it, one heat row above SPECTRAL_ROWS sums its
+    far sources by _FarField."""
+    far = None if window is None else _far_field(kernel, window, expected,
+                                                 times, positions)
+    n = np.shape(times)[-1]
+    out = np.zeros(np.shape(coefs))
+    m = math.prod(out.shape[:-1])
+    for r0, r1, c0, G in _causal_blocks(kernel, times, positions, far,
+                                        out.reshape(m, n).T,
+                                        np.reshape(coefs, (m, n)).T):
+        out[..., r0:r1] += coefs[..., c0:r1] @ G.swapaxes(-1, -2)
     return out
 
 
@@ -594,7 +832,9 @@ def _project_grid(problem: ProblemSpec, times, positions, coefs,
     one row and one field, coefs in the row's shape: grid_projection
     collected into (..., n_t, n_x).  Given expected, the measure's expected
     atom count (m1 = 0), a wave row takes the grid points as the targets of
-    _null_plan, whose buckets it sizes, in place of kernel blocks."""
+    _null_plan, whose buckets it sizes, in place of kernel blocks, and a
+    heat row above SPECTRAL_ROWS reads the sources two slabs back and
+    earlier from _FarField's state at each grid time's positions."""
     grid_t, grid_x = problem.grid()
     shape = np.shape(times)[:-1] + (grid_t.size, grid_x.size)
     if problem.kernel.kind == "wave" and expected is not None:
@@ -604,6 +844,14 @@ def _project_grid(problem: ProblemSpec, times, positions, coefs,
         return grid_t, grid_x, (deterministic_part(problem, tq, xq)
                                 + 0.5 * s).reshape(shape)
     out = np.empty(shape)
+    far = _far_field(problem.kernel, problem.window, expected, times,
+                     positions)
+    if far is not None:
+        w = deterministic_part(problem, grid_t[:, None], grid_x[None, :])
+        rows = out.reshape(grid_t.size, grid_x.size)
+        for j, sums in far.project(problem.kernel, grid_t, grid_x, coefs):
+            rows[j] = w[j] + sums
+        return grid_t, grid_x, out
     for j, values in grid_projection(problem, times, positions, coefs,
                                      blocks):
         out[..., j, :] = values
@@ -656,7 +904,8 @@ def _forward(problem: ProblemSpec, atoms):
     substitution in atom time; m1 = 0 only.
 
     One row: wave sweeps in null coordinates (_wave_forward), heat, whose G
-    is never exactly 0, over _atom_blocks (_heat_forward).  Several rows:
+    is never exactly 0, over _atom_blocks or, above SPECTRAL_ROWS, over
+    _FarField's slabs (_heat_forward).  Several rows:
     step k solves atom k of the a rows with more than k atoms, the (a, k)
     prefix of the rows sorted by decreasing count.  On 100 rows this beat
     per-row sweeps at 20 to 256 atoms a row; on one row the sweep won at
@@ -672,7 +921,8 @@ def _forward(problem: ProblemSpec, atoms):
         else:
             u = np.array(deterministic_part(problem, t, x), dtype=float,
                          ndmin=1)
-            sigz = _heat_forward(problem, t, x, u, z)
+            sigz = _heat_forward(problem, t, x, u, z,
+                                 expected=_expected(atoms))
         return u.reshape(shape), sigz.reshape(shape)
     by_count = np.argsort(-atoms.counts, kind="stable")
     t, x, z = (a[by_count] for a in (atoms.times, atoms.positions,
@@ -702,7 +952,7 @@ def solve_forward(config: PointBatch, problem: ProblemSpec,
                   with_grid: bool = True) -> SolutionPath:
     """The exact solution of one path's row at its atoms (_forward; m1 = 0
     only) and with_grid on the grid, projecting sigma(u) z (_project_grid:
-    by _null_plan on wave, by kernel blocks on heat)."""
+    by _null_plan on wave, by kernel blocks or _FarField on heat)."""
     _path_row(config)
     u, sigz = _forward(problem, config)
     path = SolutionPath(config, problem, u, solver="forward")
@@ -720,21 +970,28 @@ def solve_batch(batch: PointBatch, problem: ProblemSpec) -> np.ndarray:
 
 
 def _heat_forward(problem: ProblemSpec, times, positions, u, z,
-                  shared: int = 0):
+                  shared: int = 0, expected=None):
     """Forward substitution over _atom_blocks of one path's atoms (n,) in
     place: u holds w at the atoms on entry, the solution on return; returns
     sigma(u) z.  A block's rows take the atoms before it with one matrix
     product, then are solved one at a time.  u and z are (n,), or (n, m)
     for m jump fields sharing each block, copying field 0 at rows below
-    shared."""
+    shared.  Given expected, the measure's expected atom count, a row above
+    SPECTRAL_ROWS takes _FarField's blocks: a slab's far sums first, then
+    its near blocks, whose sources start at c0."""
     sigma = problem.sigma
     sigz = np.empty_like(u)
-    for r0, r1, G in _atom_blocks(problem.kernel, times, positions):
-        if r0:
-            u[r0:r1] += G[:, :r0] @ sigz[:r0]
+    far = _far_field(problem.kernel, problem.window, expected, times,
+                     positions)
+    fields = (u.shape[0], math.prod(u.shape[1:]))
+    for r0, r1, c0, G in _causal_blocks(problem.kernel, times, positions,
+                                        far, u.reshape(fields),
+                                        sigz.reshape(fields)):
+        if r0 > c0:
+            u[r0:r1] += G[:, :r0 - c0] @ sigz[c0:r0]
         for k in range(r0, r1):
             if k > r0:
-                u[k] += np.dot(G[k - r0, r0:k], sigz[r0:k])
+                u[k] += np.dot(G[k - r0, r0 - c0:k - c0], sigz[r0:k])
             if k < shared:
                 u[k] = u[k, 0]
             sigz[k] = sigma(u[k]) * z[k]
@@ -764,7 +1021,8 @@ def solve_forward_pair(config: PointBatch, problem: ProblemSpec,
     z[k, 0] = 0.0
     u = np.repeat(_column(deterministic_part(problem, plus.times,
                                              plus.positions)), 2, axis=1)
-    _heat_forward(problem, plus.times, plus.positions, u, z, shared=k)
+    _heat_forward(problem, plus.times, plus.positions, u, z, shared=k,
+                  expected=_expected(config))
     return (SolutionPath(config, problem, np.delete(u[:, 0], k), "forward"),
             SolutionPath(plus, problem, u[:, 1].copy(), "forward"))
 
@@ -799,7 +1057,8 @@ def picard_iterates_at_atoms(problem: ProblemSpec, times, positions, jumps,
     One wave row of more than ATOM_BLOCK_ROWS atoms applies one _null_plan
     to each iterate, its buckets sized by expected, the measure's expected
     atom count in the window, so an added atom moves no bucket.  Otherwise
-    one sweep over _atom_blocks: u_{m+1} at rows [r0, r1) needs u_m only
+    one sweep over _atom_blocks, or for one heat row above SPECTRAL_ROWS
+    over _FarField's slabs: u_{m+1} at rows [r0, r1) needs u_m only
     before r1, so each block computes all n iterates of its rows, one
     (batched) matrix-vector product each, and is dropped."""
     if n_iter < 0:
@@ -815,15 +1074,23 @@ def picard_iterates_at_atoms(problem: ProblemSpec, times, positions, jumps,
         for _ in range(n_iter):
             iterates.append(w + 0.5 * dominance(sigma(iterates[-1]) * jumps))
         return iterates
-    iterates = [w] + [np.empty_like(w) for _ in range(n_iter)]
     sigz = np.empty((n_iter,) + w.shape)     # sigma(u_m) z, m < n
-    for r0, r1, G in _atom_blocks(problem.kernel, times, positions):
+    iterates = np.zeros((n_iter + 1,) + w.shape)
+    iterates[0] = w
+    # on one heat row iterate m + 1's far sums come from sigma(u_m) z of
+    # the slabs two back, so the n fields share each slab's phases
+    far = _far_field(problem.kernel, problem.window, expected, times,
+                     positions)
+    for r0, r1, c0, G in _causal_blocks(
+            problem.kernel, times, positions, far,
+            iterates[1:].reshape(n_iter, w.size).T,
+            sigz.reshape(n_iter, w.size).T):
         for m in range(n_iter):
             sigz[m, ..., r0:r1] = sigma(iterates[m][..., r0:r1]) \
                 * jumps[..., r0:r1]
-            iterates[m + 1][..., r0:r1] = w[..., r0:r1] + batched_matvec(
-                G, sigz[m, ..., :r1])
-    return iterates
+            iterates[m + 1][..., r0:r1] += w[..., r0:r1] + batched_matvec(
+                G, sigz[m, ..., c0:r1])
+    return list(iterates)
 
 
 def picard_solve(config: PointBatch, problem: ProblemSpec,
@@ -839,7 +1106,8 @@ def picard_solve(config: PointBatch, problem: ProblemSpec,
 
     With m1 = 0 the iterates come from picard_iterates_at_atoms, never the
     n_atoms^2 matrix.  A wave path projects on the grid by _null_plan, a
-    heat path builds one grid time's kernel block at a time.  With m1 != 0
+    heat path builds one grid time's kernel block at a time (above
+    SPECTRAL_ROWS over the near slabs only, _FarField).  With m1 != 0
     the grid is returned whatever with_grid says: the compensator's
     quadrature carries the iterate on it.
 
@@ -989,8 +1257,9 @@ def _compensator_operator(problem: ProblemSpec, config: PointBatch):
     the default 64 x 64 grid; heat's G(d, 0) falls strictly with d, so it
     keeps them all).  Returns apply(svals), svals = sigma(u) on the grid
     (n_t, n_x), which gives (compensator at the atoms, compensator on the
-    grid): one product of svals with every kept block, read at each
-    (source time, block) pair of a grid target.
+    grid): each kept block times svals at only the source times whose
+    pairs read it (heat forms 2016 of the 64 x 169 products on the 64 x 64
+    grid), read at each (source time, block) pair of a grid target.
     """
     kernel = problem.kernel
     grid_t, grid_x = problem.grid()
@@ -1003,18 +1272,46 @@ def _compensator_operator(problem: ProblemSpec, config: PointBatch):
                         (grid_x[:, None] - grid_x)[None])  # (U, n_x, n_x)
     new_block = np.ones(lags.size, dtype=bool)
     new_block[1:] = np.any(G[1:] != G[:-1], axis=(1, 2))
-    kept = G[new_block]                                  # (B, n_x, n_x)
-    kept *= _trapezoid(grid_x)
-    kept = kept.reshape(-1, n_x).T                       # (n_x, B n_x)
     block_of = (np.cumsum(new_block) - 1)[lag_of]
+    # the (block, source time) products the pairs read, formed by one
+    # batched product per group of blocks used by equally many source
+    # times, into consecutive rows; the blocks are kept in that order.  G
+    # is even in x and x_l - x_m = -(x_m - x_l) exactly, so each block is
+    # symmetric and, with the weights down its rows, the transpose that
+    # svals takes
+    used, product_of = np.unique(block_of * n_t + ii, return_inverse=True)
+    block, source = np.divmod(used, n_t)
+    uses = np.bincount(block)
+    first = np.cumsum(uses) - uses             # each block's first product
+    by_uses = np.argsort(uses, kind="stable")
+    kept = G[np.flatnonzero(new_block)[by_uses]]         # (B, n_x, n_x)
+    kept *= _trapezoid(grid_x)[:, None]
+    groups, rows_of, p0 = [], [], 0
+    counts, starts = np.unique(uses[by_uses], return_index=True)
+    for c, g0, g1 in zip(counts, starts, np.append(starts[1:], uses.size)):
+        at = (first[by_uses[g0:g1], None] + np.arange(c)).ravel()
+        # a block used once takes its source twice: numpy forms a one-row
+        # product by its matrix-vector path, whose sums round apart from
+        # the matrix product's
+        groups.append((p0, p0 + at.size, c,
+                       np.repeat(source[at].reshape(g1 - g0, c),
+                                 2 if c == 1 else 1, axis=1), kept[g0:g1]))
+        rows_of.append(at)
+        p0 += at.size
+    row = np.empty(used.size, dtype=np.intp)
+    row[np.concatenate(rows_of)] = np.arange(used.size)
+    product_of = row[product_of]
     pair_w = np.concatenate([_trapezoid(grid_t[:j]) for j in range(1, n_t)])
     row_starts = np.searchsorted(jj, np.arange(1, n_t))
     tail = kernel.cumulative_mass_integral(np.diff(grid_t))[:, None]
     rows = _compensator_rows(problem, config.times, config.positions)
 
     def apply(svals):
-        per_block = (svals @ kept).reshape(n_t, -1, n_x)
-        terms = pair_w[:, None] * per_block[ii, block_of]
+        products = np.empty((used.size, n_x))
+        for p0, p1, c, sources, blocks in groups:
+            products[p0:p1] = (svals[sources] @ blocks)[:, :c].reshape(
+                p1 - p0, n_x)
+        terms = pair_w[:, None] * products[product_of]
         grid = np.zeros((n_t, n_x))
         grid[1:] = np.add.reduceat(terms, row_starts, axis=0) \
             + tail * svals[:-1]

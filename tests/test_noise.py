@@ -268,6 +268,23 @@ def test_window_validation():
         lf.SpaceTimeWindow(1.0, -1.0)
 
 
+def test_an_integer_window_samples_as_its_float_window():
+    # the batch pads each row with the window's T, which must be a float
+    # for the padded rows to sort and validate as sampled
+    window = lf.SpaceTimeWindow(1, 2)
+    assert (type(window.T), type(window.R)) == (float, float)
+    assert window == lf.SpaceTimeWindow(1.0, 2.0)
+    got = lf.sample_batch(lf.rademacher(), window, 0, 0, 3)
+    want = lf.sample_batch(lf.rademacher(), lf.SpaceTimeWindow(1.0, 2.0), 0,
+                           0, 3)
+    for name in ("times", "positions", "jumps", "counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    one = lf.sample_prm(lf.rademacher(), window, 5)
+    assert one.times.tobytes() == lf.sample_prm(
+        lf.rademacher(), lf.SpaceTimeWindow(1.0, 2.0), 5).times.tobytes()
+
+
 # ------------------------------------------------------------ persistence
 
 def test_save_load_roundtrip(tmp_path, window, busy_noise):
