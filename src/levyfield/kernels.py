@@ -42,7 +42,7 @@ class GreenKernel:
         if self.kind not in (WAVE, HEAT):
             raise KernelError(f"unknown kernel kind {self.kind!r}")
 
-    def evaluate(self, t, x, out=None, rows=None):
+    def evaluate(self, t, x, out=None):
         """G(t, x) at t and x broadcast together; every t must be > 0 (a NaN
         time raises too).  Heat computes exp(-x x / (2 t)) / sqrt(2 pi t)
         operation by operation in one output buffer, so the only other
@@ -50,32 +50,12 @@ class GreenKernel:
 
         out, a float array of the broadcast shape, takes the result in
         place of a new array and is returned; t is checked before out is
-        written.  rows, given with out (two axes), is a function
-        rows(fill, n) that calls fill(r0, r1) on ranges tiling out's n rows
-        (solver's block fill gives one that writes each range's t and x
-        first and runs the ranges on several CPUs); fill checks t's rows
-        r0:r1 and writes G into out's by the same operations (a t or x of
-        one row serves every range)."""
+        written."""
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
+        _require(t, True, _POSITIVE)
         if out is None:
             out = np.empty(np.broadcast_shapes(t.shape, x.shape))
-        if rows is None:
-            _require(t, True, _POSITIVE)
-            self._fill(t, x, out)
-            return out if out.ndim else float(out)
-        n = out.shape[0]
-
-        def fill(r0, r1):
-            tr, xr = (a if a.shape[0] != n else a[r0:r1] for a in (t, x))
-            _require(tr, True, _POSITIVE)
-            self._fill(tr, xr, out[r0:r1])
-
-        rows(fill, n)
-        return out
-
-    def _fill(self, t, x, out):
-        # the one copy of each formula
         if self.kind == WAVE:
             np.multiply(np.abs(x) <= t, 0.5, out=out)
         else:
@@ -86,6 +66,7 @@ class GreenKernel:
             np.exp(out, out=out)
             np.multiply(t, 2.0 * math.pi, out=scale)
             out /= np.sqrt(scale, out=scale)
+        return out if out.ndim else float(out)
 
     def fourier(self, t, xi):
         """Spatial Fourier transform F G(t,.)(xi); t >= 0.

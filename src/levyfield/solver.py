@@ -18,21 +18,22 @@ The per-path entry points (solve_forward, solve_forward_pair, picard_solve
 and SolutionPath) take one path's (n,) row.  The row
 count alone picks the machinery (_one_row).  One row, (n,) or (1, n),
 takes the per-path code at any length: the Fenwick sweep or _heat_forward,
-blocks built in one reused, CPU-split _BlockWork above ATOM_BLOCK_ROWS
-atoms, and _null_plan for wave.  One heat row whose measure expects more
+blocks built in one reused _BlockWork above ATOM_BLOCK_ROWS atoms, and
+_null_plan for wave.  One heat row whose measure expects more
 than SPECTRAL_ROWS atoms in the window sums the sources of its own and the
 previous time slab by such blocks and every earlier one through a Fourier
 state carried from slab to slab (_FarField), in O(n^1.5): the causal sums,
 the forward solve, the m1 = 0 Picard iterates and the grid projection.
 Several rows, including an all-empty (P, 0) batch, take the batch code:
 the rank loop of _forward, (P, K, K) blocks and the causal-prefix gather
-of _grid_blocks.  mild_residual stays dense, the independent side of the
-mild equation.
+of _grid_blocks.  The atom blocks of one row or of several, and one
+row's grid blocks, in new arrays or a _BlockWork's, all come from the one
+causal rule of pairwise_interaction_matrix.  mild_residual stays dense,
+the independent side of the mild equation.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,7 +43,6 @@ from .kernels import GreenKernel
 from .integrals import MissingFieldError
 from .noise import (LevyMeasure, PointBatch, SpaceTimeWindow, add_atoms,
                     sample_batches)
-from . import parallel
 from .reporting import SLACK_SIGMAS, CheckRow, write_check_rows, write_csv
 
 
@@ -222,41 +222,36 @@ def pairwise_interaction_matrix(kernel: GreenKernel, target_t, target_x,
     Leading axes are batch axes: (P, n) targets and (P, k) sources give
     (P, n, k), one block per path of a padded batch.  Target times and
     positions broadcast against each other (one grid time with a vector of
-    positions gives one grid row).  One rule for every block: where a
-    source is not strictly earlier, G is evaluated at dt = 1 in its place
-    and the entry zeroed; when every pair is causal G is evaluated as it
-    stands.  dt keeps the times' broadcast shape, (..., 1, k) for a grid
-    time, and takes the 1s in place; no caller's array is written.
+    positions gives one grid row).  This is the one causal rule for every
+    kernel block: dt and dx are the differences, dt in the times'
+    broadcast shape ((..., 1, k) for a grid time); where a source is not
+    strictly earlier G is evaluated at dt = 1 in its place and the entry
+    zeroed, and when every pair is causal G is evaluated as it stands.  No
+    caller's array is written.
 
-    With work (a _BlockWork), the sources are one path's (k,) and the
-    block is built in work's buffers by the same operations (so with the
-    same bits), and is a view of them, valid only until the next block
-    built in work.
+    The rule's arrays are new ones, or with work (a _BlockWork) views of
+    its buffers: the same operations in the same order either way, so the
+    same bits, but a block built in work is valid only until the next one.
     """
     tt, tx = _column(target_t), _column(target_x)
     st, sx = _row(source_t), _row(source_x)
-    if work is not None:
-        return work.fill(kernel.evaluate, tt, tx, st, sx)
-    dt = tt - st
-    dx = tx - sx
-    causal = dt > 0.0
-    if causal.all():
-        return kernel.evaluate(dt, dx)
-    np.copyto(dt, 1.0, where=~causal)
-    out = kernel.evaluate(dt, dx)
-    out *= causal
-    return out
-
-
-def _causal_times(tt, st, dt, causal) -> bool:
-    """dt = tt - st and causal = dt > 0 in place, then dt = 1 where a pair
-    is not causal; True if every pair is."""
+    t_shape = np.broadcast(tt, st).shape
+    x_shape = np.broadcast(tx, sx).shape
+    shape = np.broadcast(tt, st, tx, sx).shape
+    if work is None:
+        dt, causal = np.empty(t_shape), np.empty(t_shape, dtype=bool)
+        dx, out = np.empty(x_shape), np.empty(shape)
+    else:
+        dt, causal, dx, out = work.arrays(t_shape, x_shape, shape)
     np.subtract(tt, st, out=dt)
+    np.subtract(tx, sx, out=dx)
     np.greater(dt, 0.0, out=causal)
     if causal.all():
-        return True
+        return kernel.evaluate(dt, dx, out=out)
     np.copyto(dt, 1.0, where=~causal)
-    return False
+    kernel.evaluate(dt, dx, out=out)
+    out *= causal
+    return out
 
 
 class _BlockWork:
@@ -271,45 +266,12 @@ class _BlockWork:
         self.dx = np.empty(size)
         self.out = np.empty(size)
 
-    def fill(self, evaluate, tt, tx, st, sx):
-        """The (n, k) block of targets (tt, tx), columns, over sources
-        (st, sx), rows, by pairwise_interaction_matrix's rule: views of
-        the first entries of the buffers, dt and causal in the times'
-        shape.  evaluate (the kernel's) is entered once, here.  Its rows go
-        in min(parallel.PARTS, n k // RANGE_ENTRIES) ranges, on the calling
-        thread alone when that is below 2, and each range writes its dx,
-        dt and causal rows, then G, then the mask, so one thread writes
-        all of a row.  A grid time's dt, (1, k), is written once first."""
-        n, k = tx.shape[0], sx.shape[-1]
-        m = tt.shape[0]     # n, or 1 for one grid time
-        dt = self.dt[:m * k].reshape(m, k)
-        causal = self.causal[:m * k].reshape(m, k)
-        dx = self.dx[:n * k].reshape(n, k)
-        out = self.out[:n * k].reshape(n, k)
-        by_row = m == n
-        # one grid time: its dt row, written here, serves every range
-        every = by_row or _causal_times(tt, st, dt, causal)
-        parts = min(parallel.PARTS, n * k // RANGE_ENTRIES)
-
-        def block_rows(fill, r0, r1):
-            np.subtract(tx[r0:r1], sx, out=dx[r0:r1])
-            if by_row:
-                mask = causal[r0:r1]
-                all_causal = _causal_times(tt[r0:r1], st, dt[r0:r1], mask)
-            else:
-                mask, all_causal = causal, every
-            fill(r0, r1)
-            if not all_causal:
-                out[r0:r1] *= mask
-
-        if parts < 2:
-            block_rows(lambda r0, r1: evaluate(dt, dx, out=out), 0, n)
-            return out
-
-        def rows(fill, n):
-            parallel.map_rows(functools.partial(block_rows, fill), n, parts)
-
-        return evaluate(dt, dx, out=out, rows=rows)
+    def arrays(self, t_shape, x_shape, shape):
+        """dt and causal in t_shape, dx in x_shape and out in shape: views
+        of the first entries of the buffers."""
+        return tuple(buf[:math.prod(s)].reshape(s) for buf, s in (
+            (self.dt, t_shape), (self.causal, t_shape), (self.dx, x_shape),
+            (self.out, shape)))
 
 
 @dataclass
@@ -431,14 +393,6 @@ def _grid_blocks(problem: ProblemSpec, times, positions):
 # is one block.
 ATOM_BLOCK_ROWS = 64
 
-# the fewest entries per row range of a split block fill (_BlockWork.fill):
-# over smaller ranges the threads mostly take turns at the interpreter
-# lock.  Picard-8 plus a forward solve on a heat path, best of 5 on 2
-# vCPUs: 4195 atoms 271-310 ms at this size against 324-369 ms serial;
-# 200 atoms (no block split) 10-14 ms against 34-42 ms with every block
-# split.  16 384 and 65 536 did no better on paths of 200 to 4195 atoms.
-RANGE_ENTRIES = 32_768
-
 
 def _atom_blocks(kernel: GreenKernel, times, positions):
     """(r0, r1, G) over causal row blocks of rows of time-sorted atoms: G is
@@ -447,9 +401,9 @@ def _atom_blocks(kernel: GreenKernel, times, positions):
     only sees atoms before it, so these blocks hold every nonzero entry of
     the atoms' interaction matrix, ATOM_BLOCK_ROWS target rows at a time.
 
-    One row of more than ATOM_BLOCK_ROWS atoms builds its blocks in one
-    _BlockWork of ATOM_BLOCK_ROWS x n entries per buffer, its target rows
-    split across the CPUs (_BlockWork.fill): a yielded G is valid only
+    Each block is one pairwise_interaction_matrix call.  One row of more
+    than ATOM_BLOCK_ROWS atoms builds its blocks in one _BlockWork of
+    ATOM_BLOCK_ROWS x n entries per buffer: a yielded G is valid only
     until the next one.  Other rows build G as new arrays."""
     lead, n = times.shape[:-1], times.shape[-1]
     work = None
@@ -690,11 +644,16 @@ def _causal_blocks(kernel: GreenKernel, times, positions, far, values,
 def causal_sums(kernel: GreenKernel, times, positions, coefs, window=None,
                 expected=None):
     """s[..., i] = sum_{t_j < t_i} G(t_i - t_j, x_i - x_j) coefs[..., j] at
-    rows of atoms, coefs (..., m, K) for m fields or the rows' shape: one
-    pass over _atom_blocks for every field and kernel (wave too, apart
-    from _null_plan).  Given the window and expected, the measure's
-    expected atom count in it, one heat row above SPECTRAL_ROWS sums its
-    far sources by _FarField."""
+    rows of atoms, coefs (..., m, K) for m fields or the rows' shape for
+    one (several rows' coefs (P, K) are their (P, 1, K), and s takes the
+    coefs' shape): one pass over _atom_blocks for every field and kernel
+    (wave too, apart from _null_plan).  Given the window and expected, the
+    measure's expected atom count in it, one heat row above SPECTRAL_ROWS
+    sums its far sources by _FarField."""
+    if np.ndim(coefs) == np.ndim(times) > 1:
+        return causal_sums(kernel, times, positions,
+                           np.expand_dims(coefs, -2), window,
+                           expected)[..., 0, :]
     far = None if window is None else _far_field(kernel, window, expected,
                                                  times, positions)
     n = np.shape(times)[-1]

@@ -1,8 +1,8 @@
 """The causal row-block engine of solve_forward and the m1 = 0 Picard
 iterates against the dense atoms x atoms matrix and the per-atom solve,
 the one causal rule of pairwise_interaction_matrix against G gathered at
-the causal pairs, and the blocks of one long path, filled on every CPU
-into one reused workspace, against the serial matrix."""
+the causal pairs, and the blocks of one long path, built in one reused
+workspace, against new arrays."""
 
 import math
 import subprocess
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import levyfield as lf
-from levyfield import parallel, solver
+from levyfield import solver
 
 from conftest import child_env
 
@@ -244,11 +244,11 @@ def test_picard_at_atoms_holds_no_atoms_by_atoms_matrix(kernel):
     assert path.atom_values.shape == (n,) and diag.sup_differences.size == 8
 
 
-# -- the blocks of one long path, filled on every CPU into one workspace ------
+# -- the blocks of one long path, built in one workspace ----------------------
 
 
 def _grid_reference(problem, t, x):
-    # one serial pairwise_interaction_matrix call per grid time
+    # one pairwise_interaction_matrix call per grid time, in new arrays
     grid_t, grid_x = problem.grid()
     for tj in grid_t:
         k = int(np.sum(t < tj))
@@ -256,143 +256,86 @@ def _grid_reference(problem, t, x):
                                                  t[:k], x[:k])
 
 
-def _split_every_block(monkeypatch, parts):
-    # as if a split over `parts` ranges paid at any size
-    monkeypatch.setattr(parallel, "PARTS", parts)
-    monkeypatch.setattr(solver, "RANGE_ENTRIES", 1)
-
-
-@pytest.mark.parametrize("parts", [1, 2, 3, 9])
 @pytest.mark.parametrize("n", [B + 1, 200, 1000])
-def test_parallel_blocks_equal_serial_blocks(monkeypatch, n, parts):
-    # each block, built in the pass's workspace with its rows split, has
-    # the bits of the serial matrix; it is compared before the next block
-    # overwrites it.  9 parts queue on the pool, and a short switch
-    # interval interleaves the threads often: a range written by the wrong
-    # thread or left unwritten would show
-    _split_every_block(monkeypatch, parts)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        _check_blocks(n)
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def _check_blocks(n):
-    # the atom then the grid blocks of the first n atoms, each against the
-    # serial matrix; returns their shapes in the order they were built
+def test_workspace_blocks_equal_new_blocks(n):
+    # the atom then the grid blocks of the first n atoms, each built in the
+    # pass's workspace, have the bits of their own
+    # pairwise_interaction_matrix call in new arrays; each is compared
+    # before the next block overwrites it
     problem = _problem("heat")
     cfg = _path(n)
     t, x = cfg.times, cfg.positions
     M = solver.pairwise_interaction_matrix(problem.kernel, t, x, t, x)
-    rows, shapes = 0, []
+    rows = 0
     for r0, r1, G in solver._atom_blocks(problem.kernel, t, x):
         want = solver.pairwise_interaction_matrix(
             problem.kernel, t[r0:r1], x[r0:r1], t[:r1], x[:r1])
         assert G.shape == want.shape and G.tobytes() == want.tobytes(), r0
         assert np.array_equal(G, M[r0:r1, :r1])
         rows = r1
-        shapes.append(G.shape)
     assert rows == n
     blocks = solver._grid_blocks(problem, t, x)
     for j, (G, want) in enumerate(zip(blocks, _grid_reference(problem, t,
                                                                x))):
         assert G.shape == want.shape and G.tobytes() == want.tobytes(), j
-        shapes.append(G.shape)
     assert j == problem.n_t - 1
-    return shapes
 
 
-def _solve_all(problem, cfg):
-    path = lf.solve_forward(cfg, problem)
-    pic, diag = lf.picard_solve(cfg, problem, 8)
-    base, plus = solver.solve_forward_pair(cfg, problem, 0.5, 0.3, 0.2)
-    return [path.atom_values, path.grid_values, pic.atom_values,
-            pic.grid_values, diag.sup_differences, base.atom_values,
-            plus.atom_values]
-
-
-@pytest.mark.parametrize("n", [B + 1, 200, 1000])
-def test_solvers_do_not_depend_on_the_part_count(monkeypatch, n):
-    problem = _problem("heat", "sin")
-    cfg = _path(n)
-    _split_every_block(monkeypatch, 1)
-    want = _solve_all(problem, cfg)
-    for parts in (2, 3):
-        monkeypatch.setattr(parallel, "PARTS", parts)
-        got = _solve_all(problem, cfg)
-        for i, (a, b) in enumerate(zip(got, want)):
-            assert a.tobytes() == b.tobytes(), (parts, i)
-
-
-def _refuse(*args, **kwargs):
-    raise AssertionError("a thread pool was asked for")
-
-
-def test_ensemble_sized_inputs_start_no_thread(monkeypatch, heat_problem):
-    # a path of one block and a padded batch keep the serial code
-    _split_every_block(monkeypatch, 2)
-    monkeypatch.setattr(parallel, "_executor", _refuse)
-    measure = lf.two_point_measure(1.0, 5.0)
-    cfg = lf.sample_prm(measure, WINDOW, (5, 0))
-    assert 0 < cfg.n_atoms <= B
-    _solve_all(heat_problem, cfg)
-    batch = lf.sample_batch(measure, WINDOW, 5, 0, 8)
-    t, x, z = batch.times, batch.positions, batch.jumps
-    assert t.ndim == 2
-    solver.solve_batch(batch, heat_problem)
-    its = solver.picard_iterates_at_atoms(heat_problem, t, x, z, 4,
-                                          measure.total_mass * WINDOW.volume)
-    solver.iterate_moment_sums(heat_problem, t, x, z, its, increments=True)
-    solver.cross_solver_gaps(batch, heat_problem, 4)
-
-
-# the largest blocks of a 200-atom path: the grid block of t = T, 64 x 200
-LARGEST = B * 200
-
-
-@pytest.mark.parametrize("parts", [2, 3])
-@pytest.mark.parametrize("least", [LARGEST + 1, LARGEST // 2 + 1,
-                                   LARGEST // 2, 3000, 1000])
-def test_a_block_is_split_by_its_size_alone(monkeypatch, parts, least):
-    # a block of n x k entries is filled over min(PARTS, n k // least)
-    # ranges, and on the calling thread alone, asking for no thread, when
-    # that is below 2; every block has the serial bits either way
-    monkeypatch.setattr(parallel, "PARTS", parts)
-    monkeypatch.setattr(solver, "RANGE_ENTRIES", least)
-    if 2 * least > LARGEST:
-        monkeypatch.setattr(parallel, "_executor", _refuse)
-    splits = []
-    map_rows = parallel.map_rows
-
-    def recording(fill, n_rows, n_parts):
-        splits.append((n_rows, n_parts))
-        return map_rows(fill, n_rows, n_parts)
-
-    monkeypatch.setattr(parallel, "map_rows", recording)
-    shapes = _check_blocks(200)
-    assert max(n * k for n, k in shapes) == LARGEST
-    assert splits == [(n, min(parts, n * k // least)) for n, k in shapes
-                      if n * k >= 2 * least]
+def test_no_solve_starts_a_thread():
+    # a heat row long enough for the largest blocks of any dense pass
+    # (64 x 1100 entries), whose measure expects too few atoms for the far
+    # field, through every solve of one row, then a padded batch of
+    # ensemble-sized paths, on every CPU the process has
+    code = textwrap.dedent("""
+        import math, threading
+        import levyfield as lf
+        from levyfield import solver
+        window = lf.SpaceTimeWindow(1.0, 2.0)
+        mass = 1600 / window.volume
+        measure = lf.two_point_measure(math.sqrt(5.0 / mass), mass)
+        cfg = lf.sample_prm(measure, window, (17, 0))
+        n = 1100
+        dense = lf.two_point_measure(math.sqrt(5.0 / mass), mass / 2)
+        assert dense.total_mass * window.volume <= solver.SPECTRAL_ROWS
+        cfg = lf.PointBatch(cfg.times[:n], cfg.positions[:n],
+                            cfg.jumps[:n], n, window, dense)
+        problem = lf.ProblemSpec(kernel=lf.heat_kernel(),
+                                 sigma=lf.named_map("sin"),
+                                 ic_kind="cosine", window=window)
+        solver.causal_sums(problem.kernel, cfg.times, cfg.positions,
+                           cfg.jumps)
+        lf.solve_forward(cfg, problem)
+        lf.picard_solve(cfg, problem, 8)
+        solver.solve_forward_pair(cfg, problem, 0.5, 0.3, 0.2)
+        batch = lf.sample_batch(lf.two_point_measure(1.0, 5.0), window, 5,
+                                0, 8)
+        solver.solve_batch(batch, problem)
+        solver.cross_solver_gaps(batch, problem, 4)
+        print(threading.active_count())
+    """)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env=child_env(), capture_output=True, text=True,
+                         timeout=120)
+    assert out.stdout.strip() == "1"
 
 
 def test_a_solve_fills_only_its_own_blocks():
     # nothing but the solve's own blocks is filled, even on the first long
-    # heat path of a process that may split: no sample fill is timed
+    # heat path of a process: no sample fill is timed
     code = textwrap.dedent("""
         import math
+        import numpy as np
         import levyfield as lf
-        from levyfield import parallel, solver
-        parallel.PARTS = 2
+        from levyfield import solver
         entries = []
-        fill = lf.GreenKernel._fill
+        evaluate = lf.GreenKernel.evaluate
 
-        def counting(self, t, x, out):
-            entries.append(out.size)
-            return fill(self, t, x, out)
+        def counting(self, t, x, out=None):
+            result = evaluate(self, t, x, out)
+            entries.append(np.size(result))
+            return result
 
-        lf.GreenKernel._fill = counting
+        lf.GreenKernel.evaluate = counting
         window = lf.SpaceTimeWindow(1.0, 2.0)
         mass = 1600 / window.volume
         measure = lf.two_point_measure(math.sqrt(5.0 / mass), mass)
@@ -417,10 +360,9 @@ def test_a_solve_fills_only_its_own_blocks():
 
 
 def test_kernel_layers_are_entered_on_the_calling_thread(monkeypatch):
-    # the benchmark's tracer keeps one span stack per process: the split
-    # fill must enter pairwise_interaction_matrix and GreenKernel.evaluate
-    # once per block, on the calling thread, with the block's full size
-    _split_every_block(monkeypatch, 2)
+    # the benchmark's tracer keeps one span stack per process: a block fill
+    # enters pairwise_interaction_matrix and GreenKernel.evaluate once per
+    # block, on the calling thread, with the block's full size
     problem = _problem("heat")
     cfg = _path(300)
     calls = []
@@ -450,7 +392,6 @@ def test_kernel_layers_are_entered_on_the_calling_thread(monkeypatch):
 def test_compensated_picard_holds_blocks_of_their_own(monkeypatch):
     # the m1 != 0 branch holds every grid block at once: on a heat path of
     # more than one block they must not be views of one workspace
-    _split_every_block(monkeypatch, 2)
     problem = _problem("heat")
     measure = lf.gaussian_measure(60.0, 0.5, 1.0)
     cfg = lf.sample_prm(measure, WINDOW, (7, 0))
@@ -483,59 +424,3 @@ def test_evaluate_into_out_checks_time_before_writing():
     got = lf.heat_kernel().evaluate(dt, np.zeros((6, 50)), out=out)
     assert got is out and np.array_equal(out, lf.heat_kernel().evaluate(
         dt, np.zeros((6, 50))))
-
-
-@pytest.mark.parametrize("bad", [0, 1, 2])
-def test_map_rows_raises_from_any_range_after_every_range_ends(
-        monkeypatch, bad):
-    # the calling thread's range or a pool range raises; by then no range
-    # that started is still running, and a queued one never starts late
-    from concurrent.futures import ThreadPoolExecutor
-    pool = ThreadPoolExecutor(1)
-    running, started = [], []
-
-    def fill(r0, r1):
-        started.append(r0)
-        running.append(r0)
-        try:
-            if r0 == 10 * bad:
-                raise ValueError(r0)
-            threading.Event().wait(0.05)
-        finally:
-            running.remove(r0)
-
-    try:
-        monkeypatch.setattr(parallel, "PARTS", 3)
-        monkeypatch.setattr(parallel, "_executor", lambda: pool)
-        with pytest.raises(ValueError):
-            parallel.map_rows(fill, 30, 3)
-        assert running == []
-        pool.shutdown(wait=True)
-        assert running == [] and len(started) == len(set(started)) <= 3
-    finally:
-        pool.shutdown()
-
-
-def test_map_rows_fills_the_ranges_no_thread_has_started(monkeypatch):
-    # with every pool thread busy (or its CPU taken), the calling thread
-    # fills the pool's ranges itself and does not wait for a thread
-    from concurrent.futures import ThreadPoolExecutor
-    pool, release = ThreadPoolExecutor(1), threading.Event()
-    try:
-        blocker = pool.submit(release.wait, 60)
-        monkeypatch.setattr(parallel, "PARTS", 3)
-        monkeypatch.setattr(parallel, "_executor", lambda: pool)
-        threads = []
-        got = parallel.map_rows(
-            lambda r0, r1: threads.append(threading.get_ident()) or (r0, r1),
-            10, 3)
-        assert got == [(0, 3), (3, 6), (6, 10)]
-        assert threads == [threading.get_ident()] * 3
-        assert not blocker.done()
-        # never more ranges than CPUs, nor fewer than one
-        assert parallel.map_rows(lambda r0, r1: (r0, r1), 10, 0) == [(0, 10)]
-        monkeypatch.setattr(parallel, "PARTS", 2)
-        assert len(parallel.map_rows(lambda r0, r1: (r0, r1), 10, 5)) == 2
-    finally:
-        release.set()
-        pool.shutdown()

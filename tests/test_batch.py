@@ -701,6 +701,27 @@ def test_a_one_row_batch_is_its_path_bit_for_bit(kernel, atoms):
     assert grid[0].tobytes() == path.grid_values.tobytes()
 
 
+@pytest.mark.parametrize("atoms", [30, 200])
+@pytest.mark.parametrize("kernel", ["wave", "heat"])
+def test_causal_sums_take_rows_shaped_coefs_as_one_field(kernel, atoms):
+    # coefs in the rows' shape (P, K) are one field per row: the (P, 1, K)
+    # call's sums in the rows' shape, bit for bit, and each row's sums at
+    # its atoms are its path's, up to the rounding of a reordered sum of
+    # K terms
+    k = lf.GreenKernel(kernel)
+    batch = _one_row_batch(atoms, 2)
+    t, x, z = batch.times, batch.positions, batch.jumps
+    got = solver.causal_sums(k, t, x, z)
+    assert got.shape == t.shape
+    want = solver.causal_sums(k, t, x, z[:, None, :])
+    assert got.tobytes() == want[:, 0].tobytes()
+    for p, n in enumerate(batch.counts):
+        row = solver.causal_sums(k, t[p, :n], x[p, :n], z[p, :n])
+        size = solver.causal_sums(k, t[p, :n], x[p, :n], np.abs(z[p, :n]))
+        tol = t.shape[1] * np.finfo(float).eps * size
+        assert np.all(np.abs(got[p, :n] - row) <= tol), p
+
+
 def _spy_builds(monkeypatch):
     built = []
     for name in ("_null_plan", "_BlockWork"):
