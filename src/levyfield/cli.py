@@ -106,8 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     flag("--ic-value", type=float, dest="ic_value")
     flag("--T", type=float, dest="T")
     flag("--R", type=float, dest="R")
-    flag("--noise", choices=("rademacher", "two_point", "gaussian"),
-         dest="noise")
+    flag("--noise", choices=("two_point", "gaussian"), dest="noise")
     flag("--jump", type=float, dest="jump")
     flag("--mass", type=float, dest="mass")
     flag("--noise-mean", type=float, dest="noise_mean")

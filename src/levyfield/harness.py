@@ -38,7 +38,7 @@ class EnsembleError(RuntimeError):
         self.cause = cause
 
 
-_NOISE_KINDS = ("rademacher", "two_point", "gaussian")
+_NOISE_KINDS = ("two_point", "gaussian")
 _KERNEL_KINDS = ("wave", "heat")
 
 
@@ -55,7 +55,7 @@ class RunConfig:
     ic_value: float = 1.0
     T: float = 1.0
     R: float = 2.0
-    noise: str = "rademacher"
+    noise: str = "two_point"
     jump: float = 1.0
     mass: float = 5.0
     noise_mean: float = 0.0
@@ -141,8 +141,6 @@ def build_window(config: RunConfig) -> SpaceTimeWindow:
 
 
 def build_measure(config: RunConfig) -> LevyMeasure:
-    if config.noise == "rademacher":
-        return two_point_measure(1.0, config.mass)
     if config.noise == "two_point":
         return two_point_measure(config.jump, config.mass)
     return gaussian_measure(config.mass, config.noise_mean, config.noise_std)

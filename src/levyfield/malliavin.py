@@ -296,9 +296,7 @@ def picard_derivative_rows(problem: ProblemSpec, batch: PointBatch, points,
     kernel, sigma = problem.kernel, problem.sigma
     batch, r, xi, jump, plus = _plus_batch(batch, points)
     t, x, z = batch.times, batch.positions, batch.jumps
-    expected = measure.total_mass * batch.window.volume
-    base, plus_its = (picard_iterates_at_atoms(problem, b.times, b.positions,
-                                               b.jumps, n_iter, expected)
+    base, plus_its = (picard_iterates_at_atoms(problem, b, n_iter)
                       for b in (batch, plus))
     # drop the added atom, the one at r, from each plus iterate
     keep = plus.times != r[:, None]
@@ -311,9 +309,9 @@ def picard_derivative_rows(problem: ProblemSpec, batch: PointBatch, points,
     at_point = [w_pt] + [w_pt + batched_matvec(row, sigma(b) * z)[:, 0]
                          for b in base[:-2]]
     kicks = [kick * (sigma(a) * jump)[:, None] for a in at_point]
-    sums = causal_sums(kernel, t, x, np.stack(
+    sums = causal_sums(kernel, batch, np.stack(
         [(sigma(b + d) - sigma(b)) * z for b, d in zip(base, du[:-1])],
-        axis=1), problem.window, expected)
+        axis=1))
 
     def sup(v):     # per path, over its atoms
         return np.max(np.where(batch.mask, np.abs(v), 0.0), axis=-1,
@@ -436,13 +434,12 @@ def _derivative_samples(problem: ProblemSpec, batch, n_points: int,
     P = pairwise_interaction_matrix(kernel, pts_t, pts_x, t, x)
     A = pairwise_interaction_matrix(kernel, t, x, pts_t,
                                     pts_x).swapaxes(-1, -2)
-    base = picard_iterates_at_atoms(problem, t, x, z, n_iter,
-                                    batch.measure.total_mass * window.volume)
+    base = picard_iterates_at_atoms(problem, batch, n_iter)
     w_pt = np.array(deterministic_part(problem, pts_t, pts_x), dtype=float,
                     ndmin=1)
     at_point = [w_pt] + [w_pt + batched_matvec(P, sigma(b) * z)
                          for b in base[:-1]]
-    k_sums = iterate_moment_sums(problem, t, x, z, base)
+    k_sums = iterate_moment_sums(problem, batch, base)
     # iterate n at an evaluation point from sigma of iterate n-1; the base
     # values and kernel rows do not depend on the jump mark
     sig_pt = [sigma(a) for a in at_point[:-1]]

@@ -15,21 +15,25 @@ exactly once the iteration count passes the longest interaction chain.
 Atoms come as the rows of a PointBatch: one path's time-sorted atoms (n,)
 or a batch's padded rows (P, K), and outputs keep the rows' leading shape.
 The per-path entry points (solve_forward, solve_forward_pair, picard_solve
-and SolutionPath) take one path's (n,) row.  The row
-count alone picks the machinery (_one_row).  One row, (n,) or (1, n),
-takes the per-path code at any length: the Fenwick sweep or _heat_forward,
-blocks built in one reused _BlockWork above ATOM_BLOCK_ROWS atoms, and
-_null_plan for wave.  One heat row whose measure expects more
-than SPECTRAL_ROWS atoms in the window sums the sources of its own and the
-previous time slab by such blocks and every earlier one through a Fourier
-state carried from slab to slab (_FarField), in O(n^1.5): the causal sums,
-the forward solve, the m1 = 0 Picard iterates and the grid projection.
-Several rows, including an all-empty (P, 0) batch, take the batch code:
-the rank loop of _forward, (P, K, K) blocks and the causal-prefix gather
-of _grid_blocks.  The atom blocks of one row or of several, and one
-row's grid blocks, in new arrays or a _BlockWork's, all come from the one
-causal rule of pairwise_interaction_matrix.  mild_residual stays dense,
-the independent side of the mild equation.
+and SolutionPath) take one path's (n,) row.  Every sum takes the atoms
+and reads from them the window and the expected atom count of their
+measure (_expected), which size the null-coordinate buckets and the far
+field's slabs.  The row count alone picks the machinery (_one_row).  One
+row, (n,) or (1, n), takes the per-path code at any length: the Fenwick
+sweep or _heat_forward, blocks built in one reused _BlockWork above
+ATOM_BLOCK_ROWS atoms, and _null_plan for wave.  One heat row whose
+measure expects more than SPECTRAL_ROWS atoms in the window sums the
+sources of its own and the previous time slab by such blocks and every
+earlier one through a Fourier state carried from slab to slab
+(_FarField), in O(n^1.5): the causal sums, the forward solve, the m1 = 0
+Picard iterates and the grid projection.  Several rows, including an
+all-empty (P, 0) batch, take the batch code: the rank loop of _forward,
+(P, K, K) blocks and the causal-prefix gather of _grid_blocks.  There is
+one grid projection, grid_projection, and the row count picks its
+machinery too.  The atom blocks of one row or of several, in new arrays
+or a _BlockWork's, come from the one causal rule of
+pairwise_interaction_matrix.  mild_residual stays dense, the independent
+side of the mild equation.
 """
 
 from __future__ import annotations
@@ -353,28 +357,19 @@ def _grid_blocks(problem: ProblemSpec, times, positions):
     """The kernel block of each grid time t_j over rows of atoms: the atoms
     before t_j, a prefix of each row k_j atoms long in the longest, give the
     (..., n_x, k_j) block G(t_j - t_i, x_l - x_i), zero after each row's
-    prefix.  A block built in a buffer of the pass is valid only until the
-    next one is yielded; a caller that holds them all copies each.
-
-    One row builds its blocks by pairwise_interaction_matrix, in one
-    _BlockWork above ATOM_BLOCK_ROWS atoms.  Several rows evaluate G only on
-    each row's causal prefix, one call per grid time on those (pairs, n_x)
-    points, written into a zeroed (P, k_j, n_x) array at the start of one
-    buffer per pass; the block is its swapaxes view, so grid_projection's
-    operand is contiguous, and pairwise_interaction_matrix's bit for bit."""
+    prefix.  G is evaluated only on each row's causal prefix, one call per
+    grid time on those (pairs, n_x) points, written into a zeroed
+    (P, k_j, n_x) array at the start of one buffer per pass, so a block is
+    valid only until the next one is yielded.  The block is its swapaxes
+    view, so grid_projection's operand is contiguous, and
+    pairwise_interaction_matrix's bit for bit."""
     grid_t, grid_x = problem.grid()
-    before = np.sum(times[..., None, :] < grid_t[:, None], axis=-1)
-    widest = int(before.max(initial=0))
-    if _one_row(times):
-        t, x = times.reshape(-1), positions.reshape(-1)
-        work = _BlockWork(widest, grid_x.size * widest) \
-            if t.size > ATOM_BLOCK_ROWS else None
-        for tj, kj in zip(grid_t, before.reshape(-1)):
-            yield pairwise_interaction_matrix(
-                problem.kernel, tj, grid_x, t[:kj], x[:kj], work).reshape(
-                    times.shape[:-1] + (grid_x.size, kj))
-        return
-    shared = np.empty(times.shape[0] * widest * grid_x.size)
+    lead = np.shape(times)[:-1]
+    times, positions = (np.reshape(a, (math.prod(lead), -1))
+                        for a in (times, positions))
+    before = np.sum(times[:, None, :] < grid_t[:, None], axis=-1)
+    shared = np.empty(times.shape[0] * int(before.max(initial=0))
+                      * grid_x.size)
     for tj, counts in zip(grid_t, before.T):
         causal = np.arange(counts.max(initial=0)) < counts[:, None]
         kj = causal.shape[1]
@@ -384,7 +379,7 @@ def _grid_blocks(problem: ProblemSpec, times, positions):
         block[causal] = problem.kernel.evaluate(
             tj - times[:, :kj][causal][:, None],
             grid_x - positions[:, :kj][causal][:, None])
-        yield block.swapaxes(-1, -2)
+        yield block.swapaxes(-1, -2).reshape(lead + (grid_x.size, kj))
 
 
 # target atoms per causal row block of _atom_blocks.  On one path of 1000
@@ -447,21 +442,16 @@ FAR_EFOLDS = 40.0
 _LOW_MODES = 16
 
 
-def _far_field(kernel: GreenKernel, window: SpaceTimeWindow, expected,
-               times, positions):
-    """The _FarField of one heat row whose measure expects more than
-    SPECTRAL_ROWS atoms in the window (expected), inside the window; else
-    None, and the row's sums stay dense.  A row whose atoms all lie in its
-    first two slabs has no far pair of atoms, and stays dense too."""
-    if kernel.kind != "heat" or expected is None \
-            or expected <= SPECTRAL_ROWS or not _one_row(times):
+def _far_field(kernel: GreenKernel, atoms):
+    """The _FarField of one heat row of atoms whose measure expects more
+    than SPECTRAL_ROWS atoms in its window; else None, and the row's sums
+    stay dense.  A row whose atoms all lie in its first two slabs has no
+    far pair of atoms, and stays dense too."""
+    if kernel.kind != "heat" or _expected(atoms) <= SPECTRAL_ROWS \
+            or not _one_row(atoms.times) or not atoms.times.size:
         return None
-    t, x = np.ravel(times), np.ravel(positions)
-    if not (t.size and t.min() >= 0.0 and t.max() <= window.T
-            and np.abs(x).max() <= window.R):
-        return None
-    far = _FarField(window, expected, t, x)
-    return far if far.slab_of(t[-1]) > 1 else None
+    far = _FarField(atoms)
+    return far if far.slab_of(far.times[-1]) > 1 else None
 
 
 def _cis(theta):
@@ -478,11 +468,12 @@ class _FarField:
     heat potentials: Greengard & Strain, Comm. Pure Appl. Math. 43, 1990;
     Greengard & Lin, Appl. Comput. Harmon. Anal. 9, 2000).
 
-    Slab s is [s tau0, (s + 1) tau0), with tau0 = T / n and n = expected /
-    SLAB_ATOMS slabs: fixed by the window and the measure, so adding an
-    atom moves no slab edge.  A target in slab s sums the sources of slabs
-    s - 1 and s directly (near, by pairwise_interaction_matrix), and those
-    of slabs up to s - 2, each at least tau0 earlier (far), as
+    Slab s is [s tau0, (s + 1) tau0), with tau0 = T / n and n = the
+    measure's expected atom count in the window / SLAB_ATOMS slabs: fixed
+    by the window and the measure, so adding an atom moves no slab edge.
+    A target in slab s sums the sources of slabs s - 1 and s directly
+    (near, by pairwise_interaction_matrix), and those of slabs up to
+    s - 2, each at least tau0 earlier (far), as
 
         G(tau, x) = (h / 2 pi) sum_|k|<=M exp(-tau xi_k^2 / 2 + i xi_k x),
 
@@ -504,10 +495,11 @@ class _FarField:
     are folded in as sources, in buffers of the largest slab's size, so
     memory stays O(slab x M)."""
 
-    def __init__(self, window: SpaceTimeWindow, expected: float, times,
-                 positions):
-        self.times, self.positions = times, positions
-        self.n_slabs = max(1, int(expected / SLAB_ATOMS))
+    def __init__(self, atoms):
+        window = atoms.window
+        self.times, self.positions = np.ravel(atoms.times), np.ravel(
+            atoms.positions)
+        self.n_slabs = max(1, int(_expected(atoms) / SLAB_ATOMS))
         self.tau0 = window.T / self.n_slabs
         self.h = 2.0 * math.pi / (2.0 * window.R
                                   + math.sqrt(2.0 * FAR_EFOLDS * window.T))
@@ -519,7 +511,7 @@ class _FarField:
         self.weights = np.full(self.xi.size, self.h / math.pi)
         self.weights[0] = self.h / (2.0 * math.pi)
         self.decay = np.repeat(np.exp(self.tau0 * self.xi2), 2)[:, None]
-        self.starts = np.searchsorted(self.slab_of(times),
+        self.starts = np.searchsorted(self.slab_of(self.times),
                                       np.arange(self.n_slabs + 1))
         self._factor = np.empty((0, self.xi.size))
         self.reserve(int(np.diff(self.starts).max()))
@@ -601,10 +593,10 @@ class _FarField:
                     kernel, t[r0:r1], x[r0:r1], t[c0:r1], x[c0:r1], work)
 
     def project(self, kernel: GreenKernel, grid_t, grid_x, coefs):
-        """Yield (j, sums (n_x,)) for each grid time t_j: sum over the
-        atoms before t_j of G(t_j - t_i, x_l - x_i) coefs_i, the atoms of
-        t_j's slab and the one before by kernel blocks (one _BlockWork),
-        the earlier ones from the far state."""
+        """(n_t, n_x) sums: at each grid time t_j the sum over the atoms
+        before t_j of G(t_j - t_i, x_l - x_i) coefs_i, one field coefs
+        (n,), the atoms of t_j's slab and the one before by kernel blocks
+        (one _BlockWork), the earlier ones from the far state."""
         t, x, starts = self.times, self.positions, self.starts
         coefs = np.reshape(coefs, (-1, 1))
         before = np.searchsorted(t, grid_t)
@@ -614,19 +606,18 @@ class _FarField:
         work = _BlockWork(wide, grid_x.size * wide)
         self.reserve(grid_x.size)
         grid_phases = self.phases(grid_x).copy()
-        j = 0
+        out = np.empty((grid_t.size, grid_x.size))
         for s, lo, hi, state, _ in self.states(coefs):
-            while j < grid_t.size and slab[j] == s:
+            for j in np.flatnonzero(slab == s):
                 c0, k = starts[max(s - 1, 0)], before[j]
-                sums = pairwise_interaction_matrix(
+                out[j] = pairwise_interaction_matrix(
                     kernel, grid_t[j], grid_x, t[c0:k], x[c0:k], work) \
                     @ coefs[c0:k, 0]
                 if s > 1:
-                    sums += self.decayed(grid_phases,
-                                         grid_t[j] - s * self.tau0,
-                                         self.weights) @ state[:, 0]
-                yield j, sums
-                j += 1
+                    out[j] += self.decayed(grid_phases,
+                                           grid_t[j] - s * self.tau0,
+                                           self.weights) @ state[:, 0]
+        return out
 
 
 def _causal_blocks(kernel: GreenKernel, times, positions, far, values,
@@ -641,21 +632,19 @@ def _causal_blocks(kernel: GreenKernel, times, positions, far, values,
     return far.blocks(kernel, values, coefs)
 
 
-def causal_sums(kernel: GreenKernel, times, positions, coefs, window=None,
-                expected=None):
+def causal_sums(kernel: GreenKernel, atoms, coefs):
     """s[..., i] = sum_{t_j < t_i} G(t_i - t_j, x_i - x_j) coefs[..., j] at
-    rows of atoms, coefs (..., m, K) for m fields or the rows' shape for
-    one (several rows' coefs (P, K) are their (P, 1, K), and s takes the
-    coefs' shape): one pass over _atom_blocks for every field and kernel
-    (wave too, apart from _null_plan).  Given the window and expected, the
-    measure's expected atom count in it, one heat row above SPECTRAL_ROWS
-    sums its far sources by _FarField."""
-    if np.ndim(coefs) == np.ndim(times) > 1:
-        return causal_sums(kernel, times, positions,
-                           np.expand_dims(coefs, -2), window,
-                           expected)[..., 0, :]
-    far = None if window is None else _far_field(kernel, window, expected,
-                                                 times, positions)
+    the rows of atoms (a PointBatch), coefs (..., m, K) for m fields or the
+    rows' shape for one (several rows' coefs (P, K) are their (P, 1, K),
+    and s takes the coefs' shape): one pass over _atom_blocks for every
+    field and kernel (wave too, apart from _null_plan), or for one heat row
+    whose measure expects more than SPECTRAL_ROWS atoms over _FarField's
+    slabs."""
+    if np.ndim(coefs) == np.ndim(atoms.times) > 1:
+        return causal_sums(kernel, atoms,
+                           np.expand_dims(coefs, -2))[..., 0, :]
+    times, positions = atoms.times, atoms.positions
+    far = _far_field(kernel, atoms)
     n = np.shape(times)[-1]
     out = np.zeros(np.shape(coefs))
     m = math.prod(out.shape[:-1])
@@ -666,32 +655,35 @@ def causal_sums(kernel: GreenKernel, times, positions, coefs, window=None,
     return out
 
 
-def _null_buckets(window: SpaceTimeWindow, expected: float, t, x):
+def _null_buckets(atoms, t, x):
     """(bucket of b = t - x for each point, bucket count): equal buckets
-    over [-R, T + R], 8 expected atoms each.  Monotone in b and fixed by the
-    window and the expected count: adding an atom moves no other bucket."""
-    n_buckets = max(1, int(expected / 8.0))
+    over [-R, T + R] of the atoms' window, 8 expected atoms of their
+    measure each.  Monotone in b and fixed by the window and the measure:
+    adding an atom moves no other bucket."""
+    window = atoms.window
+    n_buckets = max(1, int(_expected(atoms) / 8.0))
     scale = n_buckets / (window.T + 2.0 * window.R)
     k = np.floor((t - x + window.R) * scale).astype(np.intp)
     return np.clip(k, 0, n_buckets - 1), n_buckets
 
 
-def _null_plan(window: SpaceTimeWindow, expected: float, t, x, tq, xq):
+def _null_plan(atoms, tq, xq):
     """apply(v) -> s in the targets' shape: s_q sums the values v of the
-    atoms (t, x) of one row, in time order, strictly before target q in its
-    closed light cone, that is a_j <= a_q and b_j <= b_q for a = t + x,
-    b = t - x.  The sweep order is (a, t), targets first on ties.  s_q adds
-    what _wave_forward's Fenwick tree adds, in its order: the running sum
-    of each dyadic range of buckets below q's, then the earlier atoms of
-    q's bucket with b_j <= b_q."""
+    atoms (t, x) of one row (a PointBatch), in time order, strictly before
+    target q in its closed light cone, that is a_j <= a_q and b_j <= b_q
+    for a = t + x, b = t - x.  The sweep order is (a, t), targets first on
+    ties.  s_q adds what _wave_forward's Fenwick tree adds, in its order:
+    the running sum of each dyadic range of buckets below q's, then the
+    earlier atoms of q's bucket with b_j <= b_q."""
     shape = np.shape(tq)
-    t, x, tq, xq = (np.ravel(a) for a in (t, x, tq, xq))
+    t, x, tq, xq = (np.ravel(a) for a in (atoms.times, atoms.positions, tq,
+                                          xq))
     n, nq = t.size, tq.size
     order = np.argsort(t + x, kind="stable")    # the atoms in sweep order
     # atoms swept before each target: complex numbers sort by (real, imag)
     before = np.searchsorted((t + x + 1j * t)[order], tq + xq + 1j * tq)
-    k, n_buckets = _null_buckets(window, expected, t[order], x[order])
-    kq = _null_buckets(window, expected, tq, xq)[0]
+    k, n_buckets = _null_buckets(atoms, t[order], x[order])
+    kq = _null_buckets(atoms, tq, xq)[0]
     b = np.append((t - x)[order], 0.0)
     levels = (n_buckets - 1).bit_length()
     pads, rows, offset = [], [], 1
@@ -731,13 +723,15 @@ def _null_plan(window: SpaceTimeWindow, expected: float, t, x, tq, xq):
     return apply
 
 
-def _wave_forward(problem: ProblemSpec, t, x, z, expected: float):
-    """(u, sigma(u) z) at the atoms (t, x, z), (n,), of one wave path, swept
+def _wave_forward(problem: ProblemSpec, atoms):
+    """(u, sigma(u) z), (n,), at the atoms (t, x, z) of one wave row, swept
     in (a, t) order: u_i = w_i + 1/2 sum sigma(u_j) z_j over the swept atoms
     with b_j <= b_i, by a Fenwick tree over the buckets below i's and a scan
-    of i's own (buckets sized by expected, _null_buckets)."""
+    of i's own (_null_buckets)."""
+    t, x, z = (np.ravel(a) for a in (atoms.times, atoms.positions,
+                                     atoms.jumps))
     order = np.argsort(t + x, kind="stable")    # (a, t): t is sorted
-    k, n_buckets = _null_buckets(problem.window, expected, t, x)
+    k, n_buckets = _null_buckets(atoms, t, x)
     w = np.array(deterministic_part(problem, t, x), dtype=float, ndmin=1)
     tree, own = [0.0] * (n_buckets + 1), [[] for _ in range(n_buckets)]
     u, sigz = np.empty(t.size), np.empty(t.size)
@@ -761,66 +755,70 @@ def _wave_forward(problem: ProblemSpec, t, x, z, expected: float):
     return u, sigz
 
 
-def grid_projection(problem: ProblemSpec, times, positions, coefs,
-                    blocks=None):
+def grid_projection(problem: ProblemSpec, atoms, coefs):
     """Yield (j, values) for each grid time t_j, with values[..., l] =
-    w(t_j, x_l) + sum_{t_i < t_j} G(t_j - t_i, x_l - x_i) coefs[..., i].
+    w(t_j, x_l) + sum_{t_i < t_j} G(t_j - t_i, x_l - x_i) coefs[..., i]
+    over the rows of atoms (a PointBatch): the one grid projection.
 
     coefs is (..., m, K) for m fields or in the rows' shape for one; values
-    has coefs' shape with n_x in place of the atom axis.  Each grid time's
-    kernel block (_grid_blocks) is built once and applied to every field
-    and row with one (batched) matrix product; with no atom before t_j the
-    values are w.  blocks is a list of copies of _grid_blocks' blocks from
-    a caller that projects the same atoms again; without it each block is
-    built, used and dropped, so a caller that reduces each grid time's
-    values as they come never holds the whole grid.
+    has coefs' shape with n_x in place of the atom axis, and is w where no
+    atom comes before t_j.  The row count picks the machinery, as in
+    _forward.  One wave row takes every grid point as a target of one
+    _null_plan.  One heat row whose measure expects more than SPECTRAL_ROWS
+    atoms reads the sources two slabs back and earlier from _FarField's
+    state.  Any other rows build each grid time's kernel block once
+    (_grid_blocks) and apply it to every field and row with one (batched)
+    matrix product, so a caller that reduces each grid time's values as
+    they come never holds the whole grid.
     """
     grid_t, grid_x = problem.grid()
-    coefs = np.asarray(coefs, dtype=float)
     w = np.asarray(deterministic_part(problem, grid_t[:, None],
                                       grid_x[None, :]), dtype=float)
-    if blocks is None:
-        blocks = _grid_blocks(problem, times, positions)
-    for j, block in enumerate(blocks):
-        yield j, w[j] + coefs[..., :block.shape[-1]] @ block.swapaxes(-1, -2)
+    coefs = np.asarray(coefs, dtype=float)
+    one_field = coefs.ndim == atoms.times.ndim
+    fields = coefs[..., None, :] if one_field else coefs
+    for j, sums in _grid_sums(problem, atoms, fields):
+        values = w[j] + sums
+        yield j, values[..., 0, :] if one_field else values
 
 
-def _project_grid(problem: ProblemSpec, times, positions, coefs,
-                  expected=None, blocks=None):
-    """Grid values w + sum_{t_i < t_j} G(t_j - t_i, x_l - x_i) coefs_i of
-    one row and one field, coefs in the row's shape: grid_projection
-    collected into (..., n_t, n_x).  Given expected, the measure's expected
-    atom count (m1 = 0), a wave row takes the grid points as the targets of
-    _null_plan, whose buckets it sizes, in place of kernel blocks, and a
-    heat row above SPECTRAL_ROWS reads the sources two slabs back and
-    earlier from _FarField's state at each grid time's positions."""
+def _grid_sums(problem: ProblemSpec, atoms, fields):
+    """(j, sums (..., m, n_x)) for each grid time t_j: grid_projection's
+    sums of fields (..., m, K) over the atoms before t_j.  One row sums
+    each field alone, as its path sums its one field: a product over
+    several fields rounds apart from one field's."""
     grid_t, grid_x = problem.grid()
-    shape = np.shape(times)[:-1] + (grid_t.size, grid_x.size)
-    if problem.kernel.kind == "wave" and expected is not None:
-        tq, xq = np.repeat(grid_t, grid_x.size), np.tile(grid_x, grid_t.size)
-        s = _null_plan(problem.window, expected, times, positions, tq,
-                       xq)(coefs)
-        return grid_t, grid_x, (deterministic_part(problem, tq, xq)
-                                + 0.5 * s).reshape(shape)
-    out = np.empty(shape)
-    far = _far_field(problem.kernel, problem.window, expected, times,
-                     positions)
-    if far is not None:
-        w = deterministic_part(problem, grid_t[:, None], grid_x[None, :])
-        rows = out.reshape(grid_t.size, grid_x.size)
-        for j, sums in far.project(problem.kernel, grid_t, grid_x, coefs):
-            rows[j] = w[j] + sums
-        return grid_t, grid_x, out
-    for j, values in grid_projection(problem, times, positions, coefs,
-                                     blocks):
-        out[..., j, :] = values
-    return grid_t, grid_x, out
+    times, positions = atoms.times, atoms.positions
+    if not _one_row(times):
+        for j, G in enumerate(_grid_blocks(problem, times, positions)):
+            yield j, fields[..., :G.shape[-1]] @ G.swapaxes(-1, -2)
+        return
+    rows = fields.reshape(math.prod(fields.shape[:-1]), -1)
+    shape = fields.shape[:-1] + grid_x.shape
+    far = _far_field(problem.kernel, atoms)
+    if problem.kernel.kind == "wave":
+        plan = _null_plan(atoms, np.repeat(grid_t, grid_x.size),
+                          np.tile(grid_x, grid_t.size))
+        sums = 0.5 * np.stack([plan(v) for v in rows]).reshape(
+            -1, grid_t.size, grid_x.size)
+    elif far is not None:
+        sums = np.stack([far.project(problem.kernel, grid_t, grid_x, v)
+                         for v in rows])
+    else:
+        for j, G in enumerate(_grid_blocks(problem, np.ravel(times),
+                                           np.ravel(positions))):
+            # one matrix-vector product per field
+            yield j, (rows[:, None, :G.shape[-1]] @ G.swapaxes(-1, -2)
+                      ).reshape(shape)
+        return
+    for j in range(grid_t.size):
+        yield j, sums[:, j].reshape(shape)
 
 
-def iterate_moment_sums(problem: ProblemSpec, times, positions, jumps,
-                        iterates, increments: bool = False):
-    """Sums over the rows of a batch of the grid values of the Picard
-    iterates u_0..u_n (iterates at the atoms, each (P, K)).
+def iterate_moment_sums(problem: ProblemSpec, atoms, iterates,
+                        increments: bool = False):
+    """Sums over the rows of a batch of atoms of the grid values of the
+    Picard iterates u_0..u_n (iterates at the atoms, each (P, K)).
 
     Returns [sum u_m^2, sum u_m^4], each (n + 1, n_t, n_x), followed with
     increments by [sum (u_m - u_{m-1})^2, sum (u_m - u_{m-1})^4], each
@@ -834,10 +832,11 @@ def iterate_moment_sums(problem: ProblemSpec, times, positions, jumps,
     if increments:
         sums += [np.zeros((m - 1,) + shape), np.zeros((m - 1,) + shape)]
     # u_0 = w projects nothing, and u_m projects sigma(u_{m-1}) z
+    jumps = atoms.jumps
     coefs = np.zeros(jumps.shape[:-1] + (m, jumps.shape[-1]))
     for k, prev in enumerate(iterates[:-1], start=1):
         coefs[..., k, :] = problem.sigma(prev) * jumps
-    for j, grids in grid_projection(problem, times, positions, coefs):
+    for j, grids in grid_projection(problem, atoms, coefs):
         fields = (grids, np.diff(grids, axis=1)) if increments else (grids,)
         for k, values in enumerate(fields):
             sq = np.square(values)
@@ -873,15 +872,13 @@ def _forward(problem: ProblemSpec, atoms):
         raise SolverError("forward solve requires m1 = 0; use picard_solve")
     shape = atoms.times.shape
     if _one_row(atoms.times):
-        t, x, z = (a.reshape(-1) for a in (atoms.times, atoms.positions,
-                                           atoms.jumps))
         if problem.kernel.kind == "wave":
-            u, sigz = _wave_forward(problem, t, x, z, _expected(atoms))
+            u, sigz = _wave_forward(problem, atoms)
         else:
-            u = np.array(deterministic_part(problem, t, x), dtype=float,
-                         ndmin=1)
-            sigz = _heat_forward(problem, t, x, u, z,
-                                 expected=_expected(atoms))
+            u = np.array(deterministic_part(problem, atoms.times.reshape(-1),
+                                            atoms.positions.reshape(-1)),
+                         dtype=float, ndmin=1)
+            sigz = _heat_forward(problem, atoms, u, atoms.jumps.reshape(-1))
         return u.reshape(shape), sigz.reshape(shape)
     by_count = np.argsort(-atoms.counts, kind="stable")
     t, x, z = (a[by_count] for a in (atoms.times, atoms.positions,
@@ -907,19 +904,24 @@ def _path_row(config: PointBatch):
                           "take batch.path(j)")
 
 
+def _with_grid(path: SolutionPath, coef) -> SolutionPath:
+    """path with its grid values w + sum G coef: grid_projection of one
+    field of its row, collected into (n_t, n_x)."""
+    path.grid_times, path.grid_positions = path.problem.grid()
+    path.grid_values = np.stack([values for _, values in grid_projection(
+        path.problem, path.config, coef)])
+    return path
+
+
 def solve_forward(config: PointBatch, problem: ProblemSpec,
                   with_grid: bool = True) -> SolutionPath:
     """The exact solution of one path's row at its atoms (_forward; m1 = 0
-    only) and with_grid on the grid, projecting sigma(u) z (_project_grid:
-    by _null_plan on wave, by kernel blocks or _FarField on heat)."""
+    only) and with_grid on the grid, projecting sigma(u) z
+    (grid_projection)."""
     _path_row(config)
     u, sigz = _forward(problem, config)
     path = SolutionPath(config, problem, u, solver="forward")
-    if with_grid:
-        path.grid_times, path.grid_positions, path.grid_values = \
-            _project_grid(problem, config.times, config.positions, sigz,
-                          _expected(config))
-    return path
+    return _with_grid(path, sigz) if with_grid else path
 
 
 def solve_batch(batch: PointBatch, problem: ProblemSpec) -> np.ndarray:
@@ -928,23 +930,23 @@ def solve_batch(batch: PointBatch, problem: ProblemSpec) -> np.ndarray:
     return _forward(problem, batch)[0]
 
 
-def _heat_forward(problem: ProblemSpec, times, positions, u, z,
-                  shared: int = 0, expected=None):
-    """Forward substitution over _atom_blocks of one path's atoms (n,) in
+def _heat_forward(problem: ProblemSpec, atoms, u, z, shared: int = 0):
+    """Forward substitution over _atom_blocks of one row of n atoms in
     place: u holds w at the atoms on entry, the solution on return; returns
     sigma(u) z.  A block's rows take the atoms before it with one matrix
     product, then are solved one at a time.  u and z are (n,), or (n, m)
     for m jump fields sharing each block, copying field 0 at rows below
-    shared.  Given expected, the measure's expected atom count, a row above
-    SPECTRAL_ROWS takes _FarField's blocks: a slab's far sums first, then
-    its near blocks, whose sources start at c0."""
+    shared.  A row whose measure expects more than SPECTRAL_ROWS atoms
+    takes _FarField's blocks: a slab's far sums first, then its near
+    blocks, whose sources start at c0."""
     sigma = problem.sigma
     sigz = np.empty_like(u)
-    far = _far_field(problem.kernel, problem.window, expected, times,
-                     positions)
+    far = _far_field(problem.kernel, atoms)
     fields = (u.shape[0], math.prod(u.shape[1:]))
-    for r0, r1, c0, G in _causal_blocks(problem.kernel, times, positions,
-                                        far, u.reshape(fields),
+    for r0, r1, c0, G in _causal_blocks(problem.kernel,
+                                        atoms.times.reshape(-1),
+                                        atoms.positions.reshape(-1), far,
+                                        u.reshape(fields),
                                         sigz.reshape(fields)):
         if r0 > c0:
             u[r0:r1] += G[:, :r0 - c0] @ sigz[c0:r0]
@@ -980,8 +982,7 @@ def solve_forward_pair(config: PointBatch, problem: ProblemSpec,
     z[k, 0] = 0.0
     u = np.repeat(_column(deterministic_part(problem, plus.times,
                                              plus.positions)), 2, axis=1)
-    _heat_forward(problem, plus.times, plus.positions, u, z, shared=k,
-                  expected=_expected(config))
+    _heat_forward(problem, plus, u, z, shared=k)
     return (SolutionPath(config, problem, np.delete(u[:, 0], k), "forward"),
             SolutionPath(plus, problem, u[:, 1].copy(), "forward"))
 
@@ -1008,27 +1009,26 @@ class PicardDiagnostics:
                   [[m + 1, d] for m, d in enumerate(self.sup_differences)])
 
 
-def picard_iterates_at_atoms(problem: ProblemSpec, times, positions, jumps,
-                             n_iter: int, expected: float):
-    """Atom-value Picard iterates [u_0, ..., u_n] for m1 = 0 at rows of
-    atoms, each in the rows' shape.
+def picard_iterates_at_atoms(problem: ProblemSpec, atoms, n_iter: int):
+    """Atom-value Picard iterates [u_0, ..., u_n] for m1 = 0 at the rows of
+    atoms (a PointBatch), each in the rows' shape.
 
     One wave row of more than ATOM_BLOCK_ROWS atoms applies one _null_plan
-    to each iterate, its buckets sized by expected, the measure's expected
-    atom count in the window, so an added atom moves no bucket.  Otherwise
-    one sweep over _atom_blocks, or for one heat row above SPECTRAL_ROWS
-    over _FarField's slabs: u_{m+1} at rows [r0, r1) needs u_m only
-    before r1, so each block computes all n iterates of its rows, one
-    (batched) matrix-vector product each, and is dropped."""
+    to each iterate, its buckets sized by the measure, so an added atom
+    moves no bucket.  Otherwise one sweep over _atom_blocks, or for one
+    heat row whose measure expects more than SPECTRAL_ROWS atoms over
+    _FarField's slabs: u_{m+1} at rows [r0, r1) needs u_m only before r1,
+    so each block computes all n iterates of its rows, one (batched)
+    matrix-vector product each, and is dropped."""
     if n_iter < 0:
         raise SolverError("n_iter must be >= 0")
     sigma = problem.sigma
+    times, positions, jumps = atoms.times, atoms.positions, atoms.jumps
     w = np.array(deterministic_part(problem, times, positions), dtype=float,
                  ndmin=1)
     if problem.kernel.kind == "wave" and _one_row(times) \
             and times.size > ATOM_BLOCK_ROWS:
-        dominance = _null_plan(problem.window, expected, times, positions,
-                               times, positions)
+        dominance = _null_plan(atoms, times, positions)
         iterates = [w]
         for _ in range(n_iter):
             iterates.append(w + 0.5 * dominance(sigma(iterates[-1]) * jumps))
@@ -1038,8 +1038,7 @@ def picard_iterates_at_atoms(problem: ProblemSpec, times, positions, jumps,
     iterates[0] = w
     # on one heat row iterate m + 1's far sums come from sigma(u_m) z of
     # the slabs two back, so the n fields share each slab's phases
-    far = _far_field(problem.kernel, problem.window, expected, times,
-                     positions)
+    far = _far_field(problem.kernel, atoms)
     for r0, r1, c0, G in _causal_blocks(
             problem.kernel, times, positions, far,
             iterates[1:].reshape(n_iter, w.size).T,
@@ -1064,20 +1063,21 @@ def picard_solve(config: PointBatch, problem: ProblemSpec,
     atoms.
 
     With m1 = 0 the iterates come from picard_iterates_at_atoms, never the
-    n_atoms^2 matrix.  A wave path projects on the grid by _null_plan, a
-    heat path builds one grid time's kernel block at a time (above
-    SPECTRAL_ROWS over the near slabs only, _FarField).  With m1 != 0
-    the grid is returned whatever with_grid says: the compensator's
-    quadrature carries the iterate on it.
+    n_atoms^2 matrix, and the grid from grid_projection of sigma of the
+    last but one iterate: by _null_plan on a wave path, one grid time's
+    kernel block at a time on a heat path (above SPECTRAL_ROWS over the
+    near slabs only, _FarField).  With m1 != 0 the grid is returned
+    whatever with_grid says: the compensator's quadrature carries the
+    iterate on it.
 
     The m1 != 0 branch holds the dense atoms x atoms matrix (its paths are
-    short) and the compensator, built once per call as a linear operator
-    (_compensator_operator) applied with one matrix product per iteration:
+    short) and beside it the dense (n_t, n_x, n_atoms) grid matrix of
+    pairwise_interaction_matrix, n_atoms * n_t * n_x * 8 bytes, each
+    applied with one matrix product per iteration; and the compensator,
+    built once per call as a linear operator (_compensator_operator):
     B * n_x^2 * 8 bytes of grid blocks, B the number of distinct blocks over
     the grid time differences (on the default 64 x 64 grid wave 38: 1.2 MB,
     heat 169: 5.5 MB), plus n_atoms * n_t * n_x * 8 bytes of atom rows.
-    It holds the grid projection's kernel blocks too, copied out of
-    _grid_blocks' workspace, about n_atoms * n_t * n_x * 4 bytes.
     """
     if n_iter < 0:
         raise SolverError("n_iter must be >= 0")
@@ -1085,30 +1085,26 @@ def picard_solve(config: PointBatch, problem: ProblemSpec,
     kernel, sigma = problem.kernel, problem.sigma
     measure, t, x = config.measure, config.times, config.positions
     if measure.first_moment == 0.0:
-        expected = _expected(config)
-        iterates = picard_iterates_at_atoms(problem, t, x, config.jumps,
-                                            n_iter, expected)
+        iterates = picard_iterates_at_atoms(problem, config, n_iter)
         u = iterates[-1]
         diffs = np.array([float(np.max(np.abs(b - a))) if a.size else 0.0
                           for a, b in zip(iterates[:-1], iterates[1:])])
         path = SolutionPath(config, problem, u, solver=f"picard({n_iter})")
         if with_grid:
             # iterate n projects sigma of iterate n-1 (nothing for n = 0)
-            coef = sigma(iterates[-2]) * config.jumps if n_iter else \
-                np.zeros(config.n_atoms)
-            path.grid_times, path.grid_positions, path.grid_values = \
-                _project_grid(problem, t, x, coef, expected)
+            _with_grid(path, sigma(iterates[-2]) * config.jumps if n_iter
+                       else np.zeros(config.n_atoms))
         return path, PicardDiagnostics(diffs)
 
     # m1 != 0: carry the iterate on the grid for the compensator quadrature
     w_at = np.atleast_1d(np.asarray(deterministic_part(problem, t, x),
                                     dtype=float))
     grid_t, grid_x = problem.grid()
-    u_gr = np.asarray(deterministic_part(problem, grid_t[:, None],
-                                         grid_x[None, :]), dtype=float)
+    w_gr = u_gr = np.asarray(deterministic_part(problem, grid_t[:, None],
+                                                grid_x[None, :]), dtype=float)
     M = pairwise_interaction_matrix(kernel, t, x, t, x)
+    M_gr = pairwise_interaction_matrix(kernel, grid_t[:, None], grid_x, t, x)
     compensator = _compensator_operator(problem, config)
-    blocks = [b.copy() for b in _grid_blocks(problem, t, x)]
     u_at = w_at.copy()
     diffs = []
     m1 = measure.first_moment
@@ -1116,8 +1112,7 @@ def picard_solve(config: PointBatch, problem: ProblemSpec,
         comp_at, comp_gr = compensator(sigma(u_gr))
         coef = sigma(u_at) * config.jumps
         new_at = w_at + M @ coef - m1 * comp_at
-        _, _, new_gr = _project_grid(problem, t, x, coef, blocks=blocks)
-        new_gr -= m1 * comp_gr
+        new_gr = w_gr + M_gr @ coef - m1 * comp_gr
         diffs.append(float(np.max(np.abs(new_at - u_at))) if u_at.size else
                      float(np.max(np.abs(new_gr - u_gr))))
         u_at, u_gr = new_at, new_gr
@@ -1136,14 +1131,13 @@ def cross_solver_gaps(batch: PointBatch, problem: ProblemSpec, n_iter: int):
         raise SolverError("n_iter must be >= 1")
     t, x, z = batch.times, batch.positions, batch.jumps
     exact = solve_batch(batch, problem)
-    approx = picard_iterates_at_atoms(problem, t, x, z, n_iter,
-                                      _expected(batch))
+    approx = picard_iterates_at_atoms(problem, batch, n_iter)
     atom_gaps = np.max(np.where(batch.mask, np.abs(approx[-1] - exact),
                                 0.0), axis=-1, initial=0.0)
     coefs = np.stack([problem.sigma(approx[-2]) * z,
                       problem.sigma(exact) * z], axis=1)
     grid_gaps = np.zeros(batch.n_paths)
-    for _, grids in grid_projection(problem, t, x, coefs):
+    for _, grids in grid_projection(problem, batch, coefs):
         grid_gaps = np.maximum(grid_gaps, np.max(
             np.abs(grids[:, 0] - grids[:, 1]), axis=-1))
     return atom_gaps, grid_gaps
@@ -1390,13 +1384,11 @@ def existence_diagnostics(problem: ProblemSpec, measure: LevyMeasure,
                           "mass: no path has an atom")
     if n_iter < 2:
         raise SolverError("need at least two iterates to difference")
-    sums, expected = None, measure.total_mass * problem.window.volume
+    sums = None
     for batch in sample_batches(measure, problem.window, master_seed,
                                 n_realizations):
-        t, x, z = batch.times, batch.positions, batch.jumps
         part = iterate_moment_sums(
-            problem, t, x, z, picard_iterates_at_atoms(problem, t, x, z,
-                                                       n_iter, expected),
+            problem, batch, picard_iterates_at_atoms(problem, batch, n_iter),
             increments=True)
         sums = part if sums is None else [a + b for a, b in zip(sums, part)]
     return _existence_report(problem, measure, n_realizations, *sums)

@@ -172,9 +172,7 @@ def picard_derivative_report(problem, config, point, n_iter=8):
         raise lf.MalliavinError("picard derivative recursion assumes m1 = 0")
     kernel, sigma = problem.kernel, problem.sigma
     t, x, z = config.times, config.positions, config.jumps
-    expected = config.measure.total_mass * config.window.volume
-    base, plus = (picard_iterates_at_atoms(problem, c.times, c.positions,
-                                           c.jumps, n_iter, expected)
+    base, plus = (picard_iterates_at_atoms(problem, c, n_iter)
                   for c in (config, helpers.add_atom(config, point.time,
                                                      point.x, point.jump)))
     du = [np.delete(p, np.searchsorted(t, point.time)) - b
@@ -186,7 +184,7 @@ def picard_derivative_report(problem, config, point, n_iter=8):
     # the base iterate n at the point, from sigma of iterate n - 1
     at_point = [w_pt] + [w_pt + row @ (sigma(b) * z) for b in base[:-2]]
     kicks = [kick * (sigma(a) * point.jump) for a in at_point]
-    sums = causal_sums(kernel, t, x, np.array(
+    sums = causal_sums(kernel, config, np.array(
         [(sigma(b + d) - sigma(b)) * z for b, d in zip(base, du[:-1])]))
 
     def sup(v):

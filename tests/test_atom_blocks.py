@@ -20,6 +20,7 @@ from levyfield import solver
 from conftest import child_env
 
 B = solver.ATOM_BLOCK_ROWS
+EPS = np.finfo(float).eps
 WINDOW = lf.SpaceTimeWindow(1.0, 2.0)
 SIGMAS = {"affine": lf.affine_map(0.5, 1.0), "sin": lf.named_map("sin")}
 
@@ -179,7 +180,7 @@ def test_blocked_solvers_match_dense(kernel, sigma, n):
     t, x, z = cfg.times, cfg.positions, cfg.jumps
 
     want = _dense_iterates(problem, t, x, z, 8)
-    got = solver.picard_iterates_at_atoms(problem, t, x, z, 8, t.size)
+    got = solver.picard_iterates_at_atoms(problem, cfg, 8)
     assert len(got) == 9
     tol = 1e-14 * _scale(want)
     for m, (a, b) in enumerate(zip(got, want)):
@@ -216,8 +217,7 @@ def test_batched_blocks_match_dense_per_path(kernel):
     batch = lf.sample_batch(_noise(2.5 * B), WINDOW, 5, 0, 6)
     assert batch.times.shape[1] > 2 * B
     t, x, z = batch.times, batch.positions, batch.jumps
-    got = solver.picard_iterates_at_atoms(
-        problem, t, x, z, 6, batch.measure.total_mass * WINDOW.volume)
+    got = solver.picard_iterates_at_atoms(problem, batch, 6)
     for j in range(batch.n_paths):
         k = batch.counts[j]
         want = _dense_iterates(problem, t[j, :k], x[j, :k], z[j, :k], 6)
@@ -302,8 +302,7 @@ def test_no_solve_starts_a_thread():
         problem = lf.ProblemSpec(kernel=lf.heat_kernel(),
                                  sigma=lf.named_map("sin"),
                                  ic_kind="cosine", window=window)
-        solver.causal_sums(problem.kernel, cfg.times, cfg.positions,
-                           cfg.jumps)
+        solver.causal_sums(problem.kernel, cfg, cfg.jumps)
         lf.solve_forward(cfg, problem)
         lf.picard_solve(cfg, problem, 8)
         solver.solve_forward_pair(cfg, problem, 0.5, 0.3, 0.2)
@@ -360,9 +359,10 @@ def test_a_solve_fills_only_its_own_blocks():
 
 
 def test_kernel_layers_are_entered_on_the_calling_thread(monkeypatch):
-    # the benchmark's tracer keeps one span stack per process: a block fill
-    # enters pairwise_interaction_matrix and GreenKernel.evaluate once per
-    # block, on the calling thread, with the block's full size
+    # the benchmark's tracer keeps one span stack per process: an atom
+    # block's fill enters pairwise_interaction_matrix and
+    # GreenKernel.evaluate once per block, a grid block's GreenKernel.evaluate
+    # once, on the calling thread, with the block's full size
     problem = _problem("heat")
     cfg = _path(300)
     calls = []
@@ -379,30 +379,50 @@ def test_kernel_layers_are_entered_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(solver, "pairwise_interaction_matrix",
                         recording("matrix",
                                   solver.pairwise_interaction_matrix))
-    sizes = [G.size for _, _, G in solver._atom_blocks(problem.kernel,
-                                                       cfg.times,
-                                                       cfg.positions)]
-    sizes += [G.size for G in solver._grid_blocks(problem, cfg.times,
-                                                  cfg.positions)]
+    atom = [G.size for _, _, G in solver._atom_blocks(problem.kernel,
+                                                      cfg.times,
+                                                      cfg.positions)]
+    grid = [G.size for G in solver._grid_blocks(problem, cfg.times,
+                                                cfg.positions)]
     assert {ident for _, ident, _ in calls} == {threading.get_ident()}
-    for name in ("evaluate", "matrix"):
-        assert [size for n, _, size in calls if n == name] == sizes
+    assert [size for n, _, size in calls if n == "matrix"] == atom
+    assert [size for n, _, size in calls if n == "evaluate"] == atom + grid
 
 
-def test_compensated_picard_holds_blocks_of_their_own(monkeypatch):
-    # the m1 != 0 branch holds every grid block at once: on a heat path of
-    # more than one block they must not be views of one workspace
-    problem = _problem("heat")
+@pytest.mark.parametrize("kernel", ["wave", "heat"])
+def test_compensated_picard_grid_is_the_mild_sum_at_each_grid_point(kernel):
+    # the m1 != 0 grid of iterate n is w plus the jump sum of sigma of
+    # iterate n - 1 at the atoms before each grid point, minus m1 times the
+    # compensator of sigma of iterate n - 1 on the grid: evaluate_solution
+    # of iterate n - 1, one grid point at a time, with its own kernel
+    # evaluation over the atoms before it
+    problem = lf.ProblemSpec(kernel=lf.GreenKernel(kernel),
+                             sigma=SIGMAS["sin"], ic_kind="cosine",
+                             window=WINDOW, n_t=20, n_x=24)
     measure = lf.gaussian_measure(60.0, 0.5, 1.0)
     cfg = lf.sample_prm(measure, WINDOW, (7, 0))
     assert cfg.n_atoms > B and measure.first_moment != 0.0
-    got, got_diag = lf.picard_solve(cfg, problem, 3)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_grid_blocks", _grid_reference)
-        want, want_diag = lf.picard_solve(cfg, problem, 3)
-    assert got.atom_values.tobytes() == want.atom_values.tobytes()
-    assert got.grid_values.tobytes() == want.grid_values.tobytes()
-    assert np.array_equal(got_diag.sup_differences, want_diag.sup_differences)
+    m1 = measure.first_moment
+    grid_t, grid_x = problem.grid()
+    t, x, z = cfg.times, cfg.positions, cfg.jumps
+    terms = cfg.n_atoms + grid_t.size * grid_x.size
+    for n in (1, 2, 3):
+        prev, _ = lf.picard_solve(cfg, problem, n - 1)
+        got = lf.picard_solve(cfg, problem, n)[0].grid_values
+        sig_z = np.abs(problem.sigma(prev.atom_values) * z)
+        sig_gr = np.abs(problem.sigma(prev.grid_values)).ravel()
+        for (j, l), value in np.ndenumerate(got):
+            tj, xl, early = grid_t[j], grid_x[l], t < grid_t[j]
+            # both sides sum the same terms, each in its own order, so each
+            # is within (N + 4) eps of the sum of their magnitudes (Higham,
+            # Accuracy and Stability of Numerical Algorithms, 2002, 3.1)
+            size = abs(lf.deterministic_part(problem, tj, xl)) \
+                + np.abs(problem.kernel.evaluate(tj - t[early],
+                                                 xl - x[early])) \
+                @ sig_z[early] + abs(m1) * (np.abs(solver._compensator_rows(
+                    problem, tj, xl)) @ sig_gr)[0]
+            assert abs(value - lf.evaluate_solution(prev, tj, xl)) \
+                <= 2 * (terms + 4) * EPS * size, (n, j, l)
 
 
 def test_import_starts_no_thread():

@@ -440,8 +440,7 @@ def test_batch_operations_match_per_path_with_empty_paths(kernel, case):
     w = lf.deterministic_part(problem, grid_t[:, None], grid_x[None, :])
     empty = batch.counts == 0
     coefs = (problem.sigma(u) * batch.jumps)[:, None, :]
-    for j, values in solver.grid_projection(problem, batch.times,
-                                            batch.positions, coefs):
+    for j, values in solver.grid_projection(problem, batch, coefs):
         assert values.shape == (n, 1, grid_x.size)
         assert np.array_equal(values[empty, 0], np.broadcast_to(
             w[j], (int(empty.sum()), grid_x.size))), j
@@ -564,14 +563,13 @@ def test_batched_picard_and_projection_match_dense(kernel, sigma, case):
     if case == "one_long_path":
         assert batch.counts[0] > 900
     t, x, z = batch.times, batch.positions, batch.jumps
-    iterates = solver.picard_iterates_at_atoms(
-        problem, t, x, z, n_iter, measure.total_mass * WINDOW.volume)
+    iterates = solver.picard_iterates_at_atoms(problem, batch, n_iter)
     coefs = np.zeros((batch.n_paths, n_iter + 1, t.shape[1]))
     for m in range(1, n_iter + 1):
         coefs[:, m] = problem.sigma(iterates[m - 1]) * z
     grids = np.empty((batch.n_paths, n_iter + 1) + (problem.n_t,
                                                     problem.n_x))
-    for j, values in solver.grid_projection(problem, t, x, coefs):
+    for j, values in solver.grid_projection(problem, batch, coefs):
         grids[:, :, j] = values
     for p in range(batch.n_paths):
         at, grid, _ = _dense_picard(problem, batch.path(p), n_iter)
@@ -678,27 +676,39 @@ def _one_row_batch(atoms, n_paths=1):
     return batch
 
 
-@pytest.mark.parametrize("atoms", [30, 200])
-@pytest.mark.parametrize("kernel", ["wave", "heat"])
+# the heat row of about 1000 expected atoms sums its far sources spectrally
+@pytest.mark.parametrize("kernel, atoms", [
+    ("wave", 30), ("wave", 200), ("heat", 30), ("heat", 200), ("heat", 1000)])
 def test_a_one_row_batch_is_its_path_bit_for_bit(kernel, atoms):
     problem = _problem(lf.GreenKernel(kernel), "sin")
     batch = _one_row_batch(atoms)
-    t, x, z = batch.times, batch.positions, batch.jumps
-    path = lf.solve_forward(batch.path(0), problem)
+    path = batch.path(0)
+    t, z = batch.times, batch.jumps
+    fwd = lf.solve_forward(path, problem)
     u = lf.solve_batch(batch, problem)
     assert u.shape == t.shape
-    assert u[0].tobytes() == path.atom_values.tobytes()
-    expected = batch.measure.total_mass * WINDOW.volume
-    rows = solver.picard_iterates_at_atoms(problem, t, x, z, 8, expected)
-    flat = solver.picard_iterates_at_atoms(problem, t[0], x[0], z[0], 8,
-                                           expected)
+    assert u[0].tobytes() == fwd.atom_values.tobytes()
+    rows = solver.picard_iterates_at_atoms(problem, batch, 8)
+    flat = solver.picard_iterates_at_atoms(problem, path, 8)
     for m, (a, b) in enumerate(zip(rows, flat)):
         assert a.shape == t.shape and a[0].tobytes() == b.tobytes(), m
-    # the row's grid projection is the path's grid
-    _, sigz = solver._forward(problem, batch)
-    _, _, grid = solver._project_grid(problem, t, x, sigz, expected)
-    assert grid.shape == (1,) + path.grid_values.shape
-    assert grid[0].tobytes() == path.grid_values.tobytes()
+    pic, _ = lf.picard_solve(path, problem, 8)
+    # the row's grid projections are the path's grids: sigma(u) z as one
+    # field in the row's shape, and beside sigma(u_7) z as two fields
+    one = problem.sigma(u) * z
+    two = np.stack([one, problem.sigma(rows[7]) * z], axis=1)
+    for (j, a), (_, b) in zip(solver.grid_projection(problem, batch, one),
+                              solver.grid_projection(problem, batch, two)):
+        assert a.shape == (1, problem.n_x) and b.shape == (1, 2, problem.n_x)
+        assert a[0].tobytes() == fwd.grid_values[j].tobytes(), j
+        assert b[0, 0].tobytes() == fwd.grid_values[j].tobytes(), j
+        assert b[0, 1].tobytes() == pic.grid_values[j].tobytes(), j
+    # and so are the grids that the batch reducers take
+    squares = solver.iterate_moment_sums(problem, batch, rows)[0]
+    assert squares[8].tobytes() == np.square(pic.grid_values).tobytes()
+    atom_gap, grid_gap = solver.cross_solver_gaps(batch, problem, 8)
+    assert atom_gap[0] == np.max(np.abs(pic.atom_values - fwd.atom_values))
+    assert grid_gap[0] == np.max(np.abs(pic.grid_values - fwd.grid_values))
 
 
 @pytest.mark.parametrize("atoms", [30, 200])
@@ -710,16 +720,31 @@ def test_causal_sums_take_rows_shaped_coefs_as_one_field(kernel, atoms):
     # K terms
     k = lf.GreenKernel(kernel)
     batch = _one_row_batch(atoms, 2)
-    t, x, z = batch.times, batch.positions, batch.jumps
-    got = solver.causal_sums(k, t, x, z)
+    t, z = batch.times, batch.jumps
+    got = solver.causal_sums(k, batch, z)
     assert got.shape == t.shape
-    want = solver.causal_sums(k, t, x, z[:, None, :])
+    want = solver.causal_sums(k, batch, z[:, None, :])
     assert got.tobytes() == want[:, 0].tobytes()
     for p, n in enumerate(batch.counts):
-        row = solver.causal_sums(k, t[p, :n], x[p, :n], z[p, :n])
-        size = solver.causal_sums(k, t[p, :n], x[p, :n], np.abs(z[p, :n]))
+        path = batch.path(p)
+        row = solver.causal_sums(k, path, path.jumps)
+        size = solver.causal_sums(k, path, np.abs(path.jumps))
         tol = t.shape[1] * np.finfo(float).eps * size
         assert np.all(np.abs(got[p, :n] - row) <= tol), p
+
+
+@pytest.mark.parametrize("kernel", ["wave", "heat"])
+def test_grid_projection_takes_rows_shaped_coefs_as_one_field(kernel):
+    # as in causal_sums: coefs in the rows' shape (P, K) are one field per
+    # row, the (P, 1, K) call's values in the rows' shape, bit for bit
+    problem = _problem(lf.GreenKernel(kernel), "sin")
+    batch = _one_row_batch(30, 3)
+    z = batch.jumps
+    for (j, got), (_, want) in zip(
+            solver.grid_projection(problem, batch, z),
+            solver.grid_projection(problem, batch, z[:, None, :])):
+        assert got.shape == (3, problem.n_x), j
+        assert got.tobytes() == want[:, 0].tobytes(), j
 
 
 def _spy_builds(monkeypatch):
@@ -740,9 +765,7 @@ def test_a_long_one_row_batch_takes_the_per_path_machinery(monkeypatch,
     built = _spy_builds(monkeypatch)
     for n_paths, want in ((1, [builds]), (2, [])):
         batch = _one_row_batch(200, n_paths)
-        solver.picard_iterates_at_atoms(
-            problem, batch.times, batch.positions, batch.jumps, 4,
-            batch.measure.total_mass * WINDOW.volume)
+        solver.picard_iterates_at_atoms(problem, batch, 4)
         # several rows of long paths keep the batch code
         assert built == want, n_paths
         built.clear()

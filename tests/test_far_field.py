@@ -1,7 +1,7 @@
 """The spectral far field of one long heat row (solver._FarField) against
-the dense kernel blocks, with a gate derived from its truncation, its
-aliasing and the length of its sums; which rows take it; and adaptedness
-bit for bit on a row that takes it."""
+sums over full rows of pairwise_interaction_matrix, with a gate derived
+from its truncation, its aliasing and the length of its sums; which rows
+take it; and adaptedness bit for bit on a row that takes it."""
 
 import math
 
@@ -31,10 +31,49 @@ def _problem(sigma="affine", kernel=HEAT, n=64):
 
 def _row(expected, seed=0):
     cfg = lf.sample_prm(_measure(expected), WINDOW, (71, seed))
-    far = solver._far_field(HEAT, WINDOW, expected, cfg.times,
-                            cfg.positions)
+    far = solver._far_field(HEAT, cfg)
     assert far is not None and far.n_slabs > 2
     return cfg, far
+
+
+# targets per block of kernel rows: 512 x 8000 entries is 32 MB
+ROWS = 512
+
+
+def _dense_sums(tt, tx, t, x, coefs):
+    """sum_j G(tt_i - t_j, tx_i - x_j) coefs[..., j] over the sources
+    strictly before each target, from rows of pairwise_interaction_matrix
+    (zero where a source is not earlier), as mild_residual builds them:
+    ROWS targets at a time over every source before the latest of them."""
+    out = []
+    for r in range(0, tt.size, ROWS):
+        k = np.searchsorted(t, tt[r:r + ROWS].max())
+        out.append(coefs[..., :k] @ solver.pairwise_interaction_matrix(
+            HEAT, tt[r:r + ROWS], tx[r:r + ROWS], t[:k], x[:k]).T)
+    return np.concatenate(out, axis=-1)
+
+
+def _dense_forward(problem, t, x, u, z):
+    """Forward substitution one atom at a time in place, each atom's sum
+    one product with its row of pairwise_interaction_matrix over every
+    atom up to the end of its block of ROWS: u holds w on entry, the
+    solution on return; returns sigma(u) z."""
+    sigz = np.zeros(t.size)
+    for r in range(0, t.size, ROWS):
+        rows = solver.pairwise_interaction_matrix(
+            HEAT, t[r:r + ROWS], x[r:r + ROWS], t[:r + ROWS], x[:r + ROWS])
+        for i, row in enumerate(rows, start=r):
+            u[i] += row @ sigz[:r + ROWS]
+            sigz[i] = problem.sigma(u[i]) * z[i]
+    return sigz
+
+
+def _dense_grid(problem, t, x, coefs):
+    """_dense_sums at every grid point, (..., n_t, n_x)."""
+    grid_t, grid_x = problem.grid()
+    return _dense_sums(np.repeat(grid_t, grid_x.size),
+                       np.tile(grid_x, grid_t.size), t, x, coefs).reshape(
+                           coefs.shape[:-1] + (grid_t.size, grid_x.size))
 
 
 def _gate(far, n):
@@ -102,9 +141,10 @@ def test_spectral_sums_match_the_dense_blocks(expected, sigma, n_grid):
 
     # causal sums of two fields
     coefs = np.random.default_rng(3).normal(size=(2, n))
-    dense = solver.causal_sums(HEAT, t, x, coefs)
-    spec = solver.causal_sums(HEAT, t, x, coefs, WINDOW, expected)
-    size = 1.0 + solver.causal_sums(HEAT, t, x, np.abs(coefs))
+    dense, size = np.split(_dense_sums(t, x, t, x, np.concatenate(
+        [coefs, np.abs(coefs)])), 2)
+    spec = solver.causal_sums(HEAT, cfg, coefs)
+    size += 1.0
     total = np.sum(np.abs(coefs), axis=1, keepdims=True)
     assert np.all(np.abs(spec - dense)
                   <= c * EPS * (size + mag * total) + b * total)
@@ -114,29 +154,27 @@ def test_spectral_sums_match_the_dense_blocks(expected, sigma, n_grid):
     # (of the linear map L u on |z|, whose terms are all >= 0)
     w = np.asarray(solver.deterministic_part(problem, t, x), dtype=float)
     u_dense = w.copy()
-    sigz = solver._heat_forward(problem, t, x, u_dense, z)
+    sigz = _dense_forward(problem, t, x, u_dense, z)
     u_spec = w.copy()
-    solver._heat_forward(problem, t, x, u_spec, z, expected=expected)
+    solver._heat_forward(problem, cfg, u_spec, z)
     total = float(np.sum(np.abs(sigz)))
-    size = 1.0 + np.abs(w) + solver.causal_sums(HEAT, t, x, np.abs(sigz))
+    size = 1.0 + np.abs(w) + _dense_sums(t, x, t, x, np.abs(sigz))
     bound = c * EPS * (size + mag * total) + b * total
     growth = lf.ProblemSpec(kernel=HEAT,
                             sigma=lf.affine_map(problem.sigma.lipschitz, 0.0),
                             ic_kind="cosine", window=WINDOW)
-    solver._heat_forward(growth, t, x, bound, np.abs(z))
+    _dense_forward(growth, t, x, bound, np.abs(z))
     assert np.all(np.abs(u_spec - u_dense) <= bound * (1.0 + c * EPS))
     assert np.max(np.abs(u_spec - u_dense)) > 0.0     # not the dense code
 
     # grid projection of sigma(u) z, with the grid's own magnitudes
-    _, _, dense = solver._project_grid(problem, t, x, sigz)
-    _, _, spec = solver._project_grid(problem, t, x, sigz, expected)
-    zero = lf.ProblemSpec(kernel=HEAT, sigma=problem.sigma,
-                          ic_kind="constant", window=WINDOW, ic_value=0.0,
-                          n_t=n_grid, n_x=n_grid)
-    _, _, size = solver._project_grid(zero, t, x, np.abs(sigz))
     grid_t, grid_x = problem.grid()
-    size += 1.0 + np.abs(solver.deterministic_part(
-        problem, grid_t[:, None], grid_x[None, :]))
+    w = solver.deterministic_part(problem, grid_t[:, None], grid_x[None, :])
+    dense, size = _dense_grid(problem, t, x, np.stack([sigz, np.abs(sigz)]))
+    dense += w
+    size += 1.0 + np.abs(w)
+    spec = np.stack([v for _, v in solver.grid_projection(problem, cfg,
+                                                          sigz)])
     assert np.all(np.abs(spec - dense)
                   <= c * EPS * (size + mag * total) + b * total)
 
@@ -145,9 +183,9 @@ def _spy(monkeypatch):
     built = []
     real = solver._FarField
 
-    def spy(window, expected, *args):
-        built.append(expected)
-        return real(window, expected, *args)
+    def spy(atoms):
+        built.append(solver._expected(atoms))
+        return real(atoms)
 
     monkeypatch.setattr(solver, "_FarField", spy)
     return built
@@ -178,10 +216,10 @@ def test_only_one_heat_row_above_the_crossover_sums_spectrally(monkeypatch):
     built.clear()
     # several rows keep the batch code
     batch = lf.sample_batch(_measure(above), WINDOW, 71, 0, 2)
-    solver.picard_iterates_at_atoms(_problem(), batch.times, batch.positions,
-                                    batch.jumps, 4, above)
-    solver.causal_sums(HEAT, batch.times, batch.positions,
-                       batch.jumps[:, None, :], WINDOW, above)
+    solver.picard_iterates_at_atoms(_problem(), batch, 4)
+    solver.causal_sums(HEAT, batch, batch.jumps[:, None, :])
+    for _ in solver.grid_projection(_problem(), batch, batch.jumps):
+        pass
     assert built == []
 
 
@@ -204,14 +242,12 @@ def test_a_spectral_row_is_adapted_bit_for_bit(monkeypatch):
     cfg, far = _row(expected, 2)
     built = _spy(monkeypatch)
     t = cfg.times
-    base_its = solver.picard_iterates_at_atoms(
-        problem, t, cfg.positions, cfg.jumps, 8, expected)
+    base_its = solver.picard_iterates_at_atoms(problem, cfg, 8)
     base_fwd = lf.solve_forward(cfg, problem, with_grid=False).atom_values
     for r in _insertions(far, t):
         plus = helpers.add_atom(cfg, r, -0.7, 0.05)
         k = int(np.searchsorted(t, r))
-        its = solver.picard_iterates_at_atoms(
-            problem, plus.times, plus.positions, plus.jumps, 8, expected)
+        its = solver.picard_iterates_at_atoms(problem, plus, 8)
         for m, (a, b) in enumerate(zip(base_its, its)):
             assert a[:k].tobytes() == b[:k].tobytes(), (r, m)
         fwd = lf.solve_forward(plus, problem, with_grid=False).atom_values

@@ -87,6 +87,20 @@ def test_build_measure_and_problem():
     assert gauss.kind == "gaussian"
 
 
+def test_noise_kinds_are_two_point_and_gaussian(tmp_path, capsys):
+    # the default is two-point noise of jump 1 at mass 5, and --jump sets
+    # its jump; "rademacher", a kind that ignored --jump, is refused
+    assert lf.moments(lf.build_measure(lf.RunConfig())) == (5.0, 0.0, 5.0)
+    assert lf.moments(lf.build_measure(lf.RunConfig(jump=0.5))) \
+        == (1.25, 0.0, 5.0)
+    with pytest.raises(ConfigError, match="noise kind"):
+        lf.RunConfig(noise="rademacher")
+    assert cli.main(["sample", "--noise", "rademacher",
+                     "--outdir", str(tmp_path)]) == 1
+    assert "invalid choice: 'rademacher'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # --------------------------------------------------------------- ensembles
 
 def test_run_config_has_no_workers(tmp_path):

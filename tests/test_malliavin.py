@@ -474,9 +474,7 @@ def test_picard_derivative_matches_per_path_reference(tmp_path, capsys,
 
 def _scales(problem, batch, n_iter):
     """1 + max |u_n| over each path's atoms and n <= n_iter."""
-    its = solver.picard_iterates_at_atoms(
-        problem, batch.times, batch.positions, batch.jumps, n_iter,
-        batch.measure.total_mass * batch.window.volume)
+    its = solver.picard_iterates_at_atoms(problem, batch, n_iter)
     return 1.0 + np.max([np.max(np.where(batch.mask, np.abs(u), 0.0),
                                 axis=-1) for u in its], axis=0)
 

@@ -82,7 +82,7 @@ def test_exact_cone_matches_dense_bit_for_bit(n):
     for _ in range(8):
         assert _exact(sigma(want[-1]) * z)
         want.append(1.0 + M @ (sigma(want[-1]) * z))
-    got = solver.picard_iterates_at_atoms(DYADIC, t, x, z, 8, t.size)
+    got = solver.picard_iterates_at_atoms(DYADIC, cfg, 8)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     path, _ = lf.picard_solve(cfg, DYADIC, 8)

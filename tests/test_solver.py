@@ -278,11 +278,10 @@ def test_bad_iteration_count_is_a_solver_error(window, busy_noise,
                                                heat_problem, call):
     # as picard_solve's: not an IndexError or numpy's ValueError
     batch = lf.sample_batch(busy_noise, window, 4, 0, 3)
-    t, x, z = batch.times, batch.positions, batch.jumps
     runs = {
         "cross_solver_gaps": lambda: cross_solver_gaps(batch, heat_problem, 0),
         "picard_iterates_at_atoms": lambda: picard_iterates_at_atoms(
-            heat_problem, t, x, z, -1, 10.0),
+            heat_problem, batch, -1),
     }
     with pytest.raises(SolverError, match="n_iter must be"):
         runs[call]()
